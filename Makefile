@@ -2,9 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race test-race-serve test-race-telemetry \
-        test-race-fastpath test-race-ios test-race-sweep test-race-cluster \
-        test-race-kernels test-race-dynamic test-race-nas smoke-sweep smoke-cluster \
+.PHONY: all check build vet test test-race test-benchmark smoke-sweep smoke-cluster \
         bench-cluster check-allocs \
         bench bench-serve bench-telemetry bench-inference bench-kernels \
         bench-ios bench-dynamic bench-nas test-short \
@@ -12,31 +10,18 @@ GO ?= go
 
 all: build vet test
 
-# The gate for every change: build, vet, full tests, race-checked passes
-# over the concurrent paths (batcher + HTTP layer + telemetry + the
-# inference fast path's shared worker pool + the IOS stage executor +
-# the sweep job runner + the cluster router/supervisor), the sweep
+# The gate for every change: build, vet, full tests, the whole suite
+# again under the race detector (every package, no name filter — a new
+# test can never fall outside a pattern), the benchmark harness module
+# (its own go.mod, so `./...` never compiles it), the sweep
 # kill-and-resume smoke, the cluster kill-under-load smoke, and the
-# zero-allocation regression guards on both serving forwards.
-check: build vet test test-race-serve test-race-telemetry test-race-fastpath test-race-ios test-race-sweep test-race-cluster test-race-kernels test-race-dynamic test-race-nas smoke-sweep smoke-cluster check-allocs
-
-test-race-serve:
-	$(GO) test -race ./internal/serve/...
-
-# Sweep jobs under the race detector: the chunked worker fan-out, the
-# manager's drain path, and the checkpoint writer all run concurrently.
-test-race-sweep:
-	$(GO) test -race ./internal/sweep/
+# zero-allocation regression guards on the serving forwards.
+check: build vet test test-race test-benchmark smoke-sweep smoke-cluster check-allocs
 
 # Kill-and-resume smoke: drain a mid-flight sweep (fake backend and the
 # real batcher pool), resume it, and require bit-identical results.
 smoke-sweep:
 	$(GO) test -race -count=1 -run 'TestKillAndResume|TestSweepSurvivesServerRestart' ./internal/sweep/ ./internal/serve/
-
-# Cluster router, supervisor, admission and the adaptive batching
-# controller under the race detector (in-process fake workers).
-test-race-cluster:
-	$(GO) test -race -count=1 ./internal/cluster/
 
 # Cluster kill-under-load smoke against real processes: a router over 2
 # drainnet-serve workers, SIGKILL one mid-load (zero interactive request
@@ -59,40 +44,6 @@ bench-cluster:
 	    -router-bin /tmp/drainnet-bench-bin/drainnet-router \
 	    -serve-bin /tmp/drainnet-bench-bin/drainnet-serve
 
-test-race-telemetry:
-	$(GO) test -race ./internal/telemetry/...
-
-# Fast-path parity and worker-pool tests under the race detector: the
-# packed kernels, arena reuse and Infer/Forward parity all dispatch
-# through the shared pool.
-test-race-fastpath:
-	$(GO) test -race -run 'Infer|Parallel|Packed|Arena|Pool' ./internal/tensor/ ./internal/nn/ ./internal/model/
-
-# Concurrent stage executor under the race detector with real pool
-# workers: group fan-out, the RunInline pricing mode, and the scheduled
-# serving path.
-test-race-ios:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestScheduleExecutor|TestRunInline|TestMeasuredOracle|Scheduled' ./internal/tensor/ ./internal/nn/ ./internal/ios/ ./internal/model/
-
-# Conv kernel variants (Winograd F(2,3), cache-blocked NCHWc, direct)
-# and the per-layer autotuner under the race detector: the batch-1
-# phases fan out over the shared worker pool.
-test-race-kernels:
-	GOMAXPROCS=4 $(GO) test -race -run 'Winograd|NCHWc|DirectConv|Kernel|TestTuned' ./internal/tensor/ ./internal/nn/ ./internal/model/
-
-# Hardware-in-the-loop NAS under the race detector: the parallel search
-# executor's worker fan-out, the shared measured evaluator (trained-net
-# memo + bench lock), and the concurrent cost cache (in-process mutex +
-# two-writer merge-on-save).
-test-race-nas:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestSearch|TestMeasuredEvaluator|TestCostCache|TestEvolution|TestMutate|TestJointSpace' ./internal/nas/ ./internal/ios/
-
-# Dynamic inference path under the race detector: the masked kernels'
-# shared stats, the early-exit executor, the difficulty router inside
-# Submit, and the sweep exit accounting all run concurrently.
-test-race-dynamic:
-	GOMAXPROCS=4 $(GO) test -race -run 'Mask|Dynamic|Exit' ./internal/tensor/ ./internal/nn/ ./internal/model/ ./internal/serve/... ./internal/sweep/
-
 # Alloc-regression guard: every steady-state serving forward (the
 # sequential fast path, the scheduled IOS executor, the quantized
 # int8 path and the autotuned Winograd/NCHWc/direct kernel mix) must
@@ -110,8 +61,16 @@ vet:
 test:
 	$(GO) test ./...
 
+# Several minutes: GOMAXPROCS=4 gives the shared worker pool, the IOS
+# stage executor and the parallel NAS search real fan-out to race on.
 test-race:
-	$(GO) test -race ./...
+	GOMAXPROCS=4 $(GO) test -race ./...
+
+# benchmark/ is a separate module (replace drainnet => ../): an internal/
+# API change can break `bash benchmark/run.sh` without failing ./... .
+test-benchmark:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 test-short:
 	$(GO) test -short ./...

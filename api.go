@@ -353,8 +353,8 @@ type CostCache = ios.CostCache
 func LoadCostCache(path string) (*CostCache, error) { return ios.LoadCostCache(path) }
 
 // OptimizeSchedules benchmarks net's operators on this machine and runs
-// the IOS dynamic program against the measured costs, yielding the plan
-// the serving pool executes when Options.Plan is set.
+// the IOS dynamic program against the measured costs. To serve under the
+// schedules, Compile with CompileOptions.IOS instead of calling this.
 func OptimizeSchedules(cfg ModelConfig, net *Network, maxBatch int, cache *CostCache) (*SchedulePlan, error) {
 	return model.OptimizeSchedules(cfg, net, maxBatch, cache)
 }
@@ -435,21 +435,38 @@ func QuantizeGated(net *Network, ds *Dataset, opts QuantOptions) (*QuantDecision
 
 // ---- Serving (versioned /v1 HTTP API, batched multi-replica pool) ----
 
+// ServingPlan is a compiled deployment: the network to serve plus the
+// decision report of every pipeline step that ran. Set it as
+// PoolOptions.Plan / ServeOptions.Plan.
+type ServingPlan = model.Plan
+
+// CompileOptions selects the serving pipeline steps.
+type CompileOptions = model.CompileOptions
+
+// Compile assembles net for serving — quantization gate → kernel
+// autotuning → dynamic planning → weight packing → IOS scheduling, each
+// only when opts asks — as drainnet-serve and the measured NAS loop do.
+// calib yields the gates' held-out split, only if a gate needs it.
+func Compile(cfg ModelConfig, net *Network, calib func() (*Dataset, error), opts CompileOptions) (*ServingPlan, error) {
+	return model.Compile(cfg, net, calib, opts)
+}
+
 // ReplicaPool coalesces single-clip requests into batches and runs them
 // across independent network replicas (each owning its layer caches).
 type ReplicaPool = batcher.Pool
 
 // PoolOptions tunes the pool: replica count, max batch, max wait (the
-// §6.4 batching knobs), and the bounded-queue backpressure limit.
+// §6.4 batching knobs), the bounded-queue backpressure limit, and the
+// compiled ServingPlan to run (nil serves net as it stands).
 type PoolOptions = batcher.Options
 
 // PoolStats is a snapshot of serving statistics: queue depth, batch-size
 // histogram, latency quantiles, per-replica load.
 type PoolStats = batcher.Stats
 
-// NewReplicaPool builds a pool of opts.Replicas copies of net, which must
-// have been built from cfg. Submit clips with ReplicaPool.Submit; drain
-// with Close.
+// NewReplicaPool builds a pool of opts.Replicas replicas of net, which
+// must have been built from cfg (and be opts.Plan.Served when a plan is
+// set). Submit clips with ReplicaPool.Submit; drain with Close.
 func NewReplicaPool(cfg ModelConfig, net *Network, opts PoolOptions) (*ReplicaPool, error) {
 	return batcher.New(cfg, net, opts)
 }

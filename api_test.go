@@ -362,7 +362,7 @@ func TestPublicQuantAPI(t *testing.T) {
 		t.Fatalf("gate with epsilon 1 should enable int8: %+v", dec)
 	}
 	// A quantized network serves through the same pool API.
-	pool, err := NewReplicaPool(cfg, dec.Net, PoolOptions{Replicas: 1, MaxBatch: 2, Precision: PrecisionInt8})
+	pool, err := NewReplicaPool(cfg, dec.Net, PoolOptions{Replicas: 1, MaxBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

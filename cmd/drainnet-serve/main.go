@@ -35,38 +35,41 @@
 //	drainnet-serve -ckpt model.ckpt            # load a saved checkpoint
 //	drainnet-serve -replicas 4 -max-batch 32 -max-wait 2ms -queue 256
 //	drainnet-serve -trace-sample 100 -trace-dir traces/ -pprof
-//	drainnet-serve -ios -ios-cache costs.json   # IOS-scheduled replicas
+//	drainnet-serve -ios -cost-cache costs.json               # IOS-scheduled replicas
 //	drainnet-serve -precision int8 -quant-max-ap-drop 0.01   # accuracy-gated int8
-//	drainnet-serve -autotune -kernel-cache kern.json         # tuned conv kernels
+//	drainnet-serve -autotune -cost-cache costs.json          # tuned conv kernels
 //	drainnet-serve -dynamic -precision auto                  # dynamic inference
 //	drainnet-serve -nas-plan nas-out/plan.json               # serve a searched winner
 //
-// -precision int8 quantizes the detector (per-channel int8 weights,
-// affine int8 activations) and refuses to start unless the held-out AP
-// drop stays within -quant-max-ap-drop; -precision auto falls back to
-// fp32 instead of refusing. /v1/model reports the precision actually
-// served.
+// The pipeline flags (-precision, -autotune, -dynamic, -ios, with
+// -quant-max-ap-drop, -max-batch and -cost-cache) feed one compile step,
+// model.Compile: quantization gate → kernel autotuning → dynamic planning
+// → weight packing → IOS scheduling, each only when asked. It returns the
+// plan every replica executes — the same call drainnet-nas prices
+// candidates with, so what a search measured is what this server runs.
+// Every gate shares -quant-max-ap-drop as its epsilon and scores one
+// held-out split, built only when a gate needs it; -cost-cache memoizes
+// every kernel and operator measurement across restarts.
 //
-// -autotune measures every conv kernel variant (im2col+GEMM, Winograd
-// F(2,3), cache-blocked NCHWc, direct — plus int8 when the quant gate
-// passed) per layer and batch bucket on this machine and serves the
-// fastest mix whose held-out AP drop stays within -quant-max-ap-drop.
-// /v1/model reports the per-layer choices and the drainnet_kernel_choice
-// gauge exports them.
+//   - -precision int8 quantizes the detector and refuses to start unless
+//     the held-out AP drop stays within epsilon; auto falls back to fp32.
+//   - -autotune measures every conv kernel variant (im2col, Winograd
+//     F(2,3), NCHWc, direct — plus int8 when its gate passed) per layer
+//     and batch bucket and serves the fastest mix that passes the gate.
+//   - -dynamic serves the early-exit / spatially-masked fp32 path, with
+//     easy clips routed to int8 replicas when that gate passed; a ladder
+//     demotes masking first, then the exit. Does not compose with -ios.
+//   - -ios serves under this machine's measured-cost-optimal stage
+//     schedule.
 //
-// -dynamic serves the accuracy-gated dynamic inference path: a
-// calibrated early-exit head answers confident-negative clips before the
-// SPP+FC tail, spatially-masked conv kernels skip low-energy output-row
-// bands, and (when the int8 gate passed via -precision int8/auto) a
-// difficulty router sends easy clips to an int8 replica path. A gate
-// ladder demotes masking first, then the exit, until the held-out AP
-// drop fits within -quant-max-ap-drop. The main path serves fp32;
-// /v1/model reports the plan and /v1/stats the live exit/mask/route
-// rates. Does not compose with -ios.
+// /v1/model and the drainnet_kernel_choice gauge report what the plan
+// actually serves (precision after any fallback, kernels after any
+// override); /v1/stats carries the live exit/mask/route rates.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -83,7 +86,6 @@ import (
 	"drainnet/internal/ios"
 	"drainnet/internal/model"
 	"drainnet/internal/nas"
-	"drainnet/internal/nn"
 	"drainnet/internal/serve"
 	"drainnet/internal/telemetry"
 	"drainnet/internal/terrain"
@@ -104,11 +106,10 @@ func main() {
 	traceDir := flag.String("trace-dir", "", "also write sampled traces to this directory (req-<id>.trace.json)")
 	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof endpoints")
 	iosOn := flag.Bool("ios", false, "serve with IOS-scheduled inference: benchmark this machine's operators and run the measured-cost-optimal stage schedule on every replica")
-	iosCache := flag.String("ios-cache", "", "operator cost-cache file for -ios (loaded if present, saved after measuring; startups with a warm cache skip re-measurement)")
 	precisionFlag := flag.String("precision", "fp32", "serving precision: fp32, int8 (refuse to start if the accuracy gate fails) or auto (fall back to fp32)")
 	quantMaxDrop := flag.Float64("quant-max-ap-drop", 0.01, "accuracy gate epsilon: largest tolerated AP drop (fp32 AP − int8 AP) on the held-out split before int8 is refused")
 	autotune := flag.Bool("autotune", false, "measure every conv kernel variant (im2col, winograd, nchwc, direct, int8 when gated on) per layer and batch bucket on this machine and serve the fastest accuracy-gated mix; shares -quant-max-ap-drop as the gate epsilon")
-	kernelCache := flag.String("kernel-cache", "", "kernel measurement cache file for -autotune (loaded if present, saved after tuning); may be the same file as -ios-cache — the keys are shared")
+	costCache := flag.String("cost-cache", "", "measurement cache file shared by -autotune and -ios (loaded if present, saved when it grew; a warm cache skips re-measurement)")
 	dynamicOn := flag.Bool("dynamic", false, "serve the accuracy-gated dynamic inference path (early-exit negatives, spatial masking, and — with a passed int8 gate — per-request precision routing); shares -quant-max-ap-drop as the gate epsilon")
 	nasPlan := flag.String("nas-plan", "", "serve a drainnet-nas winner: plan.json written by drainnet-nas -out; sets the architecture, loads the sibling checkpoint, and applies the plan's precision and kernel mode (explicit -ckpt/-precision/-autotune flags still win)")
 	sweepDir := flag.String("sweep-dir", "", "checkpoint directory for /v1/sweep jobs (empty = jobs die with the process); unfinished jobs in it resume at startup")
@@ -152,8 +153,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// calibDS is the held-out split the quantization accuracy gate scores
-	// both precisions on; the training path reuses its test split.
+	// calibDS is the held-out split the accuracy gates score on.
 	var calibDS *terrain.Dataset
 	if *ckpt != "" {
 		if err := train.LoadFile(*ckpt, net); err != nil {
@@ -180,117 +180,68 @@ func main() {
 		fmt.Printf("trained: AP@%.1f = %.1f%%\n", dc.IoUThreshold, ev.AP*100)
 	}
 
-	// Quantize before kernel autotuning and schedule optimization, so
-	// both price the operators that will actually serve (int8 ops carry
-	// their own cost-cache keys).
-	served := model.PrecisionFP32
-	fp32Net := net
-	var qnet *nn.Sequential
-	var qdec *model.QuantDecision
-	if precision != model.PrecisionFP32 {
-		if calibDS == nil {
-			if _, calibDS, err = experiments.BuildData(dc); err != nil {
-				log.Fatal(err)
-			}
-		}
-		dec, err := model.QuantizeGated(net, calibDS, model.QuantOptions{MaxAPDrop: *quantMaxDrop})
-		if err != nil {
+	// One compile step assembles what serves. The held-out split is built
+	// only if a gate asks for it; the training path reuses its test split.
+	cache := ios.NewCostCache()
+	if *costCache != "" {
+		if cache, err = ios.LoadCostCache(*costCache); err != nil {
 			log.Fatal(err)
 		}
-		qdec = dec
-		fmt.Printf("level=info msg=quant_gate requested=%s quantized_layers=%d fallback_layers=%d fp32_ap=%.4f int8_ap=%.4f ap_drop=%.4f epsilon=%.4f enabled=%t\n",
-			precision, dec.Report.Quantized, dec.Report.Fallback,
-			dec.FP32AP, dec.Int8AP, dec.Drop, dec.Epsilon, dec.Enabled)
-		switch {
-		case dec.Enabled:
-			qnet = dec.Net
-			net = dec.Net
-			served = model.PrecisionInt8
-		case precision == model.PrecisionInt8:
-			log.Fatalf("int8 requested but the accuracy gate failed (AP drop %.4f > epsilon %.4f); raise -quant-max-ap-drop or use -precision auto to fall back",
-				dec.Drop, dec.Epsilon)
-		default:
+	}
+	cached := cache.Len()
+	plan, err := model.Compile(cfg, net, func() (*terrain.Dataset, error) {
+		if calibDS != nil {
+			return calibDS, nil
+		}
+		_, testDS, err := experiments.BuildData(dc)
+		return testDS, err
+	}, model.CompileOptions{
+		Precision: precision,
+		MaxAPDrop: *quantMaxDrop,
+		Autotune:  *autotune,
+		Dynamic:   *dynamicOn,
+		IOS:       *iosOn,
+		MaxBatch:  *maxBatch,
+		CostCache: cache,
+	})
+	var gateErr *model.QuantGateError
+	if errors.As(err, &gateErr) {
+		logQuantGate(precision, gateErr.Decision)
+		log.Fatalf("int8 requested but the accuracy gate failed (AP drop %.4f > epsilon %.4f); raise -quant-max-ap-drop or use -precision auto to fall back",
+			gateErr.Decision.Drop, gateErr.Decision.Epsilon)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *costCache != "" && cache.Len() != cached {
+		if err := cache.Save(*costCache); err != nil {
+			log.Printf("level=warn msg=\"cost cache not saved\" err=%v", err)
+		}
+	}
+	// The decision report of every step that ran, one greppable line each.
+	if dec := plan.Quant; dec != nil {
+		logQuantGate(precision, dec)
+		if !dec.Enabled {
 			fmt.Println(`level=info msg=quant_fallback reason="accuracy gate failed" serving=fp32`)
 		}
 	}
-
-	// Per-layer kernel autotuning: measure im2col vs winograd vs nchwc vs
-	// direct (vs int8 when the quant gate passed) for every conv layer
-	// and serve the fastest mix that keeps the held-out AP drop within
-	// epsilon. Runs before IOS planning so the schedule oracle prices the
-	// kernels that will actually serve.
-	var kplan *model.KernelPlan
-	if *autotune {
-		if calibDS == nil {
-			if _, calibDS, err = experiments.BuildData(dc); err != nil {
-				log.Fatal(err)
-			}
-		}
-		kcache := ios.NewCostCache()
-		if *kernelCache != "" {
-			if kcache, err = ios.LoadCostCache(*kernelCache); err != nil {
-				log.Fatal(err)
-			}
-		}
-		before := kcache.Len()
-		kplan, err = model.AutotuneKernels(fp32Net, qnet, []int{cfg.InBands, cfg.InSize, cfg.InSize}, calibDS,
-			model.KernelOptions{Batches: []int{1, *maxBatch}, MaxAPDrop: *quantMaxDrop, Cache: kcache})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *kernelCache != "" && kplan.Cache.Len() != before {
-			if err := kplan.Cache.Save(*kernelCache); err != nil {
-				log.Printf("level=warn msg=\"kernel cache not saved\" err=%v", err)
-			}
-		}
-		net = kplan.Served
-		// The served net is pure fp32 exactly when the plan handed the
-		// fp32 net back; any other assembly carries int8 modules.
-		served = model.PrecisionFP32
-		if kplan.Served != fp32Net {
-			served = model.PrecisionInt8
-		}
+	if k := plan.Kernels; k != nil {
 		fmt.Printf("level=info msg=kernel_autotune mix=%q demotions=%d fp32_ap=%.4f tuned_ap=%.4f ap_drop=%.4f epsilon=%.4f measured=%d cache_entries=%d cache=%q\n",
-			kplan.Mix(), kplan.Demotions, kplan.FP32AP, kplan.TunedAP, kplan.Drop, kplan.Epsilon, kplan.Cache.Len()-before, kplan.Cache.Len(), *kernelCache)
+			k.Mix(), k.Demotions, k.FP32AP, k.TunedAP, k.Drop, k.Epsilon, k.Measured, cache.Len(), *costCache)
 	}
-
-	// Dynamic inference: calibrate the early-exit head, mask thresholds,
-	// and (when int8 is gated on) the difficulty router, walking the gate
-	// ladder until the held-out AP drop fits epsilon. The main path
-	// serves fp32 — with an int8 quant swap above, the int8 net moves to
-	// the routed replica path instead of replacing the main one.
-	var dyn *serve.Dynamic
-	if *dynamicOn {
-		if *iosOn {
-			log.Fatal("-dynamic does not compose with -ios schedules")
-		}
-		if calibDS == nil {
-			if _, calibDS, err = experiments.BuildData(dc); err != nil {
-				log.Fatal(err)
-			}
-		}
-		net = fp32Net
-		served = model.PrecisionFP32
-		dopts := model.DynamicOptions{MaxAPDrop: *quantMaxDrop, Int8: qdec}
-		dplan, err := model.PlanDynamic(net, calibDS, dopts)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if d := plan.Dynamic; d != nil {
 		fmt.Printf("level=info msg=dynamic_plan exit=%t mask=%t router=%t demotions=%d fp32_ap=%.4f dynamic_ap=%.4f ap_drop=%.4f epsilon=%.4f calib_exit_rate=%.3f calib_mask_rate=%.3f\n",
-			dplan.ExitEnabled, dplan.MaskEnabled, dplan.RouterEnabled, dplan.Demotions,
-			dplan.FP32AP, dplan.DynamicAP, dplan.Drop, dplan.Epsilon, dplan.ExitRate, dplan.MaskRate)
-		dyn = &serve.Dynamic{Spec: dplan}
-		if dplan.RouterEnabled && qnet != nil {
-			dyn.Int8Net = qnet
-		}
+			d.ExitEnabled, d.MaskEnabled, d.RouterEnabled, d.Demotions,
+			d.FP32AP, d.DynamicAP, d.Drop, d.Epsilon, d.ExitRate, d.MaskRate)
 	}
-
-	// One-time weight packing (im2col panels, winograd transforms, NCHWc
-	// blocks, int8 quantization) for replica 0, parallelized across
-	// layers; batcher clones share the packed weights.
-	packStart := time.Now()
-	nn.PrepareInferenceParallel(net)
-	packMS := float64(time.Since(packStart)) / float64(time.Millisecond)
+	if sp := plan.Schedules; sp != nil {
+		// The chosen schedules, one line each and greppable against the
+		// bench harness output (same Compact rendering).
+		fmt.Printf("level=info msg=ios_plan batch1_stages=%d batchN_stages=%d measured_ops=%d cache=%q\n",
+			len(sp.Batch1.Stages), len(sp.BatchN.Stages), cache.Len(), *costCache)
+		fmt.Printf("level=info msg=schedule batch=1 plan=%q\n", sp.Batch1.Compact())
+		fmt.Printf("level=info msg=schedule batch=%d plan=%q\n", *maxBatch, sp.BatchN.Compact())
+	}
 
 	var tel *telemetry.Telemetry
 	if *telemetryOn {
@@ -306,33 +257,7 @@ func main() {
 		tel = telemetry.NewDisabled()
 	}
 
-	var plan *model.SchedulePlan
-	if *iosOn {
-		cache := ios.NewCostCache()
-		if *iosCache != "" {
-			if cache, err = ios.LoadCostCache(*iosCache); err != nil {
-				log.Fatal(err)
-			}
-		}
-		before := cache.Len()
-		plan, err = model.OptimizeSchedules(cfg, net, *maxBatch, cache)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *iosCache != "" && plan.Cache.Len() != before {
-			if err := plan.Cache.Save(*iosCache); err != nil {
-				log.Printf("level=warn msg=\"cost cache not saved\" err=%v", err)
-			}
-		}
-		// The chosen schedules, one line each and greppable against the
-		// bench harness output (same Compact rendering).
-		fmt.Printf("level=info msg=ios_plan batch1_stages=%d batchN_stages=%d measured_ops=%d cache=%q\n",
-			len(plan.Batch1.Stages), len(plan.BatchN.Stages), plan.Cache.Len(), *iosCache)
-		fmt.Printf("level=info msg=schedule batch=1 plan=%q\n", plan.Batch1.Compact())
-		fmt.Printf("level=info msg=schedule batch=%d plan=%q\n", *maxBatch, plan.BatchN.Compact())
-	}
-
-	srv, err := serve.NewWithOptions(cfg, net, *threshold, serve.Options{
+	srv, err := serve.NewWithOptions(cfg, plan.Served, *threshold, serve.Options{
 		Replicas:         *replicas,
 		MaxBatch:         *maxBatch,
 		MaxWait:          *maxWait,
@@ -341,12 +266,9 @@ func main() {
 		Telemetry:        tel,
 		EnablePprof:      *pprofOn,
 		Plan:             plan,
-		Precision:        served,
-		Kernels:          kplan,
 		SweepDir:         *sweepDir,
 		SweepResume:      *sweepDir != "",
 		SweepConcurrency: *sweepConc,
-		Dynamic:          dyn,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -355,7 +277,8 @@ func main() {
 	// One structured line with the full resolved configuration, so a log
 	// scraper (or a human) sees every serving knob in one place.
 	fmt.Printf("level=info msg=serving model=%q addr=%s gomaxprocs=%d precision=%s autotune=%t dynamic=%t pack_ms=%.1f replicas=%d max_batch=%d max_wait=%v queue=%d timeout=%v telemetry=%t trace_sample=%d trace_dir=%q pprof=%t ios=%t sweep_dir=%q sweep_concurrency=%d worker_id=%d\n",
-		cfg.Name, *addr, runtime.GOMAXPROCS(0), served, *autotune, *dynamicOn, packMS, popts.Replicas, popts.MaxBatch, popts.MaxWait, popts.QueueSize,
+		cfg.Name, *addr, runtime.GOMAXPROCS(0), plan.Precision, *autotune, *dynamicOn,
+		float64(plan.PackTime)/float64(time.Millisecond), popts.Replicas, popts.MaxBatch, popts.MaxWait, popts.QueueSize,
 		*timeout, *telemetryOn, *traceSample, *traceDir, *pprofOn, *iosOn, *sweepDir, *sweepConc, *workerID)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -384,4 +307,10 @@ func main() {
 	st := srv.Pool().Stats()
 	fmt.Printf("level=info msg=drained served=%d batches=%d mean_batch=%.2f rejected=%d canceled=%d\n",
 		st.Served, st.Batches, st.MeanBatch, st.Rejected, st.Canceled)
+}
+
+func logQuantGate(requested model.Precision, dec *model.QuantDecision) {
+	fmt.Printf("level=info msg=quant_gate requested=%s quantized_layers=%d fallback_layers=%d fp32_ap=%.4f int8_ap=%.4f ap_drop=%.4f epsilon=%.4f enabled=%t\n",
+		requested, dec.Report.Quantized, dec.Report.Fallback,
+		dec.FP32AP, dec.Int8AP, dec.Drop, dec.Epsilon, dec.Enabled)
 }

@@ -13,6 +13,7 @@ import (
 	"drainnet/internal/metrics"
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
+	"drainnet/internal/provenance"
 	"drainnet/internal/tensor"
 	"drainnet/internal/terrain"
 )
@@ -76,7 +77,7 @@ type InferenceBenchRun struct {
 // a perf trajectory to compare against.
 type InferenceBenchResult struct {
 	Model      string              `json:"model"`
-	Provenance *Provenance         `json:"provenance,omitempty"`
+	Provenance *provenance.Stamp   `json:"provenance,omitempty"`
 	Runs       []InferenceBenchRun `json:"runs"`
 }
 
@@ -209,7 +210,7 @@ func InferenceBench(outPath string) (*InferenceBenchResult, error) {
 	res := &InferenceBenchResult{}
 	loadBenchFile(outPath, res)
 	res.Model = cfg.Name + " /4 @50px"
-	res.Provenance = CollectProvenance()
+	res.Provenance = provenance.Collect()
 	res.Runs = mergeRunByProcs(res.Runs, run)
 	if err := writeBenchFile(outPath, res); err != nil {
 		return nil, err

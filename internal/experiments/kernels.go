@@ -10,6 +10,7 @@ import (
 
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
+	"drainnet/internal/provenance"
 	"drainnet/internal/tensor"
 )
 
@@ -41,7 +42,7 @@ type KernelsBenchRun struct {
 // variant, merged across GOMAXPROCS invocations like BENCH_inference.
 type KernelsBenchResult struct {
 	Model      string            `json:"model"`
-	Provenance *Provenance       `json:"provenance,omitempty"`
+	Provenance *provenance.Stamp `json:"provenance,omitempty"`
 	Runs       []KernelsBenchRun `json:"runs"`
 }
 
@@ -130,7 +131,7 @@ func KernelsBench(outPath string) (*KernelsBenchResult, error) {
 	res := &KernelsBenchResult{}
 	loadBenchFile(outPath, res)
 	res.Model = cfg.Name + " /4 @50px"
-	res.Provenance = CollectProvenance()
+	res.Provenance = provenance.Collect()
 	res.Runs = mergeKernelRunByProcs(res.Runs, run)
 	if err := writeBenchFile(outPath, res); err != nil {
 		return nil, err

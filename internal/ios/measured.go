@@ -136,44 +136,46 @@ func (o *MeasuredOracle) opCost(n *graph.Node, batch int, inline bool) float64 {
 	return c
 }
 
-// measure times the bound operator: warmup, then Samples trimmed-mean
-// runs, each stretched to MinSampleNs by repetition.
+// measure times the bound operator under the oracle's sampling knobs.
 func (o *MeasuredOracle) measure(inline bool) float64 {
+	loop := func(reps int) {
+		for i := 0; i < reps; i++ {
+			o.Runner.RunOp()
+		}
+	}
+	if inline {
+		plain := loop
+		loop = func(reps int) { tensor.RunInline(func() { plain(reps) }) }
+	}
+	return TimeTrimmed(loop, o.Warmup, o.Samples, o.MinSampleNs)
+}
+
+// TimeTrimmed returns the steady-state wall-clock cost in ns of one
+// iteration of loop (which runs its body reps times): warmup discarded
+// runs, then samples timed runs — each stretched above clock granularity
+// to at least minSampleNs by repetition — whose trimmed mean (top and
+// bottom quarter dropped, rejecting scheduler noise in both tails) is
+// the cost.
+func TimeTrimmed(loop func(reps int), warmup, samples int, minSampleNs float64) float64 {
 	run := func(reps int) float64 {
-		body := func() {
-			for i := 0; i < reps; i++ {
-				o.Runner.RunOp()
-			}
-		}
 		start := time.Now()
-		if inline {
-			tensor.RunInline(body)
-		} else {
-			body()
-		}
+		loop(reps)
 		return float64(time.Since(start)) / float64(reps)
 	}
-	for i := 0; i < o.Warmup; i++ {
+	for i := 0; i < warmup; i++ {
 		run(1)
 	}
-	// Calibrate repetitions so one sample exceeds the clock floor.
 	reps := 1
-	if probe := run(1); probe*float64(reps) < o.MinSampleNs {
+	if probe := run(1); probe < minSampleNs {
 		if probe <= 0 {
 			probe = 1
 		}
-		reps = int(o.MinSampleNs/probe) + 1
+		reps = int(minSampleNs/probe) + 1
 	}
-	samples := make([]float64, o.Samples)
-	for i := range samples {
-		samples[i] = run(reps)
+	s := make([]float64, samples)
+	for i := range s {
+		s[i] = run(reps)
 	}
-	return trimmedMean(samples)
-}
-
-// trimmedMean drops the top and bottom quarter of the sorted samples and
-// averages the rest, rejecting scheduler-noise outliers in both tails.
-func trimmedMean(s []float64) float64 {
 	sort.Float64s(s)
 	trim := len(s) / 4
 	kept := s[trim : len(s)-trim]

@@ -90,8 +90,10 @@ type KernelPlan struct {
 	// Demotions counts gate-ladder steps taken: 0 = first mix served,
 	// 1 = Winograd demoted to exact kernels, 2 = int8 layers reverted too.
 	Demotions int `json:"demotions"`
-	// Cache is the measurement cache after tuning (save for warm restarts).
-	Cache *ios.CostCache `json:"-"`
+	// Cache is the measurement cache after tuning (save for warm restarts);
+	// Measured counts the entries this tuning run added to it.
+	Cache    *ios.CostCache `json:"-"`
+	Measured int            `json:"-"`
 }
 
 // Mix summarizes the plan as "name:b1/bN" fragments for log lines.
@@ -131,14 +133,7 @@ func (p *convProbe) BindOp(n *graph.Node, batch int) error {
 	p.inputs.Reset()
 	shape := append([]int{batch}, n.InShape...)
 	t := p.inputs.Get(shape...)
-	d := t.Data()
-	seed := uint32(2463534242)
-	for i := range d {
-		seed ^= seed << 13
-		seed ^= seed >> 17
-		seed ^= seed << 5
-		d[i] = float32(int32(seed))/float32(1<<31)*0.999 + 0.0005
-	}
+	tensor.FillPseudo(t.Data(), tensor.PseudoSeed)
 	p.x = t
 	return nil
 }
@@ -204,6 +199,7 @@ func AutotuneKernels(fp32Net, qnet *nn.Sequential, input []int, calib *terrain.D
 	probe := &convProbe{inputs: tensor.NewArena(), scratch: tensor.NewArena()}
 	oracle := ios.NewMeasuredOracle(probe, opts.Cache)
 	plan.Cache = oracle.Cache()
+	cached := plan.Cache.Len()
 	type variantCost map[nn.ConvKernel]map[int]float64
 	fpCosts := make([]variantCost, len(tun))
 	i8Costs := make([]map[int]float64, len(tun))
@@ -242,6 +238,7 @@ func AutotuneKernels(fp32Net, qnet *nn.Sequential, input []int, calib *terrain.D
 	if err := oracle.Err(); err != nil {
 		return nil, fmt.Errorf("model: autotune: %w", err)
 	}
+	plan.Measured = plan.Cache.Len() - cached
 
 	// Select per layer: fastest fp32 kernel per bucket; precision by the
 	// serving (largest) bucket.

@@ -207,11 +207,6 @@ type DynamicPlan struct {
 	ExitStats *ExitStats
 }
 
-// Enabled reports whether any dynamic mechanism survived the gate.
-func (p *DynamicPlan) Enabled() bool {
-	return p != nil && (p.ExitEnabled || p.MaskEnabled || p.RouterEnabled)
-}
-
 // Apply configures net for the plan: every conv after the first gets
 // the calibrated mask spec and the masked kernel. Call on the serving
 // network before replicas are cloned — cloneShared carries the mask
@@ -260,8 +255,10 @@ func SPPIndex(net *nn.Sequential) (int, error) {
 // steady-state InferDetect performs no heap allocation; one exec must
 // not be shared across goroutines. The replica network may be fp32 or
 // int8 — the exit probe reads whichever features the replica computes.
+// Trace-sampled batches take the embedded sequential executor's timed
+// pass over the full module chain (no exit).
 type DynamicExec struct {
-	net    *nn.Sequential
+	seqExec
 	plan   *DynamicPlan
 	nMods  int
 	logits []float32
@@ -270,11 +267,8 @@ type DynamicExec struct {
 
 // NewDynamicExec binds a plan to one replica network.
 func NewDynamicExec(net *nn.Sequential, plan *DynamicPlan) *DynamicExec {
-	return &DynamicExec{net: net, plan: plan, nMods: len(net.Modules())}
+	return &DynamicExec{seqExec: seqExec{net}, plan: plan, nMods: len(net.Modules())}
 }
-
-// Net returns the replica network the exec runs.
-func (e *DynamicExec) Net() *nn.Sequential { return e.net }
 
 // InferDetect is the dynamic counterpart of model.InferDetect. With the
 // early exit disabled it delegates wholesale (bit-for-bit identical to
@@ -436,7 +430,7 @@ func PlanDynamic(net *nn.Sequential, calib *terrain.Dataset, opts DynamicOptions
 				for i, f := range feats {
 					logits[i] = probeLogit(head, f)
 				}
-				fullDets := fullPathDetections(evalNet, calib, opts.CalibBatch)
+				fullDets := detectAll(seqExec{evalNet}, calib, opts.CalibBatch)
 				if tau, ok := calibrateExitThreshold(logits, fullDets, gts, plan.FP32AP, opts.MaxAPDrop, opts.IoU); ok {
 					head.Threshold = tau
 					plan.Exit = head
@@ -447,7 +441,7 @@ func PlanDynamic(net *nn.Sequential, calib *terrain.Dataset, opts DynamicOptions
 		plan.Stats.Reset()
 		plan.ExitStats.Reset()
 		exec := NewDynamicExec(evalNet, plan)
-		plan.DynamicAP = evalAPDynamic(exec, calib, opts.IoU, opts.CalibBatch)
+		plan.DynamicAP = evalAPExec(exec, calib, opts.IoU, opts.CalibBatch)
 		plan.Drop = plan.FP32AP - plan.DynamicAP
 		if plan.Drop <= opts.MaxAPDrop || (!plan.MaskEnabled && !plan.ExitEnabled) {
 			break
@@ -512,33 +506,6 @@ func prefixFeatures(net *nn.Sequential, sppIdx int, ds *terrain.Dataset, batch i
 		}
 	}
 	return feats, labels
-}
-
-// fullPathDetections scores the split through the static fast path,
-// one detection per sample, for threshold simulation.
-func fullPathDetections(net *nn.Sequential, ds *terrain.Dataset, batch int) []metrics.Detection {
-	a := tensor.NewArena()
-	dets := make([]metrics.Detection, 0, len(ds.Samples))
-	scratch := make([]metrics.Detection, 0, batch)
-	for lo := 0; lo < len(ds.Samples); lo += batch {
-		hi := lo + batch
-		if hi > len(ds.Samples) {
-			hi = len(ds.Samples)
-		}
-		x, _ := ds.Batch(lo, hi)
-		a.Reset()
-		scratch = InferDetect(net, x, a, scratch[:0])
-		dets = append(dets, scratch...)
-	}
-	return dets
-}
-
-func calibGroundTruth(ds *terrain.Dataset) []metrics.GroundTruth {
-	targets := make([]nn.DetectionTarget, len(ds.Samples))
-	for i, s := range ds.Samples {
-		targets[i] = s.Target
-	}
-	return TargetsToGroundTruth(targets)
 }
 
 // trainExitHead fits the logistic probe with full-batch gradient
@@ -672,26 +639,6 @@ func calibrateExitThreshold(logits []float32, fullDets []metrics.Detection,
 		}
 	}
 	return 0, false
-}
-
-// evalAPDynamic mirrors evalAP through the dynamic executor.
-func evalAPDynamic(exec *DynamicExec, ds *terrain.Dataset, iou float64, batch int) float64 {
-	a := tensor.NewArena()
-	var dets []metrics.Detection
-	var gts []metrics.GroundTruth
-	scratch := make([]metrics.Detection, 0, batch)
-	for lo := 0; lo < len(ds.Samples); lo += batch {
-		hi := lo + batch
-		if hi > len(ds.Samples) {
-			hi = len(ds.Samples)
-		}
-		x, targets := ds.Batch(lo, hi)
-		a.Reset()
-		scratch = exec.InferDetect(x, a, scratch[:0])
-		dets = append(dets, scratch...)
-		gts = append(gts, TargetsToGroundTruth(targets)...)
-	}
-	return metrics.Evaluate(dets, gts, iou).AP
 }
 
 // trainRouter fits the difficulty probe on raw-input channel statistics

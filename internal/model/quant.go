@@ -115,20 +115,32 @@ func QuantizeGated(net *nn.Sequential, calib *terrain.Dataset, opts QuantOptions
 // evalAP scores net on ds through the inference fast path (InferDetect
 // is bit-identical to Detect, and it is the path serving actually runs).
 func evalAP(net *nn.Sequential, ds *terrain.Dataset, iou float64, batch int) float64 {
+	return evalAPExec(seqExec{net}, ds, iou, batch)
+}
+
+// evalAPExec scores any serving executor on ds.
+func evalAPExec(exec Executor, ds *terrain.Dataset, iou float64, batch int) float64 {
+	return metrics.Evaluate(detectAll(exec, ds, batch), calibGroundTruth(ds), iou).AP
+}
+
+// detectAll runs exec over ds in batches, one detection per sample.
+func detectAll(exec Executor, ds *terrain.Dataset, batch int) []metrics.Detection {
 	a := tensor.NewArena()
-	var dets []metrics.Detection
-	var gts []metrics.GroundTruth
+	dets := make([]metrics.Detection, 0, len(ds.Samples))
 	scratch := make([]metrics.Detection, 0, batch)
 	for lo := 0; lo < len(ds.Samples); lo += batch {
-		hi := lo + batch
-		if hi > len(ds.Samples) {
-			hi = len(ds.Samples)
-		}
-		x, targets := ds.Batch(lo, hi)
+		x, _ := ds.Batch(lo, min(lo+batch, len(ds.Samples)))
 		a.Reset()
-		scratch = InferDetect(net, x, a, scratch[:0])
+		scratch = exec.InferDetect(x, a, scratch[:0])
 		dets = append(dets, scratch...)
-		gts = append(gts, TargetsToGroundTruth(targets)...)
 	}
-	return metrics.Evaluate(dets, gts, iou).AP
+	return dets
+}
+
+func calibGroundTruth(ds *terrain.Dataset) []metrics.GroundTruth {
+	targets := make([]nn.DetectionTarget, len(ds.Samples))
+	for i, s := range ds.Samples {
+		targets[i] = s.Target
+	}
+	return TargetsToGroundTruth(targets)
 }

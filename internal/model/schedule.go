@@ -46,9 +46,7 @@ func (c Config) BuildScaledGraph() (*graph.Graph, error) {
 // batches). Replicas compile the plan against their own network clone
 // with CompileExecutors.
 type SchedulePlan struct {
-	Config   Config
-	Graph    *graph.Graph
-	MaxBatch int
+	Graph *graph.Graph
 	// Batch1 serves single-clip batches; BatchN serves everything larger
 	// (optimized at MaxBatch — intermediate sizes reuse it, since stage
 	// structure is stable across nearby batch sizes).
@@ -88,14 +86,7 @@ func OptimizeSchedules(cfg Config, net *nn.Sequential, maxBatch int, cache *ios.
 	if err := oracle.Err(); err != nil {
 		return nil, fmt.Errorf("model: operator measurement failed: %w", err)
 	}
-	return &SchedulePlan{
-		Config:   cfg,
-		Graph:    g,
-		MaxBatch: maxBatch,
-		Batch1:   s1,
-		BatchN:   sN,
-		Cache:    oracle.Cache(),
-	}, nil
+	return &SchedulePlan{Graph: g, Batch1: s1, BatchN: sN, Cache: oracle.Cache()}, nil
 }
 
 // CompileExecutors binds the plan to one serving replica's network
@@ -127,11 +118,4 @@ func (p *SchedulePlan) CompileExecutors(net *nn.Sequential) (exec1, execN *nn.Sc
 // and, like it, allocation-free in steady state with a warm arena.
 func InferDetectScheduled(exec *nn.ScheduleExecutor, x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection) []metrics.Detection {
 	return decodeHeadInto(exec.Infer(x, a), dst)
-}
-
-// InferDetectScheduledHook is InferDetectScheduled with per-group stage
-// timing reported through hook; the telemetry pipeline uses it on
-// trace-sampled requests.
-func InferDetectScheduledHook(exec *nn.ScheduleExecutor, x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection, hook nn.StageHook) []metrics.Detection {
-	return decodeHeadInto(exec.InferWithHook(x, a, hook), dst)
 }

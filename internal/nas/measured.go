@@ -3,11 +3,11 @@ package nas
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"drainnet/internal/ios"
+	"drainnet/internal/metrics"
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
 	"drainnet/internal/tensor"
@@ -18,11 +18,11 @@ import (
 // hardware: e(n) becomes the measured steady-state latency of each
 // candidate's compiled, scheduled, autotuned, possibly-int8 executor on
 // the machine that will serve, instead of the simulated-GPU price the
-// IOSMeasurer charges. The pipeline per candidate mirrors what
-// drainnet-serve does at startup — QuantizeGated → AutotuneKernels →
-// OptimizeSchedules → CompileExecutors — all against one shared
-// ios.CostCache, so repeated searches (and concurrent search workers)
-// never re-measure an operator twice.
+// IOSMeasurer charges. Each candidate goes through model.Compile — the
+// same call drainnet-serve makes at startup — and the executor the plan
+// hands out is what gets benched, all against one shared ios.CostCache,
+// so repeated searches (and concurrent search workers) never re-measure
+// an operator twice.
 
 // Trainer produces a trained network and its held-out accuracy a(n) for
 // one already-scaled architecture. experiments.NASTrainer is the real
@@ -67,8 +67,8 @@ type MeasuredEvaluator struct {
 	// is no data to prove the gate) and Winograd demotes inside the
 	// autotuner.
 	Calib *terrain.Dataset
-	// MaxAPDrop is the gate epsilon shared by QuantizeGated and
-	// AutotuneKernels.
+	// MaxAPDrop is the gate epsilon shared by the quantization and
+	// kernel gates.
 	MaxAPDrop float64
 	// MaxBatch is the large-batch bucket e(n) is optimized and measured
 	// at (default 16); batch 1 is always measured too.
@@ -87,7 +87,7 @@ type MeasuredEvaluator struct {
 	MinSampleNs float64
 
 	// benchMu serializes every section that takes wall-clock timings
-	// (kernel autotuning, schedule measurement, the executor bench), so
+	// (model.Compile's autotune and schedule steps, the executor bench), so
 	// N parallel workers measure as cleanly as a sequential run. Cached
 	// candidates skip it entirely, which is what makes warm-cache
 	// parallel search scale.
@@ -236,132 +236,80 @@ func (e *MeasuredEvaluator) EvaluateCandidate(c CandidateConfig) TrialResult {
 
 	// 4. The serving pipeline, on a clone so concurrent candidates (and
 	// the memoized net) never observe each other's kernel retargeting.
-	b1, bN, detail, err := e.measureCandidate(scaled, c, t.net)
-	if err != nil {
+	if err := e.measureCandidate(scaled, t.net, &r); err != nil {
 		r.Err = err.Error()
 		r.Qualified = false
 		return r
 	}
-	r.LatencyB1Ns, r.LatencyBNNs = b1, bN
-	r.GateFallback, r.Demotions = detail.gateFallback, detail.demotions
-	e.Cache.Put(keyB1, b1)
-	e.Cache.Put(keyBN, bN)
+	e.Cache.Put(keyB1, r.LatencyB1Ns)
+	e.Cache.Put(keyBN, r.LatencyBNNs)
 	return r
 }
 
-type measureDetail struct {
-	gateFallback bool
-	demotions    int
-}
-
-// measureCandidate runs QuantizeGated → AutotuneKernels →
-// OptimizeSchedules → CompileExecutors on a shared-weight clone of the
-// trained net and benches the winning executors at batch 1 and MaxBatch.
-func (e *MeasuredEvaluator) measureCandidate(scaled model.Config, c CandidateConfig, base *nn.Sequential) (b1, bN float64, detail measureDetail, err error) {
+// measureCandidate compiles a shared-weight clone of the trained net the
+// way serving would (IOS-scheduled, at the candidate's precision and
+// kernel mode), benches the plan's executor at batch 1 and MaxBatch, and
+// records the latencies and gate outcomes in r.
+func (e *MeasuredEvaluator) measureCandidate(scaled model.Config, base *nn.Sequential, r *TrialResult) error {
 	clone, err := nn.CloneShared(base)
 	if err != nil {
-		return 0, 0, detail, err
+		return err
 	}
-	fp32 := clone.(*nn.Sequential)
-
-	// Accuracy-gated int8: the search's precision dimension goes through
-	// the same gate serving does; a failed gate falls back to fp32 (the
-	// candidate is then measured as its fp32 twin).
-	var qnet *nn.Sequential
+	c := r.Candidate
+	opts := model.CompileOptions{
+		MaxAPDrop: e.MaxAPDrop,
+		Autotune:  c.Kernels == KernelModeTuned,
+		IOS:       true,
+		MaxBatch:  e.MaxBatch,
+		CostCache: e.Cache,
+	}
+	// The search's precision dimension goes through the same gate serving
+	// does; a failed gate — or no data to prove it — falls back to fp32
+	// (the candidate is then measured as its fp32 twin).
 	if c.Precision == model.PrecisionInt8 {
 		if e.Calib == nil || len(e.Calib.Samples) == 0 {
-			detail.gateFallback = true
+			r.GateFallback = true
 		} else {
-			dec, qerr := model.QuantizeGated(fp32, e.Calib, model.QuantOptions{MaxAPDrop: e.MaxAPDrop})
-			if qerr != nil {
-				return 0, 0, detail, qerr
-			}
-			if dec.Enabled {
-				qnet = dec.Net
-			} else {
-				detail.gateFallback = true
-			}
+			opts.Precision = model.PrecisionAuto
 		}
-	}
-	served := fp32
-	if qnet != nil {
-		served = qnet
 	}
 
 	// Wall-clock measurement starts here; one candidate at a time.
 	e.benchMu.Lock()
 	defer e.benchMu.Unlock()
 
-	if c.Kernels == KernelModeTuned {
-		kplan, kerr := model.AutotuneKernels(fp32, qnet, []int{scaled.InBands, scaled.InSize, scaled.InSize}, e.Calib,
-			model.KernelOptions{Batches: []int{1, e.MaxBatch}, MaxAPDrop: e.MaxAPDrop, Cache: e.Cache})
-		if kerr != nil {
-			return 0, 0, detail, kerr
-		}
-		served = kplan.Served
-		detail.demotions = kplan.Demotions
+	plan, err := model.Compile(scaled, clone.(*nn.Sequential),
+		func() (*terrain.Dataset, error) { return e.Calib, nil }, opts)
+	if err != nil {
+		return err
 	}
-
-	plan, perr := model.OptimizeSchedules(scaled, served, e.MaxBatch, e.Cache)
-	if perr != nil {
-		return 0, 0, detail, perr
+	if plan.Quant != nil && !plan.Quant.Enabled {
+		r.GateFallback = true
 	}
-	exec1, execN, cerr := plan.CompileExecutors(served)
-	if cerr != nil {
-		return 0, 0, detail, cerr
+	if plan.Kernels != nil {
+		r.Demotions = plan.Kernels.Demotions
 	}
-	b1 = e.benchExecutor(exec1, 1)
-	bN = e.benchExecutor(execN, e.MaxBatch)
-	return b1, bN, detail, nil
+	exec, _, err := plan.NewReplica()
+	if err != nil {
+		return err
+	}
+	r.LatencyB1Ns = e.benchExecutor(exec, 1)
+	r.LatencyBNNs = e.benchExecutor(exec, e.MaxBatch)
+	return nil
 }
 
-// benchExecutor times one executor at a batch size: deterministic
-// synthetic input, warmup, then trimmed-mean samples stretched above
-// clock granularity. Caller holds benchMu.
-func (e *MeasuredEvaluator) benchExecutor(exec *nn.ScheduleExecutor, batch int) float64 {
+// benchExecutor times one executor at a batch size on deterministic
+// synthetic input, with the oracle's sampling protocol. Caller holds
+// benchMu.
+func (e *MeasuredEvaluator) benchExecutor(exec model.Executor, batch int) float64 {
 	x := tensor.New(batch, e.InBands, e.InSize, e.InSize)
-	fillPseudo(x.Data())
+	tensor.FillPseudo(x.Data(), tensor.PseudoSeed)
 	a := tensor.NewArena()
-	run := func(reps int) float64 {
-		start := time.Now()
+	dets := make([]metrics.Detection, 0, batch)
+	return ios.TimeTrimmed(func(reps int) {
 		for i := 0; i < reps; i++ {
 			a.Reset()
-			exec.Infer(x, a)
+			dets = exec.InferDetect(x, a, dets)
 		}
-		return float64(time.Since(start)) / float64(reps)
-	}
-	for i := 0; i < e.Warmup; i++ {
-		run(1)
-	}
-	reps := 1
-	if probe := run(1); probe < e.MinSampleNs {
-		if probe <= 0 {
-			probe = 1
-		}
-		reps = int(e.MinSampleNs/probe) + 1
-	}
-	samples := make([]float64, e.Samples)
-	for i := range samples {
-		samples[i] = run(reps)
-	}
-	sort.Float64s(samples)
-	trim := len(samples) / 4
-	kept := samples[trim : len(samples)-trim]
-	total := 0.0
-	for _, v := range kept {
-		total += v
-	}
-	return total / float64(len(kept))
-}
-
-// fillPseudo writes a deterministic xorshift sequence in (0, 1), the
-// same generator the autotuner's probes use.
-func fillPseudo(d []float32) {
-	seed := uint32(2463534242)
-	for i := range d {
-		seed ^= seed << 13
-		seed ^= seed >> 17
-		seed ^= seed << 5
-		d[i] = float32(int32(seed))/float32(1<<31)*0.999 + 0.0005
-	}
+	}, e.Warmup, e.Samples, e.MinSampleNs)
 }

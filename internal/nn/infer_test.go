@@ -123,23 +123,27 @@ func TestCloneSharedSharesWeightsOwnsCaches(t *testing.T) {
 		}
 	}
 
-	// The clone and the original must produce identical results, and must
-	// be safe to run concurrently (each with its own arena).
+	// Clones and the original must produce identical results, and must be
+	// safe to run concurrently — one goroutine per instance, each with its
+	// own arena (an instance's per-module scratch is not shareable).
 	x := randInput(rng, 4, 3, 20, 20)
 	want := net.Forward(x)
+	instances := []*Sequential{net, clone}
+	for len(instances) < 8 {
+		cm, err := CloneShared(net)
+		if err != nil {
+			t.Fatalf("CloneShared: %v", err)
+		}
+		instances = append(instances, cm.(*Sequential))
+	}
 	var wg sync.WaitGroup
-	results := make([]*tensor.Tensor, 8)
-	for g := range results {
+	results := make([]*tensor.Tensor, len(instances))
+	for g, m := range instances {
 		wg.Add(1)
-		go func(g int) {
+		go func(g int, m *Sequential) {
 			defer wg.Done()
-			a := tensor.NewArena()
-			m := net
-			if g%2 == 1 {
-				m = clone
-			}
-			results[g] = m.Infer(x, a)
-		}(g)
+			results[g] = m.Infer(x, tensor.NewArena())
+		}(g, m)
 	}
 	wg.Wait()
 	for g, r := range results {

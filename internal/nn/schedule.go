@@ -309,18 +309,11 @@ func (p *GraphProgram) BindOp(n *graph.Node, batch int) error {
 	}
 	p.measInputs.Reset()
 	op := p.byNode[n.ID]
-	seed := uint32(2463534242)
+	seed := tensor.PseudoSeed
 	for _, in := range n.Inputs {
 		shape := append([]int{batch}, in.OutShape...)
 		t := p.measInputs.Get(shape...)
-		d := t.Data()
-		for i := range d {
-			// xorshift32 → (-1, 1)
-			seed ^= seed << 13
-			seed ^= seed >> 17
-			seed ^= seed << 5
-			d[i] = float32(int32(seed))/float32(1<<31)*0.999 + 0.0005
-		}
+		seed = tensor.FillPseudo(t.Data(), seed)
 		p.measOuts[in.ID] = t
 	}
 	p.measOp = op

@@ -44,8 +44,8 @@ var (
 // Options configures a Pool. The zero value selects sensible defaults.
 type Options struct {
 	// Replicas is the number of independent network replicas (default
-	// GOMAXPROCS). Each replica is a deep copy of the source network, so
-	// replicas serve batches concurrently without sharing layer caches.
+	// GOMAXPROCS). Replicas share weights but own their layer caches, so
+	// they serve batches concurrently.
 	Replicas int
 	// MaxBatch is the largest batch a single forward pass may carry
 	// (default 8). A group of same-shape requests is flushed as soon as it
@@ -63,37 +63,12 @@ type Options struct {
 	// Stats; no span pipeline runs). Pools sharing one Telemetry share
 	// its registry metrics.
 	Telemetry *telemetry.Telemetry
-	// Plan enables IOS-scheduled inference: each replica compiles the
-	// plan's measured-cost-optimal schedules against its own network
-	// clone and serves batches stage by stage (concurrent operator
-	// groups) instead of layer by layer. Nil serves with the plain
-	// sequential fast path. The plan must have been optimized for the
-	// same config and a compatible MaxBatch (model.OptimizeSchedules).
-	Plan *model.SchedulePlan
-	// Precision labels the numeric precision the pool's network serves at
-	// (empty → fp32). Informational: the network handed to New is already
-	// quantized (or not) by the caller. The label joins the request
-	// latency histogram, so fp32 and int8 latencies are separate series
-	// in /v1/metrics.
-	Precision model.Precision
-	// Dynamic enables the accuracy-gated dynamic inference path (early-
-	// exit negatives, spatial masking, per-request precision routing).
-	// Nil serves the static path. Does not compose with Plan: the IOS
-	// executors bypass the dynamic seam.
-	Dynamic *Dynamic
-}
-
-// Dynamic configures the pool's dynamic inference path.
-type Dynamic struct {
-	// Spec is the calibrated plan from model.PlanDynamic (required).
-	// The pool applies its mask spec to the network before cloning
-	// replicas, so every replica masks into the plan's shared counters.
-	Spec *model.DynamicPlan
-	// Int8Net, with a router-enabled plan, backs the int8 replica path:
-	// easy clips route to int8 replicas, hard clips to fp32 ones. It
-	// must validate against the same config as the fp32 network. Nil
-	// (or a plan without a router) serves every clip on the fp32 path.
-	Int8Net *nn.Sequential
+	// Plan is the compiled deployment to serve (model.Compile): every
+	// replica runs the Executor its NewReplica hands out, and New's net
+	// must be Plan.Served. Nil compiles net as it stands — no gates, the
+	// sequential fast path. Plan.Precision labels the request latency
+	// histogram, so fp32 and int8 are separate series in /v1/metrics.
+	Plan *model.Plan
 }
 
 func (o Options) withDefaults() Options {
@@ -111,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 64
-	}
-	if o.Precision == "" {
-		o.Precision = model.PrecisionFP32
 	}
 	return o
 }
@@ -169,124 +141,49 @@ type Pool struct {
 	tel   *telemetry.Telemetry
 	reps  []*replica
 
-	// dyn/router drive the dynamic inference path (nil when off). The
-	// router runs in Submit — routing must precede batching because the
-	// two paths use different replica networks.
-	dyn    *model.DynamicPlan
+	// router assigns each request a precision path (nil unless the plan
+	// routes). It runs in Submit — routing must precede batching because
+	// the two paths run different replica executors.
 	router *model.Router
-
-	// detect overrides the forward pass; tests substitute a stub to make
-	// timing-sensitive behavior deterministic. When nil (production), the
-	// zero-allocation inference fast path runs instead. detectTimed is the
-	// per-layer-timed variant used when a batch carries a trace-sampled
-	// request.
-	detect      func(net *nn.Sequential, x *tensor.Tensor) []metrics.Detection
-	detectTimed func(net *nn.Sequential, x *tensor.Tensor, hook model.LayerHook) []metrics.Detection
 }
 
-// replica is one serving copy of the network plus the scratch it owns:
-// an arena for all inference temporaries (including the stacked batch
-// tensor) and a reusable detection slice. Replicas share the immutable
-// weight tensors and packed panels with the source network — per-replica
-// memory is scratch only, not another copy of the model.
+// replica is one serving copy of the plan plus the scratch it owns: an
+// arena for all inference temporaries (including the stacked batch
+// tensor) and a reusable detection slice. Weights and packed panels are
+// shared with the plan's served network — a replica is scratch only.
 type replica struct {
-	net   *nn.Sequential
-	arena *tensor.Arena
-	dets  []metrics.Detection
-	// exec1/execN are the replica's compiled IOS executors (nil without a
-	// plan): exec1 serves single-clip batches, execN everything larger.
-	exec1 *nn.ScheduleExecutor
-	execN *nn.ScheduleExecutor
-	// dyn/dynI8 are the replica's dynamic executors (nil without
-	// Options.Dynamic): dyn wraps net, dynI8 wraps the replica's int8
-	// clone for router-assigned easy clips.
-	dyn   *model.DynamicExec
-	dynI8 *model.DynamicExec
+	// exec runs the main path; execInt8 the routed one (nil unless the
+	// plan routes).
+	exec, execInt8 model.Executor
+	arena          *tensor.Arena
+	dets           []metrics.Detection
 }
 
-// dynExec picks the replica's dynamic executor for a routed path.
-func (rep *replica) dynExec(path model.Precision) *model.DynamicExec {
-	if path == model.PrecisionInt8 && rep.dynI8 != nil {
-		return rep.dynI8
-	}
-	return rep.dyn
-}
-
-// exec picks the executor for a batch of n clips (nil when unscheduled).
-func (rep *replica) exec(n int) *nn.ScheduleExecutor {
-	if n == 1 {
-		return rep.exec1
-	}
-	return rep.execN
-}
-
-// New builds a pool of opts.Replicas copies of net (which must have been
-// built from cfg — parameter names and shapes are checked while cloning).
-// The provided net becomes replica 0; the pool owns all replicas and the
-// caller must not run inference on net concurrently with pool use.
+// New builds a pool of opts.Replicas replicas of net (which must have
+// been built from cfg — layer kinds and shapes are checked first). The
+// pool owns net and every replica cloned from it; the caller must not
+// run inference on net concurrently with pool use.
 func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 	opts = opts.withDefaults()
 	if err := validateConfig(cfg, net); err != nil {
 		return nil, fmt.Errorf("batcher: %w", err)
 	}
-	if opts.Dynamic != nil {
-		if opts.Dynamic.Spec == nil {
-			return nil, errors.New("batcher: Options.Dynamic needs a plan (model.PlanDynamic)")
+	if opts.Plan == nil {
+		plan, err := model.Compile(cfg, net, nil, model.CompileOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("batcher: %w", err)
 		}
-		if opts.Plan != nil {
-			return nil, errors.New("batcher: dynamic inference does not compose with IOS schedules")
-		}
-		if opts.Dynamic.Int8Net != nil {
-			if err := validateConfig(cfg, opts.Dynamic.Int8Net); err != nil {
-				return nil, fmt.Errorf("batcher: int8 path: %w", err)
-			}
-		}
-		// Masking is configured before cloning so every replica shares the
-		// plan's mask spec and skip counters.
-		opts.Dynamic.Spec.Apply(net)
+		opts.Plan = plan
+	} else if opts.Plan.Served != net {
+		return nil, errors.New("batcher: net is not Options.Plan's served network")
 	}
-	// Pack weights once on the source network; shared-weight clones reuse
-	// the packed panels, so replica memory is scratch-only.
-	nn.PrepareInference(net)
 	replicas := make([]*replica, opts.Replicas)
-	replicas[0] = &replica{net: net, arena: tensor.NewArena()}
-	for i := 1; i < opts.Replicas; i++ {
-		clone, err := nn.CloneShared(net)
+	for i := range replicas {
+		exec, execInt8, err := opts.Plan.NewReplica()
 		if err != nil {
 			return nil, fmt.Errorf("batcher: replica %d: %w", i, err)
 		}
-		replicas[i] = &replica{net: clone.(*nn.Sequential), arena: tensor.NewArena()}
-	}
-	if opts.Plan != nil {
-		for i, rep := range replicas {
-			exec1, execN, err := opts.Plan.CompileExecutors(rep.net)
-			if err != nil {
-				return nil, fmt.Errorf("batcher: replica %d schedule: %w", i, err)
-			}
-			rep.exec1, rep.execN = exec1, execN
-		}
-	}
-	if opts.Dynamic != nil {
-		plan := opts.Dynamic.Spec
-		i8 := opts.Dynamic.Int8Net
-		if i8 != nil {
-			nn.PrepareInference(i8)
-		}
-		for i, rep := range replicas {
-			rep.dyn = model.NewDynamicExec(rep.net, plan)
-			if i8 == nil {
-				continue
-			}
-			i8net := i8
-			if i > 0 {
-				clone, err := nn.CloneShared(i8)
-				if err != nil {
-					return nil, fmt.Errorf("batcher: int8 replica %d: %w", i, err)
-				}
-				i8net = clone.(*nn.Sequential)
-			}
-			rep.dynI8 = model.NewDynamicExec(i8net, plan)
-		}
+		replicas[i] = &replica{exec: exec, execInt8: execInt8, arena: tensor.NewArena()}
 	}
 	p := &Pool{
 		opts:           opts,
@@ -297,13 +194,7 @@ func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 		stats:          newStatsAccum(opts),
 		tel:            opts.Telemetry,
 		reps:           replicas,
-		detectTimed:    model.DetectWithHook,
-	}
-	if opts.Dynamic != nil {
-		p.dyn = opts.Dynamic.Spec
-		if p.dyn.RouterEnabled && opts.Dynamic.Int8Net != nil {
-			p.router = p.dyn.Router
-		}
+		router:         opts.Plan.Router,
 	}
 	p.curMaxBatch.Store(int64(opts.MaxBatch))
 	p.curMaxWaitNs.Store(int64(opts.MaxWait))
@@ -379,13 +270,8 @@ func validateConfig(cfg model.Config, net *nn.Sequential) error {
 	return nil
 }
 
-// Options returns the pool's resolved configuration.
+// Options returns the pool's resolved configuration; Plan is never nil.
 func (p *Pool) Options() Options { return p.opts }
-
-// Dynamic returns the dynamic inference plan the pool serves with (nil
-// when the dynamic path is off). The plan's ExitStats and Stats carry
-// the live serving counters.
-func (p *Pool) Dynamic() *model.DynamicPlan { return p.dyn }
 
 // Accepting reports whether the pool still admits new submissions (false
 // once Close has begun). The /v1/healthz readiness check reads this.
@@ -622,10 +508,9 @@ func (p *Pool) runWorkers(replicas []*replica) {
 
 // runBatch stacks a job's clips into one N×C×H×W tensor drawn from the
 // replica's arena, runs a single forward pass, and delivers per-request
-// results. In the fast path (no stub, no trace hook) the batch tensor,
-// every layer temporary and the decoded detections all come from
-// replica-owned storage, so a warm replica serves a batch with zero heap
-// allocations in the model forward.
+// results. Untraced, the batch tensor, every layer temporary and the
+// decoded detections all come from replica-owned storage, so a warm
+// replica serves a batch with zero heap allocations in the model forward.
 func (p *Pool) runBatch(id int, rep *replica, j *job) {
 	n := len(j.reqs)
 	first := j.reqs[0].x
@@ -638,11 +523,10 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 	}
 
 	// Emit dispatch events and, when the batch carries a trace-sampled
-	// request, run the timed forward-pass variant so the sampled span's
+	// request, hand the executor timing hooks so the sampled span's
 	// Chrome trace shows the breakdown: per-layer slices on the plain
 	// path, per-stage-group slices on the scheduled (IOS) path.
-	var hook model.LayerHook
-	var stageHook nn.StageHook
+	var tr *model.Trace
 	if p.tel.Enabled() {
 		start := time.Now()
 		var sampled []uint64
@@ -653,29 +537,36 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 			}
 		}
 		if len(sampled) > 0 {
-			if rep.exec(n) != nil {
-				stageHook = func(stage, group, groups int, label string, at time.Time, d time.Duration) {
+			tr = &model.Trace{
+				Stage: func(stage, group, groups int, label string, at time.Time, d time.Duration) {
 					for _, rid := range sampled {
 						p.tel.Emit(telemetry.Event{Kind: telemetry.EvStageRun,
 							Req: rid, At: at, Dur: d, Replica: id,
 							Stage: stage, Group: group, Groups: groups, Name: label})
 					}
-				}
-			} else {
-				hook = func(layer int, name string, d time.Duration) {
+				},
+				Layer: func(layer int, name string, d time.Duration) {
 					for _, rid := range sampled {
 						p.tel.Emit(telemetry.Event{Kind: telemetry.EvLayerForward,
 							Req: rid, Layer: layer, Name: name, Dur: d, Replica: id})
 					}
-				}
+				},
 			}
 		}
+	}
+
+	// A batch the router sent to int8 runs the replica's routed executor;
+	// traced batches always show the main path's breakdown.
+	path := j.reqs[0].path
+	exec := rep.exec
+	if path == model.PrecisionInt8 && tr == nil {
+		exec = rep.execInt8
 	}
 
 	// Record stats and emit EvInferenceDone *before* delivering each
 	// result: once a waiter unblocks it may immediately read /v1/stats or
 	// emit EvResponseWritten, so both must already be ordered ahead.
-	dets, err := p.safeDetect(rep, batch, hook, stageHook, j.reqs[0].path)
+	dets, err := safeDetect(exec, rep, batch, tr)
 	if err != nil {
 		now := time.Now()
 		for _, r := range j.reqs {
@@ -689,9 +580,9 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 	for i, r := range j.reqs {
 		lats[i] = now.Sub(r.enq)
 	}
-	p.stats.record(id, n, lats, j.reqs[0].path)
-	if p.dyn != nil {
-		p.stats.setDynamicRates(p.dyn.ExitStats.Rate(), p.dyn.Stats.Rate())
+	p.stats.record(id, n, lats, path)
+	if dyn := p.opts.Plan.Dynamic; dyn != nil {
+		p.stats.setDynamicRates(dyn.ExitStats.Rate(), dyn.Stats.Rate())
 	}
 	for i, r := range j.reqs {
 		p.tel.Emit(telemetry.Event{Kind: telemetry.EvInferenceDone, Req: r.id, At: now})
@@ -699,55 +590,34 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 	}
 }
 
-// safeDetect converts a panicking forward pass (bad shapes reaching a
-// layer, etc.) into an error for this batch instead of killing the worker.
-// A non-nil stageHook selects the stage-timed scheduled path and a
-// non-nil hook the per-layer-timed (training-graph) path; a test stub in
-// p.detect overrides both; otherwise the replica's dynamic executor runs
-// when configured (picked by the batch's routed path), then the IOS
-// executor, else the plain zero-alloc inference fast path. Static paths
-// produce bit-identical detections for the same weights and input; the
-// dynamic path is bit-identical whenever its exit head is disabled or
-// does not fire. Trace-sampled batches fall back to the fp32 timed
-// path, so a traced request shows the full per-layer breakdown.
-func (p *Pool) safeDetect(rep *replica, x *tensor.Tensor, hook model.LayerHook, stageHook nn.StageHook, path model.Precision) (dets []metrics.Detection, err error) {
+// safeDetect runs one batch through exec, converting a panicking forward
+// pass (bad shapes reaching a layer, etc.) into an error for this batch
+// instead of killing the worker. Which path serves was decided when the
+// plan was compiled; the only choice left is whether the batch is traced.
+// Static paths are bit-identical for the same weights and input, and so
+// is the dynamic one whenever its exit head does not fire.
+func safeDetect(exec model.Executor, rep *replica, x *tensor.Tensor, tr *model.Trace) (dets []metrics.Detection, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("batcher: inference failed: %v", r)
 		}
 	}()
-	switch {
-	case stageHook != nil:
-		rep.dets = model.InferDetectScheduledHook(rep.exec(x.Dim(0)), x, rep.arena, rep.dets, stageHook)
-		dets = rep.dets
-	case hook != nil:
-		dets = p.detectTimed(rep.net, x, hook)
-	case p.detect != nil:
-		dets = p.detect(rep.net, x)
-	case rep.dyn != nil:
-		rep.dets = rep.dynExec(path).InferDetect(x, rep.arena, rep.dets)
-		dets = rep.dets
-	case rep.exec1 != nil:
-		rep.dets = model.InferDetectScheduled(rep.exec(x.Dim(0)), x, rep.arena, rep.dets)
-		dets = rep.dets
-	default:
-		rep.dets = model.InferDetect(rep.net, x, rep.arena, rep.dets)
-		dets = rep.dets
+	if tr != nil {
+		dets = exec.InferDetectTraced(x, rep.arena, rep.dets, *tr)
+	} else {
+		dets = exec.InferDetect(x, rep.arena, rep.dets)
 	}
 	if len(dets) != x.Dim(0) {
 		return nil, fmt.Errorf("batcher: detector returned %d results for batch of %d", len(dets), x.Dim(0))
 	}
+	rep.dets = dets
 	return dets, nil
-}
-
-func shapeKey(x *tensor.Tensor) string {
-	return fmt.Sprintf("%dx%dx%d", x.Dim(1), x.Dim(2), x.Dim(3))
 }
 
 // batchKey groups requests that may share a forward pass: same shape
 // and, under dynamic routing, the same precision path.
 func batchKey(req *request) string {
-	key := shapeKey(req.x)
+	key := fmt.Sprintf("%dx%dx%d", req.x.Dim(1), req.x.Dim(2), req.x.Dim(3))
 	if req.path != "" {
 		key += "|" + string(req.path)
 	}

@@ -48,10 +48,29 @@ func clip(seed int64) *tensor.Tensor {
 	return x
 }
 
+// stubExec is a test Executor: any func over the batch tensor.
+type stubExec func(x *tensor.Tensor) []metrics.Detection
+
+func (f stubExec) InferDetect(x *tensor.Tensor, _ *tensor.Arena, _ []metrics.Detection) []metrics.Detection {
+	return f(x)
+}
+
+func (f stubExec) InferDetectTraced(x *tensor.Tensor, _ *tensor.Arena, _ []metrics.Detection, _ model.Trace) []metrics.Detection {
+	return f(x)
+}
+
+// setExec swaps every replica's executor for a stub, making timing-
+// sensitive behavior deterministic. Call before the first Submit.
+func setExec(p *Pool, e stubExec) {
+	for _, rep := range p.reps {
+		rep.exec = e
+	}
+}
+
 // stubDetect replaces real inference with a controllable stand-in that
 // returns each clip's first pixel as the score.
-func stubDetect(block <-chan struct{}) func(*nn.Sequential, *tensor.Tensor) []metrics.Detection {
-	return func(_ *nn.Sequential, x *tensor.Tensor) []metrics.Detection {
+func stubDetect(block <-chan struct{}) stubExec {
+	return func(x *tensor.Tensor) []metrics.Detection {
 		if block != nil {
 			<-block
 		}
@@ -66,7 +85,7 @@ func stubDetect(block <-chan struct{}) func(*nn.Sequential, *tensor.Tensor) []me
 
 func TestFullBatchFlush(t *testing.T) {
 	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 4, MaxWait: time.Hour, QueueSize: 16})
-	p.detect = stubDetect(nil)
+	setExec(p, stubDetect(nil))
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -93,7 +112,7 @@ func TestFullBatchFlush(t *testing.T) {
 
 func TestMaxWaitFlush(t *testing.T) {
 	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 64, MaxWait: 10 * time.Millisecond, QueueSize: 16})
-	p.detect = stubDetect(nil)
+	setExec(p, stubDetect(nil))
 
 	start := time.Now()
 	if _, err := p.Submit(context.Background(), clip(1)); err != nil {
@@ -113,7 +132,7 @@ func TestMaxWaitFlush(t *testing.T) {
 func TestQueueOverflow(t *testing.T) {
 	block := make(chan struct{})
 	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 1, MaxWait: time.Millisecond, QueueSize: 2})
-	p.detect = stubDetect(block)
+	setExec(p, stubDetect(block))
 
 	// Unblock the stubbed replica even when an assertion fails mid-test;
 	// otherwise the pool's cleanup Close hangs on the parked worker.
@@ -170,14 +189,14 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	t.Cleanup(p.Close)
 	inner := stubDetect(nil)
-	p.detect = func(net *nn.Sequential, x *tensor.Tensor) []metrics.Detection {
+	setExec(p, func(x *tensor.Tensor) []metrics.Detection {
 		select {
 		case entered <- struct{}{}:
 		default:
 		}
 		<-block
-		return inner(net, x)
-	}
+		return inner(x)
+	})
 
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -222,7 +241,7 @@ func TestGracefulDrain(t *testing.T) {
 func TestSubmitContextCancellation(t *testing.T) {
 	block := make(chan struct{})
 	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 1, MaxWait: time.Millisecond, QueueSize: 16})
-	p.detect = stubDetect(block)
+	setExec(p, stubDetect(block))
 	defer close(block)
 
 	// Occupy the replica so the canceled request sits in the pipeline.
@@ -249,7 +268,7 @@ func TestSubmitContextCancellation(t *testing.T) {
 func TestSubmitTimeout(t *testing.T) {
 	block := make(chan struct{})
 	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 1, MaxWait: time.Millisecond, QueueSize: 16})
-	p.detect = stubDetect(block)
+	setExec(p, stubDetect(block))
 	defer close(block)
 
 	go p.Submit(context.Background(), clip(1))
@@ -265,10 +284,10 @@ func TestConcurrentLoadExercisesAllReplicas(t *testing.T) {
 	const replicas = 4
 	p := newTestPool(t, Options{Replicas: replicas, MaxBatch: 2, MaxWait: time.Millisecond, QueueSize: 256})
 	slow := stubDetect(nil)
-	p.detect = func(net *nn.Sequential, x *tensor.Tensor) []metrics.Detection {
+	setExec(p, func(x *tensor.Tensor) []metrics.Detection {
 		time.Sleep(2 * time.Millisecond) // long enough that workers overlap
-		return slow(net, x)
-	}
+		return slow(x)
+	})
 
 	const load = 64
 	var wg sync.WaitGroup
@@ -331,7 +350,7 @@ func TestBatchedResultsDeterministic(t *testing.T) {
 
 func TestMixedShapesBatchSeparately(t *testing.T) {
 	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 8, MaxWait: 5 * time.Millisecond, QueueSize: 64})
-	p.detect = stubDetect(nil)
+	setExec(p, stubDetect(nil))
 
 	shapes := []*tensor.Tensor{
 		tensor.New(1, 4, 40, 40),
@@ -369,30 +388,5 @@ func TestNewRejectsMismatchedConfig(t *testing.T) {
 	other := model.SPPNet2().Scaled(16).WithInput(4, 40) // different FC width
 	if _, err := New(other, net, Options{Replicas: 2}); err == nil {
 		t.Fatal("mismatched config accepted; want clone error")
-	}
-}
-
-// Replicas must share weight tensors with the original network — the
-// clone is scratch-only, not a full copy — so N replicas cost N arenas,
-// not N weight sets.
-func TestReplicasShareWeightTensors(t *testing.T) {
-	p := newTestPool(t, Options{Replicas: 3, MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 16})
-	if len(p.reps) != 3 {
-		t.Fatalf("pool has %d replicas, want 3", len(p.reps))
-	}
-	base := p.reps[0].net.Params()
-	for r := 1; r < len(p.reps); r++ {
-		params := p.reps[r].net.Params()
-		if len(params) != len(base) {
-			t.Fatalf("replica %d has %d params, replica 0 has %d", r, len(params), len(base))
-		}
-		for i := range base {
-			if params[i].Value != base[i].Value {
-				t.Fatalf("replica %d param %q value tensor was copied, not shared", r, base[i].Name)
-			}
-		}
-		if p.reps[r].net == p.reps[0].net {
-			t.Fatalf("replica %d shares the module tree itself; caches would race", r)
-		}
 	}
 }

@@ -69,24 +69,33 @@ func dynClip(seed int64, positive bool) *tensor.Tensor {
 	return x
 }
 
-// A pool serving with Options.Dynamic must answer mixed traffic through
-// the dynamic executors, account exits and mask skips in Stats, and
-// leave positives on the full-path score scale.
-func TestDynamicPoolServesAndAccountsExits(t *testing.T) {
-	cfg := tinyConfig()
-	net := tinyNet(t, cfg)
-	nn.PrepareInference(net)
-	plan, err := model.PlanDynamic(net, dynCalib(rand.New(rand.NewSource(41)), 48),
-		model.DynamicOptions{MaxAPDrop: 0.05})
+// compileDynamic compiles the test net for dynamic serving against a
+// synthetic calibration split.
+func compileDynamic(t *testing.T, cfg model.Config, net *nn.Sequential, seed int64, precision model.Precision) *model.Plan {
+	t.Helper()
+	compiled, err := model.Compile(cfg, net, func() (*terrain.Dataset, error) {
+		return dynCalib(rand.New(rand.NewSource(seed)), 48), nil
+	}, model.CompileOptions{Dynamic: true, Precision: precision, MaxAPDrop: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return compiled
+}
+
+// A pool serving a dynamic plan must answer mixed traffic through the
+// dynamic executors, account exits and mask skips in Stats, and leave
+// positives on the full-path score scale.
+func TestDynamicPoolServesAndAccountsExits(t *testing.T) {
+	cfg := tinyConfig()
+	net := tinyNet(t, cfg)
+	compiled := compileDynamic(t, cfg, net, 41, model.PrecisionFP32)
+	plan := compiled.Dynamic
 	if !plan.ExitEnabled {
 		t.Fatalf("exit demoted on separable calibration (drop %v)", plan.Drop)
 	}
 	p, err := New(cfg, net, Options{
 		Replicas: 2, MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 64,
-		Dynamic: &Dynamic{Spec: plan},
+		Plan: compiled,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,25 +140,16 @@ func TestDynamicPoolServesAndAccountsExits(t *testing.T) {
 func TestDynamicPoolRoutesPerRequestPrecision(t *testing.T) {
 	cfg := tinyConfig()
 	net := tinyNet(t, cfg)
-	nn.PrepareInference(net)
-	calib := dynCalib(rand.New(rand.NewSource(43)), 48)
-	dec, err := model.QuantizeGated(net, calib, model.QuantOptions{MaxAPDrop: 1})
-	if err != nil {
-		t.Fatal(err)
+	compiled := compileDynamic(t, cfg, net, 43, model.PrecisionAuto)
+	if !compiled.Quant.Enabled {
+		t.Fatalf("int8 gate failed on the calibration split (drop %v)", compiled.Quant.Drop)
 	}
-	plan, err := model.PlanDynamic(net, calib, model.DynamicOptions{
-		MaxAPDrop: 0.05,
-		Int8:      &model.QuantDecision{Enabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.RouterEnabled {
+	if !compiled.Dynamic.RouterEnabled {
 		t.Fatal("router not trained despite int8 gate")
 	}
 	p, err := New(cfg, net, Options{
 		Replicas: 2, MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 64,
-		Dynamic: &Dynamic{Spec: plan, Int8Net: dec.Net},
+		Plan: compiled,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,25 +178,5 @@ func TestDynamicPoolRoutesPerRequestPrecision(t *testing.T) {
 	}
 	if st.RoutedInt8+st.RoutedFP32 != n {
 		t.Fatalf("routed %d, want %d", st.RoutedInt8+st.RoutedFP32, n)
-	}
-}
-
-// Dynamic does not compose with IOS schedules: New must refuse the
-// combination instead of silently ignoring one of them.
-func TestDynamicRejectsIOSPlan(t *testing.T) {
-	cfg := tinyConfig()
-	net := tinyNet(t, cfg)
-	nn.PrepareInference(net)
-	plan, err := model.PlanDynamic(net, dynCalib(rand.New(rand.NewSource(47)), 32),
-		model.DynamicOptions{MaxAPDrop: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(cfg, net, Options{
-		Dynamic: &Dynamic{Spec: plan},
-		Plan:    &model.SchedulePlan{},
-	})
-	if err == nil {
-		t.Fatal("New accepted Dynamic + IOS Plan")
 	}
 }

@@ -34,8 +34,8 @@ func quantTinyNet(t testing.TB, cfg model.Config) *nn.Sequential {
 }
 
 // A quantized network must pass pool construction (validateConfig sees
-// through the int8 wrappers) and serve the same detections as the direct
-// int8 fast path.
+// through the int8 wrappers), serve the same detections as the direct
+// int8 fast path, and be labeled int8 from its modules alone.
 func TestQuantizedPoolServes(t *testing.T) {
 	cfg := tinyConfig()
 	qnet := quantTinyNet(t, cfg)
@@ -43,13 +43,13 @@ func TestQuantizedPoolServes(t *testing.T) {
 	x := clip(9)
 	want := model.InferDetect(qnet, x, tensor.NewArena(), nil)[0]
 
-	p, err := New(cfg, qnet, Options{Replicas: 1, MaxWait: time.Millisecond, Precision: model.PrecisionInt8})
+	p, err := New(cfg, qnet, Options{Replicas: 1, MaxWait: time.Millisecond})
 	if err != nil {
 		t.Fatalf("New with quantized net: %v", err)
 	}
 	t.Cleanup(p.Close)
-	if p.Options().Precision != model.PrecisionInt8 {
-		t.Fatalf("precision = %q", p.Options().Precision)
+	if p.Options().Plan.Precision != model.PrecisionInt8 {
+		t.Fatalf("precision = %q", p.Options().Plan.Precision)
 	}
 
 	got, err := p.Submit(context.Background(), x)
@@ -67,8 +67,8 @@ func TestQuantizedPoolServes(t *testing.T) {
 // The precision label defaults to fp32 and flows into /v1/stats.
 func TestPoolPrecisionDefaultsFP32(t *testing.T) {
 	p := newTestPool(t, Options{Replicas: 1})
-	if p.Options().Precision != model.PrecisionFP32 {
-		t.Fatalf("precision = %q", p.Options().Precision)
+	if p.Options().Plan.Precision != model.PrecisionFP32 {
+		t.Fatalf("precision = %q", p.Options().Plan.Precision)
 	}
 	if st := p.Stats(); st.Precision != "fp32" {
 		t.Fatalf("stats precision = %q", st.Precision)

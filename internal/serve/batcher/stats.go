@@ -110,7 +110,7 @@ func newStatsAccum(opts Options) *statsAccum {
 			"Clips coalesced into one forward pass (the realized §6.4 batch size).", sizeBounds),
 		// Labeled by serving precision, so an fp32 pool and an int8 pool
 		// (or an A/B rollout across restarts) produce separate series.
-		latency: latVec.With(string(opts.Precision)),
+		latency: latVec.With(string(opts.Plan.Precision)),
 		queueDepth: reg.Gauge("drainnet_queue_depth",
 			"Requests waiting on the bounded queue."),
 		retunes: reg.Counter("drainnet_retunes_total",
@@ -122,7 +122,7 @@ func newStatsAccum(opts Options) *statsAccum {
 		replicas:  opts.Replicas,
 		maxBatch:  opts.MaxBatch,
 		queueCap:  opts.QueueSize,
-		precision: string(opts.Precision),
+		precision: string(opts.Plan.Precision),
 	}
 	vec := reg.CounterVec("drainnet_replica_served_total",
 		"Clips served, by replica.", "replica")
@@ -130,7 +130,7 @@ func newStatsAccum(opts Options) *statsAccum {
 	for i := range s.perReplica {
 		s.perReplica[i] = vec.With(strconv.Itoa(i))
 	}
-	if opts.Dynamic != nil {
+	if opts.Plan.Dynamic != nil {
 		s.dynamic = true
 		routed := reg.CounterVec("drainnet_routed_total",
 			"Clips assigned to a serving path by the difficulty router.", "path")

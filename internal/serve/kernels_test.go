@@ -14,42 +14,33 @@ import (
 	"drainnet/internal/nn"
 )
 
-// A server started with a tuned kernel plan must report the per-layer
-// choices on /v1/model, export the drainnet_kernel_choice gauge, and
-// still serve detections through the retargeted kernels.
+// A server started with an autotuned plan must report on /v1/model the
+// kernels its served net actually runs, export them as the
+// drainnet_kernel_choice gauge, and still serve detections through the
+// retargeted kernels.
 func TestServeKernelPlanReported(t *testing.T) {
 	cfg := model.OriginalSPPNet().Scaled(16).WithInput(4, 40)
 	net, err := cfg.Build(rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Retarget the convs the way the autotuner would and hand the server
-	// the matching plan.
-	var layers []model.LayerKernel
-	for i, m := range net.Modules() {
-		c, ok := nn.Unwrap(m).(*nn.Conv2D)
-		if !ok || c.Algo != nn.ConvIm2Col {
-			continue
-		}
-		bn := nn.KernelNCHWc
-		if c.KernelEligible(nn.KernelWinograd) {
-			bn = nn.KernelWinograd
-		}
-		c.SetKernels(nn.KernelDirect, bn)
-		layers = append(layers, model.LayerKernel{
-			Layer: i, Name: "conv" + string(rune('0'+len(layers))),
-			Precision: string(model.PrecisionFP32),
-			Batch1:    nn.KernelDirect.String(), BatchN: bn.String(),
-			SpeedupB1: 1.1, SpeedupBN: 1.5,
-		})
+	plan, err := model.Compile(cfg, net, nil, model.CompileOptions{Autotune: true, MaxBatch: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
+	layers := plan.KernelReport()
 	if len(layers) == 0 {
 		t.Fatal("test net has no tunable convs")
 	}
-	plan := &model.KernelPlan{Served: net, Layers: layers, Batches: []int{1, 16}}
+	for _, l := range layers {
+		b1, bn := plan.Served.Modules()[l.Layer].(*nn.Conv2D).Kernels()
+		if l.Batch1 != b1.String() || l.BatchN != bn.String() {
+			t.Fatalf("report %+v, served conv runs %s/%s", l, b1, bn)
+		}
+	}
 
 	s, err := NewWithOptions(cfg, net, 0.5, Options{
-		Replicas: 1, MaxWait: time.Millisecond, Kernels: plan,
+		Replicas: 1, MaxWait: time.Millisecond, Plan: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +79,7 @@ func TestServeKernelPlanReported(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	body, _ := io.ReadAll(mresp.Body)
-	want := `drainnet_kernel_choice{layer="conv0",batch="1",kernel="direct"} 1`
+	want := `drainnet_kernel_choice{layer="` + layers[0].Name + `",batch="1",kernel="` + layers[0].Batch1 + `"} 1`
 	if !strings.Contains(string(body), want) {
 		t.Fatalf("metrics missing kernel choice gauge %q:\n%s", want, body)
 	}

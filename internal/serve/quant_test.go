@@ -15,8 +15,9 @@ import (
 	"drainnet/internal/tensor"
 )
 
-// An int8 server must report its active precision on /v1/model, serve
-// detections, and export the precision-labeled latency series.
+// A server handed a quantized net must read the int8 precision off it:
+// report it on /v1/model, serve detections, and export the
+// precision-labeled latency series.
 func TestServePrecisionInt8(t *testing.T) {
 	cfg := model.OriginalSPPNet().Scaled(16).WithInput(4, 40)
 	net, err := cfg.Build(rand.New(rand.NewSource(1)))
@@ -37,9 +38,7 @@ func TestServePrecisionInt8(t *testing.T) {
 	if rep.Quantized == 0 {
 		t.Fatalf("nothing quantized: %+v", rep)
 	}
-	s, err := NewWithOptions(cfg, qnet, 0.5, Options{
-		Replicas: 1, MaxWait: time.Millisecond, Precision: model.PrecisionInt8,
-	})
+	s, err := NewWithOptions(cfg, qnet, 0.5, Options{Replicas: 1, MaxWait: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,15 +143,15 @@ type ModelInfo struct {
 	// ("fp32" or "int8") — after any accuracy-gate fallback, not the
 	// requested mode.
 	Precision string `json:"precision"`
-	// Kernels, when the server was started with a tuned kernel plan
-	// (Options.Kernels), reports every conv layer's serving choice:
+	// Kernels, when the served plan was autotuned, reports the kernel
+	// every tuned conv layer actually serves with (model.Plan.KernelReport):
 	// precision, per-bucket kernel, and measured speedup over im2col.
 	Kernels []model.LayerKernel `json:"kernels,omitempty"`
 	// KernelDemotions counts accuracy-gate demotion steps the kernel
 	// autotuner took (0 = first measured mix served).
 	KernelDemotions int `json:"kernel_demotions,omitempty"`
-	// Dynamic, when the server runs the dynamic inference path
-	// (Options.Dynamic), reports the accuracy-gated plan it serves with.
+	// Dynamic, when the served plan runs the dynamic inference path,
+	// reports the accuracy-gated plan it serves with.
 	Dynamic *DynamicInfo `json:"dynamic,omitempty"`
 }
 
@@ -183,10 +183,6 @@ type DynamicInfo struct {
 	CalibMaskRate float64 `json:"calib_mask_rate"`
 }
 
-// Dynamic aliases the batcher's dynamic-path configuration so callers
-// configure the server without importing the batcher directly.
-type Dynamic = batcher.Dynamic
-
 // Options configures the serving pool behind the HTTP API. The zero
 // value selects the batcher defaults and a 30 s request timeout.
 type Options struct {
@@ -206,18 +202,10 @@ type Options struct {
 	Telemetry *telemetry.Telemetry
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// Plan enables IOS-scheduled inference on every replica (see
-	// batcher.Options.Plan); nil serves with the sequential fast path.
-	Plan *model.SchedulePlan
-	// Precision labels the numeric precision of the network handed to
-	// New (see batcher.Options.Precision; empty → fp32). It is reported
-	// by /v1/model and labels the request latency histogram.
-	Precision model.Precision
-	// Kernels is the autotuned per-layer kernel plan the network was
-	// retargeted with (model.AutotuneKernels). It is reported by
-	// /v1/model and exported as the drainnet_kernel_choice gauge; nil
-	// means the default im2col kernels everywhere.
-	Kernels *model.KernelPlan
+	// Plan is the compiled deployment to serve (model.Compile; see
+	// batcher.Options.Plan); nil serves net as it stands. /v1/model and
+	// the drainnet_kernel_choice gauge report what the plan serves.
+	Plan *model.Plan
 	// SweepDir is the checkpoint directory for /v1/sweep jobs. Empty
 	// keeps jobs in memory only — they die with the process instead of
 	// surviving a graceful drain.
@@ -228,10 +216,6 @@ type Options struct {
 	// SweepConcurrency bounds a sweep job's in-flight pool submissions
 	// (see sweep.ManagerOptions.Concurrency).
 	SweepConcurrency int
-	// Dynamic enables the accuracy-gated dynamic inference path (early
-	// exit, spatial masking, per-request precision routing) on every
-	// replica; see batcher.Options.Dynamic. Nil serves statically.
-	Dynamic *batcher.Dynamic
 }
 
 func (o Options) withDefaults() Options {
@@ -287,25 +271,24 @@ func NewWithOptions(cfg model.Config, net *nn.Sequential, threshold float64, opt
 		QueueSize: opts.QueueSize,
 		Telemetry: tel,
 		Plan:      opts.Plan,
-		Precision: opts.Precision,
-		Dynamic:   opts.Dynamic,
 	})
 	if err != nil {
 		tel.Close()
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{cfg: cfg, threshold: threshold, opts: opts, pool: pool, params: params, tel: tel}
+	plan := pool.Options().Plan
 	sweepOpts := sweep.ManagerOptions{
 		Submit:        pool,
 		Bands:         cfg.InBands,
 		DefaultWindow: cfg.InSize,
-		Precision:     string(pool.Options().Precision),
+		Precision:     string(plan.Precision),
 		Dir:           opts.SweepDir,
 		Telemetry:     tel,
 		Concurrency:   opts.SweepConcurrency,
 	}
-	if plan := pool.Dynamic(); plan != nil {
-		sweepOpts.MaskRate = plan.Stats.Rate
+	if plan.Dynamic != nil {
+		sweepOpts.MaskRate = plan.Dynamic.Stats.Rate
 	}
 	s.sweeps, err = sweep.NewManager(sweepOpts)
 	if err != nil {
@@ -324,14 +307,14 @@ func NewWithOptions(cfg model.Config, net *nn.Sequential, threshold float64, opt
 		"HTTP requests, by route and status code.", "route", "code")
 	s.httpDuration = tel.Registry().HistogramVec("drainnet_http_request_duration_seconds",
 		"HTTP request handling time, by route.", telemetry.TimeBuckets, "route")
-	if opts.Kernels != nil {
-		// One gauge sample per (layer, bucket) set to 1 on the chosen
+	if kernels := plan.KernelReport(); kernels != nil {
+		// One gauge sample per (layer, bucket) set to 1 on the serving
 		// kernel, so dashboards can plot the serving mix and alert when a
 		// restart's autotune picks a different kernel than yesterday's.
 		choice := tel.Registry().GaugeVec("drainnet_kernel_choice",
-			"Autotuned conv kernel serving each layer (1 = chosen), by batch bucket.",
+			"Conv kernel serving each autotuned layer (1 = chosen), by batch bucket.",
 			"layer", "batch", "kernel")
-		for _, l := range opts.Kernels.Layers {
+		for _, l := range kernels {
 			choice.With(l.Name, "1", l.Batch1).Set(1)
 			choice.With(l.Name, "n", l.BatchN).Set(1)
 		}
@@ -503,13 +486,13 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		Threshold: s.threshold,
 		Replicas:  popts.Replicas,
 		MaxBatch:  popts.MaxBatch,
-		Precision: string(popts.Precision),
+		Precision: string(popts.Plan.Precision),
+		Kernels:   popts.Plan.KernelReport(),
 	}
-	if s.opts.Kernels != nil {
-		info.Kernels = s.opts.Kernels.Layers
-		info.KernelDemotions = s.opts.Kernels.Demotions
+	if popts.Plan.Kernels != nil {
+		info.KernelDemotions = popts.Plan.Kernels.Demotions
 	}
-	if plan := s.pool.Dynamic(); plan != nil {
+	if plan := popts.Plan.Dynamic; plan != nil {
 		d := &DynamicInfo{
 			ExitEnabled:   plan.ExitEnabled,
 			MaskEnabled:   plan.MaskEnabled,

@@ -208,6 +208,23 @@ func (t *Tensor) RandNormal(rng *rand.Rand, mean, std float64) {
 	}
 }
 
+// PseudoSeed starts the FillPseudo stream every measurement probe uses.
+const PseudoSeed uint32 = 2463534242
+
+// FillPseudo writes a deterministic xorshift32 sequence in (-1, 1) into
+// d — synthetic benchmark input with a realistic sign mix and no RNG
+// state — and returns the advanced seed, so successive fills continue
+// one stream.
+func FillPseudo(d []float32, seed uint32) uint32 {
+	for i := range d {
+		seed ^= seed << 13
+		seed ^= seed >> 17
+		seed ^= seed << 5
+		d[i] = float32(int32(seed))/float32(1<<31)*0.999 + 0.0005
+	}
+	return seed
+}
+
 // RandUniform fills t with uniform noise in [lo, hi).
 func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) {
 	for i := range t.data {
