@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all check build vet test test-race test-benchmark smoke-sweep smoke-cluster \
-        bench-cluster check-allocs \
+        bench-cluster check-allocs fuzz-smoke \
         bench bench-serve bench-telemetry bench-inference bench-kernels \
         bench-ios bench-dynamic bench-nas test-short \
         bench-fast experiments experiments-train examples renders clean
@@ -14,9 +14,10 @@ all: build vet test
 # again under the race detector (every package, no name filter — a new
 # test can never fall outside a pattern), the benchmark harness module
 # (its own go.mod, so `./...` never compiles it), the sweep
-# kill-and-resume smoke, the cluster kill-under-load smoke, and the
-# zero-allocation regression guards on the serving forwards.
-check: build vet test test-race test-benchmark smoke-sweep smoke-cluster check-allocs
+# kill-and-resume smoke, the cluster kill-under-load smoke, the
+# allocation regression guards on the serving forwards and the request
+# decoder, and ten seconds of each native fuzz target.
+check: build vet test test-race test-benchmark smoke-sweep smoke-cluster check-allocs fuzz-smoke
 
 # Kill-and-resume smoke: drain a mid-flight sweep (fake backend and the
 # real batcher pool), resume it, and require bit-identical results.
@@ -48,9 +49,18 @@ bench-cluster:
 # sequential fast path, the scheduled IOS executor, the quantized
 # int8 path and the autotuned Winograd/NCHWc/direct kernel mix) must
 # report exactly 0 allocs per run (testing.AllocsPerRun inside the
-# tests).
+# tests). The request decoder's guard bounds what a warm server allocates
+# per batch-16 request by a constant that does not grow with pixel count.
 check-allocs:
 	$(GO) test -run 'TestInferSteadyStateZeroAlloc|TestScheduledSteadyStateZeroAlloc|TestQuantInferSteadyStateZeroAlloc|TestTunedInferSteadyStateZeroAlloc|TestDynamicInferSteadyStateZeroAlloc' -v ./internal/model/
+	$(GO) test -run 'TestDecodeSteadyStateAllocs' -v ./internal/serve/
+
+# Ten seconds of every native fuzz target (go test takes one -fuzz target
+# and one package per run). The /v1/detect[/batch] decoders are checked
+# against encoding/json; the loader fuzzers of ROADMAP item 3 go here.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetect$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/serve/
 
 build:
 	$(GO) build ./...

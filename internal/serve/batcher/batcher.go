@@ -149,7 +149,7 @@ type Pool struct {
 
 // replica is one serving copy of the plan plus the scratch it owns: an
 // arena for all inference temporaries (including the stacked batch
-// tensor) and a reusable detection slice. Weights and packed panels are
+// tensor), a reusable detection slice and the per-batch latency list. Weights and packed panels are
 // shared with the plan's served network — a replica is scratch only.
 type replica struct {
 	// exec runs the main path; execInt8 the routed one (nil unless the
@@ -157,6 +157,7 @@ type replica struct {
 	exec, execInt8 model.Executor
 	arena          *tensor.Arena
 	dets           []metrics.Detection
+	lats           []time.Duration
 }
 
 // New builds a pool of opts.Replicas replicas of net (which must have
@@ -394,7 +395,7 @@ func (p *Pool) dispatch() {
 	defer close(p.dispatcherDone)
 	defer close(p.work)
 
-	pending := make(map[string][]*request)
+	pending := make(map[batchKey][]*request)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -424,7 +425,7 @@ func (p *Pool) dispatch() {
 				}
 				return
 			}
-			key := batchKey(req)
+			key := keyOf(req)
 			pending[key] = append(pending[key], req)
 			if len(pending[key]) >= p.maxBatch() {
 				p.flushGroup(pending, key)
@@ -436,7 +437,7 @@ func (p *Pool) dispatch() {
 }
 
 // earliestDeadline returns the soonest flush deadline across groups.
-func (p *Pool) earliestDeadline(pending map[string][]*request) (time.Time, bool) {
+func (p *Pool) earliestDeadline(pending map[batchKey][]*request) (time.Time, bool) {
 	var dl time.Time
 	found := false
 	for _, reqs := range pending {
@@ -451,7 +452,7 @@ func (p *Pool) earliestDeadline(pending map[string][]*request) (time.Time, bool)
 	return dl, found
 }
 
-func (p *Pool) flushDue(pending map[string][]*request, now time.Time) {
+func (p *Pool) flushDue(pending map[batchKey][]*request, now time.Time) {
 	for key, reqs := range pending {
 		if len(reqs) > 0 && !now.Before(reqs[0].enq.Add(p.maxWait())) {
 			p.flushGroup(pending, key)
@@ -462,7 +463,7 @@ func (p *Pool) flushDue(pending map[string][]*request, now time.Time) {
 // flushGroup hands a pending group to a replica, dropping requests whose
 // context has already expired. The send blocks when all replicas are
 // busy — that stall is the backpressure that fills the bounded queue.
-func (p *Pool) flushGroup(pending map[string][]*request, key string) {
+func (p *Pool) flushGroup(pending map[batchKey][]*request, key batchKey) {
 	reqs := pending[key]
 	delete(pending, key)
 	live := reqs[:0]
@@ -576,11 +577,11 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 		return
 	}
 	now := time.Now()
-	lats := make([]time.Duration, n)
-	for i, r := range j.reqs {
-		lats[i] = now.Sub(r.enq)
+	rep.lats = rep.lats[:0]
+	for _, r := range j.reqs {
+		rep.lats = append(rep.lats, now.Sub(r.enq))
 	}
-	p.stats.record(id, n, lats, path)
+	p.stats.record(id, n, rep.lats, path)
 	if dyn := p.opts.Plan.Dynamic; dyn != nil {
 		p.stats.setDynamicRates(dyn.ExitStats.Rate(), dyn.Stats.Rate())
 	}
@@ -616,10 +617,11 @@ func safeDetect(exec model.Executor, rep *replica, x *tensor.Tensor, tr *model.T
 
 // batchKey groups requests that may share a forward pass: same shape
 // and, under dynamic routing, the same precision path.
-func batchKey(req *request) string {
-	key := fmt.Sprintf("%dx%dx%d", req.x.Dim(1), req.x.Dim(2), req.x.Dim(3))
-	if req.path != "" {
-		key += "|" + string(req.path)
-	}
-	return key
+type batchKey struct {
+	c, h, w int
+	path    model.Precision
+}
+
+func keyOf(req *request) batchKey {
+	return batchKey{c: req.x.Dim(1), h: req.x.Dim(2), w: req.x.Dim(3), path: req.path}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"runtime"
@@ -94,5 +95,81 @@ func BenchmarkServeThroughput(b *testing.B) {
 		})
 		b.StopTimer()
 		b.ReportMetric(pool.Stats().MeanBatch, "clips/batch")
+	})
+}
+
+// benchDecode times the request decoders on body as the handlers run
+// them: the pooled one-pass scanner, and the encoding/json + validate
+// pair it replaced, kept here as the reference.
+func benchDecode(b *testing.B, body []byte, scan, reference func(s *Server) error) {
+	s := schemaServer()
+	for _, c := range []struct {
+		name   string
+		decode func(s *Server) error
+	}{{"scanner", scan}, {"encoding-json", reference}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// errOrNil keeps a nil *apiError from becoming a non-nil error.
+func errOrNil(e *apiError) error {
+	if e == nil {
+		return nil
+	}
+	return e
+}
+
+func BenchmarkDecodeSingle(b *testing.B) {
+	body := harnessClip(1, 40)
+	benchDecode(b, body, func(s *Server) error {
+		d := clipDecoders.Get().(*clipDecoder)
+		defer d.release()
+		if err := d.read(bytes.NewReader(body), int64(len(body))); err != nil {
+			return err
+		}
+		return errOrNil(s.scanDetect(d))
+	}, func(s *Server) error {
+		_, e := s.referenceDetect(body)
+		return errOrNil(e)
+	})
+}
+
+func BenchmarkDecodeBatch16(b *testing.B) {
+	clips := make([][]byte, 16)
+	for i := range clips {
+		clips[i] = harnessClip(int64(i), 40)
+	}
+	body := batchBody(clips...)
+	benchDecode(b, body, func(s *Server) error {
+		d := clipDecoders.Get().(*clipDecoder)
+		defer d.release()
+		if err := d.read(bytes.NewReader(body), int64(len(body))); err != nil {
+			return err
+		}
+		if e := s.scanBatch(d); e != nil {
+			return e
+		}
+		for i := range d.items[:d.count] {
+			if e := s.checkClip(&d.items[i]); e != nil {
+				return e
+			}
+		}
+		return nil
+	}, func(s *Server) error {
+		_, errs, e := s.referenceBatch(body)
+		for _, ie := range errs {
+			if ie != nil {
+				return ie
+			}
+		}
+		return errOrNil(e)
 	})
 }

@@ -9,6 +9,7 @@ import (
 const (
 	CodeBadJSON          = "bad_json"
 	CodeInvalidRequest   = "invalid_request"
+	CodePayloadTooLarge  = "payload_too_large"
 	CodeMethodNotAllowed = "method_not_allowed"
 	CodeNotFound         = "not_found"
 	CodeGone             = "gone"

@@ -32,10 +32,19 @@
 // Sweep jobs (internal/sweep) stream their candidate clips through the
 // same pool and survive graceful drains via on-disk checkpoints.
 //
+// Request bodies are capped per route (413 payload_too_large beyond the
+// cap). The two clip routes do not go through encoding/json: clipjson.go
+// reads the body once into pooled storage and scans it in one pass that
+// checks the JSON grammar and the request schema and parses every pixel,
+// bit-identically to encoding/json, into the float32 storage the
+// batcher's tensors view.
+//
 // Every request flows through internal/telemetry: handlers and the pool
 // emit span events (accepted → enqueued → batch formed → dispatch →
 // inference done → response written) that aggregate into the registry
 // served by /v1/metrics; /v1/stats is a view over the same registry.
+// Accepted → enqueued is the decode phase: body read, scan and schema
+// check (drainnet_decode_seconds).
 package serve
 
 import (
@@ -459,8 +468,8 @@ type BatchingControl struct {
 
 func (s *Server) handleControlBatching(w http.ResponseWriter, r *http.Request) {
 	req := BatchingControl{MaxWaitMs: -1}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(CodeBadJSON, "bad JSON: "+err.Error()))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(&req); err != nil {
+		writeError(w, bodyError(err))
 		return
 	}
 	if req.MaxBatch < 0 {
@@ -551,22 +560,83 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("}\n"))
 }
 
+// readClips reads a clip route's body, capped at limit, into a pooled
+// decoder. The caller releases the decoder unless a tensor it handed to
+// infer may still be in use.
+func (s *Server) readClips(w http.ResponseWriter, r *http.Request, limit int64) (*clipDecoder, *apiError) {
+	if r.ContentLength > limit {
+		return nil, bodyError(&http.MaxBytesError{Limit: limit})
+	}
+	d := clipDecoders.Get().(*clipDecoder)
+	if err := d.read(http.MaxBytesReader(w, r.Body, limit), r.ContentLength); err != nil {
+		d.release()
+		return nil, bodyError(err)
+	}
+	return d, nil
+}
+
+// bodyError maps a failure to read or decode a request body: 413 when
+// the route's cap cut it off, 400 bad_json otherwise.
+func bodyError(err error) *apiError {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &apiError{Status: http.StatusRequestEntityTooLarge, Code: CodePayloadTooLarge,
+			Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return badRequest(CodeBadJSON, "bad JSON: "+err.Error())
+}
+
+// scanError reports where the clip scanner refused a body.
+func scanError(d *clipDecoder) *apiError {
+	return badRequest(CodeBadJSON, fmt.Sprintf(
+		"bad JSON: syntax error, wrong type or number out of range at byte %d", d.errAt))
+}
+
+// scanDetect decodes and checks the /v1/detect body d holds; the clip
+// is d.items[0].
+func (s *Server) scanDetect(d *clipDecoder) *apiError {
+	if !d.decodeDetect() {
+		return scanError(d)
+	}
+	return s.checkClip(&d.items[0])
+}
+
+// scanBatch decodes the /v1/detect/batch body d holds and applies the
+// batch-level checks; the clips, still to be checked one by one, are
+// d.items[:d.count].
+func (s *Server) scanBatch(d *clipDecoder) *apiError {
+	switch {
+	case !d.decodeBatch():
+		return scanError(d)
+	case d.count == 0:
+		return badRequest(CodeInvalidRequest, `empty batch ("items" missing or empty)`)
+	case d.count > maxBatchItems:
+		return badRequest(CodeInvalidRequest,
+			fmt.Sprintf("batch of %d exceeds limit %d", d.count, maxBatchItems))
+	}
+	return nil
+}
+
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	id := s.tel.NextRequestID()
 	s.tel.Emit(telemetry.Event{Kind: telemetry.EvAccepted, Req: id, At: time.Now()})
 	defer func() {
 		s.tel.Emit(telemetry.Event{Kind: telemetry.EvResponseWritten, Req: id, At: time.Now()})
 	}()
-	var req DetectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(CodeBadJSON, "bad JSON: "+err.Error()))
-		return
-	}
-	if e := s.validate(&req); e != nil {
+	d, e := s.readClips(w, r, maxClipBody)
+	if e != nil {
 		writeError(w, e)
 		return
 	}
-	resp, e := s.infer(telemetry.WithRequestID(r.Context(), id), &req)
+	if e := s.scanDetect(d); e != nil {
+		d.release()
+		writeError(w, e)
+		return
+	}
+	resp, e, done := s.infer(telemetry.WithRequestID(r.Context(), id), d.tensor(&d.items[0]))
+	if done {
+		d.release()
+	}
 	if e != nil {
 		writeError(w, e)
 		return
@@ -575,39 +645,41 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
-	var br BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
-		writeError(w, badRequest(CodeBadJSON, "bad JSON: "+err.Error()))
+	accepted := time.Now()
+	d, e := s.readClips(w, r, maxBatchBody)
+	if e != nil {
+		writeError(w, e)
 		return
 	}
-	reqs := br.Items
-	if len(reqs) == 0 {
-		writeError(w, badRequest(CodeInvalidRequest, `empty batch ("items" missing or empty)`))
+	if e := s.scanBatch(d); e != nil {
+		d.release()
+		writeError(w, e)
 		return
 	}
-	if len(reqs) > maxBatchItems {
-		writeError(w, badRequest(CodeInvalidRequest,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(reqs), maxBatchItems)))
-		return
-	}
-	// Validate positionally, then submit the valid items concurrently so
+	// Check positionally, then submit the valid items concurrently so
 	// the pool can coalesce them into shared batches. Each valid item is
-	// its own telemetry span; the response-written event lands after the
-	// whole batch response is serialized.
-	items := make([]BatchItem, len(reqs))
-	ids := make([]uint64, len(reqs))
+	// its own telemetry span, opened when the request arrived so that it
+	// covers the decode; the response-written event lands after the whole
+	// batch response is serialized.
+	items := make([]BatchItem, d.count)
+	ids := make([]uint64, d.count)
+	var abandoned atomic.Bool
 	var wg sync.WaitGroup
-	for i := range reqs {
-		if e := s.validate(&reqs[i]); e != nil {
+	for i := range items {
+		it := &d.items[i]
+		if e := s.checkClip(it); e != nil {
 			items[i].Error = &ErrorBody{Code: e.Code, Message: fmt.Sprintf("item %d: %s", i, e.Message)}
 			continue
 		}
 		ids[i] = s.tel.NextRequestID()
-		s.tel.Emit(telemetry.Event{Kind: telemetry.EvAccepted, Req: ids[i], At: time.Now()})
+		s.tel.Emit(telemetry.Event{Kind: telemetry.EvAccepted, Req: ids[i], At: accepted})
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, e := s.infer(telemetry.WithRequestID(r.Context(), ids[i]), &reqs[i])
+			resp, e, done := s.infer(telemetry.WithRequestID(r.Context(), ids[i]), d.tensor(it))
+			if !done {
+				abandoned.Store(true)
+			}
 			if e != nil {
 				items[i].Error = &ErrorBody{Code: e.Code, Message: fmt.Sprintf("item %d: %s", i, e.Message)}
 				return
@@ -616,6 +688,9 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 	wg.Wait()
+	if !abandoned.Load() {
+		d.release()
+	}
 	writeJSON(w, http.StatusOK, BatchResponse{Items: items})
 	now := time.Now()
 	for _, id := range ids {
@@ -625,49 +700,50 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// validate applies the request schema: band count, positive and
-// sufficient dims, pixel count = bands·size², finite pixels.
-func (s *Server) validate(req *DetectRequest) *apiError {
-	if req.Bands != s.cfg.InBands {
+// checkClip applies the request schema to a decoded clip: band count,
+// positive and sufficient dims, pixel count = bands·size², finite pixels.
+func (s *Server) checkClip(it *clipItem) *apiError {
+	if it.bands != s.cfg.InBands {
 		return badRequest(CodeInvalidRequest,
-			fmt.Sprintf("model expects %d bands, got %d", s.cfg.InBands, req.Bands))
+			fmt.Sprintf("model expects %d bands, got %d", s.cfg.InBands, it.bands))
 	}
-	if req.Size <= 0 {
-		return badRequest(CodeInvalidRequest, fmt.Sprintf("non-positive size %d", req.Size))
+	if it.size <= 0 {
+		return badRequest(CodeInvalidRequest, fmt.Sprintf("non-positive size %d", it.size))
 	}
-	if req.Size < minClipSize {
+	if it.size < minClipSize {
 		return badRequest(CodeInvalidRequest,
-			fmt.Sprintf("clip size %d below minimum %d", req.Size, minClipSize))
+			fmt.Sprintf("clip size %d below minimum %d", it.size, minClipSize))
 	}
-	if want := req.Bands * req.Size * req.Size; len(req.Pixels) != want {
+	if want := it.bands * it.size * it.size; it.n != want {
 		return badRequest(CodeInvalidRequest,
-			fmt.Sprintf("expected %d pixels (bands·size²), got %d", want, len(req.Pixels)))
+			fmt.Sprintf("expected %d pixels (bands·size²), got %d", want, it.n))
 	}
-	for i, v := range req.Pixels {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			return badRequest(CodeInvalidRequest, fmt.Sprintf("pixel %d is not finite", i))
-		}
+	if it.nonFinite != 0 {
+		return badRequest(CodeInvalidRequest, fmt.Sprintf("pixel %d is not finite", it.nonFinite-1))
 	}
 	return nil
 }
 
-// infer runs one validated request through the pool, translating pool
-// errors into API errors. SPP-Net accepts any clip size ≥ minClipSize,
-// so req.Size need not equal the training size.
-func (s *Server) infer(ctx context.Context, req *DetectRequest) (*Hit, *apiError) {
+// infer runs one checked clip through the pool, translating pool errors
+// into API errors. SPP-Net accepts any clip size ≥ minClipSize, so the
+// clip need not have the training size. done reports that the pool is
+// finished with x's storage. It is false only when Submit gave up on a
+// request that is still queued: a replica may yet copy x into its batch,
+// so the caller must leave that storage to the GC rather than reuse it.
+func (s *Server) infer(ctx context.Context, x *tensor.Tensor) (hit *Hit, e *apiError, done bool) {
 	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
 	defer cancel()
-	x := tensor.FromSlice(req.Pixels, 1, req.Bands, req.Size, req.Size)
 	det, err := s.pool.Submit(ctx, x)
 	if err != nil {
-		return nil, s.poolError(err)
+		// While ctx is live Submit cannot have taken its abandoning return.
+		return nil, s.poolError(err), ctx.Err() == nil
 	}
 	box := det.Box
 	return &Hit{
 		Score:     det.Score,
 		Box:       &box,
 		HasObject: det.Score >= s.threshold,
-	}, nil
+	}, nil, true
 }
 
 // poolError maps a batcher error to an HTTP status + envelope, attaching

@@ -12,10 +12,10 @@ import (
 )
 
 // emitSpan pushes the full HTTP-request event sequence for one request
-// with fixed phase durations (10ms queue wait, 5ms assembly, 25ms
-// inference, 2ms serialization).
+// with fixed phase durations (3ms decode, 10ms queue wait, 5ms assembly,
+// 25ms inference, 2ms serialization).
 func emitSpan(t *Telemetry, id uint64, base time.Time) {
-	t.Emit(Event{Kind: EvAccepted, Req: id, At: base})
+	t.Emit(Event{Kind: EvAccepted, Req: id, At: base.Add(-3 * time.Millisecond)})
 	t.Emit(Event{Kind: EvEnqueued, Req: id, At: base})
 	t.Emit(Event{Kind: EvBatchFormed, Req: id, At: base.Add(10 * time.Millisecond), Batch: 2})
 	t.Emit(Event{Kind: EvDispatch, Req: id, At: base.Add(15 * time.Millisecond), Replica: 1, Batch: 2})
@@ -41,6 +41,7 @@ func TestSpanAssemblyAggregates(t *testing.T) {
 		name string
 		sum  float64
 	}{
+		{tel.decode, "decode", 0.003},
 		{tel.queueWait, "queue_wait", 0.010},
 		{tel.batchAssembly, "batch_assembly", 0.005},
 		{tel.inference, "inference", 0.025},
@@ -75,6 +76,9 @@ func TestPoolOnlySpanFinalizesOnInferenceDone(t *testing.T) {
 	}
 	if got := tel.inference.Snapshot().Count; got != 1 {
 		t.Fatalf("inference observations = %d, want 1", got)
+	}
+	if got := tel.decode.Snapshot().Count; got != 0 {
+		t.Fatalf("decode observations = %d for a span the HTTP layer never opened, want 0", got)
 	}
 }
 

@@ -112,6 +112,7 @@ func (t *Telemetry) finalize(pending map[uint64]*Span, s *Span) {
 			h.Observe(to.Sub(from).Seconds())
 		}
 	}
+	observe(t.decode, s.Accepted, s.Enqueued)
 	observe(t.queueWait, s.Enqueued, s.BatchFormed)
 	observe(t.batchAssembly, s.BatchFormed, s.Dispatched)
 	observe(t.inference, s.Dispatched, s.Done)

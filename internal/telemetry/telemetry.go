@@ -12,7 +12,7 @@
 //     dispatch, per-layer forward, response written) into a bounded
 //     ring; a consumer goroutine assembles them into per-request spans
 //     and an aggregator folds the spans into registry histograms
-//     (queue-wait, batch-assembly, inference, serialization). The shape
+//     (decode, queue-wait, batch-assembly, inference, serialization). The shape
 //     follows datadog-agent's GPU package: event stream → stream
 //     handler → aggregator → metrics.
 //  3. Trace sampling (trace.go): 1-in-N request spans are exported in
@@ -99,6 +99,7 @@ type Telemetry struct {
 	spansIncomplete *Counter
 	spansEvicted    *Counter
 	traces          *Counter
+	decode          *Histogram
 	queueWait       *Histogram
 	batchAssembly   *Histogram
 	inference       *Histogram
@@ -145,6 +146,8 @@ func newCore(opts Options) *Telemetry {
 		"Pending span assemblies evicted because the assembly table was full.")
 	t.traces = t.reg.Counter("drainnet_traces_sampled_total",
 		"Sampled request spans exported as Chrome traces.")
+	t.decode = t.reg.Histogram("drainnet_decode_seconds",
+		"Time between HTTP admission and the batcher queue: body read, JSON decode and validation.", TimeBuckets)
 	t.queueWait = t.reg.Histogram("drainnet_queue_wait_seconds",
 		"Time a request spent queued before its batch was sealed.", TimeBuckets)
 	t.batchAssembly = t.reg.Histogram("drainnet_batch_assembly_seconds",
