@@ -15,8 +15,8 @@ all: build vet test
 # test can never fall outside a pattern), the benchmark harness module
 # (its own go.mod, so `./...` never compiles it), the sweep
 # kill-and-resume smoke, the cluster kill-under-load smoke, the
-# allocation regression guards on the serving forwards and the request
-# decoder, and ten seconds of each native fuzz target.
+# allocation regression guards on the serving forwards, the request
+# decoder and the pool's Submit, and ten seconds of each native fuzz target.
 check: build vet test test-race test-benchmark smoke-sweep smoke-cluster check-allocs fuzz-smoke
 
 # Kill-and-resume smoke: drain a mid-flight sweep (fake backend and the
@@ -50,10 +50,12 @@ bench-cluster:
 # int8 path and the autotuned Winograd/NCHWc/direct kernel mix) must
 # report exactly 0 allocs per run (testing.AllocsPerRun inside the
 # tests). The request decoder's guard bounds what a warm server allocates
-# per batch-16 request by a constant that does not grow with pixel count.
+# per batch-16 request by a constant that does not grow with pixel count;
+# the pool's guard pins what one Submit on an idle pool allocates.
 check-allocs:
 	$(GO) test -run 'TestInferSteadyStateZeroAlloc|TestScheduledSteadyStateZeroAlloc|TestQuantInferSteadyStateZeroAlloc|TestTunedInferSteadyStateZeroAlloc|TestDynamicInferSteadyStateZeroAlloc' -v ./internal/model/
 	$(GO) test -run 'TestDecodeSteadyStateAllocs' -v ./internal/serve/
+	$(GO) test -run 'TestSubmitSteadyStateAllocs' -v ./internal/serve/batcher/
 
 # Ten seconds of every native fuzz target (go test takes one -fuzz target
 # and one package per run). The /v1/detect[/batch] decoders are checked

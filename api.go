@@ -451,13 +451,14 @@ func Compile(cfg ModelConfig, net *Network, calib func() (*Dataset, error), opts
 	return model.Compile(cfg, net, calib, opts)
 }
 
-// ReplicaPool coalesces single-clip requests into batches and runs them
-// across independent network replicas (each owning its layer caches).
+// ReplicaPool runs clips across independent network replicas (each owning
+// its layer caches): an idle replica takes what is waiting at once, so
+// requests coalesce into batches only while every replica is busy.
 type ReplicaPool = batcher.Pool
 
-// PoolOptions tunes the pool: replica count, max batch, max wait (the
-// §6.4 batching knobs), the bounded-queue backpressure limit, and the
-// compiled ServingPlan to run (nil serves net as it stands).
+// PoolOptions tunes the pool: replica count, max batch (the §6.4 batching
+// knob), the backpressure bound on waiting requests, and the compiled
+// ServingPlan to run (nil serves net as it stands).
 type PoolOptions = batcher.Options
 
 // PoolStats is a snapshot of serving statistics: queue depth, batch-size

@@ -134,7 +134,7 @@ func startCluster(routerBin, serveBin string, workers int, dir string) (*testClu
 		"-addr", addr,
 		"-workers", fmt.Sprint(workers),
 		"-serve-bin", serveBin,
-		"-worker-args", "-ckpt "+ckpt+" -replicas 2 -max-batch 8 -max-wait 1ms -queue 128",
+		"-worker-args", "-ckpt "+ckpt+" -replicas 2 -max-batch 8 -queue 128",
 		"-scrape-interval", "100ms",
 		"-ready-timeout", "60s",
 		"-drain-timeout", "20s",

@@ -57,7 +57,7 @@ func main() {
 	scrape := flag.Duration("scrape-interval", 250*time.Millisecond, "worker health+metrics polling period")
 	readyTimeout := flag.Duration("ready-timeout", 120*time.Second, "max time a spawned worker may take to become ready")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful worker drain budget before SIGKILL")
-	autobatch := flag.Bool("autobatch", false, "retune workers' effective max-batch/max-wait from live latency quantiles")
+	autobatch := flag.Bool("autobatch", false, "retune workers' effective max-batch from live latency quantiles")
 	abTarget := flag.Duration("autobatch-target-p95", 250*time.Millisecond, "latency SLO the adaptive batching controller steers each worker to")
 	abInterval := flag.Duration("autobatch-interval", time.Second, "adaptive batching control period")
 	flag.Parse()

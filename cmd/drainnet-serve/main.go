@@ -13,7 +13,7 @@
 //	GET    /v1/metrics            Prometheus text exposition (?format=json)
 //	GET    /v1/trace              most recent sampled request as Chrome trace
 //	GET    /v1/healthz            readiness (503 while draining)
-//	POST   /v1/control/batching   retune effective max-batch/max-wait live
+//	POST   /v1/control/batching   retune the effective max-batch live
 //	GET    /healthz               liveness
 //	GET    /debug/pprof/*         Go profiling endpoints (only with -pprof)
 //
@@ -23,8 +23,10 @@
 // graceful drain: restart the server with the same -sweep-dir and the
 // unfinished jobs resume bit-identically.
 //
-// Inference is batched across a pool of independent model replicas;
-// -max-batch and -max-wait tune the §6.4 latency/throughput trade-off.
+// Inference is batched across a pool of independent model replicas: an
+// idle replica takes what is waiting at once, so requests coalesce only
+// while every replica is busy and the batch size follows load, up to
+// -max-batch (the §6.4 knob).
 // Telemetry is on by default: serving counters and phase histograms are
 // always scrapeable at /v1/metrics, and -trace-sample N additionally
 // exports every N-th request's span as a Chrome trace.
@@ -33,7 +35,7 @@
 //
 //	drainnet-serve -addr :8080                 # train quickly, then serve
 //	drainnet-serve -ckpt model.ckpt            # load a saved checkpoint
-//	drainnet-serve -replicas 4 -max-batch 32 -max-wait 2ms -queue 256
+//	drainnet-serve -replicas 4 -max-batch 32 -queue 256
 //	drainnet-serve -trace-sample 100 -trace-dir traces/ -pprof
 //	drainnet-serve -ios -cost-cache costs.json               # IOS-scheduled replicas
 //	drainnet-serve -precision int8 -quant-max-ap-drop 0.01   # accuracy-gated int8
@@ -98,8 +100,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.7, "objectness confidence threshold")
 	replicas := flag.Int("replicas", 0, "model replicas serving concurrently (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 8, "max clips coalesced into one forward pass")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "max time a request waits for its batch to fill")
-	queue := flag.Int("queue", 64, "bounded request queue size (full queue → 429)")
+	queue := flag.Int("queue", 64, "most requests accepted and not yet running (beyond that → 429)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (queue + inference)")
 	telemetryOn := flag.Bool("telemetry", true, "run the span pipeline feeding /v1/metrics phase histograms")
 	traceSample := flag.Int("trace-sample", 0, "export every N-th request as a Chrome trace (0 = off)")
@@ -260,7 +261,6 @@ func main() {
 	srv, err := serve.NewWithOptions(cfg, plan.Served, *threshold, serve.Options{
 		Replicas:         *replicas,
 		MaxBatch:         *maxBatch,
-		MaxWait:          *maxWait,
 		QueueSize:        *queue,
 		RequestTimeout:   *timeout,
 		Telemetry:        tel,
@@ -276,9 +276,9 @@ func main() {
 	popts := srv.Pool().Options()
 	// One structured line with the full resolved configuration, so a log
 	// scraper (or a human) sees every serving knob in one place.
-	fmt.Printf("level=info msg=serving model=%q addr=%s gomaxprocs=%d precision=%s autotune=%t dynamic=%t pack_ms=%.1f replicas=%d max_batch=%d max_wait=%v queue=%d timeout=%v telemetry=%t trace_sample=%d trace_dir=%q pprof=%t ios=%t sweep_dir=%q sweep_concurrency=%d worker_id=%d\n",
+	fmt.Printf("level=info msg=serving model=%q addr=%s gomaxprocs=%d precision=%s autotune=%t dynamic=%t pack_ms=%.1f replicas=%d max_batch=%d queue=%d timeout=%v telemetry=%t trace_sample=%d trace_dir=%q pprof=%t ios=%t sweep_dir=%q sweep_concurrency=%d worker_id=%d\n",
 		cfg.Name, *addr, runtime.GOMAXPROCS(0), plan.Precision, *autotune, *dynamicOn,
-		float64(plan.PackTime)/float64(time.Millisecond), popts.Replicas, popts.MaxBatch, popts.MaxWait, popts.QueueSize,
+		float64(plan.PackTime)/float64(time.Millisecond), popts.Replicas, popts.MaxBatch, popts.QueueSize,
 		*timeout, *telemetryOn, *traceSample, *traceDir, *pprofOn, *iosOn, *sweepDir, *sweepConc, *workerID)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}

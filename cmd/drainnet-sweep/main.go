@@ -61,7 +61,6 @@ func main() {
 	benchPath := flag.String("bench", "", "write a throughput/accuracy summary to this JSON file")
 	replicas := flag.Int("replicas", 0, "model replicas (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 8, "max clips per forward pass")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "max batch-fill wait")
 	queue := flag.Int("queue", 256, "bounded inference queue size")
 	concurrency := flag.Int("concurrency", 0, "in-flight pool submissions (0 = default 16)")
 	flag.Parse()
@@ -103,7 +102,6 @@ func main() {
 	pool, err := batcher.New(cfg, net, batcher.Options{
 		Replicas:  *replicas,
 		MaxBatch:  *maxBatch,
-		MaxWait:   *maxWait,
 		QueueSize: *queue,
 	})
 	if err != nil {

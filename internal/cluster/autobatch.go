@@ -7,10 +7,10 @@ import (
 )
 
 // AutoBatchConfig configures the adaptive batching controller: instead
-// of serving forever with the static -max-batch/-max-wait flags each
-// worker started with, the router retunes every worker's *effective*
-// knobs from its live latency quantiles (the §6.4 trade-off, closed-
-// loop). The zero value disables the controller.
+// of serving forever with the static -max-batch flag each worker started
+// with, the router retunes every worker's *effective* max-batch from its
+// live latency quantiles (the §6.4 trade-off, closed-loop). The zero
+// value disables the controller.
 type AutoBatchConfig struct {
 	// Enabled turns the controller on.
 	Enabled bool
@@ -19,11 +19,6 @@ type AutoBatchConfig struct {
 	// TargetP95 is the per-worker request-latency SLO the controller
 	// steers to (default 250ms).
 	TargetP95 time.Duration
-	// MinWait floors the retuned max-wait (default 200µs); the ceiling
-	// is the worker-side clamp (100ms).
-	MinWait time.Duration
-	// MaxWait caps the retuned max-wait (default 20ms).
-	MaxWait time.Duration
 }
 
 func (c AutoBatchConfig) withDefaults() AutoBatchConfig {
@@ -33,19 +28,7 @@ func (c AutoBatchConfig) withDefaults() AutoBatchConfig {
 	if c.TargetP95 <= 0 {
 		c.TargetP95 = 250 * time.Millisecond
 	}
-	if c.MinWait <= 0 {
-		c.MinWait = 200 * time.Microsecond
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 20 * time.Millisecond
-	}
 	return c
-}
-
-// BatchTuning is one worker's effective batching knobs.
-type BatchTuning struct {
-	MaxBatch int
-	MaxWait  time.Duration
 }
 
 // BatchObs is what the controller sees of one worker at a control tick,
@@ -56,63 +39,41 @@ type BatchObs struct {
 	P95 float64
 	OK  bool
 	// QueueDepth is the scraped drainnet_queue_depth gauge — demand
-	// waiting for bigger batches.
+	// waiting behind busy replicas, which bigger batches would absorb.
 	QueueDepth int64
 	// MaxBatchCeiling is the worker's configured -max-batch (the clamp
 	// the worker enforces on retunes).
 	MaxBatchCeiling int
 }
 
-// NextTuning is the control law, pure so it table-tests directly.
-// Multiplicative decrease, additive increase:
+// NextTuning is the control law over a worker's effective max-batch,
+// pure so it table-tests directly. Multiplicative decrease, additive
+// increase:
 //
-//   - p95 over target → halve both knobs: smaller batches and shorter
-//     waits cut queueing delay the fastest.
+//   - p95 over target → halve it: smaller batches turn over sooner, which
+//     cuts queueing delay the fastest.
 //   - p95 under half the target with queued demand → one more clip per
-//     batch and 50% more wait: grow throughput while latency headroom
-//     is provable.
+//     batch: grow throughput while latency headroom is provable.
 //   - otherwise (in the comfort band, or no demand) → hold.
 //
-// Bounds: MaxBatch ∈ [1, ceiling], MaxWait ∈ [MinWait, MaxWait].
-func NextTuning(cur BatchTuning, obs BatchObs, cfg AutoBatchConfig) BatchTuning {
+// The result stays within [1, the worker's ceiling].
+func NextTuning(cur int, obs BatchObs, cfg AutoBatchConfig) int {
 	cfg = cfg.withDefaults()
 	next := cur
-	if !obs.OK {
-		return clampTuning(next, obs, cfg)
-	}
-	target := cfg.TargetP95.Seconds()
-	switch {
-	case obs.P95 > target:
-		next.MaxBatch = cur.MaxBatch / 2
-		next.MaxWait = cur.MaxWait / 2
-	case obs.P95 < target/2 && obs.QueueDepth > 0:
-		next.MaxBatch = cur.MaxBatch + 1
-		next.MaxWait = cur.MaxWait * 3 / 2
-		if next.MaxWait < cfg.MinWait*2 {
-			next.MaxWait = cfg.MinWait * 2
+	if obs.OK {
+		target := cfg.TargetP95.Seconds()
+		switch {
+		case obs.P95 > target:
+			next = cur / 2
+		case obs.P95 < target/2 && obs.QueueDepth > 0:
+			next = cur + 1
 		}
 	}
-	return clampTuning(next, obs, cfg)
-}
-
-func clampTuning(t BatchTuning, obs BatchObs, cfg AutoBatchConfig) BatchTuning {
 	ceil := obs.MaxBatchCeiling
 	if ceil <= 0 {
 		ceil = math.MaxInt32
 	}
-	if t.MaxBatch > ceil {
-		t.MaxBatch = ceil
-	}
-	if t.MaxBatch < 1 {
-		t.MaxBatch = 1
-	}
-	if t.MaxWait > cfg.MaxWait {
-		t.MaxWait = cfg.MaxWait
-	}
-	if t.MaxWait < cfg.MinWait {
-		t.MaxWait = cfg.MinWait
-	}
-	return t
+	return max(1, min(next, ceil))
 }
 
 // runAutoBatch is the router's control loop: each tick, derive every
@@ -133,10 +94,7 @@ func (rt *Router) runAutoBatch() {
 			if !w.routable() {
 				continue
 			}
-			cur := BatchTuning{
-				MaxBatch: int(w.curMaxBatch.Load()),
-				MaxWait:  time.Duration(w.curMaxWaitUs.Load()) * time.Microsecond,
-			}
+			cur := int(w.curMaxBatch.Load())
 			p95 := float64FromBits(w.latencyP95.Load())
 			obs := BatchObs{
 				P95:             p95,
@@ -149,16 +107,15 @@ func (rt *Router) runAutoBatch() {
 				continue
 			}
 			_, _, client := w.snapshot()
-			mb, mw, err := client.retune(next.MaxBatch, next.MaxWait)
+			mb, err := client.retune(next)
 			if err != nil {
 				log.Printf("level=warn msg=retune_failed worker=%d err=%q", w.id, err)
 				continue
 			}
 			w.curMaxBatch.Store(int64(mb))
-			w.curMaxWaitUs.Store(mw.Microseconds())
 			rt.retunes.Inc()
-			log.Printf("level=info msg=retune worker=%d p95_ms=%.2f queue=%d max_batch=%d max_wait=%v",
-				w.id, obs.P95*1e3, obs.QueueDepth, mb, mw)
+			log.Printf("level=info msg=retune worker=%d p95_ms=%.2f queue=%d max_batch=%d",
+				w.id, obs.P95*1e3, obs.QueueDepth, mb)
 		}
 	}
 }

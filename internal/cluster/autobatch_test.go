@@ -6,77 +6,63 @@ import (
 )
 
 func TestNextTuning(t *testing.T) {
-	cfg := AutoBatchConfig{
-		TargetP95: 100 * time.Millisecond,
-		MinWait:   time.Millisecond,
-		MaxWait:   20 * time.Millisecond,
-	}
+	cfg := AutoBatchConfig{TargetP95: 100 * time.Millisecond}
+	// The names are the suite's test IDs. Two of them predate the removal
+	// of the wait knob (max-batch is the only one left) and are kept so
+	// the IDs stay stable.
 	cases := []struct {
 		name string
-		cur  BatchTuning
+		cur  int
 		obs  BatchObs
-		want BatchTuning
+		want int
 	}{
 		{
 			name: "no observation holds (after clamping)",
-			cur:  BatchTuning{MaxBatch: 8, MaxWait: 4 * time.Millisecond},
+			cur:  8,
 			obs:  BatchObs{OK: false, MaxBatchCeiling: 16},
-			want: BatchTuning{MaxBatch: 8, MaxWait: 4 * time.Millisecond},
+			want: 8,
 		},
 		{
 			name: "over target halves both knobs",
-			cur:  BatchTuning{MaxBatch: 8, MaxWait: 8 * time.Millisecond},
+			cur:  8,
 			obs:  BatchObs{P95: 0.150, OK: true, MaxBatchCeiling: 16},
-			want: BatchTuning{MaxBatch: 4, MaxWait: 4 * time.Millisecond},
+			want: 4,
 		},
 		{
 			name: "halving floors at batch 1 and MinWait",
-			cur:  BatchTuning{MaxBatch: 1, MaxWait: time.Millisecond},
+			cur:  1,
 			obs:  BatchObs{P95: 0.500, OK: true, MaxBatchCeiling: 16},
-			want: BatchTuning{MaxBatch: 1, MaxWait: time.Millisecond},
+			want: 1,
 		},
 		{
 			name: "comfortable with queued demand grows additively",
-			cur:  BatchTuning{MaxBatch: 4, MaxWait: 4 * time.Millisecond},
+			cur:  4,
 			obs:  BatchObs{P95: 0.020, OK: true, QueueDepth: 3, MaxBatchCeiling: 16},
-			want: BatchTuning{MaxBatch: 5, MaxWait: 6 * time.Millisecond},
+			want: 5,
 		},
 		{
 			name: "comfortable with no demand holds",
-			cur:  BatchTuning{MaxBatch: 4, MaxWait: 4 * time.Millisecond},
+			cur:  4,
 			obs:  BatchObs{P95: 0.020, OK: true, QueueDepth: 0, MaxBatchCeiling: 16},
-			want: BatchTuning{MaxBatch: 4, MaxWait: 4 * time.Millisecond},
+			want: 4,
 		},
 		{
 			name: "comfort band (between target/2 and target) holds",
-			cur:  BatchTuning{MaxBatch: 4, MaxWait: 4 * time.Millisecond},
+			cur:  4,
 			obs:  BatchObs{P95: 0.075, OK: true, QueueDepth: 10, MaxBatchCeiling: 16},
-			want: BatchTuning{MaxBatch: 4, MaxWait: 4 * time.Millisecond},
+			want: 4,
 		},
 		{
 			name: "growth clamps at the worker ceiling",
-			cur:  BatchTuning{MaxBatch: 16, MaxWait: 10 * time.Millisecond},
+			cur:  16,
 			obs:  BatchObs{P95: 0.010, OK: true, QueueDepth: 5, MaxBatchCeiling: 16},
-			want: BatchTuning{MaxBatch: 16, MaxWait: 15 * time.Millisecond},
-		},
-		{
-			name: "wait growth clamps at MaxWait",
-			cur:  BatchTuning{MaxBatch: 4, MaxWait: 18 * time.Millisecond},
-			obs:  BatchObs{P95: 0.010, OK: true, QueueDepth: 5, MaxBatchCeiling: 16},
-			want: BatchTuning{MaxBatch: 5, MaxWait: 20 * time.Millisecond},
-		},
-		{
-			name: "growth from zero wait jumps to 2×MinWait",
-			cur:  BatchTuning{MaxBatch: 2, MaxWait: 0},
-			obs:  BatchObs{P95: 0.010, OK: true, QueueDepth: 1, MaxBatchCeiling: 16},
-			want: BatchTuning{MaxBatch: 3, MaxWait: 2 * time.Millisecond},
+			want: 16,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := NextTuning(tc.cur, tc.obs, cfg)
-			if got != tc.want {
-				t.Fatalf("NextTuning(%+v, %+v) = %+v, want %+v", tc.cur, tc.obs, got, tc.want)
+			if got := NextTuning(tc.cur, tc.obs, cfg); got != tc.want {
+				t.Fatalf("NextTuning(%d, %+v) = %d, want %d", tc.cur, tc.obs, got, tc.want)
 			}
 		})
 	}
@@ -85,16 +71,15 @@ func TestNextTuning(t *testing.T) {
 func TestNextTuningConvergesUnderOverload(t *testing.T) {
 	// Starting hot and over-SLO, repeated application must settle at the
 	// floor instead of oscillating or escaping the bounds.
-	cfg := AutoBatchConfig{TargetP95: 50 * time.Millisecond, MinWait: time.Millisecond, MaxWait: 20 * time.Millisecond}
-	cur := BatchTuning{MaxBatch: 64, MaxWait: 20 * time.Millisecond}
+	cfg := AutoBatchConfig{TargetP95: 50 * time.Millisecond}
+	cur := 64
 	obs := BatchObs{P95: 1.0, OK: true, QueueDepth: 100, MaxBatchCeiling: 64}
 	for i := 0; i < 20; i++ {
-		cur = NextTuning(cur, obs, cfg)
-		if cur.MaxBatch < 1 || cur.MaxWait < cfg.MinWait {
-			t.Fatalf("iteration %d escaped bounds: %+v", i, cur)
+		if cur = NextTuning(cur, obs, cfg); cur < 1 {
+			t.Fatalf("iteration %d escaped bounds: %d", i, cur)
 		}
 	}
-	if cur.MaxBatch != 1 || cur.MaxWait != cfg.MinWait {
-		t.Fatalf("did not converge to the floor: %+v", cur)
+	if cur != 1 {
+		t.Fatalf("did not converge to the floor: %d", cur)
 	}
 }

@@ -74,25 +74,22 @@ func (c *workerClient) metrics() ([]telemetry.MetricPoint, error) {
 }
 
 // retune POSTs /v1/control/batching and returns the worker's resolved
-// (clamped) effective tuning.
-func (c *workerClient) retune(maxBatch int, maxWait time.Duration) (int, time.Duration, error) {
-	payload, _ := json.Marshal(serve.BatchingControl{
-		MaxBatch:  maxBatch,
-		MaxWaitMs: float64(maxWait) / float64(time.Millisecond),
-	})
+// (clamped) effective max-batch; 0 asks without changing it.
+func (c *workerClient) retune(maxBatch int) (int, error) {
+	payload, _ := json.Marshal(serve.BatchingControl{MaxBatch: maxBatch})
 	resp, err := c.hc.Post(c.base+"/v1/control/batching", "application/json", bytes.NewReader(payload))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer drainClose(resp)
 	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("cluster: /v1/control/batching status %d", resp.StatusCode)
+		return 0, fmt.Errorf("cluster: /v1/control/batching status %d", resp.StatusCode)
 	}
 	var out serve.BatchingControl
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return out.MaxBatch, time.Duration(out.MaxWaitMs * float64(time.Millisecond)), nil
+	return out.MaxBatch, nil
 }
 
 func drainClose(resp *http.Response) {

@@ -22,9 +22,9 @@
 //     letting queues collapse.
 //   - Adaptive batching (autobatch.go): a controller that reads each
 //     worker's live latency quantiles from its /v1/metrics scrape and
-//     retunes the worker's effective max-batch/max-wait through
-//     POST /v1/control/batching — latency over SLO halves the batching
-//     knobs, comfortable latency with queued demand grows them.
+//     retunes the worker's effective max-batch through
+//     POST /v1/control/batching — latency over SLO halves it,
+//     comfortable latency with queued demand grows it.
 //
 // Worker processes are plain drainnet-serve instances; everything the
 // router needs from them is on the public /v1 surface (healthz,

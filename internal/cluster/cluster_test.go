@@ -32,7 +32,6 @@ type fakeWorker struct {
 	served   atomic.Int64
 	queue    atomic.Int64
 	maxBatch atomic.Int64
-	maxWait  atomic.Int64 // microseconds
 
 	exited chan struct{}
 	once   sync.Once
@@ -45,7 +44,6 @@ func newFakeWorker(id int) (*fakeWorker, error) {
 	}
 	w := &fakeWorker{id: id, ln: ln, addr: ln.Addr().String(), exited: make(chan struct{})}
 	w.maxBatch.Store(8)
-	w.maxWait.Store(2000)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", func(rw http.ResponseWriter, r *http.Request) {
 		if w.draining.Load() {
@@ -72,13 +70,7 @@ func newFakeWorker(id int) (*fakeWorker, error) {
 		if req.MaxBatch > 0 {
 			w.maxBatch.Store(int64(req.MaxBatch))
 		}
-		if req.MaxWaitMs >= 0 {
-			w.maxWait.Store(int64(req.MaxWaitMs * 1000))
-		}
-		json.NewEncoder(rw).Encode(serve.BatchingControl{
-			MaxBatch:  int(w.maxBatch.Load()),
-			MaxWaitMs: float64(w.maxWait.Load()) / 1000,
-		})
+		json.NewEncoder(rw).Encode(serve.BatchingControl{MaxBatch: int(w.maxBatch.Load())})
 	})
 	mux.HandleFunc("/v1/detect", func(rw http.ResponseWriter, r *http.Request) {
 		w.served.Add(1)

@@ -64,7 +64,6 @@ type Worker struct {
 	// Last known batching tuning (from /v1/model at ready, then retunes).
 	maxBatchCeil atomic.Int64 // configured -max-batch (retune ceiling)
 	curMaxBatch  atomic.Int64
-	curMaxWaitUs atomic.Int64
 
 	// latencyP95 is the last scraped request-latency p95 in seconds
 	// (bits of a float64); 0 until first observation.
@@ -83,7 +82,6 @@ type WorkerStatus struct {
 	Served     uint64  `json:"served"`
 	Restarts   uint64  `json:"restarts"`
 	MaxBatch   int64   `json:"max_batch"`
-	MaxWaitMs  float64 `json:"max_wait_ms"`
 	P95Ms      float64 `json:"latency_p95_ms"`
 }
 
@@ -132,7 +130,6 @@ func (w *Worker) Status() WorkerStatus {
 		Served:     w.served.Load(),
 		Restarts:   w.restarts.Load(),
 		MaxBatch:   w.curMaxBatch.Load(),
-		MaxWaitMs:  float64(w.curMaxWaitUs.Load()) / 1e3,
 		P95Ms:      float64FromBits(w.latencyP95.Load()) * 1e3,
 	}
 }
@@ -244,10 +241,9 @@ func (s *supervisor) awaitReady(w *Worker, procDone <-chan struct{}) bool {
 				w.curMaxBatch.Store(int64(info.MaxBatch))
 			}
 			// A keep-everything retune reads back the worker's effective
-			// tuning, seeding the adaptive controller's starting point.
-			if mb, mw, err := client.retune(0, -1); err == nil {
+			// max-batch, seeding the adaptive controller's starting point.
+			if mb, err := client.retune(0); err == nil {
 				w.curMaxBatch.Store(int64(mb))
-				w.curMaxWaitUs.Store(mw.Microseconds())
 			}
 			return true
 		}

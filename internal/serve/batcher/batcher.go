@@ -3,18 +3,22 @@
 // The paper's efficiency metric is latency per image *at a batch size*
 // (§6.4): a served model only realizes the batched efficiency the paper
 // optimizes for if the serving path actually forms batches. This package
-// accepts single-clip requests, coalesces them into batches (bounded by a
-// maximum batch size and a maximum wait, mirroring §6.4 batch tuning),
-// and dispatches the batches across a pool of N independent network
-// replicas. Each replica owns its layer caches (internal/nn layers cache
-// forward activations and are not safe for concurrent use), so replicas
-// run truly concurrently.
+// accepts clips, one per call or a request's worth together, and runs
+// them across a pool of N independent network replicas under one rule:
+// a replica that is idle takes, at once, up to MaxBatch same-shape
+// requests starting from the oldest one waiting. Requests therefore
+// coalesce only while every replica is busy — nothing waits for company
+// while a replica idles, and the batch size emerges from load, capped by
+// MaxBatch (the §6.4 knob). Each replica owns its layer caches
+// (internal/nn layers cache forward activations and are not safe for
+// concurrent use), so replicas run truly concurrently.
 //
-// Backpressure is a bounded queue: when it is full, Submit fails fast
-// with ErrQueueFull so the HTTP layer can answer 429 with Retry-After
-// instead of letting latency grow without bound. Close drains the queue
-// gracefully: everything already accepted is served, new submissions are
-// refused with ErrClosed.
+// Backpressure is a bound on waiting requests: at most QueueSize are
+// accepted and not yet running, beyond the one batch each replica runs.
+// At the bound Submit fails fast with ErrQueueFull so the HTTP layer can
+// answer 429 with Retry-After instead of letting latency grow without
+// bound. Close drains gracefully: everything already accepted is served,
+// new submissions are refused with ErrClosed.
 package batcher
 
 import (
@@ -48,15 +52,13 @@ type Options struct {
 	// they serve batches concurrently.
 	Replicas int
 	// MaxBatch is the largest batch a single forward pass may carry
-	// (default 8). A group of same-shape requests is flushed as soon as it
-	// reaches MaxBatch.
+	// (default 8) — the §6.4 knob. An idle replica takes what is waiting
+	// up to this many; the rest stays for the next idle replica.
 	MaxBatch int
-	// MaxWait bounds how long the oldest queued request waits for its
-	// batch to fill before the partial batch is flushed (default 2ms).
-	// Larger values trade latency for bigger batches — the §6.4 knob.
-	MaxWait time.Duration
-	// QueueSize is the bounded queue capacity (default 64). When the
-	// queue is full Submit returns ErrQueueFull.
+	// QueueSize bounds the requests accepted and not yet handed to a
+	// replica (default 64). At the bound Submit returns ErrQueueFull, so
+	// the pool holds at most Replicas batches running plus QueueSize
+	// requests waiting.
 	QueueSize int
 	// Telemetry receives serving metrics and span events. Nil selects a
 	// private registry-only instance (metrics still accumulate and feed
@@ -81,53 +83,69 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
 	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
-	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 64
 	}
 	return o
 }
 
-// request is one queued clip awaiting inference.
+// Clip is one clip of a SubmitAll call: the caller sets Ctx and X, the
+// pool fills in the rest.
+type Clip struct {
+	Ctx context.Context
+	X   *tensor.Tensor // 1×C×H×W
+	Det metrics.Detection
+	Err error
+	// Abandoned reports that Ctx ended while the pool still held the clip:
+	// a replica may yet copy X into its batch, so the caller must leave X's
+	// storage to the GC rather than reuse it.
+	Abandoned bool
+}
+
+// request is one accepted clip awaiting inference.
 type request struct {
 	ctx  context.Context
 	x    *tensor.Tensor // 1×C×H×W
+	slot int            // index of its Clip in the SubmitAll call
 	id   uint64         // telemetry span ID
 	enq  time.Time
-	done chan result // buffered(1); worker always delivers
+	// det and err are the answer: the pool writes them, then signals done
+	// (buffered(1), so it never blocks on a waiter that gave up), always.
+	det  metrics.Detection
+	err  error
+	done chan struct{}
 	// path is the serving precision the difficulty router assigned
 	// (empty without dynamic routing). It joins the batching key, so a
 	// batch never mixes paths.
 	path model.Precision
 }
 
-type result struct {
-	det metrics.Detection
-	err error
-}
-
-// job is a flushed batch bound for a replica.
-type job struct {
-	reqs []*request
-}
-
-// Pool coalesces single-clip requests into batches and runs them across
-// independent model replicas. Create one with New; it is safe for
-// concurrent use by any number of goroutines.
+// Pool coalesces clips into batches and runs them across independent
+// model replicas. Create one with New; it is safe for concurrent use by
+// any number of goroutines.
 type Pool struct {
-	opts  Options
-	queue chan *request
-	work  chan *job
+	opts Options
+	// queue carries each SubmitAll call's accepted requests to the
+	// dispatcher as one element, so a request's clips reach it together.
+	// Its capacity is QueueSize: every element holds at least one of the
+	// at most QueueSize waiting requests, so a send never blocks.
+	queue chan []request
+	// work hands a batch to a replica that announced itself on idle
+	// (buffered to Replicas, one token per replica blocked on work).
+	work chan []*request
+	idle chan struct{}
 
-	// curMaxBatch/curMaxWaitNs are the *effective* batching knobs the
-	// dispatcher reads each iteration. They start at the configured
-	// Options values and move under Retune (the adaptive batching
-	// controller's lever); Options.MaxBatch stays the hard ceiling
-	// because the batch-size histogram buckets are sized from it.
-	curMaxBatch  atomic.Int64
-	curMaxWaitNs atomic.Int64
+	// waiting counts requests accepted and not yet handed to a replica —
+	// those on queue plus those in the dispatcher's FIFOs. SubmitAll
+	// raises it, never past QueueSize; the hand-off lowers it.
+	waiting atomic.Int64
+
+	// curMaxBatch is the *effective* batch cap the dispatcher reads at
+	// each hand-off. It starts at Options.MaxBatch and moves under Retune
+	// (the adaptive batching controller's lever); Options.MaxBatch stays
+	// the hard ceiling because the batch-size histogram buckets are sized
+	// from it.
+	curMaxBatch atomic.Int64
 
 	// closing is closed-state coordination: Submit holds a read lock
 	// across its queue send so Close can safely close(queue) once no
@@ -188,8 +206,9 @@ func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 	}
 	p := &Pool{
 		opts:           opts,
-		queue:          make(chan *request, opts.QueueSize),
-		work:           make(chan *job, opts.Replicas),
+		queue:          make(chan []request, opts.QueueSize),
+		work:           make(chan []*request),
+		idle:           make(chan struct{}, opts.Replicas),
 		dispatcherDone: make(chan struct{}),
 		workersDone:    make(chan struct{}),
 		stats:          newStatsAccum(opts),
@@ -198,8 +217,7 @@ func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 		router:         opts.Plan.Router,
 	}
 	p.curMaxBatch.Store(int64(opts.MaxBatch))
-	p.curMaxWaitNs.Store(int64(opts.MaxWait))
-	p.stats.setTuning(opts.MaxBatch, opts.MaxWait)
+	p.stats.effMaxBatch.Set(float64(opts.MaxBatch))
 	go p.dispatch()
 	go p.runWorkers(replicas)
 	return p, nil
@@ -278,108 +296,125 @@ func (p *Pool) Options() Options { return p.opts }
 // once Close has begun). The /v1/healthz readiness check reads this.
 func (p *Pool) Accepting() bool { return !p.closing.isClosed() }
 
-// Tuning returns the pool's effective batching knobs: the live values
-// the dispatcher uses, which start at Options.MaxBatch/MaxWait and move
-// under Retune.
-func (p *Pool) Tuning() (maxBatch int, maxWait time.Duration) {
-	return int(p.curMaxBatch.Load()), time.Duration(p.curMaxWaitNs.Load())
-}
-
-// retuneWaitCeiling bounds how far an adaptive controller can raise the
-// flush wait: beyond this, batching stops trading latency for anything.
-const retuneWaitCeiling = 100 * time.Millisecond
-
-// Retune adjusts the effective max-batch and max-wait without restarting
-// the pool — the adaptive batching controller's lever. maxBatch clamps
-// to [1, Options.MaxBatch] (the configured value is the ceiling: batch
-// histogram buckets and replica arenas are sized from it); maxWait
-// clamps to [0, 100ms]. Values ≤ 0 for maxBatch or < 0 for maxWait keep
-// the current setting. The resolved values are returned and take effect
-// on the next dispatch iteration; in-flight batches are unaffected.
-func (p *Pool) Retune(maxBatch int, maxWait time.Duration) (int, time.Duration) {
-	changed := false
+// Retune moves the effective max-batch without restarting the pool — the
+// adaptive batching controller's lever. maxBatch clamps to
+// [1, Options.MaxBatch] (the configured value is the ceiling: batch
+// histogram buckets and replica arenas are sized from it); a value ≤ 0
+// keeps the current setting, which makes Retune(0) the query. The
+// resolved value is returned and applies from the next hand-off;
+// in-flight batches are unaffected.
+func (p *Pool) Retune(maxBatch int) int {
 	if maxBatch > 0 {
-		if maxBatch > p.opts.MaxBatch {
-			maxBatch = p.opts.MaxBatch
-		}
+		maxBatch = min(maxBatch, p.opts.MaxBatch)
 		p.curMaxBatch.Store(int64(maxBatch))
-		changed = true
+		p.stats.retune(maxBatch)
 	}
-	if maxWait >= 0 {
-		if maxWait > retuneWaitCeiling {
-			maxWait = retuneWaitCeiling
-		}
-		p.curMaxWaitNs.Store(int64(maxWait))
-		changed = true
-	}
-	mb, mw := p.Tuning()
-	if changed {
-		p.stats.retune(mb, mw)
-	}
-	return mb, mw
+	return p.maxBatch()
 }
 
-// maxBatch/maxWait are the dispatcher's reads of the effective knobs.
-func (p *Pool) maxBatch() int          { return int(p.curMaxBatch.Load()) }
-func (p *Pool) maxWait() time.Duration { return time.Duration(p.curMaxWaitNs.Load()) }
+// maxBatch is the dispatcher's read of the effective batch cap.
+func (p *Pool) maxBatch() int { return int(p.curMaxBatch.Load()) }
 
-// Submit enqueues one 1×C×H×W clip and blocks until its detection is
-// ready, the context is done, or the pool rejects it. It is safe to call
-// from many goroutines; same-shape submissions that overlap in time are
-// coalesced into shared batches.
+// Submit runs one 1×C×H×W clip through the pool and blocks until its
+// detection is ready, the context is done, or the pool rejects it: the
+// one-clip case of SubmitAll.
 func (p *Pool) Submit(ctx context.Context, x *tensor.Tensor) (metrics.Detection, error) {
-	if x == nil || x.Rank() != 4 || x.Dim(0) != 1 {
-		return metrics.Detection{}, errors.New("batcher: Submit wants a 1×C×H×W tensor")
-	}
-	id, ok := telemetry.RequestID(ctx)
-	if !ok {
-		id = p.tel.NextRequestID()
-	}
-	req := &request{ctx: ctx, x: x, id: id, enq: time.Now(), done: make(chan result, 1)}
-	if p.router != nil {
-		req.path = p.router.Route(x, 0)
-		p.stats.route(req.path)
-	}
+	clip := [1]Clip{{Ctx: ctx, X: x}}
+	p.SubmitAll(clip[:])
+	return clip[0].Det, clip[0].Err
+}
 
-	if !p.closing.enter() {
-		p.stats.reject()
-		return metrics.Detection{}, ErrClosed
-	}
-	select {
-	case p.queue <- req:
-		p.closing.leave()
-		p.stats.setQueueDepth(len(p.queue))
-		p.tel.Emit(telemetry.Event{Kind: telemetry.EvEnqueued, Req: req.id, At: req.enq})
-	default:
-		p.closing.leave()
-		p.stats.reject()
-		return metrics.Detection{}, ErrQueueFull
-	}
+var errBadClip = errors.New("batcher: want a 1×C×H×W tensor")
 
-	select {
-	case res := <-req.done:
-		return res.det, res.err
-	case <-ctx.Done():
-		// Prefer a result that raced the cancellation.
-		select {
-		case res := <-req.done:
-			return res.det, res.err
-		default:
+// SubmitAll enqueues the clips as one unit, so an idle replica finds them
+// together and same-shape clips share forward passes, and blocks until
+// each has its detection or its error: a bad tensor, ErrClosed,
+// ErrQueueFull for those beyond the QueueSize bound (the clips before
+// them are served), or its context's error. It is safe to call from many
+// goroutines; clips of calls that overlap in time coalesce too.
+func (p *Pool) SubmitAll(clips []Clip) {
+	reqs := make([]request, 0, len(clips))
+	now := time.Now()
+	for i := range clips {
+		c := &clips[i]
+		if c.X == nil || c.X.Rank() != 4 || c.X.Dim(0) != 1 {
+			c.Err = errBadClip
+			continue
 		}
-		// The request stays queued; the flusher drops it when it notices
-		// the dead context. The buffered done channel lets the worker
-		// deliver without blocking even though nobody reads it.
-		p.stats.cancel()
-		return metrics.Detection{}, ctx.Err()
+		id, ok := telemetry.RequestID(c.Ctx)
+		if !ok {
+			id = p.tel.NextRequestID()
+		}
+		req := request{ctx: c.Ctx, x: c.X, slot: i, id: id, enq: now}
+		if p.router != nil {
+			req.path = p.router.Route(c.X, 0)
+			p.stats.route(req.path)
+		}
+		reqs = append(reqs, req)
+	}
+
+	refused := ErrClosed
+	admitted := 0
+	if p.closing.enter() {
+		refused = ErrQueueFull
+		if admitted = p.admit(len(reqs)); admitted > 0 {
+			for i := range reqs[:admitted] {
+				r := &reqs[i]
+				r.done = make(chan struct{}, 1)
+				p.tel.Emit(telemetry.Event{Kind: telemetry.EvEnqueued, Req: r.id, At: now})
+			}
+			p.queue <- reqs[:admitted]
+		}
+		p.closing.leave()
+	}
+	for _, r := range reqs[admitted:] {
+		p.stats.reject()
+		clips[r.slot].Err = refused
+	}
+
+	for i := range reqs[:admitted] {
+		r := &reqs[i]
+		c := &clips[r.slot]
+		select {
+		case <-r.done:
+		case <-r.ctx.Done():
+			select {
+			case <-r.done: // a result that raced the cancellation wins
+			default:
+				// The request stays with the pool: the hand-off drops it when
+				// it sees the dead context, or a replica that already has it
+				// signals the buffered done channel nobody reads.
+				p.stats.cancel()
+				c.Err, c.Abandoned = r.ctx.Err(), true
+				continue
+			}
+		}
+		c.Det, c.Err = r.det, r.err
+	}
+}
+
+// admit reserves room under the QueueSize bound for up to n more waiting
+// requests and returns how many fit.
+func (p *Pool) admit(n int) int {
+	for {
+		cur := p.waiting.Load()
+		k := min(int64(n), int64(p.opts.QueueSize)-cur)
+		if k <= 0 {
+			return 0
+		}
+		if p.waiting.CompareAndSwap(cur, cur+k) {
+			p.stats.queueDepth.Add(float64(k))
+			return int(k)
+		}
 	}
 }
 
 // Stats returns a snapshot of serving statistics.
-func (p *Pool) Stats() Stats { return p.stats.snapshot(len(p.queue)) }
+func (p *Pool) Stats() Stats { return p.stats.snapshot(int(p.waiting.Load())) }
 
-// Close drains the pool: new Submits fail with ErrClosed, every request
-// already accepted is served, and Close returns once all replicas are
-// idle. Close is idempotent.
+// Close drains the pool: new submissions fail with ErrClosed, every
+// request already accepted is served, and Close returns once all replicas
+// are idle. Close is idempotent.
 func (p *Pool) Close() {
 	if p.closing.close() {
 		close(p.queue)
@@ -388,116 +423,118 @@ func (p *Pool) Close() {
 	<-p.workersDone
 }
 
-// dispatch coalesces queued requests into per-shape groups and flushes a
-// group when it reaches MaxBatch (full-batch flush) or when its oldest
-// member has waited MaxWait (timeout flush).
+// dispatch is work-conserving: it files submitted requests under their
+// batch key in arrival order and, whenever something waits and a replica
+// is idle, hands that replica a batch at once. Requests accumulate only
+// while every replica is busy, and nothing here ever waits on a clock.
+// After Close it keeps feeding replicas until the backlog is gone.
 func (p *Pool) dispatch() {
 	defer close(p.dispatcherDone)
 	defer close(p.work)
 
 	pending := make(map[batchKey][]*request)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-
-	for {
-		var timerC <-chan time.Time
-		if dl, ok := p.earliestDeadline(pending); ok {
-			d := time.Until(dl)
-			if d <= 0 {
-				p.flushDue(pending, time.Now())
-				continue
-			}
-			timer.Reset(d)
-			timerC = timer.C
+	queue := p.queue
+	join := func(group []request, open bool) {
+		if !open {
+			queue = nil
+			return
 		}
-
+		for i := range group {
+			r := &group[i]
+			key := keyOf(r)
+			pending[key] = append(pending[key], r)
+		}
+	}
+	for queue != nil || len(pending) > 0 {
+		var idle chan struct{}
+		if len(pending) > 0 {
+			idle = p.idle
+		}
 		select {
-		case req, ok := <-p.queue:
-			if timerC != nil && !timer.Stop() {
-				<-timer.C
-			}
-			if !ok {
-				for key := range pending {
-					p.flushGroup(pending, key)
+		case group, open := <-queue:
+			join(group, open)
+		case <-idle:
+			// Whatever else has been submitted joins first, so the batch is
+			// as full as the backlog allows at the moment of hand-off.
+		absorb:
+			for queue != nil {
+				select {
+				case group, open := <-queue:
+					join(group, open)
+				default:
+					break absorb
 				}
-				return
 			}
-			key := keyOf(req)
-			pending[key] = append(pending[key], req)
-			if len(pending[key]) >= p.maxBatch() {
-				p.flushGroup(pending, key)
+			if batch := p.take(pending); len(batch) > 0 {
+				p.work <- batch
+			} else {
+				idle <- struct{}{} // all it found had been cancelled: the replica is still idle
 			}
-		case <-timerC:
-			p.flushDue(pending, time.Now())
 		}
 	}
 }
 
-// earliestDeadline returns the soonest flush deadline across groups.
-func (p *Pool) earliestDeadline(pending map[batchKey][]*request) (time.Time, bool) {
-	var dl time.Time
-	found := false
-	for _, reqs := range pending {
-		if len(reqs) == 0 {
-			continue
-		}
-		d := reqs[0].enq.Add(p.maxWait())
-		if !found || d.Before(dl) {
-			dl, found = d, true
-		}
-	}
-	return dl, found
-}
-
-func (p *Pool) flushDue(pending map[batchKey][]*request, now time.Time) {
-	for key, reqs := range pending {
-		if len(reqs) > 0 && !now.Before(reqs[0].enq.Add(p.maxWait())) {
-			p.flushGroup(pending, key)
+// take removes the next batch from pending: up to the effective max-batch
+// requests from the FIFO whose head has waited longest, so no key starves.
+// Requests whose context has already ended are dropped on the way and
+// answered here; the batch may come back empty.
+func (p *Pool) take(pending map[batchKey][]*request) []*request {
+	var key batchKey
+	var fifo []*request
+	for k, reqs := range pending {
+		if fifo == nil || reqs[0].enq.Before(fifo[0].enq) {
+			key, fifo = k, reqs
 		}
 	}
-}
-
-// flushGroup hands a pending group to a replica, dropping requests whose
-// context has already expired. The send blocks when all replicas are
-// busy — that stall is the backpressure that fills the bounded queue.
-func (p *Pool) flushGroup(pending map[batchKey][]*request, key batchKey) {
-	reqs := pending[key]
-	delete(pending, key)
-	live := reqs[:0]
-	for _, r := range reqs {
-		if r.ctx.Err() != nil {
+	limit := p.maxBatch()
+	n, scanned := 0, 0
+	for scanned < len(fifo) && n < limit {
+		r := fifo[scanned]
+		scanned++
+		if err := r.ctx.Err(); err != nil {
 			// Close the span before delivering: the emit must be in the
 			// ring before the waiter can emit EvResponseWritten.
 			p.tel.Emit(telemetry.Event{Kind: telemetry.EvInferenceDone, Req: r.id, At: time.Now()})
-			r.done <- result{err: r.ctx.Err()}
+			r.err = err
+			r.done <- struct{}{}
 			continue
 		}
-		live = append(live, r)
+		fifo[n] = r
+		n++
 	}
-	if len(live) == 0 {
-		return
+	if scanned == len(fifo) {
+		delete(pending, key)
+	} else {
+		pending[key] = fifo[scanned:]
 	}
+	p.waiting.Add(-int64(scanned))
+	p.stats.queueDepth.Add(-float64(scanned))
+
+	batch := fifo[:n:n]
 	if p.tel.Enabled() {
 		now := time.Now()
-		for _, r := range live {
-			p.tel.Emit(telemetry.Event{Kind: telemetry.EvBatchFormed, Req: r.id, At: now, Batch: len(live)})
+		for _, r := range batch {
+			p.tel.Emit(telemetry.Event{Kind: telemetry.EvBatchFormed, Req: r.id, At: now, Batch: n})
 		}
 	}
-	p.work <- &job{reqs: live}
+	return batch
 }
 
 // runWorkers starts one goroutine per replica and closes workersDone when
-// the last one drains.
+// the last one drains. A replica announces itself on idle, then blocks on
+// work until the dispatcher hands it a batch or shuts down.
 func (p *Pool) runWorkers(replicas []*replica) {
 	done := make(chan struct{}, len(replicas))
 	for id, rep := range replicas {
 		go func(id int, rep *replica) {
 			defer func() { done <- struct{}{} }()
-			for j := range p.work {
-				p.runBatch(id, rep, j)
+			for {
+				p.idle <- struct{}{}
+				batch, ok := <-p.work
+				if !ok {
+					return
+				}
+				p.runBatch(id, rep, batch)
 			}
 		}(id, rep)
 	}
@@ -507,19 +544,19 @@ func (p *Pool) runWorkers(replicas []*replica) {
 	close(p.workersDone)
 }
 
-// runBatch stacks a job's clips into one N×C×H×W tensor drawn from the
+// runBatch stacks a batch's clips into one N×C×H×W tensor drawn from the
 // replica's arena, runs a single forward pass, and delivers per-request
 // results. Untraced, the batch tensor, every layer temporary and the
 // decoded detections all come from replica-owned storage, so a warm
 // replica serves a batch with zero heap allocations in the model forward.
-func (p *Pool) runBatch(id int, rep *replica, j *job) {
-	n := len(j.reqs)
-	first := j.reqs[0].x
+func (p *Pool) runBatch(id int, rep *replica, reqs []*request) {
+	n := len(reqs)
+	first := reqs[0].x
 	c, h, w := first.Dim(1), first.Dim(2), first.Dim(3)
 	rep.arena.Reset()
 	batch := rep.arena.Get(n, c, h, w)
 	stride := c * h * w
-	for i, r := range j.reqs {
+	for i, r := range reqs {
 		copy(batch.Data()[i*stride:(i+1)*stride], r.x.Data())
 	}
 
@@ -531,7 +568,7 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 	if p.tel.Enabled() {
 		start := time.Now()
 		var sampled []uint64
-		for _, r := range j.reqs {
+		for _, r := range reqs {
 			p.tel.Emit(telemetry.Event{Kind: telemetry.EvDispatch, Req: r.id, At: start, Replica: id, Batch: n})
 			if p.tel.Sampled(r.id) {
 				sampled = append(sampled, r.id)
@@ -558,7 +595,7 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 
 	// A batch the router sent to int8 runs the replica's routed executor;
 	// traced batches always show the main path's breakdown.
-	path := j.reqs[0].path
+	path := reqs[0].path
 	exec := rep.exec
 	if path == model.PrecisionInt8 && tr == nil {
 		exec = rep.execInt8
@@ -570,24 +607,26 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 	dets, err := safeDetect(exec, rep, batch, tr)
 	if err != nil {
 		now := time.Now()
-		for _, r := range j.reqs {
+		for _, r := range reqs {
 			p.tel.Emit(telemetry.Event{Kind: telemetry.EvInferenceDone, Req: r.id, At: now})
-			r.done <- result{err: err}
+			r.err = err
+			r.done <- struct{}{}
 		}
 		return
 	}
 	now := time.Now()
 	rep.lats = rep.lats[:0]
-	for _, r := range j.reqs {
+	for _, r := range reqs {
 		rep.lats = append(rep.lats, now.Sub(r.enq))
 	}
 	p.stats.record(id, n, rep.lats, path)
 	if dyn := p.opts.Plan.Dynamic; dyn != nil {
 		p.stats.setDynamicRates(dyn.ExitStats.Rate(), dyn.Stats.Rate())
 	}
-	for i, r := range j.reqs {
+	for i, r := range reqs {
 		p.tel.Emit(telemetry.Event{Kind: telemetry.EvInferenceDone, Req: r.id, At: now})
-		r.done <- result{det: dets[i]}
+		r.det = dets[i]
+		r.done <- struct{}{}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
@@ -94,7 +93,7 @@ func TestDynamicPoolServesAndAccountsExits(t *testing.T) {
 		t.Fatalf("exit demoted on separable calibration (drop %v)", plan.Drop)
 	}
 	p, err := New(cfg, net, Options{
-		Replicas: 2, MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 64,
+		Replicas: 2, MaxBatch: 4, QueueSize: 64,
 		Plan: compiled,
 	})
 	if err != nil {
@@ -148,7 +147,7 @@ func TestDynamicPoolRoutesPerRequestPrecision(t *testing.T) {
 		t.Fatal("router not trained despite int8 gate")
 	}
 	p, err := New(cfg, net, Options{
-		Replicas: 2, MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 64,
+		Replicas: 2, MaxBatch: 4, QueueSize: 64,
 		Plan: compiled,
 	})
 	if err != nil {

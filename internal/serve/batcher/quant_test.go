@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
@@ -43,7 +42,7 @@ func TestQuantizedPoolServes(t *testing.T) {
 	x := clip(9)
 	want := model.InferDetect(qnet, x, tensor.NewArena(), nil)[0]
 
-	p, err := New(cfg, qnet, Options{Replicas: 1, MaxWait: time.Millisecond})
+	p, err := New(cfg, qnet, Options{Replicas: 1})
 	if err != nil {
 		t.Fatalf("New with quantized net: %v", err)
 	}

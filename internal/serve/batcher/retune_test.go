@@ -3,52 +3,36 @@ package batcher
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 func TestRetuneClampsAndQueries(t *testing.T) {
-	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 8, MaxWait: 2 * time.Millisecond, QueueSize: 16})
+	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 8, QueueSize: 16})
 
-	// A keep-everything query (non-positive batch, negative wait) returns
-	// the current tuning untouched.
-	mb, mw := p.Retune(0, -1)
-	if mb != 8 || mw != 2*time.Millisecond {
-		t.Fatalf("query Retune = (%d, %v), want (8, 2ms)", mb, mw)
+	// A non-positive batch is the query: the current cap, untouched.
+	if mb := p.Retune(0); mb != 8 {
+		t.Fatalf("query Retune = %d, want 8", mb)
 	}
-
-	// In-bounds retune takes effect and Tuning agrees.
-	mb, mw = p.Retune(2, 500*time.Microsecond)
-	if mb != 2 || mw != 500*time.Microsecond {
-		t.Fatalf("Retune(2, 500µs) = (%d, %v)", mb, mw)
+	// An in-bounds retune takes effect and the query agrees.
+	if mb := p.Retune(2); mb != 2 || p.Retune(0) != 2 {
+		t.Fatalf("Retune(2) = %d, then the query says %d", mb, p.Retune(0))
 	}
-	if gb, gw := p.Tuning(); gb != 2 || gw != 500*time.Microsecond {
-		t.Fatalf("Tuning = (%d, %v) after retune", gb, gw)
-	}
-
 	// MaxBatch clamps to the configured ceiling (histogram buckets and
 	// batch arenas are sized from Options.MaxBatch).
-	if mb, _ = p.Retune(100, -1); mb != 8 {
-		t.Fatalf("over-ceiling Retune batch = %d, want clamp to 8", mb)
-	}
-	// MaxWait clamps to the retune ceiling.
-	if _, mw = p.Retune(0, time.Second); mw != retuneWaitCeiling {
-		t.Fatalf("over-ceiling Retune wait = %v, want %v", mw, retuneWaitCeiling)
-	}
-	// Zero wait is legal: flush every batch immediately.
-	if _, mw = p.Retune(0, 0); mw != 0 {
-		t.Fatalf("zero-wait Retune = %v, want 0", mw)
+	if mb := p.Retune(100); mb != 8 {
+		t.Fatalf("over-ceiling Retune = %d, want clamp to 8", mb)
 	}
 
 	// The pool still serves correctly after retuning to the floor.
+	p.Retune(1)
 	if _, err := p.Submit(context.Background(), clip(1)); err != nil {
 		t.Fatalf("Submit after retune: %v", err)
 	}
 }
 
 func TestRetuneQueryDoesNotCountAsRetune(t *testing.T) {
-	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 16})
-	p.Retune(0, -1) // pure query
-	p.Retune(2, -1) // real retune
+	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 4, QueueSize: 16})
+	p.Retune(0) // pure query
+	p.Retune(2) // real retune
 	found := false
 	for _, pt := range p.tel.Registry().Snapshot() {
 		if pt.Name == "drainnet_retunes_total" {

@@ -71,7 +71,6 @@ type statsAccum struct {
 	queueDepth  *telemetry.Gauge
 	retunes     *telemetry.Counter
 	effMaxBatch *telemetry.Gauge
-	effMaxWait  *telemetry.Gauge
 	perReplica  []*telemetry.Counter
 
 	// Dynamic-path metrics (nil when Options.Dynamic is off). latInt8 is
@@ -112,13 +111,11 @@ func newStatsAccum(opts Options) *statsAccum {
 		// (or an A/B rollout across restarts) produce separate series.
 		latency: latVec.With(string(opts.Plan.Precision)),
 		queueDepth: reg.Gauge("drainnet_queue_depth",
-			"Requests waiting on the bounded queue."),
+			"Requests accepted and not yet handed to a replica."),
 		retunes: reg.Counter("drainnet_retunes_total",
 			"Batching retunes applied via Pool.Retune (adaptive batching controller)."),
 		effMaxBatch: reg.Gauge("drainnet_effective_max_batch",
 			"Effective max clips per forward pass (starts at the -max-batch flag, moves under retune)."),
-		effMaxWait: reg.Gauge("drainnet_effective_max_wait_seconds",
-			"Effective max time a request waits for its batch to fill (moves under retune)."),
 		replicas:  opts.Replicas,
 		maxBatch:  opts.MaxBatch,
 		queueCap:  opts.QueueSize,
@@ -149,18 +146,11 @@ func (s *statsAccum) reject() { s.rejected.Inc() }
 
 func (s *statsAccum) cancel() { s.canceled.Inc() }
 
-func (s *statsAccum) setQueueDepth(n int) { s.queueDepth.Set(float64(n)) }
-
-// retune records one applied retune and publishes the resolved knobs as
-// gauges, so the router's scrape and a dashboard read the same setting.
-func (s *statsAccum) retune(maxBatch int, maxWait time.Duration) {
+// retune records one applied retune and publishes the resolved cap as a
+// gauge, so the router's scrape and a dashboard read the same setting.
+func (s *statsAccum) retune(maxBatch int) {
 	s.retunes.Inc()
-	s.setTuning(maxBatch, maxWait)
-}
-
-func (s *statsAccum) setTuning(maxBatch int, maxWait time.Duration) {
 	s.effMaxBatch.Set(float64(maxBatch))
-	s.effMaxWait.Set(maxWait.Seconds())
 }
 
 // record logs one completed batch of n clips on the given replica.
@@ -205,8 +195,9 @@ func (s *statsAccum) setDynamicRates(exit, mask float64) {
 	}
 }
 
+// snapshot reads the registry; queueDepth is the pool's waiting count,
+// which the drainnet_queue_depth gauge follows step for step.
 func (s *statsAccum) snapshot(queueDepth int) Stats {
-	s.queueDepth.Set(float64(queueDepth))
 	st := Stats{
 		Replicas:      s.replicas,
 		MaxBatch:      s.maxBatch,

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
@@ -68,7 +67,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 		pool, err := batcher.New(cfg, net, batcher.Options{
 			Replicas:  runtime.GOMAXPROCS(0),
 			MaxBatch:  benchConcurrency,
-			MaxWait:   500 * time.Microsecond,
 			QueueSize: 4 * benchConcurrency,
 		})
 		if err != nil {

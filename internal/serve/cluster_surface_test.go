@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 func TestHealthzReadyThenDraining(t *testing.T) {
@@ -50,7 +49,7 @@ func TestHealthzReadyThenDraining(t *testing.T) {
 }
 
 func TestControlBatchingEndpoint(t *testing.T) {
-	s := testServer(t) // MaxBatch 4, MaxWait 1ms
+	s := testServer(t) // MaxBatch 4
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	url := ts.URL + "/v1/control/batching"
@@ -68,20 +67,32 @@ func TestControlBatchingEndpoint(t *testing.T) {
 		return out, resp.StatusCode
 	}
 
-	// Keep-everything query echoes the live tuning.
-	out, code := retune(t, BatchingControl{MaxBatch: 0, MaxWaitMs: -1})
-	if code != http.StatusOK || out.MaxBatch != 4 || out.MaxWaitMs != 1 {
-		t.Fatalf("query = %d %+v, want 200 {4, 1ms}", code, out)
+	// Keep-everything query echoes the live setting.
+	out, code := retune(t, BatchingControl{MaxBatch: 0})
+	if code != http.StatusOK || out.MaxBatch != 4 {
+		t.Fatalf("query = %d %+v, want 200 {4}", code, out)
 	}
 	// In-bounds retune is echoed back resolved.
-	out, code = retune(t, BatchingControl{MaxBatch: 2, MaxWaitMs: 0.5})
-	if code != http.StatusOK || out.MaxBatch != 2 || out.MaxWaitMs != 0.5 {
-		t.Fatalf("retune = %d %+v, want 200 {2, 0.5ms}", code, out)
+	out, code = retune(t, BatchingControl{MaxBatch: 2})
+	if code != http.StatusOK || out.MaxBatch != 2 {
+		t.Fatalf("retune = %d %+v, want 200 {2}", code, out)
 	}
-	// Requests over the ceilings come back clamped, not errored.
-	out, code = retune(t, BatchingControl{MaxBatch: 1000, MaxWaitMs: 60000})
-	if code != http.StatusOK || out.MaxBatch != 4 || out.MaxWaitMs != 100 {
-		t.Fatalf("over-ceiling = %d %+v, want 200 {4, 100ms}", code, out)
+	// A request over the ceiling comes back clamped, not errored.
+	out, code = retune(t, BatchingControl{MaxBatch: 1000})
+	if code != http.StatusOK || out.MaxBatch != 4 {
+		t.Fatalf("over-ceiling = %d %+v, want 200 {4}", code, out)
+	}
+	// The wait knob is gone: a body from an older router that still sends
+	// max_wait_ms is served like any body with an unknown key, and the
+	// reply no longer carries the field.
+	resp := postJSON(t, url, map[string]any{"max_batch": 3, "max_wait_ms": 7.5})
+	var reply map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if _, has := reply["max_wait_ms"]; resp.StatusCode != http.StatusOK || reply["max_batch"] != 3.0 || has {
+		t.Fatalf("body with max_wait_ms = %d %v, want 200 {max_batch: 3}", resp.StatusCode, reply)
 	}
 	// Negative batch is a client error.
 	if _, code = retune(t, BatchingControl{MaxBatch: -1}); code != http.StatusBadRequest {
@@ -120,24 +131,21 @@ func TestLegacyModelAliasGone(t *testing.T) {
 
 func TestRetryAfterFrom(t *testing.T) {
 	cases := []struct {
-		name    string
-		p95     float64
-		ok      bool
-		maxWait time.Duration
-		want    string
+		name string
+		p95  float64
+		want string
 	}{
-		{"no observations falls back to max-wait, floored to 1s", 0, false, 2 * time.Millisecond, "1"},
-		{"no observations with long max-wait rounds it up", 0, false, 2500 * time.Millisecond, "3"},
-		{"small p95 floors at 1s", 0.05, true, time.Millisecond, "1"},
-		{"p95 of 600ms settles in ceil(2.4s) = 3s", 0.6, true, time.Millisecond, "3"},
-		{"p95 of 250ms → exactly 1s", 0.25, true, time.Millisecond, "1"},
-		{"p95 just over 250ms rounds up to 2s", 0.26, true, time.Millisecond, "2"},
-		{"large p95 scales linearly", 5, true, time.Millisecond, "20"},
+		{"no observations floors at 1s", 0, "1"},
+		{"small p95 floors at 1s", 0.05, "1"},
+		{"p95 of 600ms settles in ceil(2.4s) = 3s", 0.6, "3"},
+		{"p95 of 250ms → exactly 1s", 0.25, "1"},
+		{"p95 just over 250ms rounds up to 2s", 0.26, "2"},
+		{"large p95 scales linearly", 5, "20"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := retryAfterFrom(tc.p95, tc.ok, tc.maxWait); got != tc.want {
-				t.Fatalf("retryAfterFrom(%v, %v, %v) = %q, want %q", tc.p95, tc.ok, tc.maxWait, got, tc.want)
+			if got := retryAfterFrom(tc.p95); got != tc.want {
+				t.Fatalf("retryAfterFrom(%v) = %q, want %q", tc.p95, got, tc.want)
 			}
 		})
 	}

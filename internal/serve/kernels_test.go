@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
@@ -40,7 +39,7 @@ func TestServeKernelPlanReported(t *testing.T) {
 	}
 
 	s, err := NewWithOptions(cfg, net, 0.5, Options{
-		Replicas: 1, MaxWait: time.Millisecond, Plan: plan,
+		Replicas: 1, Plan: plan,
 	})
 	if err != nil {
 		t.Fatal(err)

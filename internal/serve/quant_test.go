@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
@@ -38,7 +37,7 @@ func TestServePrecisionInt8(t *testing.T) {
 	if rep.Quantized == 0 {
 		t.Fatalf("nothing quantized: %+v", rep)
 	}
-	s, err := NewWithOptions(cfg, qnet, 0.5, Options{Replicas: 1, MaxWait: time.Millisecond})
+	s, err := NewWithOptions(cfg, qnet, 0.5, Options{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

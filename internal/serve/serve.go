@@ -13,7 +13,7 @@
 //	GET    /v1/metrics            Prometheus text exposition (?format=json)
 //	GET    /v1/trace              latest sampled request as Chrome trace
 //	GET    /v1/healthz            liveness + readiness (200 ready, 503 draining)
-//	POST   /v1/control/batching   retune the effective max-batch/max-wait live
+//	POST   /v1/control/batching   retune the effective max-batch live
 //	GET    /healthz               liveness (unversioned)
 //	GET    /debug/pprof/*         Go profiling (only with Options.EnablePprof)
 //
@@ -27,8 +27,9 @@
 // {"error":{"code":"...","message":"..."}}.
 //
 // Inference runs on a batched multi-replica pool (internal/serve/batcher):
-// concurrent requests are coalesced into batches sized by the §6.4
-// efficiency curve and dispatched across independent network replicas.
+// an idle replica takes what is waiting at once, up to the §6.4 max-batch,
+// so requests coalesce into batches only while every replica is busy. The
+// clips of one /v1/detect/batch request reach the pool together.
 // Sweep jobs (internal/sweep) stream their candidate clips through the
 // same pool and survive graceful drains via on-disk checkpoints.
 //
@@ -56,7 +57,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,7 +66,6 @@ import (
 	"drainnet/internal/serve/batcher"
 	"drainnet/internal/sweep"
 	"drainnet/internal/telemetry"
-	"drainnet/internal/tensor"
 )
 
 // minClipSize is the smallest clip edge the service accepts; smaller
@@ -195,11 +194,10 @@ type DynamicInfo struct {
 // Options configures the serving pool behind the HTTP API. The zero
 // value selects the batcher defaults and a 30 s request timeout.
 type Options struct {
-	// Replicas, MaxBatch, MaxWait, QueueSize configure the inference pool
-	// (see batcher.Options).
+	// Replicas, MaxBatch, QueueSize configure the inference pool (see
+	// batcher.Options).
 	Replicas  int
 	MaxBatch  int
-	MaxWait   time.Duration
 	QueueSize int
 	// RequestTimeout bounds one request's time in queue + inference
 	// (default 30s; ≤0 keeps the default).
@@ -276,7 +274,6 @@ func NewWithOptions(cfg model.Config, net *nn.Sequential, threshold float64, opt
 	pool, err := batcher.New(cfg, net, batcher.Options{
 		Replicas:  opts.Replicas,
 		MaxBatch:  opts.MaxBatch,
-		MaxWait:   opts.MaxWait,
 		QueueSize: opts.QueueSize,
 		Telemetry: tel,
 		Plan:      opts.Plan,
@@ -457,17 +454,16 @@ func (s *Server) handleHealthV1(w http.ResponseWriter, r *http.Request) {
 }
 
 // BatchingControl is the POST /v1/control/batching payload and response:
-// the worker's effective batching knobs. On request, a zero/omitted
-// MaxBatch or negative MaxWaitMs keeps the current value; the response
-// carries the resolved (clamped) settings. This is the control surface
-// the router's adaptive batching controller retunes workers through.
+// the worker's effective max-batch. On request, a zero/omitted MaxBatch
+// keeps the current value; the response carries the resolved (clamped)
+// setting. This is the control surface the router's adaptive batching
+// controller retunes workers through.
 type BatchingControl struct {
-	MaxBatch  int     `json:"max_batch"`
-	MaxWaitMs float64 `json:"max_wait_ms"`
+	MaxBatch int `json:"max_batch"`
 }
 
 func (s *Server) handleControlBatching(w http.ResponseWriter, r *http.Request) {
-	req := BatchingControl{MaxWaitMs: -1}
+	var req BatchingControl
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(&req); err != nil {
 		writeError(w, bodyError(err))
 		return
@@ -476,12 +472,7 @@ func (s *Server) handleControlBatching(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest(CodeInvalidRequest, "max_batch must be ≥ 0 (0 keeps the current value)"))
 		return
 	}
-	maxWait := time.Duration(-1)
-	if req.MaxWaitMs >= 0 {
-		maxWait = time.Duration(req.MaxWaitMs * float64(time.Millisecond))
-	}
-	mb, mw := s.pool.Retune(req.MaxBatch, maxWait)
-	writeJSON(w, http.StatusOK, BatchingControl{MaxBatch: mb, MaxWaitMs: float64(mw) / float64(time.Millisecond)})
+	writeJSON(w, http.StatusOK, BatchingControl{MaxBatch: s.pool.Retune(req.MaxBatch)})
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
@@ -561,8 +552,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // readClips reads a clip route's body, capped at limit, into a pooled
-// decoder. The caller releases the decoder unless a tensor it handed to
-// infer may still be in use.
+// decoder. The caller releases the decoder unless the pool reports a clip
+// abandoned: a replica may yet read the tensor that views its storage.
 func (s *Server) readClips(w http.ResponseWriter, r *http.Request, limit int64) (*clipDecoder, *apiError) {
 	if r.ContentLength > limit {
 		return nil, bodyError(&http.MaxBytesError{Limit: limit})
@@ -633,15 +624,18 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	resp, e, done := s.infer(telemetry.WithRequestID(r.Context(), id), d.tensor(&d.items[0]))
-	if done {
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	defer cancel()
+	clip := [1]batcher.Clip{{Ctx: telemetry.WithRequestID(ctx, id), X: d.tensor(&d.items[0])}}
+	s.pool.SubmitAll(clip[:])
+	if !clip[0].Abandoned {
 		d.release()
 	}
-	if e != nil {
-		writeError(w, e)
+	if err := clip[0].Err; err != nil {
+		writeError(w, s.poolError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, s.hit(clip[0].Det))
 }
 
 func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
@@ -656,39 +650,42 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	// Check positionally, then submit the valid items concurrently so
-	// the pool can coalesce them into shared batches. Each valid item is
-	// its own telemetry span, opened when the request arrived so that it
-	// covers the decode; the response-written event lands after the whole
-	// batch response is serialized.
+	// Check positionally, then submit the valid items as one unit, so an
+	// idle replica finds them together and they share forward passes. Each
+	// valid item is its own telemetry span, opened when the request arrived
+	// so that it covers the decode; the response-written event lands after
+	// the whole batch response is serialized.
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	defer cancel()
 	items := make([]BatchItem, d.count)
-	ids := make([]uint64, d.count)
-	var abandoned atomic.Bool
-	var wg sync.WaitGroup
+	ids := make([]uint64, d.count) // 0: the item failed its check
+	clips := make([]batcher.Clip, 0, d.count)
 	for i := range items {
 		it := &d.items[i]
 		if e := s.checkClip(it); e != nil {
-			items[i].Error = &ErrorBody{Code: e.Code, Message: fmt.Sprintf("item %d: %s", i, e.Message)}
+			items[i].Error = itemError(i, e)
 			continue
 		}
 		ids[i] = s.tel.NextRequestID()
 		s.tel.Emit(telemetry.Event{Kind: telemetry.EvAccepted, Req: ids[i], At: accepted})
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, e, done := s.infer(telemetry.WithRequestID(r.Context(), ids[i]), d.tensor(it))
-			if !done {
-				abandoned.Store(true)
-			}
-			if e != nil {
-				items[i].Error = &ErrorBody{Code: e.Code, Message: fmt.Sprintf("item %d: %s", i, e.Message)}
-				return
-			}
-			items[i].Result = resp
-		}(i)
+		clips = append(clips, batcher.Clip{Ctx: telemetry.WithRequestID(ctx, ids[i]), X: d.tensor(it)})
 	}
-	wg.Wait()
-	if !abandoned.Load() {
+	s.pool.SubmitAll(clips)
+	abandoned := false
+	for i, next := 0, 0; i < len(items); i++ {
+		if ids[i] == 0 {
+			continue
+		}
+		clip := &clips[next]
+		next++
+		abandoned = abandoned || clip.Abandoned
+		if clip.Err != nil {
+			items[i].Error = itemError(i, s.poolError(clip.Err))
+			continue
+		}
+		items[i].Result = s.hit(clip.Det)
+	}
+	if !abandoned {
 		d.release()
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Items: items})
@@ -698,6 +695,11 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 			s.tel.Emit(telemetry.Event{Kind: telemetry.EvResponseWritten, Req: id, At: now})
 		}
 	}
+}
+
+// itemError is e as the positional error of batch item i.
+func itemError(i int, e *apiError) *ErrorBody {
+	return &ErrorBody{Code: e.Code, Message: fmt.Sprintf("item %d: %s", i, e.Message)}
 }
 
 // checkClip applies the request schema to a decoded clip: band count,
@@ -724,26 +726,15 @@ func (s *Server) checkClip(it *clipItem) *apiError {
 	return nil
 }
 
-// infer runs one checked clip through the pool, translating pool errors
-// into API errors. SPP-Net accepts any clip size ≥ minClipSize, so the
-// clip need not have the training size. done reports that the pool is
-// finished with x's storage. It is false only when Submit gave up on a
-// request that is still queued: a replica may yet copy x into its batch,
-// so the caller must leave that storage to the GC rather than reuse it.
-func (s *Server) infer(ctx context.Context, x *tensor.Tensor) (hit *Hit, e *apiError, done bool) {
-	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
-	defer cancel()
-	det, err := s.pool.Submit(ctx, x)
-	if err != nil {
-		// While ctx is live Submit cannot have taken its abandoning return.
-		return nil, s.poolError(err), ctx.Err() == nil
-	}
+// hit is a pool detection in the response schema. SPP-Net accepts any
+// clip size ≥ minClipSize, so the clip need not have had the training size.
+func (s *Server) hit(det metrics.Detection) *Hit {
 	box := det.Box
 	return &Hit{
 		Score:     det.Score,
 		Box:       &box,
 		HasObject: det.Score >= s.threshold,
-	}, nil, true
+	}
 }
 
 // poolError maps a batcher error to an HTTP status + envelope, attaching
@@ -772,23 +763,15 @@ func (s *Server) poolError(err error) *apiError {
 // retryAfterSeconds suggests a Retry-After for 429s from the live
 // queue-wait distribution (see retryAfterFrom).
 func (s *Server) retryAfterSeconds() string {
-	p95, ok := s.tel.QueueWaitQuantile(0.95)
-	return retryAfterFrom(p95, ok, s.pool.Options().MaxWait)
+	p95, _ := s.tel.QueueWaitQuantile(0.95)
+	return retryAfterFrom(p95)
 }
 
 // retryAfterFrom derives the Retry-After header value: a queue drains
-// roughly QueueSize·p95 waits, so the p95 queue wait times a settling
-// factor (4) is when capacity realistically frees up. With no quantile
-// observed yet (ok=false) it falls back to one max-wait window. Always
-// ≥ 1 whole second (the header's resolution), rounded up.
-func retryAfterFrom(p95 float64, ok bool, maxWait time.Duration) string {
-	est := maxWait.Seconds()
-	if ok {
-		est = p95 * 4
-	}
-	secs := int(math.Ceil(est))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
+// roughly QueueSize·p95 waits, so the p95 queue wait (0 while none has
+// been observed) times a settling factor (4) is when capacity
+// realistically frees up. Always ≥ 1 whole second (the header's
+// resolution), rounded up.
+func retryAfterFrom(p95 float64) string {
+	return strconv.Itoa(max(1, int(math.Ceil(p95*4))))
 }

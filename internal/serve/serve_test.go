@@ -8,9 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"drainnet/internal/model"
 )
@@ -22,7 +22,7 @@ func testServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewWithOptions(cfg, net, 0.5, Options{Replicas: 2, MaxBatch: 4, MaxWait: time.Millisecond})
+	s, err := NewWithOptions(cfg, net, 0.5, Options{Replicas: 2, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +251,78 @@ func TestDetectBatchPositionalResults(t *testing.T) {
 	}
 	if items[2].Result == nil {
 		t.Fatalf("item 2 should succeed: %+v", items[2])
+	}
+}
+
+// The clips of one batch request reach the pool as one unit: on an idle
+// server they leave as the fewest forward passes max-batch allows, however
+// many replicas are idle, and every answer is the reference detection.
+func TestDetectBatchRidesTogether(t *testing.T) {
+	for _, c := range []struct {
+		items int
+		sizes map[int]uint64 // batch size → forward passes
+	}{
+		{16, map[int]uint64{16: 1}},
+		{20, map[int]uint64{16: 1, 4: 1}},
+	} {
+		s, reference := detectReference(t, Options{Replicas: 2, MaxBatch: 16, QueueSize: 64})
+		clips := make([][]byte, c.items)
+		for i := range clips {
+			clips[i] = harnessClip(int64(i), 40)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/detect/batch", bytes.NewReader(batchBody(clips...))))
+		var br BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || rec.Code != http.StatusOK || len(br.Items) != c.items {
+			t.Fatalf("%d items: status %d, %v: %s", c.items, rec.Code, err, rec.Body)
+		}
+		for i, it := range br.Items {
+			if !sameHit(reference(clips[i]), it.Result) {
+				t.Fatalf("%d items: item %d answered %+v", c.items, i, it)
+			}
+		}
+		// Stats.BatchSizes is the drainnet_batch_size histogram.
+		for size, n := range s.Pool().Stats().BatchSizes {
+			if n != c.sizes[size+1] {
+				t.Fatalf("%d items: %d batches of %d, want %d", c.items, n, size+1, c.sizes[size+1])
+			}
+		}
+	}
+}
+
+// A batch request that meets the queue bound part-way is answered
+// positionally: the items that fit are served, the rest say queue_full.
+func TestDetectBatchPartialAdmission(t *testing.T) {
+	s, reference := detectReference(t, Options{Replicas: 1, MaxBatch: 8, QueueSize: 4})
+	clips := make([][]byte, 6)
+	for i := range clips {
+		clips[i] = harnessClip(int64(i), 40)
+	}
+	clips[1] = []byte(`{"bands":3,"size":8,"pixels":[]}`) // fails its check: takes no room
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/detect/batch", bytes.NewReader(batchBody(clips...))))
+	var br BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || rec.Code != http.StatusOK || len(br.Items) != len(clips) {
+		t.Fatalf("status %d, %v: %s", rec.Code, err, rec.Body)
+	}
+	for i, it := range br.Items {
+		switch i {
+		case 1:
+			if it.Error == nil || it.Error.Code != CodeInvalidRequest {
+				t.Fatalf("item 1: %+v, want %s", it, CodeInvalidRequest)
+			}
+		case 5:
+			if it.Error == nil || it.Error.Code != CodeQueueFull || !strings.HasPrefix(it.Error.Message, "item 5: ") {
+				t.Fatalf("item 5: %+v, want %s", it, CodeQueueFull)
+			}
+		default:
+			if !sameHit(reference(clips[i]), it.Result) {
+				t.Fatalf("item %d answered %+v", i, it)
+			}
+		}
+	}
+	if st := s.Pool().Stats(); st.Served != 4 || st.Rejected != 1 || st.Batches != 1 {
+		t.Fatalf("stats %+v, want the 4 admitted items in one batch and 1 rejected", st)
 	}
 }
 

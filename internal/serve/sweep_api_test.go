@@ -265,7 +265,7 @@ func TestSweepSurvivesServerRestart(t *testing.T) {
 // 429 responses carry Retry-After guidance; once queue waits have been
 // observed, the header derives from the live p95.
 func TestQueueFullRetryAfter(t *testing.T) {
-	s := testServerWith(t, Options{Replicas: 1, MaxBatch: 1, QueueSize: 1, MaxWait: time.Millisecond})
+	s := testServerWith(t, Options{Replicas: 1, MaxBatch: 1, QueueSize: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -32,9 +32,6 @@ func testServerWith(t *testing.T, opts Options) *Server {
 	if opts.MaxBatch == 0 {
 		opts.MaxBatch = 4
 	}
-	if opts.MaxWait == 0 {
-		opts.MaxWait = time.Millisecond
-	}
 	s, err := NewWithOptions(cfg, net, 0.5, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -299,6 +296,11 @@ func TestConcurrentRequestsAndScrapes(t *testing.T) {
 	served := tel.Registry().Counter("drainnet_requests_served_total", "")
 	if served.Value() != clients*perClient {
 		t.Fatalf("served %d, want %d", served.Value(), clients*perClient)
+	}
+	// The router adds this gauge to a worker's load: once the burst has
+	// drained it must read 0, not the depth some submit last saw.
+	if text, _ := scrape(t, ts.URL+"/v1/metrics"); !strings.Contains(text, "\ndrainnet_queue_depth 0\n") {
+		t.Fatalf("drainnet_queue_depth is not 0 after the burst drained:\n%s", text)
 	}
 	spans := tel.Registry().Counter("drainnet_spans_total", "")
 	waitFor(t, func() bool { return spans.Value() >= clients*perClient },

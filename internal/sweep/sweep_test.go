@@ -354,7 +354,7 @@ func TestKillAndResumeThroughBatcherPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		p, err := batcher.New(cfg, net, batcher.Options{
-			Replicas: 2, MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 32,
+			Replicas: 2, MaxBatch: 4, QueueSize: 32,
 		})
 		if err != nil {
 			t.Fatal(err)
