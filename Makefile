@@ -51,11 +51,14 @@ bench-cluster:
 # report exactly 0 allocs per run (testing.AllocsPerRun inside the
 # tests). The request decoder's guard bounds what a warm server allocates
 # per batch-16 request by a constant that does not grow with pixel count;
-# the pool's guard pins what one Submit on an idle pool allocates.
+# the pool's guard pins what one Submit on an idle pool allocates; the
+# raster-preparation guard bounds a 512² terrain.Generate (16 MB, 1,000
+# objects) and terrain.Render (6 MB, 100 objects).
 check-allocs:
 	$(GO) test -run 'TestInferSteadyStateZeroAlloc|TestScheduledSteadyStateZeroAlloc|TestQuantInferSteadyStateZeroAlloc|TestTunedInferSteadyStateZeroAlloc|TestDynamicInferSteadyStateZeroAlloc' -v ./internal/model/
 	$(GO) test -run 'TestDecodeSteadyStateAllocs' -v ./internal/serve/
 	$(GO) test -run 'TestSubmitSteadyStateAllocs' -v ./internal/serve/batcher/
+	$(GO) test -run 'TestRasterPreparationAllocBudget' -v ./internal/terrain/
 
 # Ten seconds of every native fuzz target (go test takes one -fuzz target
 # and one package per run). The /v1/detect[/batch] decoders are checked

@@ -1,9 +1,6 @@
 package hydro
 
-import (
-	"container/heap"
-	"sort"
-)
+import "drainnet/internal/tensor"
 
 // FlowDir holds D8 flow directions: for each cell, the index 0..7 of the
 // steepest-descent neighbor, or -1 for pits and flats with no lower
@@ -35,79 +32,138 @@ func (f *FlowDir) Downstream(p Point) (Point, bool) {
 // D8FlowDirections computes steepest-descent D8 directions on dem. Border
 // cells whose steepest descent leaves the raster are marked EdgeDir.
 func D8FlowDirections(dem *Grid) *FlowDir {
-	f := &FlowDir{Rows: dem.Rows, Cols: dem.Cols, Dir: make([]int8, dem.Rows*dem.Cols)}
-	for r := 0; r < dem.Rows; r++ {
-		for c := 0; c < dem.Cols; c++ {
-			z := dem.At(r, c)
-			best := int8(PitDir)
+	rows, cols := dem.Rows, dem.Cols
+	f := &FlowDir{Rows: rows, Cols: cols, Dir: make([]int8, rows*cols)}
+	var offset [8]int
+	for k := range offset {
+		offset[k] = d8dr[k]*cols + d8dc[k]
+	}
+	// A cell's direction depends on the DEM alone, so rows are shared out
+	// over the worker pool.
+	tensor.ParallelFor(rows, func(r int) {
+		border := r == 0 || r == rows-1
+		for c := 0; c < cols; c++ {
+			i := r*cols + c
+			z := dem.Data[i]
+			best := PitDir
 			bestSlope := 0.0
-			offGrid := false
-			for i := 0; i < 8; i++ {
-				nr, nc := r+d8dr[i], c+d8dc[i]
-				if !dem.In(nr, nc) {
-					// Flowing off the edge is always possible for border
-					// cells; model the outside as infinitely low.
-					offGrid = true
+			// Only a cell on the raster's rim has neighbours to bounds-check.
+			rim := border || c == 0 || c == cols-1
+			for k := 0; k < 8; k++ {
+				if rim && !dem.In(r+d8dr[k], c+d8dc[k]) {
 					continue
 				}
-				slope := (z - dem.At(nr, nc)) / dist8(i)
-				if slope > bestSlope {
-					bestSlope = slope
-					best = int8(i)
+				if slope := (z - dem.Data[i+offset[k]]) / dist8(k); slope > bestSlope {
+					bestSlope, best = slope, int8(k)
 				}
 			}
-			if best == PitDir && offGrid {
+			if rim && best == PitDir {
+				// Flowing off the edge is always possible for rim cells;
+				// model the outside as infinitely low.
 				best = EdgeDir
 			}
-			f.Dir[r*f.Cols+c] = best
+			f.Dir[i] = best
 		}
-	}
+	})
 	return f
 }
 
-// FlowAccumulation computes D8 flow accumulation (number of upstream
-// cells, inclusive of the cell itself) by processing cells in descending
-// elevation order.
+// FlowAccumulation computes D8 flow accumulation: the number of cells
+// that drain through each cell, the cell itself included.
+//
+// dirs must be acyclic, which D8FlowDirections guarantees on any dem
+// (every step is strictly downhill). The pass is Kahn's ordering over
+// dirs: a cell hands its total to its receiver once every contributor of
+// its own has, so each cell is visited once and dem is read only for its
+// geometry. Every partial sum is an integer below 2^53, so the float64
+// totals are exact and do not depend on the visiting order. Should a
+// hand-built dirs contain a cycle, the pass still terminates: the cells
+// on the cycle keep only what acyclic tributaries drained into them.
 func FlowAccumulation(dem *Grid, dirs *FlowDir) *Grid {
 	acc := NewGrid(dem.Rows, dem.Cols, dem.CellSize)
 	for i := range acc.Data {
 		acc.Data[i] = 1
 	}
-	order := make([]int, len(dem.Data))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return dem.Data[order[a]] > dem.Data[order[b]] })
-	for _, idx := range order {
-		r, c := idx/dem.Cols, idx%dem.Cols
-		d := dirs.At(r, c)
-		if d < 0 {
-			continue
+	// pending[i] counts the contributors of cell i that have not yet
+	// handed over their total (at most 8); settled marks a cell that has.
+	const settled = 0xff
+	pending := make([]uint8, len(acc.Data))
+	for i, d := range dirs.Dir {
+		if d >= 0 {
+			pending[i+d8dr[d]*dirs.Cols+d8dc[d]]++
 		}
-		nr, nc := r+d8dr[d], c+d8dc[d]
-		acc.Add(nr, nc, acc.At(r, c))
+	}
+	for head := range pending {
+		// Follow the path from each headwater for as long as the cell
+		// reached has no other contributor outstanding.
+		for i := head; pending[i] == 0; {
+			pending[i] = settled
+			d := dirs.Dir[i]
+			if d < 0 {
+				break
+			}
+			j := i + d8dr[d]*dirs.Cols + d8dc[d]
+			acc.Data[j] += acc.Data[i]
+			pending[j]--
+			i = j
+		}
 	}
 	return acc
 }
 
-// floodCell is a priority-queue item for priority-flood filling.
+// floodCell is a priority-queue item for priority-flood filling: cell i
+// of the raster at (possibly raised) elevation z.
 type floodCell struct {
-	z    float64
-	r, c int
+	z float64
+	i int
 }
 
+// floodHeap is a binary min-heap on z. Which of several equal-z cells
+// pops first decides which neighbour FillDepressions raises by eps, so
+// push and pop sift exactly as container/heap's up and down do (same
+// comparisons, same resulting layout) and the filled surface stays
+// bit-identical to the container/heap implementation it replaced.
 type floodHeap []floodCell
 
-func (h floodHeap) Len() int            { return len(h) }
-func (h floodHeap) Less(i, j int) bool  { return h[i].z < h[j].z }
-func (h floodHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *floodHeap) Push(x interface{}) { *h = append(*h, x.(floodCell)) }
-func (h *floodHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *floodHeap) push(x floodCell) {
+	s := append(*h, x)
+	j := len(s) - 1
+	for j > 0 {
+		parent := (j - 1) / 2
+		if !(x.z < s[parent].z) {
+			break
+		}
+		s[j] = s[parent]
+		j = parent
+	}
+	s[j] = x
+	*h = s
+}
+
+func (h *floodHeap) pop() floodCell {
+	s := *h
+	n := len(s) - 1
+	top, x := s[0], s[n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && s[right].z < s[child].z {
+			child = right
+		}
+		if !(s[child].z < x.z) {
+			break
+		}
+		s[i] = s[child]
+		i = child
+	}
+	if n > 0 {
+		s[i] = x
+	}
+	*h = s[:n]
+	return top
 }
 
 // FillDepressions returns a copy of dem with all interior depressions
@@ -116,39 +172,45 @@ func (h *floodHeap) Pop() interface{} {
 func FillDepressions(dem *Grid) *Grid {
 	const eps = 1e-6
 	out := dem.Clone()
+	rows, cols := dem.Rows, dem.Cols
 	visited := make([]bool, len(dem.Data))
-	h := &floodHeap{}
-	heap.Init(h)
-	push := func(r, c int) {
-		visited[r*dem.Cols+c] = true
-		heap.Push(h, floodCell{z: out.At(r, c), r: r, c: c})
+	var h floodHeap
+	seed := func(r, c int) {
+		i := r*cols + c
+		visited[i] = true
+		h.push(floodCell{z: out.Data[i], i: i})
 	}
-	for c := 0; c < dem.Cols; c++ {
-		push(0, c)
-		if dem.Rows > 1 {
-			push(dem.Rows-1, c)
+	for c := 0; c < cols; c++ {
+		seed(0, c)
+		if rows > 1 {
+			seed(rows-1, c)
 		}
 	}
-	for r := 1; r < dem.Rows-1; r++ {
-		push(r, 0)
-		if dem.Cols > 1 {
-			push(r, dem.Cols-1)
+	for r := 1; r < rows-1; r++ {
+		seed(r, 0)
+		if cols > 1 {
+			seed(r, cols-1)
 		}
 	}
-	for h.Len() > 0 {
-		cell := heap.Pop(h).(floodCell)
-		for i := 0; i < 8; i++ {
-			nr, nc := cell.r+d8dr[i], cell.c+d8dc[i]
-			if !dem.In(nr, nc) || visited[nr*dem.Cols+nc] {
+	for len(h) > 0 {
+		cell := h.pop()
+		r, c := cell.i/cols, cell.i%cols
+		for k := 0; k < 8; k++ {
+			nr, nc := r+d8dr[k], c+d8dc[k]
+			if nr < 0 || nr >= rows || nc < 0 || nc >= cols {
 				continue
 			}
-			visited[nr*dem.Cols+nc] = true
-			z := out.At(nr, nc)
+			ni := nr*cols + nc
+			if visited[ni] {
+				continue
+			}
+			visited[ni] = true
+			z := out.Data[ni]
 			if z <= cell.z {
 				z = cell.z + eps
-				out.Set(nr, nc, z)
+				out.Data[ni] = z
 			}
-			heap.Push(h, floodCell{z: z, r: nr, c: nc})
+			h.push(floodCell{z: z, i: ni})
 		}
 	}
 	return out

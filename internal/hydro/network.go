@@ -1,52 +1,61 @@
 package hydro
 
-import "sort"
-
 // StrahlerOrder computes the Strahler stream order of every stream cell:
 // headwater streams are order 1; when two streams of equal order w meet,
 // the downstream order becomes w+1; otherwise the maximum order carries
-// through. Non-stream cells get order 0.
+// through. Non-stream cells get order 0. Like FlowAccumulation it needs
+// acyclic dirs and reads dem only for its geometry.
 func StrahlerOrder(dem *Grid, dirs *FlowDir, streamMask []bool) []int {
 	n := dem.Rows * dem.Cols
 	order := make([]int, n)
+	// receiver returns the stream cell that stream cell i drains into.
+	receiver := func(i int) (int, bool) {
+		d := dirs.Dir[i]
+		if d < 0 {
+			return 0, false
+		}
+		j := i + d8dr[d]*dem.Cols + d8dc[d]
+		return j, streamMask[j]
+	}
 
-	// Process stream cells from high to low elevation so every upstream
-	// contributor is resolved before its receiver.
-	var cells []int
-	for i := 0; i < n; i++ {
-		if streamMask[i] {
-			cells = append(cells, i)
+	// Resolve every upstream contributor before its receiver: pending[i]
+	// counts the stream cells draining into i that have no order yet.
+	const settled = 0xff
+	pending := make([]uint8, n)
+	for i := range pending {
+		if !streamMask[i] {
+			pending[i] = settled
+		} else if j, ok := receiver(i); ok {
+			pending[j]++
 		}
 	}
-	sort.Slice(cells, func(a, b int) bool { return dem.Data[cells[a]] > dem.Data[cells[b]] })
-
 	// Per-cell incoming contributor orders.
 	maxIn := make([]int, n)
 	cntMaxIn := make([]int, n)
-	for _, i := range cells {
-		w := 1
-		if maxIn[i] > 0 {
-			w = maxIn[i]
-			if cntMaxIn[i] > 1 {
-				w++
+	for head := range pending {
+		for i := head; pending[i] == 0; {
+			pending[i] = settled
+			w := 1
+			if maxIn[i] > 0 {
+				w = maxIn[i]
+				if cntMaxIn[i] > 1 {
+					w++
+				}
 			}
-		}
-		order[i] = w
-		r, c := i/dem.Cols, i%dem.Cols
-		d := dirs.At(r, c)
-		if d < 0 {
-			continue
-		}
-		j := (r+d8dr[d])*dem.Cols + (c + d8dc[d])
-		if !streamMask[j] {
-			continue
-		}
-		switch {
-		case w > maxIn[j]:
-			maxIn[j] = w
-			cntMaxIn[j] = 1
-		case w == maxIn[j]:
-			cntMaxIn[j]++
+			order[i] = w
+			j, ok := receiver(i)
+			if !ok {
+				break
+			}
+			switch {
+			case w > maxIn[j]:
+				maxIn[j] = w
+				cntMaxIn[j] = 1
+			case w == maxIn[j]:
+				cntMaxIn[j]++
+			}
+			pending[j]--
+			i = j
 		}
 	}
 	return order

@@ -1,0 +1,342 @@
+package hydro
+
+import (
+	"container/heap"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// The implementations this package shipped before the sweep's raster
+// preparation was rewritten (container/heap priority flood, sort-based
+// accumulation and Strahler ordering, bounds-checked D8), kept verbatim as
+// oracles: the replacements must agree with them bit for bit.
+
+type refFloodCell struct {
+	z    float64
+	r, c int
+}
+
+type refFloodHeap []refFloodCell
+
+func (h refFloodHeap) Len() int            { return len(h) }
+func (h refFloodHeap) Less(i, j int) bool  { return h[i].z < h[j].z }
+func (h refFloodHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refFloodHeap) Push(x interface{}) { *h = append(*h, x.(refFloodCell)) }
+func (h *refFloodHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+func refFillDepressions(dem *Grid) *Grid {
+	const eps = 1e-6
+	out := dem.Clone()
+	visited := make([]bool, len(dem.Data))
+	h := &refFloodHeap{}
+	heap.Init(h)
+	push := func(r, c int) {
+		visited[r*dem.Cols+c] = true
+		heap.Push(h, refFloodCell{z: out.At(r, c), r: r, c: c})
+	}
+	for c := 0; c < dem.Cols; c++ {
+		push(0, c)
+		if dem.Rows > 1 {
+			push(dem.Rows-1, c)
+		}
+	}
+	for r := 1; r < dem.Rows-1; r++ {
+		push(r, 0)
+		if dem.Cols > 1 {
+			push(r, dem.Cols-1)
+		}
+	}
+	for h.Len() > 0 {
+		cell := heap.Pop(h).(refFloodCell)
+		for i := 0; i < 8; i++ {
+			nr, nc := cell.r+d8dr[i], cell.c+d8dc[i]
+			if !dem.In(nr, nc) || visited[nr*dem.Cols+nc] {
+				continue
+			}
+			visited[nr*dem.Cols+nc] = true
+			z := out.At(nr, nc)
+			if z <= cell.z {
+				z = cell.z + eps
+				out.Set(nr, nc, z)
+			}
+			heap.Push(h, refFloodCell{z: z, r: nr, c: nc})
+		}
+	}
+	return out
+}
+
+func refD8FlowDirections(dem *Grid) *FlowDir {
+	f := &FlowDir{Rows: dem.Rows, Cols: dem.Cols, Dir: make([]int8, dem.Rows*dem.Cols)}
+	for r := 0; r < dem.Rows; r++ {
+		for c := 0; c < dem.Cols; c++ {
+			z := dem.At(r, c)
+			best := int8(PitDir)
+			bestSlope := 0.0
+			offGrid := false
+			for i := 0; i < 8; i++ {
+				nr, nc := r+d8dr[i], c+d8dc[i]
+				if !dem.In(nr, nc) {
+					offGrid = true
+					continue
+				}
+				slope := (z - dem.At(nr, nc)) / dist8(i)
+				if slope > bestSlope {
+					bestSlope = slope
+					best = int8(i)
+				}
+			}
+			if best == PitDir && offGrid {
+				best = EdgeDir
+			}
+			f.Dir[r*f.Cols+c] = best
+		}
+	}
+	return f
+}
+
+func refFlowAccumulation(dem *Grid, dirs *FlowDir) *Grid {
+	acc := NewGrid(dem.Rows, dem.Cols, dem.CellSize)
+	for i := range acc.Data {
+		acc.Data[i] = 1
+	}
+	order := make([]int, len(dem.Data))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return dem.Data[order[a]] > dem.Data[order[b]] })
+	for _, idx := range order {
+		r, c := idx/dem.Cols, idx%dem.Cols
+		d := dirs.At(r, c)
+		if d < 0 {
+			continue
+		}
+		nr, nc := r+d8dr[d], c+d8dc[d]
+		acc.Add(nr, nc, acc.At(r, c))
+	}
+	return acc
+}
+
+func refStrahlerOrder(dem *Grid, dirs *FlowDir, streamMask []bool) []int {
+	n := dem.Rows * dem.Cols
+	order := make([]int, n)
+	var cells []int
+	for i := 0; i < n; i++ {
+		if streamMask[i] {
+			cells = append(cells, i)
+		}
+	}
+	sort.Slice(cells, func(a, b int) bool { return dem.Data[cells[a]] > dem.Data[cells[b]] })
+	maxIn := make([]int, n)
+	cntMaxIn := make([]int, n)
+	for _, i := range cells {
+		w := 1
+		if maxIn[i] > 0 {
+			w = maxIn[i]
+			if cntMaxIn[i] > 1 {
+				w++
+			}
+		}
+		order[i] = w
+		r, c := i/dem.Cols, i%dem.Cols
+		d := dirs.At(r, c)
+		if d < 0 {
+			continue
+		}
+		j := (r+d8dr[d])*dem.Cols + (c + d8dc[d])
+		if !streamMask[j] {
+			continue
+		}
+		switch {
+		case w > maxIn[j]:
+			maxIn[j] = w
+			cntMaxIn[j] = 1
+		case w == maxIn[j]:
+			cntMaxIn[j]++
+		}
+	}
+	return order
+}
+
+// differentialDEMs are the terrains the old and new implementations are
+// compared on: rough and smooth random relief, heavy ties (quantised and
+// all-flat), a plateau with a pit, and degenerate shapes.
+func differentialDEMs() map[string]*Grid {
+	rng := rand.New(rand.NewSource(42))
+	random := func(rows, cols int, f func(r, c int) float64) *Grid {
+		g := NewGrid(rows, cols, 1)
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				g.Set(r, c, f(r, c))
+			}
+		}
+		return g
+	}
+	plateau := random(24, 31, func(r, c int) float64 { return 10 })
+	plateau.Set(12, 15, 3) // a pit in the middle of the plateau
+	plateau.Set(12, 16, 3)
+	plateau.Set(5, 5, 12) // and a bump
+	return map[string]*Grid{
+		"rough":      random(48, 37, func(r, c int) float64 { return rng.Float64() * 5 }),
+		"tilted":     random(40, 40, func(r, c int) float64 { return float64(40-c) + rng.Float64()*2 }),
+		"quantised":  random(33, 45, func(r, c int) float64 { return float64(rng.Intn(4)) }),
+		"flat":       random(20, 20, func(r, c int) float64 { return 7 }),
+		"plateau":    plateau,
+		"single_row": random(1, 50, func(r, c int) float64 { return float64(rng.Intn(6)) }),
+		"single_col": random(50, 1, func(r, c int) float64 { return float64(rng.Intn(6)) }),
+		"two_by_two": random(2, 2, func(r, c int) float64 { return float64(r + c) }),
+		"one_cell":   random(1, 1, func(r, c int) float64 { return 1 }),
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The typed heap must pop in exactly container/heap's order, ties
+// included: the cell payload tells equal-z items apart.
+func TestFloodHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var got floodHeap
+	want := &refFloodHeap{}
+	pop := func(step int) {
+		g, w := got.pop(), heap.Pop(want).(refFloodCell)
+		if g.z != w.z || g.i != w.r {
+			t.Fatalf("pop %d: got (z=%v, cell %d), container/heap gives (z=%v, cell %d)", step, g.z, g.i, w.z, w.r)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		z := float64(rng.Intn(8)) // quantised: ~1250 cells per level
+		got.push(floodCell{z: z, i: i})
+		heap.Push(want, refFloodCell{z: z, r: i})
+		// Interleave pops the way the flood does, so sift-down runs on
+		// heaps of every size, not only while draining.
+		if rng.Intn(3) == 0 {
+			pop(i)
+		}
+	}
+	for step := 0; len(got) > 0; step++ {
+		if len(got) != want.Len() {
+			t.Fatalf("lengths diverge: %d vs %d", len(got), want.Len())
+		}
+		pop(step)
+	}
+	if want.Len() != 0 {
+		t.Fatalf("container/heap still holds %d cells", want.Len())
+	}
+}
+
+func TestFillDepressionsMatchesReference(t *testing.T) {
+	for name, dem := range differentialDEMs() {
+		before := dem.Clone()
+		got, want := FillDepressions(dem), refFillDepressions(dem)
+		if !sameBits(got.Data, want.Data) {
+			t.Errorf("%s: filled surface differs from the container/heap implementation", name)
+		}
+		if !sameBits(dem.Data, before.Data) {
+			t.Errorf("%s: FillDepressions modified its input", name)
+		}
+	}
+}
+
+func TestD8FlowDirectionsMatchesReference(t *testing.T) {
+	for name, dem := range differentialDEMs() {
+		for _, g := range []*Grid{dem, FillDepressions(dem)} {
+			if got, want := D8FlowDirections(g), refD8FlowDirections(g); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: D8 directions differ from the bounds-checked implementation", name)
+			}
+		}
+	}
+}
+
+// The in-degree pass must equal the elevation-sorted one on filled DEMs
+// (the generator's use) and on raw ones (ConnectivityScore's use).
+func TestFlowAccumulationMatchesReference(t *testing.T) {
+	for name, dem := range differentialDEMs() {
+		for kind, g := range map[string]*Grid{"raw": dem, "filled": FillDepressions(dem)} {
+			dirs := D8FlowDirections(g)
+			got, want := FlowAccumulation(g, dirs), refFlowAccumulation(g, dirs)
+			if !sameBits(got.Data, want.Data) {
+				t.Errorf("%s/%s: accumulation differs from the sort-based implementation", name, kind)
+			}
+		}
+	}
+}
+
+// D8FlowDirections never produces a cycle, but FlowAccumulation is
+// exported and takes any FlowDir. On a cycle it must terminate, and the
+// documented result is that the cells of the cycle keep only what acyclic
+// tributaries drained into them.
+func TestFlowAccumulationTerminatesOnCycle(t *testing.T) {
+	// One row of six cells: 0 → 1 → 2 ⇄ 3, and 5 → 4 → off the edge.
+	// East is direction 0, west is direction 4.
+	dem := NewGrid(1, 6, 1)
+	dirs := &FlowDir{Rows: 1, Cols: 6, Dir: []int8{0, 0, 0, 4, EdgeDir, 4}}
+	got := FlowAccumulation(dem, dirs).Data
+	want := []float64{1, 2, 3, 1, 2, 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("accumulation on a cyclic FlowDir = %v, want %v", got, want)
+	}
+}
+
+func TestStrahlerOrderMatchesReference(t *testing.T) {
+	for name, dem := range differentialDEMs() {
+		g := FillDepressions(dem)
+		dirs := D8FlowDirections(g)
+		acc := FlowAccumulation(g, dirs)
+		for _, threshold := range []float64{1, 3, 12} {
+			mask := ExtractStreams(acc, threshold)
+			if got, want := StrahlerOrder(g, dirs, mask), refStrahlerOrder(g, dirs, mask); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (threshold %v): Strahler orders differ from the sort-based implementation", name, threshold)
+			}
+		}
+	}
+}
+
+// Dilate must equal the definition it replaces in the renderer: a cell is
+// set iff the (2r+1)² neighbourhood, clipped at the raster edge, holds a
+// set cell.
+func TestDilateMatchesNeighbourhoodScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct{ rows, cols, r int }{{17, 23, 3}, {9, 40, 1}, {30, 7, 10}, {1, 12, 2}, {12, 1, 2}, {8, 8, 0}} {
+		t.Run(fmt.Sprintf("%dx%d_r%d", tc.rows, tc.cols, tc.r), func(t *testing.T) {
+			mask := make([]bool, tc.rows*tc.cols)
+			for i := range mask {
+				mask[i] = rng.Intn(25) == 0
+			}
+			// Corners and edges are where a clipped neighbourhood differs.
+			mask[0], mask[len(mask)-1] = true, true
+			got := Dilate(mask, tc.rows, tc.cols, tc.r)
+			for r := 0; r < tc.rows; r++ {
+				for c := 0; c < tc.cols; c++ {
+					want := false
+					for rr := max(0, r-tc.r); rr <= min(tc.rows-1, r+tc.r); rr++ {
+						for cc := max(0, c-tc.r); cc <= min(tc.cols-1, c+tc.r); cc++ {
+							want = want || mask[rr*tc.cols+cc]
+						}
+					}
+					if got[r*tc.cols+c] != want {
+						t.Fatalf("cell (%d,%d): dilated %v, scan %v", r, c, got[r*tc.cols+c], want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -423,26 +423,62 @@ func (j *Job) setPhase(phase string) {
 	j.mu.Unlock()
 }
 
+// scene is the one prepared scenario a job keeps between iterations: the
+// watershed (masks and crossings only — a sweep never reads the DEMs) and
+// its candidate windows. Consecutive scenarios that differ only in imaging
+// conditions generate the same terrain.Config, so they share it and only
+// re-render; a different config, or a resumed job, prepares afresh.
+type scene struct {
+	w     *terrain.Watershed
+	cands []window
+	total int
+}
+
+// prepare readies the scene for scenario sc of spec and renders it,
+// announcing each stage it actually runs through enter: generate and
+// extract only when the previous scenario's config differs. The previous
+// watershed is released before a different one is generated, so two are
+// never live at once.
+func (s *scene) prepare(spec Spec, sc terrain.Scenario, enter func(phase string)) (*tensor.Tensor, error) {
+	cfg := spec.terrainConfig(sc)
+	reuse := s.w != nil && s.w.Cfg == cfg
+	if !reuse {
+		*s = scene{}
+		enter("generate")
+		w, err := terrain.Generate(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		}
+		w.BaseDEM, w.DEM = nil, nil
+		s.w = w
+	}
+	enter("render")
+	img := terrain.RenderScenario(s.w, sc)
+	if !reuse {
+		enter("extract")
+		s.cands, s.total = candidateWindows(s.w, spec)
+	}
+	return img, nil
+}
+
 func (j *Job) sweep() error {
+	var prep scene
 	for si := j.scenarioIdx; si < len(j.spec.Scenarios); si++ {
 		sc, err := terrain.ScenarioByName(j.spec.Scenarios[si])
 		if err != nil {
 			return err
 		}
-		j.mu.Lock()
-		j.scenarioIdx = si
-		j.scenario = sc.Name
-		j.phase = "generate"
-		j.mu.Unlock()
-
-		w, err := terrain.Generate(j.spec.terrainConfig(sc))
+		img, err := prep.prepare(j.spec, sc, func(phase string) {
+			j.mu.Lock()
+			j.scenarioIdx = si
+			j.scenario = sc.Name
+			j.phase = phase
+			j.mu.Unlock()
+		})
 		if err != nil {
-			return fmt.Errorf("scenario %s: %w", sc.Name, err)
+			return err
 		}
-		j.setPhase("render")
-		img := terrain.RenderScenario(w, sc)
-		j.setPhase("extract")
-		cands, total := candidateWindows(w, j.spec)
+		w, cands, total := prep.w, prep.cands, prep.total
 
 		j.mu.Lock()
 		if j.counted < si {
@@ -567,6 +603,7 @@ func (j *Job) submitWithRetry(x *tensor.Tensor) (s struct {
 	det metrics.Detection
 	err error
 }) {
+	var backoff *time.Timer // made on the first rejection, reused after
 	for {
 		s.det, s.err = j.m.opts.Submit.Submit(j.ctx, x)
 		if !errors.Is(s.err, batcher.ErrQueueFull) {
@@ -580,11 +617,17 @@ func (j *Job) submitWithRetry(x *tensor.Tensor) (s struct {
 			}
 			return s
 		}
+		if backoff == nil {
+			backoff = time.NewTimer(2 * time.Millisecond)
+		} else {
+			backoff.Reset(2 * time.Millisecond) // it fired and was drained below
+		}
 		select {
 		case <-j.ctx.Done():
+			backoff.Stop()
 			s.err = context.Cause(j.ctx)
 			return s
-		case <-time.After(2 * time.Millisecond):
+		case <-backoff.C:
 		}
 	}
 }

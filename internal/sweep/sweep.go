@@ -16,6 +16,14 @@
 // resuming a killed job finishes with bit-identical results, because
 // window enumeration is a pure function of the spec and the inference
 // fast path is deterministic per clip regardless of batch composition.
+//
+// A job builds each distinct watershed once: consecutive scenarios whose
+// terrain.Config is equal (five of the suite's seven differ only in
+// imaging conditions) share one generated watershed and one set of
+// candidate windows and only re-render. The job keeps that single
+// previous scenario, nothing more; a resumed job starts with none and
+// regenerates the scenario it stopped in, to the same bits.
+//
 // The Manager owns job lifecycle (start, status, results pagination,
 // cancel, drain, resume) for both the /v1/sweep HTTP API and the
 // drainnet-sweep CLI.
@@ -110,7 +118,7 @@ func (s Spec) WithDefaults(defaultWindow int) Spec {
 		s.Scenarios = []string{"baseline"}
 	}
 	if len(s.Scenarios) == 1 && s.Scenarios[0] == "all" {
-		s.Scenarios = s.Scenarios[:0]
+		s.Scenarios = nil // not [:0]: the caller's slice must keep its "all"
 		for _, sc := range terrain.Scenarios() {
 			s.Scenarios = append(s.Scenarios, sc.Name)
 		}
@@ -299,8 +307,8 @@ func candidateWindows(w *terrain.Watershed, spec Spec) (cands []window, total in
 		return wins, len(wins)
 	}
 	rows, cols := w.Cfg.Rows, w.Cfg.Cols
-	near := dilate(w.RoadMask, rows, cols, spec.Prior.RoadRadius)
-	stream := dilate(w.StreamMask, rows, cols, spec.Prior.StreamRadius)
+	near := hydro.Dilate(w.RoadMask, rows, cols, spec.Prior.RoadRadius)
+	stream := hydro.Dilate(w.StreamMask, rows, cols, spec.Prior.StreamRadius)
 	for i := range near {
 		near[i] = near[i] && stream[i]
 	}
@@ -311,38 +319,6 @@ func candidateWindows(w *terrain.Watershed, spec Spec) (cands []window, total in
 		}
 	}
 	return cands, len(wins)
-}
-
-// dilate expands a boolean mask by Chebyshev radius r using two separable
-// passes (horizontal then vertical), O(rows·cols·r) total.
-func dilate(mask []bool, rows, cols, r int) []bool {
-	h := make([]bool, len(mask))
-	for row := 0; row < rows; row++ {
-		base := row * cols
-		for c := 0; c < cols; c++ {
-			if !mask[base+c] {
-				continue
-			}
-			lo, hi := maxInt(0, c-r), minInt(cols-1, c+r)
-			for cc := lo; cc <= hi; cc++ {
-				h[base+cc] = true
-			}
-		}
-	}
-	out := make([]bool, len(mask))
-	for row := 0; row < rows; row++ {
-		base := row * cols
-		for c := 0; c < cols; c++ {
-			if !h[base+c] {
-				continue
-			}
-			lo, hi := maxInt(0, row-r), minInt(rows-1, row+r)
-			for rr := lo; rr <= hi; rr++ {
-				out[rr*cols+c] = true
-			}
-		}
-	}
-	return out
 }
 
 // sat is a summed-area table over a boolean mask, (rows+1)×(cols+1).

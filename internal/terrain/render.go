@@ -3,6 +3,7 @@ package terrain
 import (
 	"math/rand"
 
+	"drainnet/internal/hydro"
 	"drainnet/internal/tensor"
 )
 
@@ -23,27 +24,26 @@ const (
 // crossings render as compact bright concrete signatures.
 func Render(w *Watershed) *tensor.Tensor {
 	cfg := w.Cfg
+	rows, cols := cfg.Rows, cfg.Cols
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	img := tensor.New(NumBands, cfg.Rows, cfg.Cols)
+	img := tensor.New(NumBands, rows, cols)
 	tex := NewFBM(rng, 3)
 
-	set := func(b, r, c int, v float64) {
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		img.Set(float32(v), b, r, c)
+	var plane [NumBands][]float32
+	for b := range plane {
+		plane[b] = img.Data()[b*rows*cols:][:rows*cols]
 	}
+	// Riparian vegetation grows within 3 cells of a channel.
+	riparian := hydro.Dilate(w.StreamMask, rows, cols, 3)
 
-	for r := 0; r < cfg.Rows; r++ {
-		for c := 0; c < cfg.Cols; c++ {
-			i := r*cfg.Cols + c
-			x := float64(c) / float64(cfg.Cols)
-			y := float64(r) / float64(cfg.Rows)
+	// shadeRow paints row r; noise holds the row's per-pixel sensor jitter.
+	shadeRow := func(r int, noise []float64) {
+		y := float64(r) / float64(rows)
+		for c := 0; c < cols; c++ {
+			i := r*cols + c
+			x := float64(c) / float64(cols)
 			t := tex.At(x*3, y*3) // field texture
-			n := rng.Float64() * 0.04
+			n := noise[c]
 
 			// Cropland base.
 			red, green, blue, nir := 0.28+0.1*t, 0.38+0.12*t, 0.22+0.06*t, 0.62+0.2*t
@@ -52,7 +52,7 @@ func Render(w *Watershed) *tensor.Tensor {
 				// Depressional wetland: darker, wetter, NIR-suppressed.
 				red, green, blue, nir = 0.18, 0.24, 0.2, 0.3
 			}
-			if nearStream(w, r, c, 3) {
+			if riparian[i] {
 				// Riparian vegetation: greenest, highest NIR.
 				red, green, blue, nir = 0.16, 0.34, 0.14, 0.85
 			}
@@ -65,11 +65,23 @@ func Render(w *Watershed) *tensor.Tensor {
 				g := 0.5 + 0.08*t
 				red, green, blue, nir = g, g, g, 0.18
 			}
-			set(BandR, r, c, red+n)
-			set(BandG, r, c, green+n)
-			set(BandB, r, c, blue+n)
-			set(BandNIR, r, c, nir+n)
+			plane[BandR][i] = unit32(red + n)
+			plane[BandG][i] = unit32(green + n)
+			plane[BandB][i] = unit32(blue + n)
+			plane[BandNIR][i] = unit32(nir + n)
 		}
+	}
+	// The jitter comes off one sequential stream, pixel by pixel in raster
+	// order, so each strip of rows has its share drawn first and is then
+	// shaded row-parallel on the shared worker pool.
+	const stripRows = 64
+	noise := make([]float64, min(stripRows, rows)*cols)
+	for r0 := 0; r0 < rows; r0 += stripRows {
+		n := min(stripRows, rows-r0)
+		for i := range noise[:n*cols] {
+			noise[i] = rng.Float64() * 0.04
+		}
+		tensor.ParallelFor(n, func(k int) { shadeRow(r0+k, noise[k*cols:]) })
 	}
 
 	// Culvert structures: bright concrete headwalls flanking the channel
@@ -78,33 +90,27 @@ func Render(w *Watershed) *tensor.Tensor {
 		for dr := -2; dr <= 2; dr++ {
 			for dc := -2; dc <= 2; dc++ {
 				r, c := p.R+dr, p.C+dc
-				if r < 0 || r >= cfg.Rows || c < 0 || c >= cfg.Cols {
+				if r < 0 || r >= rows || c < 0 || c >= cols {
 					continue
 				}
 				if dr*dr+dc*dc > 6 {
 					continue
 				}
-				set(BandR, r, c, 0.88)
-				set(BandG, r, c, 0.86)
-				set(BandB, r, c, 0.82)
-				set(BandNIR, r, c, 0.35)
+				i := r*cols + c
+				plane[BandR][i], plane[BandG][i], plane[BandB][i], plane[BandNIR][i] = 0.88, 0.86, 0.82, 0.35
 			}
 		}
 	}
 	return img
 }
 
-func nearStream(w *Watershed, r, c, radius int) bool {
-	for dr := -radius; dr <= radius; dr++ {
-		for dc := -radius; dc <= radius; dc++ {
-			rr, cc := r+dr, c+dc
-			if rr < 0 || rr >= w.Cfg.Rows || cc < 0 || cc >= w.Cfg.Cols {
-				continue
-			}
-			if w.StreamMask[rr*w.Cfg.Cols+cc] {
-				return true
-			}
-		}
+// unit32 clamps a radiance to [0, 1] and narrows it to the raster's type.
+func unit32(v float64) float32 {
+	if v < 0 {
+		v = 0
 	}
-	return false
+	if v > 1 {
+		v = 1
+	}
+	return float32(v)
 }

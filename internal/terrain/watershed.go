@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"drainnet/internal/hydro"
+	"drainnet/internal/tensor"
 )
 
 // Config controls watershed synthesis.
@@ -68,8 +69,9 @@ func Generate(cfg Config) (*Watershed, error) {
 	w := &Watershed{Cfg: cfg}
 
 	w.BaseDEM = baseTerrain(cfg, rng)
-	w.StreamMask = streams(w.BaseDEM, cfg.StreamThreshold)
-	w.WetMask = wetlands(w.BaseDEM)
+	filled := hydro.FillDepressions(w.BaseDEM)
+	w.StreamMask = streams(filled, cfg.StreamThreshold)
+	w.WetMask = wetlands(w.BaseDEM, filled)
 	w.RoadMask = roadNetwork(cfg, rng)
 
 	// Apply embankments on top of the base terrain.
@@ -92,10 +94,13 @@ func baseTerrain(cfg Config, rng *rand.Rand) *hydro.Grid {
 	dem := hydro.NewGrid(cfg.Rows, cfg.Cols, 1)
 	relief := NewFBM(rng, 4)
 	valleys := NewFBM(rng, 2)
-	for r := 0; r < cfg.Rows; r++ {
-		for c := 0; c < cfg.Cols; c++ {
+	// Every cell is a pure function of (r, c) once the noise lattices are
+	// drawn, so rows are shared out over the worker pool.
+	tensor.ParallelFor(cfg.Rows, func(r int) {
+		row := dem.Data[r*cfg.Cols:][:cfg.Cols]
+		y := float64(r) / float64(cfg.Rows)
+		for c := range row {
 			x := float64(c) / float64(cfg.Cols)
-			y := float64(r) / float64(cfg.Rows)
 			z := cfg.RegionalDropM * (1 - x)   // descending west→east
 			z += cfg.ReliefM * relief.At(x, y) // loess undulation
 			// Valley carving: a band of low "valleys" noise becomes a
@@ -104,14 +109,14 @@ func baseTerrain(cfg Config, rng *rand.Rand) *hydro.Grid {
 			if v < 0.45 {
 				z -= (0.45 - v) * 10
 			}
-			dem.Set(r, c, z)
+			row[c] = z
 		}
-	}
+	})
 	return dem
 }
 
-func streams(dem *hydro.Grid, threshold float64) []bool {
-	filled := hydro.FillDepressions(dem)
+// streams delineates the channel network on the depression-filled terrain.
+func streams(filled *hydro.Grid, threshold float64) []bool {
 	dirs := hydro.D8FlowDirections(filled)
 	acc := hydro.FlowAccumulation(filled, dirs)
 	return hydro.ExtractStreams(acc, threshold)
@@ -119,8 +124,7 @@ func streams(dem *hydro.Grid, threshold float64) []bool {
 
 // wetlands marks cells that the depression-filling raised significantly:
 // those are closed depressions (the watershed's depressional wetlands).
-func wetlands(dem *hydro.Grid) []bool {
-	filled := hydro.FillDepressions(dem)
+func wetlands(dem, filled *hydro.Grid) []bool {
 	mask := make([]bool, len(dem.Data))
 	for i := range mask {
 		mask[i] = filled.Data[i]-dem.Data[i] > 0.3
@@ -177,18 +181,17 @@ func findCrossings(cfg Config, roads, streams []bool) []hydro.Point {
 	}
 	seen := make([]bool, n)
 	var out []hydro.Point
+	var queue []int
 	for i := 0; i < n; i++ {
 		if !inter[i] || seen[i] {
 			continue
 		}
 		// BFS the cluster, collecting its centroid.
-		var queue []int
-		queue = append(queue, i)
+		queue = append(queue[:0], i)
 		seen[i] = true
 		var sumR, sumC, count int
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
 			r, c := cur/cfg.Cols, cur%cfg.Cols
 			sumR += r
 			sumC += c
