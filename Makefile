@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race test-benchmark smoke-sweep smoke-cluster \
+.PHONY: all check build vet test test-purego test-race test-benchmark smoke-sweep smoke-cluster \
         bench-cluster check-allocs fuzz-smoke \
         bench bench-serve bench-telemetry bench-inference bench-kernels \
         bench-ios bench-dynamic bench-nas test-short \
@@ -10,14 +10,16 @@ GO ?= go
 
 all: build vet test
 
-# The gate for every change: build, vet, full tests, the whole suite
-# again under the race detector (every package, no name filter — a new
-# test can never fall outside a pattern), the benchmark harness module
+# The gate for every change: build, vet, full tests, the kernel packages
+# again without their assembly (`-tags purego`: the scalar fallback every
+# other GOARCH runs), the whole suite again under the race detector
+# (every package, no name filter — a new test can never fall outside a
+# pattern), the benchmark harness module
 # (its own go.mod, so `./...` never compiles it), the sweep
 # kill-and-resume smoke, the cluster kill-under-load smoke, the
 # allocation regression guards on the serving forwards, the request
 # decoder and the pool's Submit, and ten seconds of each native fuzz target.
-check: build vet test test-race test-benchmark smoke-sweep smoke-cluster check-allocs fuzz-smoke
+check: build vet test test-purego test-race test-benchmark smoke-sweep smoke-cluster check-allocs fuzz-smoke
 
 # Kill-and-resume smoke: drain a mid-flight sweep (fake backend and the
 # real batcher pool), resume it, and require bit-identical results.
@@ -75,6 +77,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The fp32 GEMM, dot and their callers without the AVX2 micro-kernels
+# (internal/tensor/panel_amd64.s): what a non-amd64 build serves. The
+# differential and golden-digest tests hold the scalar loops to the same
+# bits, so the fallback cannot rot unseen.
+test-purego:
+	$(GO) vet -tags purego ./internal/tensor/...
+	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/model/
 
 # Several minutes: GOMAXPROCS=4 gives the shared worker pool, the IOS
 # stage executor and the parallel NAS search real fan-out to race on.

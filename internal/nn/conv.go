@@ -366,7 +366,9 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 		// gemm immediately, while the cols buffer is still cache-hot, and
 		// the batch dimension provides the parallelism. Lowering every
 		// sample first and gemm-ing second streams the whole n×kdim×ohw
-		// buffer through cache twice and costs ~10% at batch 16.
+		// buffer through cache twice and costs ~10% at batch 16; a pool
+		// range goes one further and reuses one sample's slot for all of
+		// its samples (convColsTask), so n slots is the most it can need.
 		cols := a.Get(n, kdim, ohw)
 		ct := &c.colsTask
 		ct.cols, ct.x, ct.out = cols.Data(), x.Data(), out.Data()
@@ -394,7 +396,10 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 
 // convColsTask processes whole samples [lo,hi) of a batch: each sample
 // is lowered with Im2ColSlice and immediately multiplied through the
-// packed micro-kernel while its cols region is cache-hot.
+// packed micro-kernel while its cols region is cache-hot. Every sample
+// of the range is lowered into the cols slot of sample lo — ranges are
+// disjoint, so that slot belongs to this call alone — which keeps one
+// kdim×ohw region hot instead of streaming n of them through the cache.
 type convColsTask struct {
 	cols, x, out                       []float32
 	sampleStride, colStride, outStride int
@@ -407,8 +412,8 @@ type convColsTask struct {
 }
 
 func (t *convColsTask) RunRange(lo, hi int) {
+	cols := t.cols[lo*t.colStride : (lo+1)*t.colStride]
 	for i := lo; i < hi; i++ {
-		cols := t.cols[i*t.colStride : (i+1)*t.colStride]
 		tensor.Im2ColSlice(cols, t.x[i*t.sampleStride:(i+1)*t.sampleStride],
 			t.c, t.h, t.w, t.geom)
 		t.packed.MulPanelsInto(t.out[i*t.outStride:(i+1)*t.outStride],

@@ -147,10 +147,12 @@ type linearTask struct {
 }
 
 func (t *linearTask) RunRange(lo, hi int) {
-	for idx := lo; idx < hi; idx++ {
+	for idx := lo; idx < hi; {
 		i := idx / t.panels
-		p := idx % t.panels
-		t.packed.DotPanelInto(t.out[i*t.outW:(i+1)*t.outW], t.x[i*t.inW:(i+1)*t.inW], p, t.bias, t.relu)
+		p0 := idx % t.panels
+		p1 := min(t.panels, p0+hi-idx)
+		t.packed.DotPanelsInto(t.out[i*t.outW:(i+1)*t.outW], t.x[i*t.inW:(i+1)*t.inW], p0, p1, t.bias, t.relu)
+		idx += p1 - p0
 	}
 }
 

@@ -218,6 +218,18 @@ type maxPoolTask struct {
 
 func (t *maxPoolTask) RunRange(lo, hi int) {
 	g := t.geom
+	if g.KH == 2 && g.KW == 2 && g.StrideH == 2 && g.StrideW == 2 && g.PadH == 0 && g.PadW == 0 {
+		t.pool2x2(lo, hi)
+		return
+	}
+	t.poolGeneric(lo, hi)
+}
+
+// poolGeneric is max pooling for any window and stride: each output
+// starts from -Inf and takes every in-bounds input that compares greater,
+// so NaN never wins and an all-NaN window stays -Inf.
+func (t *maxPoolTask) poolGeneric(lo, hi int) {
+	g := t.geom
 	for nc := lo; nc < hi; nc++ {
 		inBase := nc * t.h * t.w
 		outBase := nc * t.oh * t.ow
@@ -240,6 +252,39 @@ func (t *maxPoolTask) RunRange(lo, hi int) {
 					}
 				}
 				t.out[outBase+oy*t.ow+ox] = best
+			}
+		}
+	}
+}
+
+// pool2x2 is poolGeneric for the 2×2 / stride-2 unpadded window of every
+// pool the paper's architectures use: the window never leaves the plane
+// (2·oh ≤ h, 2·ow ≤ w), so the bounds tests and the two inner loops
+// unroll into four compares over two input rows, taken in poolGeneric's
+// order — the same value wins, bit for bit, NaN and ±0 included.
+func (t *maxPoolTask) pool2x2(lo, hi int) {
+	for nc := lo; nc < hi; nc++ {
+		in := t.x[nc*t.h*t.w : (nc+1)*t.h*t.w]
+		out := t.out[nc*t.oh*t.ow : (nc+1)*t.oh*t.ow]
+		for oy := 0; oy < t.oh; oy++ {
+			r0 := in[2*oy*t.w : 2*oy*t.w+2*t.ow]
+			r1 := in[(2*oy+1)*t.w : (2*oy+1)*t.w+2*t.ow]
+			orow := out[oy*t.ow : (oy+1)*t.ow]
+			for ox := range orow {
+				best := float32(math.Inf(-1))
+				if v := r0[2*ox]; v > best {
+					best = v
+				}
+				if v := r0[2*ox+1]; v > best {
+					best = v
+				}
+				if v := r1[2*ox]; v > best {
+					best = v
+				}
+				if v := r1[2*ox+1]; v > best {
+					best = v
+				}
+				orow[ox] = best
 			}
 		}
 	}

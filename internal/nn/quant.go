@@ -347,7 +347,8 @@ func (q *QuantConv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *
 
 // qconvColsTask processes whole samples [lo,hi): quantize the sample's
 // input, lower it with the int8 im2col, and multiply through the packed
-// int8 kernel while the cols region is cache-hot.
+// int8 kernel while the cols region is cache-hot. Like convColsTask it
+// reuses the scratch slots of sample lo for every sample of its range.
 type qconvColsTask struct {
 	qx, cols                           []int8
 	acc                                []int64
@@ -364,14 +365,14 @@ type qconvColsTask struct {
 }
 
 func (t *qconvColsTask) RunRange(lo, hi int) {
+	qx := t.qx[lo*t.sampleStride : (lo+1)*t.sampleStride]
+	cols := t.cols[lo*t.colStride : (lo+1)*t.colStride]
+	acc := t.acc[lo*2*t.ohw : (lo+1)*2*t.ohw]
 	for i := lo; i < hi; i++ {
-		qx := t.qx[i*t.sampleStride : (i+1)*t.sampleStride]
 		tensor.QuantizeSlice(qx, t.x[i*t.sampleStride:(i+1)*t.sampleStride], t.inInv, t.zp)
-		cols := t.cols[i*t.colStride : (i+1)*t.colStride]
 		tensor.Im2ColSliceInt8(cols, qx, t.c, t.h, t.w, t.geom, int8(t.zp))
 		t.packed.MulPanelsInto(t.out[i*t.outStride:(i+1)*t.outStride],
-			cols, t.ohw, t.acc[i*2*t.ohw:(i+1)*2*t.ohw],
-			t.zp, t.outScale, t.bias, t.relu, 0, t.packed.Panels())
+			cols, t.ohw, acc, t.zp, t.outScale, t.bias, t.relu, 0, t.packed.Panels())
 	}
 }
 

@@ -19,6 +19,14 @@ import (
 
 // Submitter is the inference backend a sweep streams clips through.
 // *batcher.Pool satisfies it; tests substitute deterministic stubs.
+//
+// x belongs to the caller again once Submit returns a nil error: the
+// sweep cuts its next window into the same storage, so an implementation
+// must be done reading x by then (the pool is — a replica has copied the
+// clip into its batch before the detection comes back). After an error
+// the implementation may still hold x — a cancelled or draining pool
+// returns before its replica does — and the sweep never touches that
+// tensor again.
 type Submitter interface {
 	Submit(ctx context.Context, x *tensor.Tensor) (metrics.Detection, error)
 }
@@ -541,7 +549,9 @@ func (j *Job) sweep() error {
 // bounded concurrency and returns the confident raw hits in window order
 // (deterministic regardless of completion order). Queue-full rejections
 // back off and retry — the sweep is the background producer and must
-// yield to interactive traffic.
+// yield to interactive traffic. Each worker cuts its windows into one
+// tensor of its own (the Submitter contract hands it back on success)
+// and stops at its first error, when the pool may still hold it.
 func (j *Job) inferChunk(img *tensor.Tensor, rows, cols int, wins []window) (hits []Hit, exited int, err error) {
 	type slot struct {
 		det metrics.Detection
@@ -555,13 +565,13 @@ func (j *Job) inferChunk(img *tensor.Tensor, rows, cols int, wins []window) (hit
 	for k := 0; k < workers; k++ {
 		go func() {
 			defer wg.Done()
+			x := tensor.New(1, terrain.NumBands, j.spec.Window, j.spec.Window)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(wins) {
 					return
 				}
-				clip := terrain.Clip(img, wins[i].r0, wins[i].c0, j.spec.Window)
-				x := tensor.FromSlice(clip.Data(), 1, terrain.NumBands, j.spec.Window, j.spec.Window)
+				terrain.ClipInto(x, img, wins[i].r0, wins[i].c0, j.spec.Window)
 				out[i] = j.submitWithRetry(x)
 				if out[i].err != nil {
 					j.cancelChunk(out[i].err)

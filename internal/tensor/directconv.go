@@ -56,6 +56,6 @@ func DirectConvChans(dst, src, wt []float32, inC, h, w int, g ConvGeom, outC int
 				}
 			}
 		}
-		epilogue(a, bias, oc, ohow, 1, relu)
+		epilogue(a, bias, oc, ohow, 1, relu, 0, ohow)
 	}
 }

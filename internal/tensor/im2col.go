@@ -58,38 +58,107 @@ func Im2ColInto(dst, img *Tensor, g ConvGeom) {
 // image stored in img into dst, which must have length
 // (c*KH*KW)·(OH*OW). Taking plain slices lets inference-mode callers
 // lower samples of a batch tensor without materializing per-sample
-// tensor headers.
+// tensor headers. It is the full row range of Im2ColSliceRows.
 func Im2ColSlice(dst, img []float32, c, h, w int, g ConvGeom) {
+	oh, _ := g.OutSize(h, w)
+	im2colRows(dst, img, c, h, w, g, 0, oh, 0)
+}
+
+// Im2ColSliceRows lowers the receptive fields of output rows [oy0, oy1)
+// of one c×h×w image into dst, which has the full (c*KH*KW)·(OH*OW)
+// layout of Im2ColSlice: output columns are row-major spatial positions
+// oy*OW+ox, so a band of output rows is the contiguous column range
+// [oy0*OW, oy1*OW) of every lowered row. Columns outside the band are
+// left untouched — callers (the masked dynamic path) must only consume
+// columns they lowered or filled.
+func Im2ColSliceRows(dst, img []float32, c, h, w int, g ConvGeom, oy0, oy1 int) {
+	im2colRows(dst, img, c, h, w, g, oy0, oy1, 0)
+}
+
+// im2colRows is the one im2col loop nest, shared by the fp32 and int8
+// lowerings: out-of-bounds taps read pad (0, or the int8 activation zero
+// point). Lowering is pure data movement, so it is done by copy wherever
+// the geometry leaves runs to move. At StrideW == 1 — every conv this
+// repo serves — each (channel, kh, kw, oy) row of the lowered matrix is
+// a run of pad, one contiguous run of the image row, and a run of pad.
+// When the output is also as wide as the image and StrideH == 1 (a
+// "same"-padded conv), consecutive output rows read consecutive image
+// rows, so all in-image rows of one (channel, kh, kw) are a single run of
+// both matrices: one copy moves them, running over the few pad columns
+// between rows, which are then put back. The per-element form remains
+// for wider strides.
+func im2colRows[T float32 | int8](dst, img []T, c, h, w int, g ConvGeom, oy0, oy1 int, pad T) {
 	oh, ow := g.OutSize(h, w)
-	dd := dst
-	id := img
+	if oy0 < 0 {
+		oy0 = 0
+	}
+	if oy1 > oh {
+		oy1 = oh
+	}
+	if oy0 >= oy1 {
+		return
+	}
 	ncols := oh * ow
+	plane := g.StrideW == 1 && g.StrideH == 1 && ow == w
 	for ch := 0; ch < c; ch++ {
 		chBase := ch * h * w
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				row := ((ch*g.KH+kh)*g.KW + kw) * ncols
-				for oy := 0; oy < oh; oy++ {
+				row := dst[((ch*g.KH+kh)*g.KW+kw)*ncols:][:ncols]
+				// Output columns [lo, hi) read inside the image row at
+				// stride 1: ix = ox - PadW + kw must lie in [0, w).
+				lo := min(max(g.PadW-kw, 0), ow)
+				hi := max(min(w+g.PadW-kw, ow), lo)
+				if plane && lo < hi {
+					// Output rows [ya, yb) read inside the image:
+					// iy = oy - PadH + kh must lie in [0, h).
+					ya := min(max(g.PadH-kh, oy0), oy1)
+					yb := max(min(h+g.PadH-kh, oy1), ya)
+					fill(row[oy0*ow:ya*ow], pad)
+					fill(row[yb*ow:oy1*ow], pad)
+					if ya < yb {
+						copy(row[ya*ow+lo:(yb-1)*ow+hi], img[chBase+(ya-g.PadH+kh)*w+lo-g.PadW+kw:])
+						for oy := ya; lo > 0 && oy < yb; oy++ {
+							fill(row[oy*ow:oy*ow+lo], pad)
+						}
+						for oy := ya; hi < ow && oy < yb; oy++ {
+							fill(row[oy*ow+hi:(oy+1)*ow], pad)
+						}
+					}
+					continue
+				}
+				for oy := oy0; oy < oy1; oy++ {
+					out := row[oy*ow : (oy+1)*ow]
 					iy := oy*g.StrideH - g.PadH + kh
-					outBase := row + oy*ow
 					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dd[outBase+ox] = 0
+						fill(out, pad)
+						continue
+					}
+					in := img[chBase+iy*w : chBase+(iy+1)*w]
+					if g.StrideW != 1 {
+						for ox := range out {
+							if ix := ox*g.StrideW - g.PadW + kw; ix < 0 || ix >= w {
+								out[ox] = pad
+							} else {
+								out[ox] = in[ix]
+							}
 						}
 						continue
 					}
-					inBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						if ix < 0 || ix >= w {
-							dd[outBase+ox] = 0
-						} else {
-							dd[outBase+ox] = id[inBase+ix]
-						}
+					fill(out[:lo], pad)
+					if lo < hi {
+						copy(out[lo:hi], in[lo-g.PadW+kw:])
 					}
+					fill(out[hi:], pad)
 				}
 			}
 		}
+	}
+}
+
+func fill[T float32 | int8](s []T, v T) {
+	for i := range s {
+		s[i] = v
 	}
 }
 

@@ -1,174 +1,13 @@
 package tensor
 
 // Masked-convolution primitives: an im2col that lowers only a band of
-// output rows, and a packed GEMM that computes only a band of output
-// columns. Together they let a conv layer skip the lowering and matmul
+// output rows (Im2ColSliceRows, im2col.go), a packed GEMM that computes
+// only a band of output columns (Packed.MulPanelsColsInto, packed.go) —
+// both the ranged forms of the one loop nest their full-range
+// counterparts share — and the fill below for the bands that are
+// skipped. Together they let a conv layer skip the lowering and matmul
 // work for spatial blocks whose input activation energy is negligible
 // (the LASNet-style spatial masking of the dynamic inference path).
-//
-// Both operate on the same layouts as their full-range counterparts:
-// the lowered matrix is (C*KH*KW)×(OH*OW) row-major and output columns
-// are row-major spatial positions oy*OW+ox, so a band of output rows
-// [oy0, oy1) is the contiguous column range [oy0*OW, oy1*OW). Columns
-// outside the band are left untouched — callers must only consume
-// columns they lowered or filled.
-
-// Im2ColSliceRows lowers the receptive fields of output rows [oy0, oy1)
-// of one c×h×w image into dst, which has the full (c*KH*KW)·(OH*OW)
-// layout of Im2ColSlice. Calling it with the full range [0, OH) writes
-// exactly what Im2ColSlice writes.
-func Im2ColSliceRows(dst, img []float32, c, h, w int, g ConvGeom, oy0, oy1 int) {
-	oh, ow := g.OutSize(h, w)
-	if oy0 < 0 {
-		oy0 = 0
-	}
-	if oy1 > oh {
-		oy1 = oh
-	}
-	dd := dst
-	id := img
-	ncols := oh * ow
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				row := ((ch*g.KH+kh)*g.KW + kw) * ncols
-				for oy := oy0; oy < oy1; oy++ {
-					iy := oy*g.StrideH - g.PadH + kh
-					outBase := row + oy*ow
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dd[outBase+ox] = 0
-						}
-						continue
-					}
-					inBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						if ix < 0 || ix >= w {
-							dd[outBase+ox] = 0
-						} else {
-							dd[outBase+ox] = id[inBase+ix]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// MulPanelsColsInto computes output columns [c0, c1) of output rows
-// [4*p0, min(4*p1, rows)) of dst = P·b, with the same layouts and fused
-// bias/ReLU epilogue as MulPanelsInto. Per output element the k-terms
-// accumulate in ascending order, so every column it writes is
-// bit-identical to the same column under MulPanelsInto. Columns outside
-// [c0, c1) are left untouched.
-func (p *Packed) MulPanelsColsInto(dst, b []float32, n int, bias []float32, relu bool, p0, p1, c0, c1 int) {
-	if c0 < 0 {
-		c0 = 0
-	}
-	if c1 > n {
-		c1 = n
-	}
-	if c0 >= c1 {
-		return
-	}
-	k := p.cols
-	for pi := p0; pi < p1; pi++ {
-		r0 := pi * panelRows
-		rem := p.rows - r0
-		if rem > panelRows {
-			rem = panelRows
-		}
-		pan := p.panels[pi*panelRows*k : (pi+1)*panelRows*k]
-		switch rem {
-		case 4:
-			mulPanel4Cols(dst[r0*n:(r0+4)*n], pan, b, n, k, c0, c1)
-		default:
-			mulPanelTailCols(dst[r0*n:(r0+rem)*n], pan, b, n, k, rem, c0, c1)
-		}
-		epilogueCols(dst[r0*n:(r0+rem)*n], bias, r0, n, rem, relu, c0, c1)
-	}
-}
-
-// mulPanel4Cols is mulPanel4 restricted to columns [c0, c1).
-func mulPanel4Cols(c, pan, b []float32, n, k, c0, c1 int) {
-	w := c1 - c0
-	cc0 := c[c0 : c0+w : c0+w]
-	cc1 := c[n+c0 : n+c0+w : n+c0+w]
-	cc2 := c[2*n+c0 : 2*n+c0+w : 2*n+c0+w]
-	cc3 := c[3*n+c0 : 3*n+c0+w : 3*n+c0+w]
-	for i := range cc0 {
-		cc0[i] = 0
-	}
-	for i := range cc1 {
-		cc1[i] = 0
-	}
-	for i := range cc2 {
-		cc2[i] = 0
-	}
-	for i := range cc3 {
-		cc3[i] = 0
-	}
-	for kk := 0; kk < k; kk++ {
-		q := pan[kk*panelRows : kk*panelRows+4]
-		a0, a1, a2, a3 := q[0], q[1], q[2], q[3]
-		brow := b[kk*n+c0 : kk*n+c0+w : kk*n+c0+w]
-		for j, v := range brow {
-			cc0[j] += a0 * v
-			cc1[j] += a1 * v
-			cc2[j] += a2 * v
-			cc3[j] += a3 * v
-		}
-	}
-}
-
-// mulPanelTailCols is mulPanelTail restricted to columns [c0, c1).
-func mulPanelTailCols(c, pan, b []float32, n, k, rem, c0, c1 int) {
-	w := c1 - c0
-	for r := 0; r < rem; r++ {
-		crow := c[r*n+c0 : r*n+c0+w : r*n+c0+w]
-		for i := range crow {
-			crow[i] = 0
-		}
-		for kk := 0; kk < k; kk++ {
-			av := pan[kk*panelRows+r]
-			brow := b[kk*n+c0 : kk*n+c0+w : kk*n+c0+w]
-			for j, v := range brow {
-				crow[j] += av * v
-			}
-		}
-	}
-}
-
-// epilogueCols applies the fused bias add and ReLU clamp to columns
-// [c0, c1) of rem rows starting at logical row r0.
-func epilogueCols(c []float32, bias []float32, r0, n, rem int, relu bool, c0, c1 int) {
-	if bias == nil && !relu {
-		return
-	}
-	for r := 0; r < rem; r++ {
-		row := c[r*n+c0 : r*n+c1]
-		var bv float32
-		if bias != nil {
-			bv = bias[r0+r]
-		}
-		if relu {
-			for j, v := range row {
-				v += bv
-				if v > 0 {
-					row[j] = v
-				} else {
-					row[j] = 0
-				}
-			}
-		} else if bias != nil {
-			for j := range row {
-				row[j] += bv
-			}
-		}
-	}
-}
 
 // BiasFillCols writes the convolution's contribution for an all-zero
 // receptive-field band: every output element of rows [0, rows) in

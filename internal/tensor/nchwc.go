@@ -109,7 +109,7 @@ func (p *PackedNCHWc) ConvBlocks(dst, src []float32, h, w int, bias []float32, r
 		} else {
 			p.convBlockTail(dst[oc0*ohow:(oc0+rem)*ohow], src, p.q[ob*ickk:(ob+1)*ickk], h, w, oh, ow, rem)
 		}
-		epilogue(dst[oc0*ohow:], bias, oc0, ohow, min(rem, nchwcLanes), relu)
+		epilogue(dst[oc0*ohow:], bias, oc0, ohow, min(rem, nchwcLanes), relu, 0, ohow)
 	}
 }
 

@@ -7,6 +7,21 @@ import "fmt"
 // (or of the input vector) is reused four times from registers.
 const panelRows = 4
 
+// The AVX2 micro-kernels (panel_amd64.s) tile panelRows rows by
+// kernelCols columns of a GEMM, and dotPanels panels of a dot product.
+const (
+	kernelCols = 16
+	dotPanels  = 4
+)
+
+// useAVX2 routes full panels through the assembly micro-kernels. It is
+// set once, at package init, from what the CPU and the OS report
+// (haveAVX2: CPUID and XGETBV on amd64, false on every other GOARCH and
+// under the purego build tag) and is not configurable: both paths
+// compute the same bits, so there is nothing to choose. Tests flip it
+// to run the scalar loops and the kernels in one process.
+var useAVX2 = haveAVX2()
+
 // Packed is an immutable matrix laid out for the inference matmul
 // micro-kernel. Rows are grouped into panels of four; within a panel the
 // four rows are interleaved column-by-column, so the kernel's inner loop
@@ -75,15 +90,40 @@ func (t *packedMulTask) RunRange(lo, hi int) {
 }
 
 // MulPanelsInto computes output rows [4*p0, min(4*p1, rows)) of
-// dst = P·b, fully overwriting those rows of dst. dst is rows×n
-// row-major and b is cols×n row-major, both as raw slices. When bias is
-// non-nil, bias[row] is added to every element of that row after the
-// full k-accumulation; when relu is set, negatives are clamped to zero
-// after the bias. Per output element the k-terms accumulate in ascending
-// order — the same order as the reference MatMulInto kernel followed by
-// a bias add and a ReLU pass — so the fused result is bit-identical to
-// the unfused reference path.
+// dst = P·b, fully overwriting those rows of dst: the full column range
+// of MulPanelsColsInto.
 func (p *Packed) MulPanelsInto(dst, b []float32, n int, bias []float32, relu bool, p0, p1 int) {
+	p.MulPanelsColsInto(dst, b, n, bias, relu, p0, p1, 0, n)
+}
+
+// MulPanelsColsInto computes output columns [c0, c1) of output rows
+// [4*p0, min(4*p1, rows)) of dst = P·b, overwriting them and leaving
+// every other column untouched. dst is rows×n row-major and b is cols×n
+// row-major, both as raw slices. When bias is non-nil, bias[row] is
+// added to every element of that row after the full k-accumulation; when
+// relu is set, negatives are clamped to zero after the bias. Per output
+// element the k-terms accumulate in ascending order from zero, each as a
+// rounded multiply followed by a rounded add — the same IEEE operations
+// as the reference MatMulInto kernel followed by a bias add and a ReLU
+// pass — so the fused result is bit-identical to the unfused reference
+// path, whichever column band it was computed in and whether the scalar
+// loops below or the AVX2 micro-kernel (panel_amd64.s) produced it.
+//
+// This is the one fp32 GEMM entry of the serving path: the im2col
+// convs, the masked dynamic path's row bands and the 16 Winograd
+// position GEMMs all land here, so all of them get the micro-kernel.
+// It takes full panels at least kernelCols columns wide; narrower
+// bands and the partial last panel stay on the scalar loops.
+func (p *Packed) MulPanelsColsInto(dst, b []float32, n int, bias []float32, relu bool, p0, p1, c0, c1 int) {
+	if c0 < 0 {
+		c0 = 0
+	}
+	if c1 > n {
+		c1 = n
+	}
+	if c0 >= c1 {
+		return
+	}
 	k := p.cols
 	for pi := p0; pi < p1; pi++ {
 		r0 := pi * panelRows
@@ -92,59 +132,72 @@ func (p *Packed) MulPanelsInto(dst, b []float32, n int, bias []float32, relu boo
 			rem = panelRows
 		}
 		pan := p.panels[pi*panelRows*k : (pi+1)*panelRows*k]
-		switch rem {
-		case 4:
-			mulPanel4(dst[r0*n:(r0+4)*n], pan, b, n, k)
+		c := dst[r0*n : (r0+rem)*n]
+		switch {
+		case rem == panelRows && useAVX2 && c1-c0 >= kernelCols:
+			var pbias []float32
+			if bias != nil {
+				pbias = bias[r0 : r0+panelRows]
+			}
+			mulPanel4AVX2(c, pan, b, pbias, n, k, c0, c1, relu)
+			continue
+		case rem == panelRows:
+			mulPanel4(c, pan, b, n, k, c0, c1)
 		default:
-			mulPanelTail(dst[r0*n:(r0+rem)*n], pan, b, n, k, rem)
+			mulPanelTail(c, pan, b, n, k, rem, c0, c1)
 		}
-		epilogue(dst[r0*n:(r0+rem)*n], bias, r0, n, rem, relu)
+		epilogue(c, bias, r0, n, rem, relu, c0, c1)
 	}
 }
 
-// mulPanel4 computes four full output rows: c[r][j] = Σ_kk pan[kk*4+r] * b[kk][j].
-// The four accumulation streams are independent, giving the compiler ILP
-// without the per-element zero-test the training kernel carries.
-func mulPanel4(c, pan, b []float32, n, k int) {
-	c0 := c[0:n:n]
-	c1 := c[n : 2*n : 2*n]
-	c2 := c[2*n : 3*n : 3*n]
-	c3 := c[3*n : 4*n : 4*n]
-	for i := range c0 {
-		c0[i] = 0
+// mulPanel4 computes columns [c0, c1) of four full output rows:
+// c[r][j] = Σ_kk pan[kk*4+r] * b[kk][j]. The four accumulation streams
+// are independent, giving the compiler ILP without the per-element
+// zero-test the training kernel carries. It is the scalar form of the
+// AVX2 micro-kernel and the oracle the kernel is tested against.
+func mulPanel4(c, pan, b []float32, n, k, c0, c1 int) {
+	w := c1 - c0
+	cc0 := c[c0 : c0+w : c0+w]
+	cc1 := c[n+c0 : n+c0+w : n+c0+w]
+	cc2 := c[2*n+c0 : 2*n+c0+w : 2*n+c0+w]
+	cc3 := c[3*n+c0 : 3*n+c0+w : 3*n+c0+w]
+	for i := range cc0 {
+		cc0[i] = 0
 	}
-	for i := range c1 {
-		c1[i] = 0
+	for i := range cc1 {
+		cc1[i] = 0
 	}
-	for i := range c2 {
-		c2[i] = 0
+	for i := range cc2 {
+		cc2[i] = 0
 	}
-	for i := range c3 {
-		c3[i] = 0
+	for i := range cc3 {
+		cc3[i] = 0
 	}
 	for kk := 0; kk < k; kk++ {
 		q := pan[kk*panelRows : kk*panelRows+4]
 		a0, a1, a2, a3 := q[0], q[1], q[2], q[3]
-		brow := b[kk*n : kk*n+n : kk*n+n]
+		brow := b[kk*n+c0 : kk*n+c0+w : kk*n+c0+w]
 		for j, v := range brow {
-			c0[j] += a0 * v
-			c1[j] += a1 * v
-			c2[j] += a2 * v
-			c3[j] += a3 * v
+			cc0[j] += a0 * v
+			cc1[j] += a1 * v
+			cc2[j] += a2 * v
+			cc3[j] += a3 * v
 		}
 	}
 }
 
-// mulPanelTail handles the final partial panel (1–3 live rows).
-func mulPanelTail(c, pan, b []float32, n, k, rem int) {
-	for i := range c {
-		c[i] = 0
-	}
+// mulPanelTail handles columns [c0, c1) of the final partial panel
+// (1–3 live rows).
+func mulPanelTail(c, pan, b []float32, n, k, rem, c0, c1 int) {
+	w := c1 - c0
 	for r := 0; r < rem; r++ {
-		crow := c[r*n : (r+1)*n : (r+1)*n]
+		crow := c[r*n+c0 : r*n+c0+w : r*n+c0+w]
+		for i := range crow {
+			crow[i] = 0
+		}
 		for kk := 0; kk < k; kk++ {
 			av := pan[kk*panelRows+r]
-			brow := b[kk*n : kk*n+n : kk*n+n]
+			brow := b[kk*n+c0 : kk*n+c0+w : kk*n+c0+w]
 			for j, v := range brow {
 				crow[j] += av * v
 			}
@@ -152,14 +205,14 @@ func mulPanelTail(c, pan, b []float32, n, k, rem int) {
 	}
 }
 
-// epilogue applies the fused bias add and ReLU clamp to rem rows
-// starting at logical row r0.
-func epilogue(c []float32, bias []float32, r0, n, rem int, relu bool) {
+// epilogue applies the fused bias add and ReLU clamp to columns
+// [c0, c1) of rem rows starting at logical row r0.
+func epilogue(c []float32, bias []float32, r0, n, rem int, relu bool, c0, c1 int) {
 	if bias == nil && !relu {
 		return
 	}
 	for r := 0; r < rem; r++ {
-		row := c[r*n : (r+1)*n]
+		row := c[r*n+c0 : r*n+c1]
 		var bv float32
 		if bias != nil {
 			bv = bias[r0+r]
@@ -181,12 +234,35 @@ func epilogue(c []float32, bias []float32, r0, n, rem int, relu bool) {
 	}
 }
 
-// DotPanelInto computes four outputs of y = P·x (+bias, ReLU) for one
-// input vector: outputs [4*pi, min(4*pi+4, rows)) are written into dst
-// (length rows), reading x (length cols). This is the transposed-weight
-// orientation used by fully-connected layers, where each sample's output
-// is a set of dot products against static weight rows. Accumulation over
-// k is ascending, matching the reference MatMulTransB kernel bit-for-bit.
+// DotPanelsInto computes outputs [4*p0, min(4*p1, rows)) of
+// y = P·x (+bias, ReLU) for one input vector: dst has length rows, x
+// length cols. This is the transposed-weight orientation used by
+// fully-connected layers, where each sample's output is a set of dot
+// products against static weight rows. Every output is one chain over
+// ascending k from zero, matching the reference MatMulTransB kernel
+// bit-for-bit; while four full panels remain the AVX2 dot kernel runs
+// sixteen such chains at once (one XMM register per panel, one lane per
+// row), otherwise DotPanelInto takes the panels one by one.
+func (p *Packed) DotPanelsInto(dst, x []float32, p0, p1 int, bias []float32, relu bool) {
+	pi := p0
+	if useAVX2 {
+		for ; pi+dotPanels <= p1 && (pi+dotPanels)*panelRows <= p.rows; pi += dotPanels {
+			r0 := pi * panelRows
+			var pbias []float32
+			if bias != nil {
+				pbias = bias[r0 : r0+dotPanels*panelRows]
+			}
+			dotPanels4AVX2(dst[r0:r0+dotPanels*panelRows],
+				p.panels[r0*p.cols:(r0+dotPanels*panelRows)*p.cols], x, pbias, p.cols, relu)
+		}
+	}
+	for ; pi < p1; pi++ {
+		p.DotPanelInto(dst, x, pi, bias, relu)
+	}
+}
+
+// DotPanelInto is the one-panel scalar form of DotPanelsInto: outputs
+// [4*pi, min(4*pi+4, rows)).
 func (p *Packed) DotPanelInto(dst, x []float32, pi int, bias []float32, relu bool) {
 	k := p.cols
 	pan := p.panels[pi*panelRows*k : (pi+1)*panelRows*k]

@@ -1,0 +1,79 @@
+//go:build !purego
+
+package tensor
+
+import (
+	"fmt"
+	"unsafe"
+)
+
+// Implemented in panel_amd64.s.
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+//go:noescape
+func mulPanel4x16(dst, pan, b, bias *float32, n, k, c0, c1 int, relu bool)
+
+//go:noescape
+func dotPanels4x4(dst, pan, x, bias *float32, k int, relu bool)
+
+// haveAVX2 reports whether the micro-kernels may run: the CPU has AVX
+// and AVX2, and the OS saves and restores the YMM state (OSXSAVE set and
+// XCR0 bits 1 and 2, SSE and AVX state, both enabled).
+func haveAVX2() bool {
+	maxID, _, _, _ := cpuid(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx2 != 0
+}
+
+// mulPanel4AVX2 computes columns [c0, c1) of one full panel's four
+// output rows with the 4×16 micro-kernel, bias add and ReLU fused into
+// its store: c holds the panel's four rows of the n-column output, pan
+// its 4·k packed weights, b the k×n right-hand side, bias (nil or four
+// entries) the panel's own biases. The band must be at least kernelCols
+// wide; a ragged tail is covered by one more block ending at c1, which
+// overlaps the block before it — the kernel overwrites, so computing a
+// column twice stores the same bits twice.
+//
+// The assembly does no bounds checking. Every address it touches is one
+// of the index expressions the scalar loops (mulPanel4, epilogue) would
+// bounds-check — c[3n+c1-1], pan[4k-1], b[(k-1)n+c1-1], bias[3] are the
+// largest — so they are established here, in Go, written so that no
+// product can overflow, and a violation panics before the kernel runs.
+func mulPanel4AVX2(c, pan, b, bias []float32, n, k, c0, c1 int, relu bool) {
+	if c0 < 0 || c1-c0 < kernelCols || c1 > n || k < 0 ||
+		n > len(c) || len(c) < (panelRows-1)*n+c1 ||
+		k > len(pan)/panelRows ||
+		(k > 0 && (len(b) < c1 || (len(b)-c1)/n < k-1)) ||
+		(bias != nil && len(bias) < panelRows) {
+		panic(fmt.Sprintf("tensor: panel kernel out of range: len(c)=%d len(pan)=%d len(b)=%d len(bias)=%d n=%d k=%d cols [%d,%d)",
+			len(c), len(pan), len(b), len(bias), n, k, c0, c1))
+	}
+	mulPanel4x16(unsafe.SliceData(c), unsafe.SliceData(pan), unsafe.SliceData(b), unsafe.SliceData(bias), n, k, c0, c1, relu)
+}
+
+// dotPanels4AVX2 computes the sixteen outputs of four full consecutive
+// panels against one input vector: dst[0:16], pan the panels' 16·k
+// packed weights, x the k inputs, bias nil or the sixteen biases. The
+// bounds contract is mulPanel4AVX2's.
+func dotPanels4AVX2(dst, pan, x, bias []float32, k int, relu bool) {
+	const outs = dotPanels * panelRows
+	if k < 0 || len(dst) < outs || k > len(pan)/outs || len(x) < k || (bias != nil && len(bias) < outs) {
+		panic(fmt.Sprintf("tensor: dot kernel out of range: len(dst)=%d len(pan)=%d len(x)=%d len(bias)=%d k=%d",
+			len(dst), len(pan), len(x), len(bias), k))
+	}
+	dotPanels4x4(unsafe.SliceData(dst), unsafe.SliceData(pan), unsafe.SliceData(x), unsafe.SliceData(bias), k, relu)
+}

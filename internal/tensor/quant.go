@@ -342,35 +342,6 @@ func (p *PackedInt8) DotPanelInto(dst []float32, x []int8, pi int, zp int32, out
 // activation zero point — which keeps the epilogue's zp·rowSum
 // correction exact in padded regions.
 func Im2ColSliceInt8(dst, img []int8, c, h, w int, g ConvGeom, pad int8) {
-	oh, ow := g.OutSize(h, w)
-	dd := dst
-	id := img
-	ncols := oh * ow
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				row := ((ch*g.KH+kh)*g.KW + kw) * ncols
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*g.StrideH - g.PadH + kh
-					outBase := row + oy*ow
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dd[outBase+ox] = pad
-						}
-						continue
-					}
-					inBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*g.StrideW - g.PadW + kw
-						if ix < 0 || ix >= w {
-							dd[outBase+ox] = pad
-						} else {
-							dd[outBase+ox] = id[inBase+ix]
-						}
-					}
-				}
-			}
-		}
-	}
+	oh, _ := g.OutSize(h, w)
+	im2colRows(dst, img, c, h, w, g, 0, oh, pad)
 }

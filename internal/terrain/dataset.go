@@ -78,7 +78,7 @@ func BuildDataset(w *Watershed, img *tensor.Tensor, cc ClipConfig) (*Dataset, er
 			if r0 < 0 || c0 < 0 || r0+cc.Size > cfg.Rows || c0+cc.Size > cfg.Cols {
 				continue // crossing too close to the raster edge
 			}
-			clip := clipImage(img, r0, c0, cc.Size)
+			clip := Clip(img, r0, c0, cc.Size)
 			target := nn.DetectionTarget{
 				HasObject: true,
 				CX:        float32(p.C-c0) / float32(cc.Size),
@@ -105,7 +105,7 @@ func BuildDataset(w *Watershed, img *tensor.Tensor, cc ClipConfig) (*Dataset, er
 			continue
 		}
 		ds.Samples = append(ds.Samples, Sample{
-			Image:  clipImage(img, r0, c0, cc.Size),
+			Image:  Clip(img, r0, c0, cc.Size),
 			Target: nn.DetectionTarget{HasObject: false},
 			Origin: hydro.Point{R: r0, C: c0},
 		})
@@ -123,27 +123,34 @@ func containsCrossing(w *Watershed, r0, c0, size int) bool {
 	return false
 }
 
-// Clip extracts a size×size window from a C×H×W image at (r0, c0). The
-// window must lie fully inside the image.
+// Clip extracts a size×size window from a C×H×W image at (r0, c0) into
+// a new C×size×size tensor. The window must lie fully inside the image.
 func Clip(img *tensor.Tensor, r0, c0, size int) *tensor.Tensor {
-	if r0 < 0 || c0 < 0 || r0+size > img.Dim(1) || c0+size > img.Dim(2) {
-		panic(fmt.Sprintf("terrain: clip [%d,%d)+%d outside %v", r0, c0, size, img.Shape()))
-	}
-	return clipImage(img, r0, c0, size)
+	out := tensor.New(img.Dim(0), size, size)
+	ClipInto(out, img, r0, c0, size)
+	return out
 }
 
-func clipImage(img *tensor.Tensor, r0, c0, size int) *tensor.Tensor {
-	bands := img.Dim(0)
-	cols := img.Dim(2)
-	out := tensor.New(bands, size, size)
+// ClipInto is Clip into a caller-owned tensor, for callers that cut many
+// windows and can reuse one buffer. dst may have any shape of C·size·size
+// elements — a C×size×size clip, or the 1×C×size×size batch of one the
+// serving pool takes — and is fully overwritten.
+func ClipInto(dst, img *tensor.Tensor, r0, c0, size int) {
+	bands, rows, cols := img.Dim(0), img.Dim(1), img.Dim(2)
+	if r0 < 0 || c0 < 0 || r0+size > rows || c0+size > cols {
+		panic(fmt.Sprintf("terrain: clip [%d,%d)+%d outside %v", r0, c0, size, img.Shape()))
+	}
+	if dst.Len() != bands*size*size {
+		panic(fmt.Sprintf("terrain: clip destination %v cannot hold %dx%dx%d", dst.Shape(), bands, size, size))
+	}
+	dd, id := dst.Data(), img.Data()
 	for b := 0; b < bands; b++ {
 		for r := 0; r < size; r++ {
-			srcBase := (b*img.Dim(1)+(r0+r))*cols + c0
+			srcBase := (b*rows+(r0+r))*cols + c0
 			dstBase := (b*size + r) * size
-			copy(out.Data()[dstBase:dstBase+size], img.Data()[srcBase:srcBase+size])
+			copy(dd[dstBase:dstBase+size], id[srcBase:srcBase+size])
 		}
 	}
-	return out
 }
 
 // Split shuffles deterministically and splits into train/test by fraction

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"drainnet/internal/hydro"
+	"drainnet/internal/tensor"
 )
 
 // testConfig is a small, fast watershed for unit tests.
@@ -259,6 +260,42 @@ func TestBatchAssembly(t *testing.T) {
 	// First sample's first pixel must match.
 	if x.At(0, 0, 0, 0) != ds.Samples[0].Image.At(0, 0, 0) {
 		t.Fatal("batch content mismatch")
+	}
+}
+
+// ClipInto fills a reused batch-of-one tensor with exactly the window
+// Clip allocates, overwriting whatever the previous window left, and
+// refuses a destination of the wrong volume or a window off the image.
+func TestClipIntoMatchesClip(t *testing.T) {
+	img := tensor.New(3, 9, 11)
+	for i := range img.Data() {
+		img.Data()[i] = float32(i)
+	}
+	dst := tensor.New(1, 3, 4, 4)
+	for _, at := range [][2]int{{0, 0}, {5, 7}, {2, 3}} {
+		ClipInto(dst, img, at[0], at[1], 4)
+		want := Clip(img, at[0], at[1], 4)
+		for i, v := range want.Data() {
+			if dst.Data()[i] != v {
+				t.Fatalf("window %v: element %d = %v, want %v", at, i, dst.Data()[i], v)
+			}
+		}
+		if want.At(1, 2, 3) != img.At(1, at[0]+2, at[1]+3) {
+			t.Fatalf("window %v: Clip does not read the image at its offset", at)
+		}
+	}
+	for name, f := range map[string]func(){
+		"wrong volume": func() { ClipInto(tensor.New(3, 4, 5), img, 0, 0, 4) },
+		"off the edge": func() { ClipInto(dst, img, 6, 0, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
