@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-purego test-race test-benchmark smoke-sweep smoke-cluster \
+.PHONY: all check build vet test test-purego check-asm test-race test-benchmark smoke-sweep smoke-cluster \
         bench-cluster check-allocs fuzz-smoke \
         bench bench-serve bench-telemetry bench-inference bench-kernels \
         bench-ios bench-dynamic bench-nas test-short \
@@ -12,14 +12,15 @@ all: build vet test
 
 # The gate for every change: build, vet, full tests, the kernel packages
 # again without their assembly (`-tags purego`: the scalar fallback every
-# other GOARCH runs), the whole suite again under the race detector
-# (every package, no name filter — a new test can never fall outside a
-# pattern), the benchmark harness module
+# other GOARCH runs), the grep that keeps fused and saturating
+# multiply-adds out of the assembly, the whole suite again under the
+# race detector (every package, no name filter — a new test can never
+# fall outside a pattern), the benchmark harness module
 # (its own go.mod, so `./...` never compiles it), the sweep
 # kill-and-resume smoke, the cluster kill-under-load smoke, the
 # allocation regression guards on the serving forwards, the request
 # decoder and the pool's Submit, and ten seconds of each native fuzz target.
-check: build vet test test-purego test-race test-benchmark smoke-sweep smoke-cluster check-allocs fuzz-smoke
+check: build vet test test-purego check-asm test-race test-benchmark smoke-sweep smoke-cluster check-allocs fuzz-smoke
 
 # Kill-and-resume smoke: drain a mid-flight sweep (fake backend and the
 # real batcher pool), resume it, and require bit-identical results.
@@ -78,13 +79,22 @@ vet:
 test:
 	$(GO) test ./...
 
-# The fp32 GEMM, dot and their callers without the AVX2 micro-kernels
-# (internal/tensor/panel_amd64.s): what a non-amd64 build serves. The
-# differential and golden-digest tests hold the scalar loops to the same
-# bits, so the fallback cannot rot unseen.
+# The fp32 GEMM and dot, the int8 GEMM, dot and quantizer, and their
+# callers without the AVX2 micro-kernels (internal/tensor/panel_amd64.s,
+# int8_amd64.s): what a non-amd64 build serves. The differential and
+# golden-digest tests hold the scalar loops to the same bits, so the
+# fallback cannot rot unseen.
 test-purego:
 	$(GO) vet -tags purego ./internal/tensor/...
 	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/model/
+
+# Instructions that would break the kernels' bit-identity with the
+# scalar loops must not appear in the assembly, comments included: the
+# FMA family rounds once where the loops round twice; VPMADDUBSW
+# saturates its int16 pair sum and VPDPBUSDS / VPDPWSSDS their int32
+# accumulator where the loops' integer sums are exact.
+check-asm:
+	! grep -nE 'VFMADD|VFNMADD|VPMADDUBSW|VPDPBUSDS|VPDPWSSDS' internal/tensor/*.s
 
 # Several minutes: GOMAXPROCS=4 gives the shared worker pool, the IOS
 # stage executor and the parallel NAS search real fan-out to race on.

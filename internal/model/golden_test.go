@@ -98,9 +98,33 @@ type goldenExec struct {
 	plan *DynamicPlan
 }
 
-// goldenExecutors returns the three fp32 executors the harness can
-// serve: the static im2col chain, the same chain with every conv on the
-// Winograd kernel in both batch buckets, and the dynamic executor.
+// goldenInt8Net quantizes a goldenNet against observers calibrated on
+// the golden batch itself, sixteen clips at a time.
+func goldenInt8Net(t *testing.T) *nn.Sequential {
+	t.Helper()
+	net := goldenNet(t)
+	x := goldenBatch()
+	const per = 4 * 40 * 40
+	var batches []*tensor.Tensor
+	for i := 0; i < goldenClips; i += 16 {
+		batches = append(batches, tensor.FromSlice(x.Data()[i*per:(i+16)*per], 16, 4, 40, 40))
+	}
+	qnet, rep, err := nn.QuantizeForInference(net, nn.Calibrate(net, batches))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Quantized != 5 || rep.Fallback != 0 {
+		t.Fatalf("golden int8 net: %d layers quantized, %d fell back; want all 5 on the int8 kernels", rep.Quantized, rep.Fallback)
+	}
+	return qnet
+}
+
+// goldenExecutors returns the executors the harness can serve: the
+// static im2col chain, the same chain with every conv on the Winograd
+// kernel in both batch buckets, the dynamic executor, and the two int8
+// ones — the quantized chain on its own and as the routed twin of the
+// dynamic executor (unmasked, like Plan.NewReplica's: the plan's masks
+// go on the fp32 net only, so the twin's plan counts exits alone).
 func goldenExecutors(t *testing.T) []goldenExec {
 	t.Helper()
 	static := goldenNet(t)
@@ -113,13 +137,19 @@ func goldenExecutors(t *testing.T) []goldenExec {
 	dyn := goldenNet(t)
 	plan := goldenDynamicPlan(t, dyn)
 	plan.Apply(dyn)
-	for _, net := range []*nn.Sequential{static, wino, dyn} {
+	quant := goldenInt8Net(t)
+	twin := goldenInt8Net(t)
+	twinPlan := goldenDynamicPlan(t, twin)
+	twinPlan.MaskEnabled = false
+	for _, net := range []*nn.Sequential{static, wino, dyn, quant, twin} {
 		nn.PrepareInference(net)
 	}
 	return []goldenExec{
 		{"static", seqExec{static}, nil},
 		{"winograd", seqExec{wino}, nil},
 		{"dynamic", NewDynamicExec(dyn, plan), plan},
+		{"int8", seqExec{quant}, nil},
+		{"int8-dynamic", NewDynamicExec(twin, twinPlan), twinPlan},
 	}
 }
 
@@ -160,7 +190,7 @@ func goldenDigests(t *testing.T) map[string]string {
 			if exited, total := ge.plan.ExitStats.Counts(); exited == 0 || exited == total {
 				t.Fatalf("golden batch exits %d of %d clips: the probe threshold no longer splits it", exited, total)
 			}
-			if masked, total := ge.plan.Stats.Counts(); masked == 0 || masked == total {
+			if masked, total := ge.plan.Stats.Counts(); ge.plan.MaskEnabled && (masked == 0 || masked == total) {
 				t.Fatalf("golden batch masks %d of %d bands: the mask threshold no longer splits it", masked, total)
 			}
 		}
@@ -169,9 +199,11 @@ func goldenDigests(t *testing.T) map[string]string {
 }
 
 // TestInferGoldenDigests pins InferDetect bit for bit on the benchmark
-// architecture against digests recorded at commit 4d39572, before the
-// fp32 GEMM, im2col, dot and max-pool loops under it were replaced by
-// the AVX2 panel kernel and its row-copy / fast-path companions. The
+// architecture against digests recorded before the loops under it were
+// replaced: the fp32 ones at commit 4d39572 (GEMM, im2col, dot and
+// max-pool, now the AVX2 panel kernel and its row-copy / fast-path
+// companions), the int8 ones at 72a17d7 (GEMM, dot, quantize and
+// dequantize, now the AVX2 integer kernels of int8_amd64.s). The
 // worker pool sizes itself once per process, so the comparison runs in
 // two child processes, GOMAXPROCS 1 and 4; under `-tags purego` the same
 // digests pin the scalar fallback.

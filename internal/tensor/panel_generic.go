@@ -3,7 +3,7 @@
 package tensor
 
 // This build has no assembly micro-kernels: useAVX2 stays false and the
-// scalar loops in packed.go serve every call.
+// scalar loops in packed.go and quant.go serve every call.
 
 func haveAVX2() bool { return false }
 
@@ -13,4 +13,16 @@ func mulPanel4AVX2(c, pan, b, bias []float32, n, k, c0, c1 int, relu bool) {
 
 func dotPanels4AVX2(dst, pan, x, bias []float32, k int, relu bool) {
 	panic("tensor: no AVX2 dot kernel in this build")
+}
+
+func (p *PackedInt8) mulPanelAVX2(c []float32, b []int8, n, pi int, zp int32, outScale, bias []float32, relu bool) {
+	panic("tensor: no AVX2 int8 panel kernel in this build")
+}
+
+func (p *PackedInt8) dotPanelAVX2(acc *[panelRows]int32, x []int8, pi int) int {
+	panic("tensor: no AVX2 int8 dot kernel in this build")
+}
+
+func quantizeAVX2(dst []int8, src []float32, invScale float32, zp int32) int {
+	panic("tensor: no AVX2 quantize kernel in this build")
 }

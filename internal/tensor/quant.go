@@ -83,6 +83,11 @@ func QuantizeSymmetricPerRow(a *Tensor) ([]int8, []float32) {
 // data-dependent branches for the predictor to miss on random
 // activations, and the same bytes on every run.
 func QuantizeSlice(dst []int8, src []float32, invScale float32, zp int32) {
+	if useAVX2 {
+		// Eight at a time in int8_amd64.s; the loop below takes the tail.
+		done := quantizeAVX2(dst, src, invScale, zp)
+		dst, src = dst[done:], src[done:]
+	}
 	for i, v := range src {
 		// Pre-round clamp: float32→int32 conversion of an out-of-range
 		// value is implementation-defined in Go, so bound f while it is
@@ -100,19 +105,32 @@ func QuantizeSlice(dst []int8, src []float32, invScale float32, zp int32) {
 //	panels[p*4k + kk*4 + r] = Q[4p+r][kk]
 //
 // with zero-filled rows past the matrix, plus the per-row code sums
-// needed for the activation zero-point correction. Panels are packed once
-// at quantization time and shared by every serving replica.
+// needed for the activation zero-point correction. Where the AVX2
+// kernels run (useAVX2) the same codes are held a second time in the
+// layout VPMADDWD consumes — k-pairs widened to int16, the panel's four
+// rows side by side,
+//
+//	pairs[p*pairStride + (kk/2)*8 + r*2 + kk%2] = Q[4p+r][kk]
+//
+// zero past k (an odd k's last pair) and past the matrix: zeros add
+// exactly nothing. Both are packed once at quantization time and shared
+// by every serving replica.
 type PackedInt8 struct {
 	rows, cols int
 	panels     []int8
+	pairs      []int16
 	rowSum     []int32
 }
 
 // maxInt8GemmK bounds the reduction depth so every per-row accumulator
-// stays within int32 (k·127² < 2³¹), which the packed-lane kernel in
-// mulPanel4Int8 depends on for exactness. Real conv reductions are a few
-// thousand; this is a safety rail, not a practical limit.
-const maxInt8GemmK = (1<<31 - 1) / (127 * 127)
+// stays within int32: weight codes are symmetric, |q| ≤ 127
+// (QuantizeSymmetricPerRow), but activation codes reach -128
+// (QuantizeSlice), so the bound is k·127·128 < 2³¹. Every kernel depends
+// on it for exactness — the packed int64 lanes of mulPanel4Int8, the
+// int32 registers of DotPanelInto and the AVX2 kernels' VPADDD alike.
+// Real conv reductions are a few thousand; this is a safety rail, not a
+// practical limit.
+const maxInt8GemmK = (1<<31 - 1) / (127 * 128)
 
 // PackInt8 packs a row-major rows×cols int8 matrix into panel layout.
 func PackInt8(q []int8, rows, cols int) *PackedInt8 {
@@ -140,8 +158,21 @@ func PackInt8(q []int8, rows, cols int) *PackedInt8 {
 		}
 		p.rowSum[r] = sum
 	}
+	if useAVX2 {
+		stride := p.pairStride()
+		p.pairs = make([]int16, np*stride)
+		for r := 0; r < rows; r++ {
+			pan := p.pairs[(r/panelRows)*stride:]
+			for kk, v := range q[r*cols : (r+1)*cols] {
+				pan[(kk/2)*2*panelRows+(r%panelRows)*2+kk%2] = int16(v)
+			}
+		}
+	}
 	return p
 }
+
+// pairStride is the length of one panel in the pairs layout.
+func (p *PackedInt8) pairStride() int { return (p.cols + 1) / 2 * 2 * panelRows }
 
 // Rows returns the logical row count (m).
 func (p *PackedInt8) Rows() int { return p.rows }
@@ -166,7 +197,10 @@ func (p *PackedInt8) RowSum(r int) int32 { return p.rowSum[r] }
 // is reused panel by panel, so concurrent callers over disjoint panel
 // ranges need disjoint acc slices. When relu is set, negatives (and NaN
 // from a pathological outScale) clamp to zero after the bias, matching
-// the fp32 epilogue's semantics.
+// the fp32 epilogue's semantics. Full panels of at least kernelCols
+// columns take the AVX2 kernel, which keeps its accumulators in
+// registers and leaves acc alone; integer accumulation is exact, so it
+// stores the bits the scalar loops below would.
 func (p *PackedInt8) MulPanelsInto(dst []float32, b []int8, n int, acc []int64, zp int32, outScale, bias []float32, relu bool, p0, p1 int) {
 	k := p.cols
 	acc01 := acc[0:n:n]
@@ -176,6 +210,10 @@ func (p *PackedInt8) MulPanelsInto(dst []float32, b []int8, n int, acc []int64, 
 		rem := p.rows - r0
 		if rem > panelRows {
 			rem = panelRows
+		}
+		if useAVX2 && rem == panelRows && n >= kernelCols {
+			p.mulPanelAVX2(dst[r0*n:(r0+rem)*n], b, n, pi, zp, outScale, bias, relu)
+			continue
 		}
 		// Tail panels run the same kernel: their dead rows are zero-filled,
 		// so the extra lanes accumulate exact zeros and are never decoded.
@@ -305,11 +343,19 @@ func (p *PackedInt8) dequantRows(dst []float32, acc01, acc23 []int64, r0, n, rem
 // input vector, dequantized into dst[4·pi : min(4·pi+4, rows)]. x is the
 // quantized activation vector (length cols, zero point zp). Accumulation
 // stays in registers, so unlike MulPanelsInto no scratch is needed —
-// this is the orientation the fully-connected layers use.
+// this is the orientation the fully-connected layers use. The AVX2
+// kernel sums the leading multiple of eight terms (dead rows of a tail
+// panel are zeros there too) and the loop below adds the rest.
 func (p *PackedInt8) DotPanelInto(dst []float32, x []int8, pi int, zp int32, outScale, bias []float32, relu bool) {
 	k := p.cols
 	pan := p.panels[pi*panelRows*k : (pi+1)*panelRows*k]
 	var a0, a1, a2, a3 int32
+	if useAVX2 {
+		var lead [panelRows]int32
+		done := p.dotPanelAVX2(&lead, x, pi)
+		a0, a1, a2, a3 = lead[0], lead[1], lead[2], lead[3]
+		x, pan, k = x[done:], pan[done*panelRows:], k-done
+	}
 	for kk, v := range x[:k] {
 		q := pan[kk*panelRows : kk*panelRows+4]
 		w := int32(v)

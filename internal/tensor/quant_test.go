@@ -70,30 +70,6 @@ func TestQuantizeSliceClampAndZeroPoint(t *testing.T) {
 	}
 }
 
-// refQuantMul computes the dequantized quantized product with naive
-// loops: dst[r][j] = outScale[r]*(Σ_k q[r][k]*b[k][j] - zp*rowSum[r]) + bias[r].
-func refQuantMul(q []int8, rows, cols int, b []int8, n int, zp int32, outScale, bias []float32, relu bool) []float32 {
-	dst := make([]float32, rows*n)
-	for r := 0; r < rows; r++ {
-		var rowSum int32
-		for k := 0; k < cols; k++ {
-			rowSum += int32(q[r*cols+k])
-		}
-		for j := 0; j < n; j++ {
-			var acc int32
-			for k := 0; k < cols; k++ {
-				acc += int32(q[r*cols+k]) * int32(b[k*n+j])
-			}
-			v := float32(acc-zp*rowSum)*outScale[r] + bias[r]
-			if relu && !(v > 0) {
-				v = 0
-			}
-			dst[r*n+j] = v
-		}
-	}
-	return dst
-}
-
 func TestPackedInt8MulMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, rows := range []int{1, 3, 4, 7, 16} {
@@ -119,7 +95,7 @@ func TestPackedInt8MulMatchesReference(t *testing.T) {
 				dst := make([]float32, rows*n)
 				acc := make([]int64, 2*n)
 				p.MulPanelsInto(dst, b, n, acc, zp, outScale, bias, relu, 0, p.Panels())
-				want := refQuantMul(q, rows, cols, b, n, zp, outScale, bias, relu)
+				want := refInt8Mul(q, rows, cols, b, n, zp, outScale, bias, relu, false)
 				for i := range want {
 					if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("rows=%d n=%d relu=%t: dst[%d]=%v want %v", rows, n, relu, i, dst[i], want[i])
