@@ -55,8 +55,9 @@ bench-cluster:
 # tests). The request decoder's guard bounds what a warm server allocates
 # per batch-16 request by a constant that does not grow with pixel count;
 # the pool's guard pins what one Submit on an idle pool allocates; the
-# raster-preparation guard bounds a 512² terrain.Generate (16 MB, 1,000
-# objects) and terrain.Render (6 MB, 100 objects).
+# raster-preparation guard bounds a 512² terrain.Generate (11.5 MB, 200
+# objects; 10.9 MB and ≈ 80 today — one more array per cell fails it) and
+# terrain.Render (5.5 MB, 100 objects; 5.1 MB and 55).
 check-allocs:
 	$(GO) test -run 'TestInferSteadyStateZeroAlloc|TestScheduledSteadyStateZeroAlloc|TestQuantInferSteadyStateZeroAlloc|TestTunedInferSteadyStateZeroAlloc|TestDynamicInferSteadyStateZeroAlloc' -v ./internal/model/
 	$(GO) test -run 'TestDecodeSteadyStateAllocs' -v ./internal/serve/
@@ -111,8 +112,11 @@ test-short:
 	$(GO) test -short ./...
 
 # Every table/figure benchmark, including the training ones (minutes).
+# The second line is raster preparation on the benchmark harness's own
+# 512² survey config: Generate, baseTerrain, Render and the priority flood.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
+	$(GO) test -run '^$$' -bench 512 -benchmem ./internal/terrain/
 
 # Simulator-only benchmarks (seconds).
 bench-fast:

@@ -1,6 +1,11 @@
 package hydro
 
-import "drainnet/internal/tensor"
+import (
+	"fmt"
+	"math"
+
+	"drainnet/internal/tensor"
+)
 
 // FlowDir holds D8 flow directions: for each cell, the index 0..7 of the
 // steepest-descent neighbor, or -1 for pits and flats with no lower
@@ -115,14 +120,12 @@ func FlowAccumulation(dem *Grid, dirs *FlowDir) *Grid {
 // of the raster at (possibly raised) elevation z.
 type floodCell struct {
 	z float64
-	i int
+	i int32
 }
 
-// floodHeap is a binary min-heap on z. Which of several equal-z cells
-// pops first decides which neighbour FillDepressions raises by eps, so
-// push and pop sift exactly as container/heap's up and down do (same
-// comparisons, same resulting layout) and the filled surface stays
-// bit-identical to the container/heap implementation it replaced.
+// floodHeap is a binary min-heap on z. It promises nondecreasing z and
+// nothing about which of several equal-z cells pops first; FillDepressions
+// needs no more (see there).
 type floodHeap []floodCell
 
 func (h *floodHeap) push(x floodCell) {
@@ -140,45 +143,175 @@ func (h *floodHeap) push(x floodCell) {
 	*h = s
 }
 
-func (h *floodHeap) pop() floodCell {
-	s := *h
-	n := len(s) - 1
-	top, x := s[0], s[n]
-	i := 0
+// down sifts x from the hole at i towards the leaves and drops it where
+// the heap order holds.
+func (h floodHeap) down(i int, x floodCell) {
+	n := len(h)
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if right := child + 1; right < n && s[right].z < s[child].z {
+		if right := child + 1; right < n && h[right].z < h[child].z {
 			child = right
 		}
-		if !(s[child].z < x.z) {
+		if !(h[child].z < x.z) {
 			break
 		}
-		s[i] = s[child]
+		h[i] = h[child]
 		i = child
 	}
-	if n > 0 {
-		s[i] = x
+	h[i] = x
+}
+
+// heapify orders an arbitrary slice as a heap.
+func (h floodHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
 	}
-	*h = s[:n]
+}
+
+func (h *floodHeap) pop() floodCell {
+	s := *h
+	n := len(s) - 1
+	top, x := s[0], s[n]
+	s = s[:n]
+	if n > 0 {
+		s.down(0, x)
+	}
+	*h = s
 	return top
+}
+
+// floodQueue is FillDepressions' priority queue. The elevation range is
+// cut into levels; only the cells of the level being drained sit in the
+// heap, and a queued cell of a higher level waits on that level's list
+// until the drain reaches it. level is monotone in z, so every waiting
+// cell is strictly higher than every cell in the heap and pops come out
+// in nondecreasing z over the whole flood, while a push or a pop sifts
+// through one level's cells instead of the whole flood front.
+//
+// Only the front is ever queued, so the lists are front-sized: nodes from
+// one slice, recycled through a free list as levels drain, and one head
+// per level. Node 0 is the nil link.
+type floodQueue struct {
+	lo, scale float64
+	head      []int32 // per level: its first waiting node
+	nodes     []floodNode
+	free      int32
+	cur       int // level being drained; -1 while the rim is seeded
+	heap      floodHeap
+}
+
+type floodNode struct {
+	cell, next int32
+}
+
+// floodCellsPerLevel sizes the level count from the cell count: few
+// enough cells a level that a sift is two or three steps, few enough
+// levels that their heads stay a small fraction of the raster.
+const floodCellsPerLevel = 16
+
+func newFloodQueue(dem *Grid) *floodQueue {
+	lo, hi := dem.MinMax()
+	levels := max(len(dem.Data)/floodCellsPerLevel, 1)
+	scale := float64(levels) / (hi - lo)
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		// A flat raster, or one whose range is not a finite number: one
+		// level, a single heap.
+		levels, scale = 1, 0
+	}
+	return &floodQueue{
+		lo: lo, scale: scale,
+		head:  make([]int32, levels),
+		nodes: make([]floodNode, 1, 1+2*(dem.Rows+dem.Cols)),
+		cur:   -1,
+	}
+}
+
+// level maps an elevation to its level, monotonically. Elevations raised
+// past the raster's maximum share the top level; a NaN lands on level 0.
+func (q *floodQueue) level(z float64) int {
+	f := (z - q.lo) * q.scale
+	if last := len(q.head) - 1; f >= float64(last) {
+		return last
+	}
+	if f > 0 {
+		return int(f)
+	}
+	return 0
+}
+
+// add queues cell i at elevation z: on the heap if its level is being
+// drained, else on its level's list.
+func (q *floodQueue) add(z float64, i int32) {
+	l := q.level(z)
+	if l <= q.cur {
+		q.heap.push(floodCell{z: z, i: i})
+		return
+	}
+	k := q.free
+	if k != 0 {
+		q.free = q.nodes[k].next
+	} else {
+		k = int32(len(q.nodes))
+		q.nodes = append(q.nodes, floodNode{})
+	}
+	q.nodes[k] = floodNode{cell: i, next: q.head[l]}
+	q.head[l] = k
+}
+
+// drain makes level l the one being drained: its waiting cells, whose
+// elevations are final in z, move to the heap and their nodes to the
+// free list.
+func (q *floodQueue) drain(l int, z []float64) {
+	q.cur = l
+	first := q.head[l]
+	if first == 0 {
+		return
+	}
+	q.head[l] = 0
+	k := first
+	for {
+		cell := q.nodes[k].cell
+		q.heap = append(q.heap, floodCell{z: z[cell], i: cell})
+		if q.nodes[k].next == 0 {
+			break
+		}
+		k = q.nodes[k].next
+	}
+	q.nodes[k].next, q.free = q.free, first
+	q.heap.heapify()
 }
 
 // FillDepressions returns a copy of dem with all interior depressions
 // raised to their spill elevation (Barnes et al. priority-flood). A tiny
 // epsilon gradient keeps filled areas drainable.
+//
+// The flood visits cells in nondecreasing order of filled elevation, and
+// the surface does not depend on the order among equal elevations: a
+// cell n reached from a queued neighbour at elevation z gets
+// f(z) = dem[n] if z < dem[n], else z + eps, which is monotone and never
+// below z, so — as for Dijkstra's shortest paths — the flood computes the
+// one least surface with filled[n] = min over neighbours m of f(filled[m])
+// and the rim kept, whichever of several equal-z cells pops first.
+//
+// A dem holding NaN or ±Inf is filled without panicking, but to
+// unspecified values. Rasters are limited to 2³¹−1 cells.
 func FillDepressions(dem *Grid) *Grid {
 	const eps = 1e-6
 	out := dem.Clone()
 	rows, cols := dem.Rows, dem.Cols
-	visited := make([]bool, len(dem.Data))
-	var h floodHeap
+	n := len(dem.Data)
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("hydro: FillDepressions: %dx%d raster exceeds the flood queue's 32-bit cell index", rows, cols))
+	}
+	visited := make([]bool, n)
+	q := newFloodQueue(dem)
 	seed := func(r, c int) {
 		i := r*cols + c
 		visited[i] = true
-		h.push(floodCell{z: out.Data[i], i: i})
+		q.add(out.Data[i], int32(i))
 	}
 	for c := 0; c < cols; c++ {
 		seed(0, c)
@@ -192,25 +325,42 @@ func FillDepressions(dem *Grid) *Grid {
 			seed(r, cols-1)
 		}
 	}
-	for len(h) > 0 {
-		cell := h.pop()
-		r, c := cell.i/cols, cell.i%cols
-		for k := 0; k < 8; k++ {
-			nr, nc := r+d8dr[k], c+d8dc[k]
-			if nr < 0 || nr >= rows || nc < 0 || nc >= cols {
+	var offset [8]int
+	for k := range offset {
+		offset[k] = d8dr[k]*cols + d8dc[k]
+	}
+	// reach queues neighbour ni of a cell popped at elevation z, raised
+	// if it does not already lie above it.
+	reach := func(ni int, z float64) {
+		if visited[ni] {
+			return
+		}
+		visited[ni] = true
+		nz := out.Data[ni]
+		if nz <= z {
+			nz = z + eps
+			out.Data[ni] = nz
+		}
+		q.add(nz, int32(ni))
+	}
+	for l := range q.head {
+		q.drain(l, out.Data)
+		for len(q.heap) > 0 {
+			cell := q.heap.pop()
+			i := int(cell.i)
+			// Only a cell on the raster's rim has neighbours to bounds-check.
+			if c := i % cols; i >= cols && i < n-cols && c > 0 && c < cols-1 {
+				for _, d := range offset {
+					reach(i+d, cell.z)
+				}
 				continue
 			}
-			ni := nr*cols + nc
-			if visited[ni] {
-				continue
+			r, c := i/cols, i%cols
+			for k, d := range offset {
+				if dem.In(r+d8dr[k], c+d8dc[k]) {
+					reach(i+d, cell.z)
+				}
 			}
-			visited[ni] = true
-			z := out.Data[ni]
-			if z <= cell.z {
-				z = cell.z + eps
-				out.Data[ni] = z
-			}
-			h.push(floodCell{z: z, i: ni})
 		}
 	}
 	return out

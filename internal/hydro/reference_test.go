@@ -20,25 +20,40 @@ type refFloodCell struct {
 	r, c int
 }
 
-type refFloodHeap []refFloodCell
+// refFloodHeap is the container/heap queue FillDepressions shipped with.
+// tie, when set, decides between cells of equal z by raster index; nil
+// leaves them to the heap's layout, as the shipped implementation did.
+type refFloodHeap struct {
+	cells []refFloodCell
+	cols  int
+	tie   func(a, b int) bool
+}
 
-func (h refFloodHeap) Len() int            { return len(h) }
-func (h refFloodHeap) Less(i, j int) bool  { return h[i].z < h[j].z }
-func (h refFloodHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refFloodHeap) Push(x interface{}) { *h = append(*h, x.(refFloodCell)) }
+func (h *refFloodHeap) Len() int { return len(h.cells) }
+func (h *refFloodHeap) Less(i, j int) bool {
+	a, b := h.cells[i], h.cells[j]
+	if a.z != b.z || h.tie == nil {
+		return a.z < b.z
+	}
+	return h.tie(a.r*h.cols+a.c, b.r*h.cols+b.c)
+}
+func (h *refFloodHeap) Swap(i, j int)      { h.cells[i], h.cells[j] = h.cells[j], h.cells[i] }
+func (h *refFloodHeap) Push(x interface{}) { h.cells = append(h.cells, x.(refFloodCell)) }
 func (h *refFloodHeap) Pop() interface{} {
-	old := *h
+	old := h.cells
 	n := len(old)
 	x := old[n-1]
-	*h = old[:n-1]
+	h.cells = old[:n-1]
 	return x
 }
 
-func refFillDepressions(dem *Grid) *Grid {
+func refFillDepressions(dem *Grid) *Grid { return refFillDepressionsTies(dem, nil) }
+
+func refFillDepressionsTies(dem *Grid, tie func(a, b int) bool) *Grid {
 	const eps = 1e-6
 	out := dem.Clone()
 	visited := make([]bool, len(dem.Data))
-	h := &refFloodHeap{}
+	h := &refFloodHeap{cols: dem.Cols, tie: tie}
 	heap.Init(h)
 	push := func(r, c int) {
 		visited[r*dem.Cols+c] = true
@@ -210,41 +225,89 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// The typed heap must pop in exactly container/heap's order, ties
-// included: the cell payload tells equal-z items apart.
-func TestFloodHeapMatchesContainerHeap(t *testing.T) {
+// The heap owes the flood its cells back in nondecreasing z — the same
+// multiset out as went in, never a smaller z after a larger — from pushes,
+// from heapify over an arbitrary slice, and with pops interleaved.
+func TestFloodPopsNondecreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var got floodHeap
-	want := &refFloodHeap{}
-	pop := func(step int) {
-		g, w := got.pop(), heap.Pop(want).(refFloodCell)
-		if g.z != w.z || g.i != w.r {
-			t.Fatalf("pop %d: got (z=%v, cell %d), container/heap gives (z=%v, cell %d)", step, g.z, g.i, w.z, w.r)
+	var h floodHeap
+	in, out := map[floodCell]int{}, map[floodCell]int{}
+	last := 0.0
+	pop := func() {
+		x := h.pop()
+		if x.z < last {
+			t.Fatalf("popped z=%v after z=%v", x.z, last)
+		}
+		last = x.z
+		out[x]++
+	}
+	for round := 0; round < 20; round++ {
+		// A level's worth of cells arrives as an unordered slice ...
+		for n := rng.Intn(200); n > 0; n-- {
+			x := floodCell{z: last + float64(rng.Intn(8)), i: int32(rng.Intn(50))} // quantised: many ties
+			h = append(h, x)
+			in[x]++
+		}
+		h.heapify()
+		// ... and is drained while the flood pushes cells no lower than
+		// the one it just popped.
+		for len(h) > 0 {
+			pop()
+			if rng.Intn(3) == 0 {
+				x := floodCell{z: last + float64(rng.Intn(3)), i: int32(rng.Intn(50))}
+				h.push(x)
+				in[x]++
+			}
 		}
 	}
-	for i := 0; i < 10000; i++ {
-		z := float64(rng.Intn(8)) // quantised: ~1250 cells per level
-		got.push(floodCell{z: z, i: i})
-		heap.Push(want, refFloodCell{z: z, r: i})
-		// Interleave pops the way the flood does, so sift-down runs on
-		// heaps of every size, not only while draining.
-		if rng.Intn(3) == 0 {
-			pop(i)
-		}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("cells popped differ from cells queued: %d kinds in, %d out", len(in), len(out))
 	}
-	for step := 0; len(got) > 0; step++ {
-		if len(got) != want.Len() {
-			t.Fatalf("lengths diverge: %d vs %d", len(got), want.Len())
+}
+
+// floodEdgeDEMs are the rasters that stress the level arithmetic of the
+// flood queue rather than the flood: degenerate and extreme elevation
+// ranges, an outlier that squeezes every other cell into one level, and
+// road embankments over smooth relief (the generator's w.DEM).
+func floodEdgeDEMs() map[string]*Grid {
+	rng := rand.New(rand.NewSource(11))
+	fill := func(rows, cols int, f func(r, c int) float64) *Grid {
+		g := NewGrid(rows, cols, 1)
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				g.Set(r, c, f(r, c))
+			}
 		}
-		pop(step)
+		return g
 	}
-	if want.Len() != 0 {
-		t.Fatalf("container/heap still holds %d cells", want.Len())
+	rough := func(scale float64) *Grid {
+		return fill(40, 33, func(r, c int) float64 { return rng.Float64() * scale })
+	}
+	nodata := rough(20)
+	nodata.Set(17, 9, -9999)
+	return map[string]*Grid{
+		"range_1e-300": rough(1e-300),
+		"range_1e300":  rough(1e300),
+		"range_inf":    fill(30, 30, func(r, c int) float64 { return (rng.Float64()*2 - 1) * math.MaxFloat64 }), // hi − lo overflows
+		"nodata":       nodata,
+		"embanked": fill(96, 120, func(r, c int) float64 {
+			z := 14*(1-float64(c)/120) + 3*math.Sin(float64(r)/9)*math.Cos(float64(c)/7) + rng.Float64()*0.05
+			if r%32 < 3 || c%40 < 3 {
+				z += 2.5
+			}
+			return z
+		}),
+		"two_rows": fill(2, 40, func(r, c int) float64 { return float64(rng.Intn(5)) }),
+		"two_cols": fill(40, 2, func(r, c int) float64 { return float64(rng.Intn(5)) }),
 	}
 }
 
 func TestFillDepressionsMatchesReference(t *testing.T) {
-	for name, dem := range differentialDEMs() {
+	dems := differentialDEMs()
+	for name, dem := range floodEdgeDEMs() {
+		dems[name] = dem
+	}
+	for name, dem := range dems {
 		before := dem.Clone()
 		got, want := FillDepressions(dem), refFillDepressions(dem)
 		if !sameBits(got.Data, want.Data) {
@@ -252,6 +315,65 @@ func TestFillDepressionsMatchesReference(t *testing.T) {
 		}
 		if !sameBits(dem.Data, before.Data) {
 			t.Errorf("%s: FillDepressions modified its input", name)
+		}
+	}
+}
+
+// The filled surface is a least fixed point (see FillDepressions), so it
+// cannot depend on which of several equal-z cells the queue hands out
+// first. Hold the oracle to that under three adversarial tie orders, on
+// rasters made of ties: quantised levels whose sub-steps are exact
+// multiples of the flood's eps, so raised cells collide bit for bit with
+// natural ones.
+func TestFillDepressionsIgnoresTieOrder(t *testing.T) {
+	dems := differentialDEMs()
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 320; i++ {
+		g := NewGrid(1+rng.Intn(24), 1+rng.Intn(24), 1)
+		levels, steps := 1+rng.Intn(4), 1+rng.Intn(4)
+		for j := range g.Data {
+			z := float64(rng.Intn(levels))
+			for k := rng.Intn(steps); k > 0; k-- {
+				z += 1e-6 // as FillDepressions raises: z + eps, one addition at a time
+			}
+			g.Data[j] = z
+		}
+		dems[fmt.Sprintf("ties_%d", i)] = g
+	}
+	ties := map[string]func(a, b int) bool{
+		"larger_index":  func(a, b int) bool { return a > b },
+		"smaller_index": func(a, b int) bool { return a < b },
+		"hashed":        func(a, b int) bool { return uint32(a)*2654435761 < uint32(b)*2654435761 },
+	}
+	for name, dem := range dems {
+		got := FillDepressions(dem)
+		for order, tie := range ties {
+			if want := refFillDepressionsTies(dem, tie); !sameBits(got.Data, want.Data) {
+				t.Errorf("%s: filled surface differs from the oracle popping ties by %s", name, order)
+			}
+		}
+	}
+}
+
+// Values are unspecified on a raster holding NaN or ±Inf, but the level
+// arithmetic must neither panic nor index out of range on one.
+func TestFillDepressionsSurvivesNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, bad := range [][]float64{{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {math.NaN(), math.Inf(1), math.Inf(-1)}} {
+		for _, first := range []bool{false, true} {
+			g := NewGrid(19, 23, 1)
+			for i := range g.Data {
+				g.Data[i] = rng.Float64() * 10
+				if rng.Intn(12) == 0 {
+					g.Data[i] = bad[rng.Intn(len(bad))]
+				}
+			}
+			if first {
+				g.Data[0] = bad[0] // MinMax starts from cell 0
+			}
+			if out := FillDepressions(g); len(out.Data) != len(g.Data) {
+				t.Fatalf("filled raster has %d cells, want %d", len(out.Data), len(g.Data))
+			}
 		}
 	}
 }

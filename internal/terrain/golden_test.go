@@ -17,8 +17,11 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.js
 const goldenPath = "testdata/golden.json"
 
 // goldenConfigs are the generator configs whose every output bit is
-// pinned: the three terrain regimes at 128² and 256², plus the 512²
-// watershed a sweep_prior job of the benchmark generates first.
+// pinned: the three terrain regimes at 128² and 256²; every watershed the
+// benchmark's sweep workloads generate (the three regimes of its two
+// sweep_prior specs, the four sweep_dense seeds); and three non-square
+// rasters, where a row/column mix-up or a band split that a square hides
+// would show.
 func goldenConfigs() map[string]Config {
 	out := map[string]Config{}
 	regimes := []Scenario{{Name: "default"}, {Name: RegimeFlatPlain, Regime: RegimeFlatPlain}, {Name: RegimeIncisedHills, Regime: RegimeIncisedHills}}
@@ -35,11 +38,33 @@ func goldenConfigs() map[string]Config {
 			out[fmt.Sprintf("%d/%s", side, reg.Name)] = reg.Apply(cfg)
 		}
 	}
-	prior := DefaultConfig()
-	prior.Seed = 21
-	prior.RoadSpacing = 256
-	prior.StreamThreshold = 460.8
+	// benchmark/load.go's priorSpec(21) and priorSpec(22).
+	prior := priorConfig()
 	out["512/sweep_prior"] = prior
+	prior22 := prior
+	prior22.Seed = 22
+	for _, reg := range regimes[1:] {
+		out["512/sweep_prior/"+reg.Name] = reg.Apply(prior)
+	}
+	for _, reg := range regimes {
+		out["512/sweep_prior22/"+reg.Name] = reg.Apply(prior22)
+	}
+	// denseSpec(11..14): a 512² spec resolves its stream threshold to
+	// 0.45·side and its road spacing to DefaultConfig's.
+	for seed := int64(11); seed <= 14; seed++ {
+		dense := DefaultConfig()
+		dense.Seed = seed
+		dense.StreamThreshold = 0.45 * 512
+		out[fmt.Sprintf("512/sweep_dense%d", seed)] = dense
+	}
+	for _, shape := range [][2]int{{96, 160}, {200, 333}, {65, 64}} {
+		cfg := DefaultConfig()
+		cfg.Rows, cfg.Cols = shape[0], shape[1]
+		cfg.Seed = 5
+		cfg.RoadSpacing = 48
+		cfg.StreamThreshold = 40
+		out[fmt.Sprintf("%dx%d", shape[0], shape[1])] = cfg
+	}
 	return out
 }
 
@@ -81,9 +106,10 @@ func digest(v any) string {
 
 // TestGoldenDigests pins the generator and the renderer bit for bit
 // against digests recorded before the raster preparation was rewritten
-// (commit 15b4c1b). The worker pool sizes itself once per process, so the
-// comparison runs in two child processes, GOMAXPROCS 1 and 4: a row-band
-// split must not change a bit at either.
+// (the first 91 at commit 15b4c1b, the other 156 at cb2b416, before the
+// row noise evaluator and the level-queue flood). The worker pool sizes
+// itself once per process, so the comparison runs in two child processes,
+// GOMAXPROCS 1 and 4: a row-band split must not change a bit at either.
 func TestGoldenDigests(t *testing.T) {
 	if os.Getenv("DRAINNET_GOLDEN_CHILD") == "" && !*updateGolden {
 		for _, procs := range []string{"1", "4"} {

@@ -61,11 +61,17 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 	if df.Format != datasetFormat {
 		return nil, fmt.Errorf("terrain: unsupported dataset format %d", df.Format)
 	}
+	if df.Bands < 1 || df.ClipSize < 1 {
+		return nil, fmt.Errorf("terrain: dataset header declares %d bands of %dx%d clips", df.Bands, df.ClipSize, df.ClipSize)
+	}
 	ds := &Dataset{ClipSize: df.ClipSize}
-	want := df.Bands * df.ClipSize * df.ClipSize
 	for i, rec := range df.Samples {
-		if len(rec.Pixels) != want {
-			return nil, fmt.Errorf("terrain: sample %d has %d pixels, want %d", i, len(rec.Pixels), want)
+		// Divide rather than multiply: a hostile header's product can wrap
+		// to any length, len(rec.Pixels) cannot.
+		n := len(rec.Pixels)
+		perBand := n / df.Bands
+		if n%df.Bands != 0 || perBand%df.ClipSize != 0 || perBand/df.ClipSize != df.ClipSize {
+			return nil, fmt.Errorf("terrain: sample %d has %d pixels, want %d bands of %dx%d", i, n, df.Bands, df.ClipSize, df.ClipSize)
 		}
 		ds.Samples = append(ds.Samples, Sample{
 			Image:    tensor.FromSlice(rec.Pixels, df.Bands, df.ClipSize, df.ClipSize),

@@ -2,6 +2,7 @@ package terrain
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
 	"testing"
 )
@@ -44,6 +45,40 @@ func TestSaveDatasetEmptyFails(t *testing.T) {
 func TestLoadDatasetGarbage(t *testing.T) {
 	if _, err := LoadDataset(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+// A header is outside input: sizes that are not positive, or whose
+// product overflows or disagrees with the pixels present, are refused,
+// not turned into tensors of negative or absurd shape.
+func TestLoadDatasetRefusesHostileHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		clipSize, bands int
+		pixels          int
+		ok              bool
+	}{
+		{"negative clip size", -2, 1, 4, false},
+		{"negative bands", 0, -1, 0, false},
+		{"product wraps to zero", 1 << 31, 4, 0, false},
+		{"pixels disagree", 3, 2, 17, false},
+		{"valid", 3, 2, 18, true},
+	} {
+		var buf bytes.Buffer
+		df := datasetFile{Format: datasetFormat, ClipSize: tc.clipSize, Bands: tc.bands,
+			Samples: []sampleRecord{{Pixels: make([]float32, tc.pixels)}}}
+		if err := gob.NewEncoder(&buf).Encode(df); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := LoadDataset(&buf)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.ok && (len(ds.Samples) != 1 || ds.Samples[0].Image.Dim(0) != tc.bands || ds.Samples[0].Image.Dim(2) != tc.clipSize):
+			t.Errorf("%s: loaded shape %v", tc.name, ds.Samples[0].Image.Shape())
+		case !tc.ok && err == nil:
+			t.Errorf("%s: header {ClipSize: %d, Bands: %d} with %d pixels loaded", tc.name, tc.clipSize, tc.bands, tc.pixels)
+		}
 	}
 }
 

@@ -57,7 +57,10 @@ func NewFBM(rng *rand.Rand, octaves int) *FBM {
 	return f
 }
 
-// At samples the fractal noise at unit coordinates (x, y in [0,1)).
+// At samples the fractal noise at unit coordinates (x, y in [0,1)). It is
+// the definition of the noise; the generator and the renderer evaluate it
+// a raster row at a time through fbmRows, which the tests hold to At bit
+// for bit.
 func (f *FBM) At(x, y float64) float64 {
 	var sum, norm float64
 	amp := 1.0
@@ -69,4 +72,71 @@ func (f *FBM) At(x, y float64) float64 {
 		freq *= 2
 	}
 	return sum / norm
+}
+
+// fbmCol is what noiseField.at derives from x alone for one octave: the
+// two wrapped lattice columns and the eased fraction between them.
+type fbmCol struct {
+	i0, i1 int32
+	tx     float64
+}
+
+// fbmRows evaluates an FBM along raster rows whose sample c lies at
+// x = xs[c] on every row: the per-column half of At's work is done once,
+// here, and fill does the per-row half once per row.
+type fbmRows struct {
+	f *FBM
+	// cols holds len(xs) entries per octave, octave-major.
+	cols []fbmCol
+	n    int
+}
+
+func newFBMRows(f *FBM, xs []float64) *fbmRows {
+	fr := &fbmRows{f: f, n: len(xs), cols: make([]fbmCol, f.octaves*len(xs))}
+	freq := 4.0
+	for o := 0; o < f.octaves; o++ {
+		n := f.fields[o].n
+		cols := fr.cols[o*len(xs):][:len(xs)]
+		for c, x := range xs {
+			x *= freq
+			xi := int(x)
+			cols[c] = fbmCol{i0: int32(xi % n), i1: int32((xi + 1) % n), tx: smoothstep(x - float64(xi))}
+		}
+		freq *= 2
+	}
+	return fr
+}
+
+// fill sets dst[c] = f.At(xs[c], y) for every column. Each element goes
+// through At's float64 operations in At's order — octaves ascending, sum
+// from zero, one division by norm — so the result is At's to the bit.
+// Concurrent fills on distinct dst are safe.
+func (fr *fbmRows) fill(dst []float64, y float64) {
+	dst = dst[:fr.n]
+	for c := range dst {
+		dst[c] = 0
+	}
+	var norm float64
+	amp := 1.0
+	freq := 4.0
+	for o := 0; o < fr.f.octaves; o++ {
+		field := fr.f.fields[o]
+		n := field.n
+		yo := y * freq
+		yi := int(yo)
+		ty := smoothstep(yo - float64(yi))
+		row0 := field.lattice[(yi%n)*n:][:n]
+		row1 := field.lattice[((yi+1)%n)*n:][:n]
+		for c, col := range fr.cols[o*fr.n:][:fr.n] {
+			top := row0[col.i0] + (row0[col.i1]-row0[col.i0])*col.tx
+			bot := row1[col.i0] + (row1[col.i1]-row1[col.i0])*col.tx
+			dst[c] += amp * (top + (bot-top)*ty)
+		}
+		norm += amp
+		amp *= 0.5
+		freq *= 2
+	}
+	for c := range dst {
+		dst[c] /= norm
+	}
 }

@@ -27,7 +27,11 @@ func Render(w *Watershed) *tensor.Tensor {
 	rows, cols := cfg.Rows, cfg.Cols
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	img := tensor.New(NumBands, rows, cols)
-	tex := NewFBM(rng, 3)
+	xs := make([]float64, cols)
+	for c := range xs {
+		xs[c] = float64(c) / float64(cols) * 3
+	}
+	tex := newFBMRows(NewFBM(rng, 3), xs) // field texture
 
 	var plane [NumBands][]float32
 	for b := range plane {
@@ -36,13 +40,14 @@ func Render(w *Watershed) *tensor.Tensor {
 	// Riparian vegetation grows within 3 cells of a channel.
 	riparian := hydro.Dilate(w.StreamMask, rows, cols, 3)
 
-	// shadeRow paints row r; noise holds the row's per-pixel sensor jitter.
-	shadeRow := func(r int, noise []float64) {
+	// shadeRow paints row r; noise holds the row's per-pixel sensor jitter
+	// and texture is the row's scratch for the field texture.
+	shadeRow := func(r int, noise, texture []float64) {
 		y := float64(r) / float64(rows)
+		tex.fill(texture, y*3)
 		for c := 0; c < cols; c++ {
 			i := r*cols + c
-			x := float64(c) / float64(cols)
-			t := tex.At(x*3, y*3) // field texture
+			t := texture[c]
 			n := noise[c]
 
 			// Cropland base.
@@ -73,15 +78,17 @@ func Render(w *Watershed) *tensor.Tensor {
 	}
 	// The jitter comes off one sequential stream, pixel by pixel in raster
 	// order, so each strip of rows has its share drawn first and is then
-	// shaded row-parallel on the shared worker pool.
-	const stripRows = 64
-	noise := make([]float64, min(stripRows, rows)*cols)
+	// shaded row-parallel on the shared worker pool. The strip's texture
+	// rows live beside its jitter rows, one scratch for both.
+	const stripRows = 32
+	scratch := make([]float64, 2*min(stripRows, rows)*cols)
+	noise, texture := scratch[:len(scratch)/2], scratch[len(scratch)/2:]
 	for r0 := 0; r0 < rows; r0 += stripRows {
 		n := min(stripRows, rows-r0)
 		for i := range noise[:n*cols] {
 			noise[i] = rng.Float64() * 0.04
 		}
-		tensor.ParallelFor(n, func(k int) { shadeRow(r0+k, noise[k*cols:]) })
+		tensor.ParallelFor(n, func(k int) { shadeRow(r0+k, noise[k*cols:], texture[k*cols:]) })
 	}
 
 	// Culvert structures: bright concrete headwalls flanking the channel

@@ -94,25 +94,48 @@ func baseTerrain(cfg Config, rng *rand.Rand) *hydro.Grid {
 	dem := hydro.NewGrid(cfg.Rows, cfg.Cols, 1)
 	relief := NewFBM(rng, 4)
 	valleys := NewFBM(rng, 2)
+	xs := make([]float64, cfg.Cols)
+	half := make([]float64, cfg.Cols)
+	for c := range xs {
+		xs[c] = float64(c) / float64(cfg.Cols)
+		half[c] = xs[c] * 0.5
+	}
 	// Every cell is a pure function of (r, c) once the noise lattices are
-	// drawn, so rows are shared out over the worker pool.
-	tensor.ParallelFor(cfg.Rows, func(r int) {
-		row := dem.Data[r*cfg.Cols:][:cfg.Cols]
+	// drawn, so row bands are shared out over the worker pool.
+	tensor.ParallelRange(cfg.Rows, 1, &terrainBands{
+		cfg: cfg, dem: dem, xs: xs,
+		relief: newFBMRows(relief, xs), valleys: newFBMRows(valleys, half),
+	})
+	return dem
+}
+
+// terrainBands fills bands of baseTerrain's rows.
+type terrainBands struct {
+	cfg             Config
+	dem             *hydro.Grid
+	xs              []float64
+	relief, valleys *fbmRows
+}
+
+func (t *terrainBands) RunRange(lo, hi int) {
+	cfg := t.cfg
+	valley := make([]float64, cfg.Cols) // this band's own scratch row
+	for r := lo; r < hi; r++ {
+		row := t.dem.Data[r*cfg.Cols:][:cfg.Cols]
 		y := float64(r) / float64(cfg.Rows)
-		for c := range row {
-			x := float64(c) / float64(cfg.Cols)
-			z := cfg.RegionalDropM * (1 - x)   // descending west→east
-			z += cfg.ReliefM * relief.At(x, y) // loess undulation
+		t.relief.fill(row, y) // the DEM row holds the relief until it is combined
+		t.valleys.fill(valley, y*0.5)
+		for c, x := range t.xs {
+			z := cfg.RegionalDropM * (1 - x) // descending west→east
+			z += cfg.ReliefM * row[c]        // loess undulation
 			// Valley carving: a band of low "valleys" noise becomes a
 			// drainage corridor.
-			v := valleys.At(x*0.5, y*0.5)
-			if v < 0.45 {
+			if v := valley[c]; v < 0.45 {
 				z -= (0.45 - v) * 10
 			}
 			row[c] = z
 		}
-	})
-	return dem
+	}
 }
 
 // streams delineates the channel network on the depression-filled terrain.
