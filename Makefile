@@ -91,11 +91,13 @@ test-purego:
 
 # Instructions that would break the kernels' bit-identity with the
 # scalar loops must not appear in the assembly, comments included: the
-# FMA family rounds once where the loops round twice; VPMADDUBSW
+# FMA family — multiply-add, multiply-subtract, their negated and
+# alternating forms — rounds once where the loops round twice; VPMADDUBSW
 # saturates its int16 pair sum and VPDPBUSDS / VPDPWSSDS their int32
-# accumulator where the loops' integer sums are exact.
+# accumulator where the loops' integer sums are exact. Tier-1 runs the
+# same grep as TestAssemblyHasNoFusedOrSaturatingMultiplyAdd.
 check-asm:
-	! grep -nE 'VFMADD|VFNMADD|VPMADDUBSW|VPDPBUSDS|VPDPWSSDS' internal/tensor/*.s
+	! grep -nE 'VFN?M(ADD|SUB)|VPMADDUBSW|VPDPBUSDS|VPDPWSSDS' internal/tensor/*.s
 
 # Several minutes: GOMAXPROCS=4 gives the shared worker pool, the IOS
 # stage executor and the parallel NAS search real fan-out to race on.

@@ -35,9 +35,9 @@ type Conv2D struct {
 
 	// inference fast path: weights packed once (shared across replicas)
 	// and reusable task descriptors so Infer dispatches allocation-free.
-	packed   *tensor.Packed
-	colsTask convColsTask
-	gemmTask convGemmTask
+	packed  *tensor.Packed
+	flat    convFlatTask
+	lowered convLoweredTask
 
 	// per-bucket kernel choice (autotuner-selected; im2col by default)
 	// plus the alternate weight layouts those kernels read. Packed
@@ -304,14 +304,39 @@ func (c *Conv2D) cloneShared() Module {
 
 // Infer implements Inferencer.
 func (c *Conv2D) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return c.inferFused(x, a, false)
+	return c.inferBlock(x, a, false, nil)
 }
 
-// inferFused is the inference forward: im2col lowering of every sample
-// into one arena buffer, then the packed micro-kernel with the bias add
-// and optional ReLU fused into its epilogue. No gradient caches are
-// touched and nothing is allocated in steady state.
+// inferFused implements fusedInferencer: the conv with a following ReLU
+// folded into its epilogue.
 func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tensor.Tensor {
+	return c.inferBlock(x, a, relu, nil)
+}
+
+// flatRoute reports whether a batch of n samples takes the flat-shifted
+// route of inferBlock: the default kernel on a stride-1 geometry. Only
+// that route can take a following max-pool as its epilogue.
+func (c *Conv2D) flatRoute(n int) bool {
+	return c.Algo == ConvIm2Col && c.kernelFor(n) == KernelIm2Col && c.Geom.StrideH == 1 && c.Geom.StrideW == 1
+}
+
+// kernelFor returns the kernel serving a batch of n samples: the
+// autotuner picks the fastest measured variant per (layer, batch
+// bucket); im2col is the default.
+func (c *Conv2D) kernelFor(n int) ConvKernel {
+	if n == 1 {
+		return c.kernB1
+	}
+	return c.kernBN
+}
+
+// inferBlock is the inference forward of a conv block: the convolution,
+// the bias add and an optional ReLU fused into the kernel's store, and —
+// when pool is non-nil, which callers may pass only for a 2×2/2 unpadded
+// pool on the flat route (Sequential.InferRange) — that max-pool, so the
+// returned tensor is the pooled one. No gradient caches are touched and
+// nothing is allocated in steady state.
+func (c *Conv2D) inferBlock(x *tensor.Tensor, a *tensor.Arena, relu bool, pool *MaxPool2D) *tensor.Tensor {
 	checkRank(x, 4, "Conv2D.Infer")
 	n, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if ch != c.InC {
@@ -321,6 +346,11 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 		panic(err)
 	}
 	oh, ow := c.Geom.OutSize(h, w)
+
+	c.prepareInference()
+	if c.flatRoute(n) {
+		return c.inferFlat(x, a, relu, pool, n, ch, h, w, oh, ow)
+	}
 	out := a.Get(n, c.OutC, oh, ow)
 
 	if c.Algo == ConvDirect {
@@ -335,15 +365,7 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 		return out
 	}
 
-	c.prepareInference()
-
-	// Per-bucket kernel dispatch: the autotuner picks the fastest
-	// measured variant per (layer, batch bucket); im2col is the default.
-	kern := c.kernBN
-	if n == 1 {
-		kern = c.kernB1
-	}
-	switch kern {
+	switch c.kernelFor(n) {
 	case KernelWinograd:
 		c.inferWinograd(out, x, a, relu, n, ch, h, w, oh, ow)
 		return out
@@ -358,49 +380,182 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 		return out
 	}
 
+	// The default kernel at stride ≠ 1, which no served architecture
+	// has: lower each sample into its range's cols slot and multiply it
+	// through the packed micro-kernel while the slot is cache-hot.
 	kdim := c.InC * c.Geom.KH * c.Geom.KW
 	ohw := oh * ow
-
-	if n > 1 {
-		// Multi-sample batches: each sample's lowering is consumed by its
-		// gemm immediately, while the cols buffer is still cache-hot, and
-		// the batch dimension provides the parallelism. Lowering every
-		// sample first and gemm-ing second streams the whole n×kdim×ohw
-		// buffer through cache twice and costs ~10% at batch 16; a pool
-		// range goes one further and reuses one sample's slot for all of
-		// its samples (convColsTask), so n slots is the most it can need.
-		cols := a.Get(n, kdim, ohw)
-		ct := &c.colsTask
-		ct.cols, ct.x, ct.out = cols.Data(), x.Data(), out.Data()
-		ct.sampleStride, ct.colStride, ct.outStride = ch*h*w, kdim*ohw, c.OutC*ohw
-		ct.c, ct.h, ct.w, ct.geom = ch, h, w, c.Geom
-		ct.packed, ct.ohw = c.packed, ohw
-		ct.bias, ct.relu = c.Bias.Value.Data(), relu
-		tensor.ParallelRange(n, 1, ct)
-		return out
-	}
-
-	// Batch 1: the only parallelism is across weight panels, so lower
-	// once and spread the gemm panel-by-panel over the pool.
-	cols := a.Get(kdim, ohw)
-	tensor.Im2ColSlice(cols.Data(), x.Data(), ch, h, w, c.Geom)
-	gt := &c.gemmTask
-	gt.packed = c.packed
-	gt.out, gt.cols = out.Data(), cols.Data()
-	gt.outStride, gt.colStride = c.OutC*ohw, kdim*ohw
-	gt.panels, gt.ohw = c.packed.Panels(), ohw
-	gt.bias, gt.relu = c.Bias.Value.Data(), relu
-	tensor.ParallelRange(gt.panels, 1, gt)
+	cols := a.Get(n, kdim, ohw)
+	lt := &c.lowered
+	lt.cols, lt.x, lt.out = cols.Data(), x.Data(), out.Data()
+	lt.sampleStride, lt.colStride, lt.outStride = ch*h*w, kdim*ohw, c.OutC*ohw
+	lt.c, lt.h, lt.w, lt.geom = ch, h, w, c.Geom
+	lt.packed, lt.ohw = c.packed, ohw
+	lt.bias, lt.relu = c.Bias.Value.Data(), relu
+	tensor.ParallelRange(n, 1, lt)
 	return out
 }
 
-// convColsTask processes whole samples [lo,hi) of a batch: each sample
-// is lowered with Im2ColSlice and immediately multiplied through the
-// packed micro-kernel while its cols region is cache-hot. Every sample
-// of the range is lowered into the cols slot of sample lo — ranges are
-// disjoint, so that slot belongs to this call alone — which keeps one
-// kdim×ohw region hot instead of streaming n of them through the cache.
-type convColsTask struct {
+// convSplitMACs is the work — multiply-adds of one sample's convolution —
+// from which a batch-1 block hands its weight panels to the worker pool
+// instead of running inline: a region costs a wake-up and a hand-back,
+// and on a host whose CPUs share a core's FP ports two threads do not
+// run the micro-kernel twice as fast. Set from BenchmarkConvBlock at
+// batch 1, `-cpu 2`, on the 2-vCPU host the harness runs on, inline
+// against split (this constant at 1<<62 and at 0), range over three
+// alternated runs each: the bench model's conv1 (115 k MACs, 2 panels)
+// 6.6–8.2 against 8.6–9.4 µs and conv2 (115 k, 4 panels) 7.3–9.1
+// against 8.4–13.0; 16→32@20² (1.8 M) 73–89 against 81–109 µs — inline
+// wins; 32→32@25² (5.8 M) 258–268 against 197–220 µs, 32→64@25² (11.5 M)
+// 431–493 against 323–366, the paper-width 64→128@50² (184 M) 7.0–7.2
+// against 4.2–4.7 ms — split wins. The crossover is between 1.8 and
+// 5.8 M; every layer of the bench model (115–230 k) stays inline and
+// every layer of the paper's models at 100² (23–184 M) splits.
+const convSplitMACs = 1 << 22
+
+// inferFlat is the stride-1 default route: an implicit GEMM over the
+// clip itself. Each sample is copied once into a zero-bordered scratch
+// (tensor.PadBorder / PadInterior) and every weight panel runs the panel
+// micro-kernel over output *flat positions* q = oy·Wp + ox of that
+// scratch, the tap of GEMM term k being a constant shift off[k]
+// (tensor.FlatOffsets) — the same multiplies and adds, in the same
+// order, as the im2col GEMM this replaces, without writing the KH·KW-fold
+// lowered copy. The kernel's output rows are Wp wide like its input; the
+// block's epilogue reads the OW real columns of each straight out of
+// that panel-sized scratch, either through the 2×2 max-pool kernel or as
+// row copies, so the dense result is all that reaches the arena.
+//
+// Batches go to the pool by sample, one padded and one panel slot per
+// range. A single sample runs inline below convSplitMACs and by panel
+// ranges above it, each range pooling its own channels.
+func (c *Conv2D) inferFlat(x *tensor.Tensor, a *tensor.Arena, relu bool, pool *MaxPool2D, n, ch, h, w, oh, ow int) *tensor.Tensor {
+	g := c.Geom
+	t := &c.flat
+	t.pool = pool != nil
+	t.doh, t.dow = oh, ow
+	if t.pool {
+		if oh < 2 || ow < 2 {
+			// A clipped window (MaxPool2D.Infer): not the epilogue's.
+			return pool.Infer(c.inferFlat(x, a, relu, nil, n, ch, h, w, oh, ow), a)
+		}
+		t.doh, t.dow = pool.Geom.OutSize(oh, ow)
+	}
+	out := a.Get(n, c.OutC, t.doh, t.dow)
+
+	hp, wp := h+2*g.PadH, w+2*g.PadW
+	if t.h != h || t.w != w || len(t.off) == 0 {
+		t.off = tensor.FlatOffsets(t.off, ch, hp, wp, g.KH, g.KW)
+	}
+	t.c, t.h, t.w, t.padH, t.padW = ch, h, w, g.PadH, g.PadW
+	t.wp, t.oh, t.ow, t.outC = wp, oh, ow, c.OutC
+	t.packed, t.bias, t.relu = c.packed, c.Bias.Value.Data(), relu
+	t.x, t.out = x.Data(), out.Data()
+	t.padLen = tensor.PaddedLen(ch, h, w, g.PadH, g.PadW)
+	panelLen := tensor.PanelRows * oh * wp
+
+	if n > 1 {
+		t.byPanel = false
+		t.scratch = a.Get(n, t.padLen+panelLen).Data()
+		tensor.ParallelRange(n, 1, t)
+		return out
+	}
+	t.byPanel = true
+	panels, slots := c.packed.Panels(), 1
+	split := c.OutC*ch*g.KH*g.KW*oh*ow >= convSplitMACs
+	if split {
+		slots = panels // a strided slot per range, at most one range a panel
+	}
+	t.scratch = a.Get(t.padLen + slots*panelLen).Data()
+	t.pad(t.scratch, 0, true)
+	if split {
+		tensor.ParallelRange(panels, 1, t)
+	} else {
+		t.RunRange(0, panels)
+	}
+	return out
+}
+
+// convFlatTask is the pool task of inferFlat. With byPanel unset an
+// index is a sample and a range owns the scratch slot of its first
+// sample — padded input, then one panel of strided output — for all of
+// its samples (ranges are disjoint, so the slot is this call's alone).
+// With byPanel set there is one sample, already padded at the head of
+// scratch, an index is a weight panel, and a range owns the strided slot
+// of its first panel.
+type convFlatTask struct {
+	x, out, scratch []float32
+	off             []int // FlatOffsets for the current (h, w)
+	packed          *tensor.Packed
+	bias            []float32
+	relu, pool      bool
+	byPanel         bool
+
+	c, h, w, padH, padW int // input
+	wp, oh, ow, outC    int // padded row width, conv output
+	doh, dow            int // dense output: oh×ow, or pooled
+	padLen              int
+}
+
+func (t *convFlatTask) RunRange(lo, hi int) {
+	panelLen := tensor.PanelRows * t.oh * t.wp
+	if t.byPanel {
+		strided := t.scratch[t.padLen+lo*panelLen:][:panelLen]
+		t.panels(t.out, t.scratch[:t.padLen], strided, lo, hi)
+		return
+	}
+	slot := t.scratch[lo*(t.padLen+panelLen):][:t.padLen+panelLen]
+	outStride := t.outC * t.doh * t.dow
+	for i := lo; i < hi; i++ {
+		t.pad(slot, i, i == lo)
+		t.panels(t.out[i*outStride:(i+1)*outStride], slot[:t.padLen], slot[t.padLen:], 0, t.packed.Panels())
+	}
+}
+
+// pad copies sample i into the padded buffer at the head of slot. The
+// border is zeroed on a slot's first use in a call and not again: arena
+// memory arrives with unspecified contents, and the copies that follow
+// write the interior only.
+func (t *convFlatTask) pad(slot []float32, i int, first bool) {
+	if first {
+		tensor.PadBorder(slot[:t.padLen], t.c, t.h, t.w, t.padH, t.padW)
+	}
+	per := t.c * t.h * t.w
+	tensor.PadInterior(slot[:t.padLen], t.x[i*per:(i+1)*per], t.c, t.h, t.w, t.padH, t.padW)
+}
+
+// panels computes weight panels [p0, p1) of one sample: each panel's
+// four channels go through the micro-kernel into strided (rows oh·wp
+// apart, wp−ow seam positions a row that are computed and never read)
+// and from there, while they are cache-hot, into the dense output.
+func (t *convFlatTask) panels(out, padded, strided []float32, p0, p1 int) {
+	n := t.oh * t.wp
+	nq := n - (t.wp - t.ow)
+	plane := t.doh * t.dow
+	for pi := p0; pi < p1; pi++ {
+		t.packed.MulPanelFlat(strided, padded, t.off, n, nq, t.bias, t.relu, pi)
+		ch0 := pi * tensor.PanelRows
+		for r := 0; r < min(tensor.PanelRows, t.outC-ch0); r++ {
+			dst := out[(ch0+r)*plane : (ch0+r+1)*plane]
+			src := strided[r*n : (r+1)*n]
+			if t.pool {
+				tensor.MaxPool2x2(dst, src, t.doh, t.dow, t.wp)
+				continue
+			}
+			for oy := 0; oy < t.oh; oy++ {
+				copy(dst[oy*t.ow:(oy+1)*t.ow], src[oy*t.wp:])
+			}
+		}
+	}
+}
+
+// convLoweredTask processes whole samples [lo,hi) of a batch on the
+// lowered route: each sample is lowered with Im2ColSlice and immediately
+// multiplied through the packed micro-kernel while its cols region is
+// cache-hot. Every sample of the range is lowered into the cols slot of
+// sample lo — ranges are disjoint, so that slot belongs to this call
+// alone — which keeps one kdim×ohw region hot instead of streaming n of
+// them through the cache.
+type convLoweredTask struct {
 	cols, x, out                       []float32
 	sampleStride, colStride, outStride int
 	c, h, w                            int
@@ -411,39 +566,12 @@ type convColsTask struct {
 	relu                               bool
 }
 
-func (t *convColsTask) RunRange(lo, hi int) {
+func (t *convLoweredTask) RunRange(lo, hi int) {
 	cols := t.cols[lo*t.colStride : (lo+1)*t.colStride]
 	for i := lo; i < hi; i++ {
 		tensor.Im2ColSlice(cols, t.x[i*t.sampleStride:(i+1)*t.sampleStride],
 			t.c, t.h, t.w, t.geom)
 		t.packed.MulPanelsInto(t.out[i*t.outStride:(i+1)*t.outStride],
 			cols, t.ohw, t.bias, t.relu, 0, t.packed.Panels())
-	}
-}
-
-// convGemmTask runs the packed micro-kernel over a flat (sample, panel)
-// index space so panel work balances across the pool even at batch 1.
-type convGemmTask struct {
-	packed               *tensor.Packed
-	out, cols            []float32
-	outStride, colStride int
-	panels, ohw          int
-	bias                 []float32
-	relu                 bool
-}
-
-func (t *convGemmTask) RunRange(lo, hi int) {
-	for idx := lo; idx < hi; {
-		i := idx / t.panels
-		p0 := idx % t.panels
-		p1 := t.panels
-		if end := idx + (p1 - p0); end > hi {
-			p1 = p0 + (hi - idx)
-		}
-		t.packed.MulPanelsInto(
-			t.out[i*t.outStride:(i+1)*t.outStride],
-			t.cols[i*t.colStride:(i+1)*t.colStride],
-			t.ohw, t.bias, t.relu, p0, p1)
-		idx += p1 - p0
 	}
 }

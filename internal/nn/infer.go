@@ -41,32 +41,44 @@ type sharedCloner interface {
 }
 
 // Infer runs the chain in inference mode, fusing each Conv2D/Linear with
-// an immediately following ReLU into the producing layer's epilogue.
-// Modules that do not implement Inferencer fall back to Forward.
+// an immediately following ReLU (and a conv block's max-pool, see
+// InferRange) into the producing layer's epilogue. Modules that do not
+// implement Inferencer fall back to Forward.
 func (s *Sequential) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	return s.InferRange(x, a, 0, len(s.mods))
 }
 
 // InferRange runs modules [lo, hi) of the chain in inference mode with
-// the same ReLU-fusion rules as Infer; fusion lookahead never crosses
-// hi, so a prefix run leaves a trailing activation for the tail run.
-// Splitting Infer into InferRange(0, k) followed by InferRange(k, len)
-// at any non-fused boundary produces the same values as one full Infer.
-// This is the seam the dynamic inference path uses: the conv stack runs
-// as a prefix, the early-exit probe reads its output, and only
-// surviving samples pay for the SPP+FC tail.
+// the same fusion rules as Infer: a Conv2D/Linear takes a following ReLU
+// into its epilogue, and a Conv2D on its flat route (the default kernel
+// at stride 1) takes the 2×2/2 max-pool after that too, so the
+// full-resolution activation of a conv block is never materialised.
+// Fusion lookahead never crosses hi, so a prefix run leaves a trailing
+// activation or pool for the tail run, and every fused form computes
+// the bits of the unfused chain: splitting Infer into InferRange(0, k)
+// followed by InferRange(k, len) at any module boundary produces the
+// same values as one full Infer. This is the seam the dynamic inference
+// path uses: the conv stack runs as a prefix, the early-exit probe reads
+// its output, and only surviving samples pay for the SPP+FC tail.
 func (s *Sequential) InferRange(x *tensor.Tensor, a *tensor.Arena, lo, hi int) *tensor.Tensor {
 	for i := lo; i < hi; i++ {
 		m := s.mods[i]
 		if f, ok := m.(fusedInferencer); ok {
+			relu := false
 			if i+1 < hi {
-				if _, isRelu := s.mods[i+1].(*ReLU); isRelu {
-					x = f.inferFused(x, a, true)
+				_, relu = s.mods[i+1].(*ReLU)
+			}
+			if relu {
+				i++
+			}
+			if c, ok := m.(*Conv2D); ok && i+1 < hi && c.flatRoute(x.Dim(0)) {
+				if p, ok := s.mods[i+1].(*MaxPool2D); ok && p.Geom == pool2x2 {
+					x = c.inferBlock(x, a, relu, p)
 					i++
 					continue
 				}
 			}
-			x = f.inferFused(x, a, false)
+			x = f.inferFused(x, a, relu)
 			continue
 		}
 		if inf, ok := m.(Inferencer); ok {

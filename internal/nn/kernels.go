@@ -18,9 +18,13 @@ import (
 type ConvKernel uint8
 
 const (
-	// KernelIm2Col lowers each sample with im2col and multiplies through
-	// the packed fp32 panel GEMM (the original fast path; bitwise
-	// reference for the other variants).
+	// KernelIm2Col is the default fp32 route through the packed panel
+	// GEMM and the bitwise reference for the other variants. At stride 1
+	// the GEMM is implicit — the panel kernel reads the zero-bordered
+	// clip through a table of tap shifts (Conv2D.inferFlat) and no
+	// lowered matrix is written; other strides lower each sample with
+	// im2col first. Same terms, same order, same bits either way, so the
+	// name and the "im2col" identifier stay.
 	KernelIm2Col ConvKernel = iota
 	// KernelWinograd runs the F(2×2, 3×3) transform kernels — only
 	// eligible for 3×3 stride-1 convs, ~2.25× fewer multiplies, NOT

@@ -216,13 +216,24 @@ type maxPoolTask struct {
 	geom         tensor.ConvGeom
 }
 
+// pool2x2 is the 2×2 / stride-2 unpadded window of every pool the
+// paper's architectures use, the one geometry with a vector kernel
+// (tensor.MaxPool2x2) and the one a conv block can take as its epilogue.
+var pool2x2 = tensor.ConvGeom{KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+
 func (t *maxPoolTask) RunRange(lo, hi int) {
-	g := t.geom
-	if g.KH == 2 && g.KW == 2 && g.StrideH == 2 && g.StrideW == 2 && g.PadH == 0 && g.PadW == 0 {
-		t.pool2x2(lo, hi)
+	// A plane one row or column short of a window still has an output
+	// (ConvGeom.OutSize rounds toward zero), clipped by poolGeneric.
+	if t.geom != pool2x2 || 2*t.oh > t.h || 2*t.ow > t.w {
+		t.poolGeneric(lo, hi)
 		return
 	}
-	t.poolGeneric(lo, hi)
+	// No window leaves the plane, so the bounds tests of poolGeneric
+	// fall away and what is left is four compares in its order — the
+	// same value wins, bit for bit, NaN and ±0 included.
+	for nc := lo; nc < hi; nc++ {
+		tensor.MaxPool2x2(t.out[nc*t.oh*t.ow:(nc+1)*t.oh*t.ow], t.x[nc*t.h*t.w:(nc+1)*t.h*t.w], t.oh, t.ow, t.w)
+	}
 }
 
 // poolGeneric is max pooling for any window and stride: each output
@@ -257,39 +268,6 @@ func (t *maxPoolTask) poolGeneric(lo, hi int) {
 	}
 }
 
-// pool2x2 is poolGeneric for the 2×2 / stride-2 unpadded window of every
-// pool the paper's architectures use: the window never leaves the plane
-// (2·oh ≤ h, 2·ow ≤ w), so the bounds tests and the two inner loops
-// unroll into four compares over two input rows, taken in poolGeneric's
-// order — the same value wins, bit for bit, NaN and ±0 included.
-func (t *maxPoolTask) pool2x2(lo, hi int) {
-	for nc := lo; nc < hi; nc++ {
-		in := t.x[nc*t.h*t.w : (nc+1)*t.h*t.w]
-		out := t.out[nc*t.oh*t.ow : (nc+1)*t.oh*t.ow]
-		for oy := 0; oy < t.oh; oy++ {
-			r0 := in[2*oy*t.w : 2*oy*t.w+2*t.ow]
-			r1 := in[(2*oy+1)*t.w : (2*oy+1)*t.w+2*t.ow]
-			orow := out[oy*t.ow : (oy+1)*t.ow]
-			for ox := range orow {
-				best := float32(math.Inf(-1))
-				if v := r0[2*ox]; v > best {
-					best = v
-				}
-				if v := r0[2*ox+1]; v > best {
-					best = v
-				}
-				if v := r1[2*ox]; v > best {
-					best = v
-				}
-				if v := r1[2*ox+1]; v > best {
-					best = v
-				}
-				orow[ox] = best
-			}
-		}
-	}
-}
-
 // cloneShared implements sharedCloner.
 func (p *AdaptiveMaxPool2D) cloneShared() Module {
 	return &AdaptiveMaxPool2D{OutH: p.OutH, OutW: p.OutW}
@@ -305,34 +283,55 @@ func (p *AdaptiveMaxPool2D) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Ten
 	out := a.Get(n, c, p.OutH, p.OutW)
 	t := &p.task
 	t.x, t.out = x.Data(), out.Data()
-	t.h, t.w, t.oh, t.ow = h, w, p.OutH, p.OutW
+	t.setBins(h, w, p.OutH, p.OutW)
 	tensor.ParallelRange(n*c, 1, t)
 	return out
 }
 
 // adaptivePoolTask computes adaptive pooling for channel planes [lo,hi).
+// The bins depend on the shapes alone, so their bounds — two integer
+// divisions each — are tabulated once per (h, w, oh, ow) instead of
+// being recomputed for every output of every plane: rows[2·oy] and
+// rows[2·oy+1] are binBounds(oy, h, oh), cols likewise.
 type adaptivePoolTask struct {
 	x, out       []float32
 	h, w, oh, ow int
+	rows, cols   []int
+}
+
+func (t *adaptivePoolTask) setBins(h, w, oh, ow int) {
+	if t.h == h && t.w == w && t.oh == oh && t.ow == ow && len(t.rows) == 2*oh {
+		return
+	}
+	t.h, t.w, t.oh, t.ow = h, w, oh, ow
+	t.rows, t.cols = t.rows[:0], t.cols[:0]
+	for oy := 0; oy < oh; oy++ {
+		y0, y1 := binBounds(oy, h, oh)
+		t.rows = append(t.rows, y0, y1)
+	}
+	for ox := 0; ox < ow; ox++ {
+		x0, x1 := binBounds(ox, w, ow)
+		t.cols = append(t.cols, x0, x1)
+	}
 }
 
 func (t *adaptivePoolTask) RunRange(lo, hi int) {
 	for nc := lo; nc < hi; nc++ {
-		inBase := nc * t.h * t.w
-		outBase := nc * t.oh * t.ow
+		in := t.x[nc*t.h*t.w : (nc+1)*t.h*t.w]
+		out := t.out[nc*t.oh*t.ow : (nc+1)*t.oh*t.ow]
 		for oy := 0; oy < t.oh; oy++ {
-			y0, y1 := binBounds(oy, t.h, t.oh)
+			y0, y1 := t.rows[2*oy], t.rows[2*oy+1]
 			for ox := 0; ox < t.ow; ox++ {
-				x0, x1 := binBounds(ox, t.w, t.ow)
+				x0, x1 := t.cols[2*ox], t.cols[2*ox+1]
 				best := float32(math.Inf(-1))
 				for iy := y0; iy < y1; iy++ {
-					for ix := x0; ix < x1; ix++ {
-						if v := t.x[inBase+iy*t.w+ix]; v > best {
+					for _, v := range in[iy*t.w+x0 : iy*t.w+x1] {
+						if v > best {
 							best = v
 						}
 					}
 				}
-				t.out[outBase+oy*t.ow+ox] = best
+				out[oy*t.ow+ox] = best
 			}
 		}
 	}

@@ -212,7 +212,7 @@ type QuantConv2D struct {
 	outScale []float32 // per-row weightScale · activationScale
 
 	colsTask qconvColsTask
-	gemmTask qconvGemmTask
+	gemmTask qconvPanelTask
 	fwd      *tensor.Arena // Forward-mode scratch (tracing path)
 }
 
@@ -376,8 +376,8 @@ func (t *qconvColsTask) RunRange(lo, hi int) {
 	}
 }
 
-// qconvGemmTask runs the int8 micro-kernel over weight panels (batch 1).
-type qconvGemmTask struct {
+// qconvPanelTask runs the int8 micro-kernel over weight panels (batch 1).
+type qconvPanelTask struct {
 	packed         *tensor.PackedInt8
 	out            []float32
 	cols           []int8
@@ -388,7 +388,7 @@ type qconvGemmTask struct {
 	relu           bool
 }
 
-func (t *qconvGemmTask) RunRange(lo, hi int) {
+func (t *qconvPanelTask) RunRange(lo, hi int) {
 	t.packed.MulPanelsInto(t.out, t.cols, t.ohw,
 		t.acc[lo*2*t.ohw:(lo+1)*2*t.ohw],
 		t.zp, t.outScale, t.bias, t.relu, lo, hi)

@@ -7,6 +7,10 @@ import "fmt"
 // (or of the input vector) is reused four times from registers.
 const panelRows = 4
 
+// PanelRows is the number of output rows (conv output channels) one
+// panel of a Packed matrix produces.
+const PanelRows = panelRows
+
 // The AVX2 micro-kernels (panel_amd64.s) tile panelRows rows by
 // kernelCols columns of a GEMM, and dotPanels panels of a dot product.
 const (
@@ -109,11 +113,12 @@ func (p *Packed) MulPanelsInto(dst, b []float32, n int, bias []float32, relu boo
 // path, whichever column band it was computed in and whether the scalar
 // loops below or the AVX2 micro-kernel (panel_amd64.s) produced it.
 //
-// This is the one fp32 GEMM entry of the serving path: the im2col
-// convs, the masked dynamic path's row bands and the 16 Winograd
-// position GEMMs all land here, so all of them get the micro-kernel.
-// It takes full panels at least kernelCols columns wide; narrower
-// bands and the partial last panel stay on the scalar loops.
+// This is the fp32 GEMM entry of the lowered serving routes: the
+// stride ≠ 1 convs, the masked dynamic path's row bands and the 16
+// Winograd position GEMMs land here; the stride-1 convs reach the same
+// panel loop through MulPanelFlat. The micro-kernel takes full panels at
+// least kernelCols columns wide; narrower bands and the partial last
+// panel stay on the scalar loops.
 func (p *Packed) MulPanelsColsInto(dst, b []float32, n int, bias []float32, relu bool, p0, p1, c0, c1 int) {
 	if c0 < 0 {
 		c0 = 0
@@ -124,38 +129,74 @@ func (p *Packed) MulPanelsColsInto(dst, b []float32, n int, bias []float32, relu
 	if c0 >= c1 {
 		return
 	}
-	k := p.cols
 	for pi := p0; pi < p1; pi++ {
 		r0 := pi * panelRows
-		rem := p.rows - r0
-		if rem > panelRows {
-			rem = panelRows
-		}
-		pan := p.panels[pi*panelRows*k : (pi+1)*panelRows*k]
-		c := dst[r0*n : (r0+rem)*n]
-		switch {
-		case rem == panelRows && useAVX2 && c1-c0 >= kernelCols:
-			var pbias []float32
-			if bias != nil {
-				pbias = bias[r0 : r0+panelRows]
-			}
-			mulPanel4AVX2(c, pan, b, pbias, n, k, c0, c1, relu)
-			continue
-		case rem == panelRows:
-			mulPanel4(c, pan, b, n, k, c0, c1)
-		default:
-			mulPanelTail(c, pan, b, n, k, rem, c0, c1)
-		}
-		epilogue(c, bias, r0, n, rem, relu, c0, c1)
+		p.mulPanel(dst[r0*n:min(r0+panelRows, p.rows)*n], b, nil, n, bias, relu, pi, c0, c1)
 	}
 }
 
+// MulPanelFlat is panel pi of a stride-1 convolution computed on the
+// zero-bordered input itself (PadBorder, PadInterior) instead of on its im2col
+// lowering. Outputs are addressed by flat position q = oy·Wp + ox over
+// the padded row width Wp, and term kk of position q reads
+// src[off[kk]+q] (FlatOffsets: the tap's channel plane, row and column
+// as one shift), so an output's terms are the same values, in the same
+// ascending-k order, that row kk of the lowered matrix would hold at
+// column oy·OW+ox — a pad tap multiplies a stored zero exactly as it
+// would there — and they go through the one panel loop
+// MulPanelsColsInto uses: same chain, same bits. dst holds the panel's
+// own rows at stride n ≥ nq, positions [0, nq) of each are overwritten
+// (+bias, ReLU as in MulPanelsColsInto). The Wp−OW positions per output
+// row that straddle a row seam are computed like any other lane from
+// in-range reads and mean nothing; callers never read them.
+func (p *Packed) MulPanelFlat(dst, src []float32, off []int, n, nq int, bias []float32, relu bool, pi int) {
+	if len(off) < p.cols || nq > n {
+		panic(fmt.Sprintf("tensor: MulPanelFlat has %d offsets for %d terms, %d positions in rows of %d", len(off), p.cols, nq, n))
+	}
+	if nq <= 0 {
+		return
+	}
+	p.mulPanel(dst, src, off[:p.cols], n, bias, relu, pi, 0, nq)
+}
+
+// mulPanel computes columns [c0, c1) of panel pi into c, the panel's
+// own rows at stride n. Row kk of the right-hand side starts at
+// b[kk*n] (off == nil, a row-major cols×n matrix) or at b[off[kk]]
+// (the flat-shifted form); everything else — the micro-kernel for a
+// full panel at least kernelCols wide, the scalar loops otherwise — is
+// shared.
+func (p *Packed) mulPanel(c, b []float32, off []int, n int, bias []float32, relu bool, pi, c0, c1 int) {
+	k := p.cols
+	r0 := pi * panelRows
+	rem := min(p.rows-r0, panelRows)
+	pan := p.panels[pi*panelRows*k : (pi+1)*panelRows*k]
+	switch {
+	case rem == panelRows && useAVX2 && c1-c0 >= kernelCols:
+		var pbias []float32
+		if bias != nil {
+			pbias = bias[r0 : r0+panelRows]
+		}
+		if off != nil {
+			mulPanel4FlatAVX2(c, pan, b, off, pbias, n, c0, c1, relu)
+		} else {
+			mulPanel4AVX2(c, pan, b, pbias, n, k, c0, c1, relu)
+		}
+		return
+	case rem == panelRows:
+		mulPanel4(c, pan, b, off, n, k, c0, c1)
+	default:
+		mulPanelTail(c, pan, b, off, n, k, rem, c0, c1)
+	}
+	epilogue(c, bias, r0, n, rem, relu, c0, c1)
+}
+
 // mulPanel4 computes columns [c0, c1) of four full output rows:
-// c[r][j] = Σ_kk pan[kk*4+r] * b[kk][j]. The four accumulation streams
+// c[r][j] = Σ_kk pan[kk*4+r] * b[kk][j], row kk of b starting at kk*n
+// or, given an offset table, at off[kk]. The four accumulation streams
 // are independent, giving the compiler ILP without the per-element
 // zero-test the training kernel carries. It is the scalar form of the
 // AVX2 micro-kernel and the oracle the kernel is tested against.
-func mulPanel4(c, pan, b []float32, n, k, c0, c1 int) {
+func mulPanel4(c, pan, b []float32, off []int, n, k, c0, c1 int) {
 	w := c1 - c0
 	cc0 := c[c0 : c0+w : c0+w]
 	cc1 := c[n+c0 : n+c0+w : n+c0+w]
@@ -176,7 +217,11 @@ func mulPanel4(c, pan, b []float32, n, k, c0, c1 int) {
 	for kk := 0; kk < k; kk++ {
 		q := pan[kk*panelRows : kk*panelRows+4]
 		a0, a1, a2, a3 := q[0], q[1], q[2], q[3]
-		brow := b[kk*n+c0 : kk*n+c0+w : kk*n+c0+w]
+		base := kk*n + c0
+		if off != nil {
+			base = off[kk] + c0
+		}
+		brow := b[base : base+w : base+w]
 		for j, v := range brow {
 			cc0[j] += a0 * v
 			cc1[j] += a1 * v
@@ -188,7 +233,7 @@ func mulPanel4(c, pan, b []float32, n, k, c0, c1 int) {
 
 // mulPanelTail handles columns [c0, c1) of the final partial panel
 // (1–3 live rows).
-func mulPanelTail(c, pan, b []float32, n, k, rem, c0, c1 int) {
+func mulPanelTail(c, pan, b []float32, off []int, n, k, rem, c0, c1 int) {
 	w := c1 - c0
 	for r := 0; r < rem; r++ {
 		crow := c[r*n+c0 : r*n+c0+w : r*n+c0+w]
@@ -197,7 +242,11 @@ func mulPanelTail(c, pan, b []float32, n, k, rem, c0, c1 int) {
 		}
 		for kk := 0; kk < k; kk++ {
 			av := pan[kk*panelRows+r]
-			brow := b[kk*n+c0 : kk*n+c0+w : kk*n+c0+w]
+			base := kk*n + c0
+			if off != nil {
+				base = off[kk] + c0
+			}
+			brow := b[base : base+w : base+w]
 			for j, v := range brow {
 				crow[j] += av * v
 			}

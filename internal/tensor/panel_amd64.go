@@ -14,7 +14,7 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func mulPanel4x16(dst, pan, b, bias *float32, n, k, c0, c1 int, relu bool)
+func mulPanel4x16(dst, pan, b, bias *float32, off *int, n, k, c0, c1 int, relu bool)
 
 //go:noescape
 func dotPanels4x4(dst, pan, x, bias *float32, k int, relu bool)
@@ -62,7 +62,34 @@ func mulPanel4AVX2(c, pan, b, bias []float32, n, k, c0, c1 int, relu bool) {
 		panic(fmt.Sprintf("tensor: panel kernel out of range: len(c)=%d len(pan)=%d len(b)=%d len(bias)=%d n=%d k=%d cols [%d,%d)",
 			len(c), len(pan), len(b), len(bias), n, k, c0, c1))
 	}
-	mulPanel4x16(unsafe.SliceData(c), unsafe.SliceData(pan), unsafe.SliceData(b), unsafe.SliceData(bias), n, k, c0, c1, relu)
+	mulPanel4x16(unsafe.SliceData(c), unsafe.SliceData(pan), unsafe.SliceData(b), unsafe.SliceData(bias), nil, n, k, c0, c1, relu)
+}
+
+// mulPanel4FlatAVX2 is mulPanel4AVX2 with the right-hand side addressed
+// through an offset table: row kk of it starts at b[off[kk]], k is
+// len(off), and n is the row stride of c alone. The kernel reads
+// b[off[kk]+j] for j < c1, so beside mulPanel4AVX2's conditions on c,
+// pan and bias this establishes 0 ≤ off[kk] ≤ len(b) − c1 for every
+// term, one comparison each, before the call.
+func mulPanel4FlatAVX2(c, pan, b []float32, off []int, bias []float32, n, c0, c1 int, relu bool) {
+	k := len(off)
+	ok := c0 >= 0 && c1-c0 >= kernelCols && c1 <= n && c1 <= len(b) &&
+		n <= len(c) && len(c) >= (panelRows-1)*n+c1 &&
+		k <= len(pan)/panelRows &&
+		(bias == nil || len(bias) >= panelRows)
+	if ok {
+		room := len(b) - c1
+		for _, o := range off {
+			if o < 0 || o > room {
+				ok = false
+			}
+		}
+	}
+	if !ok {
+		panic(fmt.Sprintf("tensor: flat panel kernel out of range: len(c)=%d len(pan)=%d len(b)=%d len(bias)=%d n=%d k=%d positions [%d,%d)",
+			len(c), len(pan), len(b), len(bias), n, k, c0, c1))
+	}
+	mulPanel4x16(unsafe.SliceData(c), unsafe.SliceData(pan), unsafe.SliceData(b), unsafe.SliceData(bias), unsafe.SliceData(off), n, k, c0, c1, relu)
 }
 
 // dotPanels4AVX2 computes the sixteen outputs of four full consecutive

@@ -5,7 +5,8 @@
 // The fp32 micro-kernels of the serving path. Both are bit-identical to
 // the scalar Go loops they stand in for (mulPanel4 + epilogue, and
 // DotPanelInto, in packed.go): they vectorise across *independent
-// outputs* — sixteen output columns, or the four rows of a panel — so
+// outputs* — sixteen output columns (of a lowered GEMM, or sixteen flat
+// positions of a convolution), or the four rows of a panel — so
 // each lane is one output element's own chain, accumulated from +0 over
 // ascending k, one rounded multiply (VMULPS) then one rounded add
 // (VADDPS) per term. A fused multiply-add rounds once where the scalar
@@ -35,28 +36,57 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func mulPanel4x16(dst, pan, b, bias *float32, n, k, c0, c1 int, relu bool)
+// PANEL_KSTEP is the one k-step of the 4×16 tile: Y8 and Y9 hold the
+// sixteen right-hand-side values of this k, AX points at the panel's
+// four weights for it, and each weight is broadcast and multiplied into
+// both halves, then added to its row of the tile (Y0..Y7).
+#define PANEL_KSTEP \
+	VBROADCASTSS (AX), Y10;   \
+	VMULPS       Y8, Y10, Y11; \
+	VADDPS       Y11, Y0, Y0;  \
+	VMULPS       Y9, Y10, Y12; \
+	VADDPS       Y12, Y1, Y1;  \
+	VBROADCASTSS 4(AX), Y10;  \
+	VMULPS       Y8, Y10, Y11; \
+	VADDPS       Y11, Y2, Y2;  \
+	VMULPS       Y9, Y10, Y12; \
+	VADDPS       Y12, Y3, Y3;  \
+	VBROADCASTSS 8(AX), Y10;  \
+	VMULPS       Y8, Y10, Y11; \
+	VADDPS       Y11, Y4, Y4;  \
+	VMULPS       Y9, Y10, Y12; \
+	VADDPS       Y12, Y5, Y5;  \
+	VBROADCASTSS 12(AX), Y10; \
+	VMULPS       Y8, Y10, Y11; \
+	VADDPS       Y11, Y6, Y6;  \
+	VMULPS       Y9, Y10, Y12; \
+	VADDPS       Y12, Y7, Y7;  \
+	ADDQ         $16, AX
+
+// func mulPanel4x16(dst, pan, b, bias *float32, off *int, n, k, c0, c1 int, relu bool)
 //
 // Columns [c0, c1) of a four-row panel, in blocks of 16: Y0..Y7 hold the
 // 4×16 tile (row r in Y(2r), Y(2r+1)), zeroed per block. Per k the two
-// halves of the B row are loaded once and each of the panel's four
-// weights is broadcast and multiplied into both. The last block starts
-// at c1-16 whatever c1-c0 is, overlapping the one before it when the
-// band is not a multiple of 16 wide. The caller guarantees c1-c0 >= 16
-// and that every address is in range.
-TEXT ·mulPanel4x16(SB), NOSPLIT, $0-65
-	MOVQ    dst+0(FP), DI
-	MOVQ    pan+8(FP), SI
-	MOVQ    b+16(FP), DX
-	MOVQ    bias+24(FP), R8
-	MOVQ    n+32(FP), R9
-	MOVQ    k+40(FP), R10
-	MOVQ    c0+48(FP), R11       // j: first column of the current block
-	MOVQ    c1+56(FP), R12
-	MOVBLZX relu+64(FP), R13
-	SHLQ    $2, R9               // row stride of b and dst in bytes
-	SUBQ    $16, R12             // first column of the last block
-	VXORPS  Y15, Y15, Y15        // +0 for the ReLU
+// halves of the B row are loaded once and go through PANEL_KSTEP. Where
+// that row is comes from one of two loops around the same step: with
+// off nil, B is a row-major k×n matrix and the address advances by the
+// row stride; otherwise row kk of B starts at b[off[kk]] (the
+// flat-shifted convolution: a tap is a shift within the padded input)
+// and n is the row stride of dst alone. The last block starts at c1-16
+// whatever c1-c0 is, overlapping the one before it when the band is not
+// a multiple of 16 wide. The caller guarantees c1-c0 >= 16 and that
+// every address is in range.
+TEXT ·mulPanel4x16(SB), NOSPLIT, $0-73
+	MOVQ   dst+0(FP), DI
+	MOVQ   pan+8(FP), SI
+	MOVQ   b+16(FP), DX
+	MOVQ   n+40(FP), R9
+	MOVQ   k+48(FP), R10
+	MOVQ   c0+56(FP), R11        // j: first column of the current block
+	MOVQ   c1+64(FP), R12
+	SHLQ   $2, R9                // row stride of dst (and of a row-major b) in bytes
+	SUBQ   $16, R12              // first column of the last block
+	VXORPS Y15, Y15, Y15         // +0 for the ReLU
 
 block:
 	CMPQ R11, R12
@@ -75,41 +105,35 @@ tile:
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	LEAQ   (DX)(R11*4), BX       // &b[0][j]
+	LEAQ   (DX)(R11*4), BX       // &b[j]: row 0 of a row-major b, the base every offset shifts
 	MOVQ   SI, AX                // &pan[0]
 	MOVQ   R10, CX
 	TESTQ  CX, CX
 	JZ     addbias
+	MOVQ   off+32(FP), R8
+	TESTQ  R8, R8
+	JNZ    kflat
 
 kloop:
-	VMOVUPS      (BX), Y8
-	VMOVUPS      32(BX), Y9
-	VBROADCASTSS (AX), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y0, Y0
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y12, Y1, Y1
-	VBROADCASTSS 4(AX), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y2, Y2
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y12, Y3, Y3
-	VBROADCASTSS 8(AX), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y4, Y4
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y12, Y5, Y5
-	VBROADCASTSS 12(AX), Y10
-	VMULPS       Y8, Y10, Y11
-	VADDPS       Y11, Y6, Y6
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y12, Y7, Y7
-	ADDQ         $16, AX
-	ADDQ         R9, BX
-	DECQ         CX
-	JNZ          kloop
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	PANEL_KSTEP
+	ADDQ    R9, BX
+	DECQ    CX
+	JNZ     kloop
+	JMP     addbias
+
+kflat:
+	MOVQ    (R8), R13            // off[kk], in floats
+	VMOVUPS (BX)(R13*4), Y8
+	VMOVUPS 32(BX)(R13*4), Y9
+	PANEL_KSTEP
+	ADDQ    $8, R8
+	DECQ    CX
+	JNZ     kflat
 
 addbias:
+	MOVQ         bias+24(FP), R8
 	TESTQ        R8, R8
 	JZ           clamp
 	VBROADCASTSS (R8), Y10
@@ -126,16 +150,17 @@ addbias:
 	VADDPS       Y10, Y7, Y7
 
 clamp:
-	TESTQ  R13, R13
-	JZ     store
-	VMAXPS Y15, Y0, Y0
-	VMAXPS Y15, Y1, Y1
-	VMAXPS Y15, Y2, Y2
-	VMAXPS Y15, Y3, Y3
-	VMAXPS Y15, Y4, Y4
-	VMAXPS Y15, Y5, Y5
-	VMAXPS Y15, Y6, Y6
-	VMAXPS Y15, Y7, Y7
+	MOVBLZX relu+72(FP), R13
+	TESTQ   R13, R13
+	JZ      store
+	VMAXPS  Y15, Y0, Y0
+	VMAXPS  Y15, Y1, Y1
+	VMAXPS  Y15, Y2, Y2
+	VMAXPS  Y15, Y3, Y3
+	VMAXPS  Y15, Y4, Y4
+	VMAXPS  Y15, Y5, Y5
+	VMAXPS  Y15, Y6, Y6
+	VMAXPS  Y15, Y7, Y7
 
 store:
 	LEAQ    (DI)(R11*4), BX      // &dst[0][j]

@@ -11,6 +11,14 @@ func mulPanel4AVX2(c, pan, b, bias []float32, n, k, c0, c1 int, relu bool) {
 	panic("tensor: no AVX2 panel kernel in this build")
 }
 
+func mulPanel4FlatAVX2(c, pan, b []float32, off []int, bias []float32, n, c0, c1 int, relu bool) {
+	panic("tensor: no AVX2 panel kernel in this build")
+}
+
+func maxPool2x2AVX2(dst, src []float32, oh, ow, stride int) {
+	panic("tensor: no AVX2 max-pool kernel in this build")
+}
+
 func dotPanels4AVX2(dst, pan, x, bias []float32, k int, relu bool) {
 	panic("tensor: no AVX2 dot kernel in this build")
 }
