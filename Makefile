@@ -66,10 +66,12 @@ check-allocs:
 
 # Ten seconds of every native fuzz target (go test takes one -fuzz target
 # and one package per run). The /v1/detect[/batch] decoders are checked
-# against encoding/json; the loader fuzzers of ROADMAP item 3 go here.
+# against encoding/json, their number scanner and pixel token path against
+# strconv.ParseFloat; the loader fuzzers of ROADMAP item 3 go here.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetect$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzScanFloat32$$' -fuzztime 10s ./internal/serve/
 
 build:
 	$(GO) build ./...

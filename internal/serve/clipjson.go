@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -415,8 +417,21 @@ func (d *clipDecoder) pixelsValue(i int, it *clipItem) int {
 		return i + 1
 	}
 	pix := d.pix
-	at := it.off // where the next element lands
+	at := it.off                 // where the next element lands
+	last := len(b) - tokenWindow // the last offset pixelToken may start at
 	for {
+		if i <= last {
+			if f, next := pixelToken(b, i); next > 0 {
+				if at < len(pix) {
+					pix[at] = f
+				} else {
+					pix = append(pix, f)
+				}
+				at++
+				i = d.ws(next)
+				continue
+			}
+		}
 		if i >= len(b) {
 			return d.fail(i)
 		}
@@ -460,10 +475,71 @@ func (d *clipDecoder) pixelsValue(i int, it *clipItem) int {
 	}
 }
 
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+// pow10 holds the powers of ten a float64 represents exactly, and
+// negPow10 the float64s nearest their reciprocals.
+var (
+	pow10 = [...]float64{
+		1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+		1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+	}
+	negPow10 = [...]float64{
+		1e-0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11,
+		1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 1e-17, 1e-18, 1e-19, 1e-20, 1e-21, 1e-22,
+	}
+)
+
+// tokenWindow is how many bytes pixelToken reads: "0.", up to 9 digits
+// and the ','.
+const tokenWindow = 12
+
+// pixelToken parses the pixel at b[i] when its token is "0." and 1 to 9
+// digits followed by ',' — how json.Marshal spells a float32 in [0.1, 1)
+// and most of those in [1e-6, 0.1) — into the float32 scanFloat32 would
+// return. next is the offset past the ',', or 0 for any other token,
+// which then goes to scanFloat32 byte for byte. b[i:i+tokenWindow] must
+// exist.
+//
+// It does not branch on each digit: one 8-byte load, one mask that finds
+// the first non-digit, and three multiply-shifts that combine the digits
+// (Lemire, "Number Parsing at a Gigabyte per Second", arXiv:2101.11408),
+// so one pixel's parse does not wait on the exit of the last one's digit
+// loop.
+func pixelToken(b []byte, i int) (f float32, next int) {
+	if b[i] != '0' || b[i+1] != '.' {
+		return 0, 0
+	}
+	w := binary.LittleEndian.Uint64(b[i+2:])
+	// Byte k is (high nibble of c)·16 + (high nibble of c+6), 0x33 just
+	// for a digit. Only a byte ≥ 0xfa carries into the next, and it is
+	// not a digit: up to the first non-digit every byte is exact.
+	const hi = 0xf0f0f0f0f0f0f0f0
+	nonDigit := (w&hi | (w+0x0606060606060606)&hi>>4) ^ 0x3333333333333333
+	n := bits.TrailingZeros64(nonDigit) >> 3 // leading digits, 0 to 8
+	if n == 0 {
+		return 0, 0
+	}
+	// The digits, as values, at the top of v: byte 7 is the last digit,
+	// and the bytes below the first are 0. A byte below '0' past the
+	// digits borrows only from bytes above it, which the shift drops.
+	v := (w - 0x3030303030303030) << ((64 - 8*uint(n)) & 63)
+	v = (v * (10<<8 + 1)) >> 8 // byte 2k: 10·digit 2k + digit 2k+1
+	v = ((v & 0x00ff00ff00ff00ff) * (100<<16 + 1)) >> 16
+	v = ((v & 0x0000ffff0000ffff) * (10000<<32 + 1)) >> 32
+	// A ninth digit, taken without a branch: json.Marshal writes 8 digits
+	// for 55–65% of pixels in [0, 1) and 7 for most of the rest, so a
+	// branch on n == 8 would mispredict often.
+	d9 := uint64(b[i+10] - '0')
+	nine := uint64(n>>3) & ((d9 - 10) >> 63) // n == 8 and b[i+10] a digit
+	v = v*(1+9*nine) + d9*nine
+	n += int(nine)
+	next = i + 2 + n
+	if b[next] != ',' {
+		return 0, 0
+	}
+	if f, ok := roundFloat32(float64(v) * negPow10[n]); ok {
+		return f, next + 1
+	}
+	return 0, 0
 }
 
 // scanDecimal scans the JSON number at b[i], checking its grammar, and
@@ -547,25 +623,32 @@ func scanFloat32(b []byte, i int) (f float32, next int) {
 }
 
 // fastFloat32 converts mant × 10^exp10 (digits decimal digits were read
-// into mant) when two exact float64 operands and one correctly rounded
-// operation give the result (Clinger's fast path), and that float64 does
-// not sit on the midpoint of two float32s, where rounding a second time
-// could go the other way than rounding the decimal once. Every float64 it
-// can produce is well inside float32's normal range. ok false sends the
-// token to strconv.ParseFloat.
+// into mant) when mant and 10^exp10, or its nearest float64 reciprocal,
+// multiply to a float64 that rounds to the float32 the decimal rounds to.
+// Every float64 it can produce is well inside float32's normal range. ok
+// false sends the token to strconv.ParseFloat.
+//
+// The float64 is at most 2 ulp from the decimal: mant is exact,
+// RN(10^-k) and the product each add at most half an ulp of relative
+// error, and 10^k (k ≤ 22) is exact. A float32 rounding changes only at
+// the midpoint of two float32s, so a float64 more than 4 ulp from any
+// midpoint lies on the same side of it as the decimal, and roundFloat32
+// declines the rest.
 func fastFloat32(mant uint64, digits, exp10 int) (v float32, ok bool) {
 	if digits > 19 || mant >= 1<<53 || exp10 < -22 || exp10 > 22 {
 		return 0, false
 	}
-	f := float64(mant)
 	if exp10 < 0 {
-		f /= pow10[-exp10]
-	} else {
-		f *= pow10[exp10]
+		return roundFloat32(float64(mant) * negPow10[-exp10])
 	}
-	// float32 keeps 23 of float64's 52 fraction bits; the 29 it drops
-	// read 1000…0 exactly at a midpoint.
-	if math.Float64bits(f)&(1<<29-1) == 1<<28 {
+	return roundFloat32(float64(mant) * pow10[exp10])
+}
+
+// roundFloat32 rounds f to float32 unless f lies within 4 ulp of the
+// midpoint of two float32s. float32 keeps 23 of float64's 52 fraction
+// bits; the 29 it drops read 1000…0 exactly at a midpoint.
+func roundFloat32(f float64) (v float32, ok bool) {
+	if math.Float64bits(f)&(1<<29-1)-(1<<28-4) <= 8 {
 		return 0, false
 	}
 	return float32(f), true

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,6 +40,9 @@ func (s *Server) validate(req *DetectRequest) *apiError {
 	if req.Size < minClipSize {
 		return badRequest(CodeInvalidRequest,
 			fmt.Sprintf("clip size %d below minimum %d", req.Size, minClipSize))
+	}
+	if req.Size > math.MaxInt/req.Bands/req.Size {
+		return badRequest(CodeInvalidRequest, fmt.Sprintf("clip size %d too large", req.Size))
 	}
 	if want := req.Bands * req.Size * req.Size; len(req.Pixels) != want {
 		return badRequest(CodeInvalidRequest,
@@ -247,6 +251,16 @@ func clipSeeds() [][]byte {
 		`{"bands":4,"size":8,"pixels":` + px(strings.Repeat("9", 400)+"e-400") + `}`,
 		`{"bands":4,"size":8,"pixels":` + px("16777217,8.000000476837159,9007199254740993") + `}`,
 		`{"bands":4,"size":8,"pixels":` + px("01") + `}`,
+		// The token path's edges ("0." and 1-9 digits, then ',').
+		`{"bands":4,"size":8,"pixels":` + px(strings.Join(pixelTokenEdges[:10], ",")) + `}`,
+		`{"bands":4,"size":8,"pixels":` + px("0.12345678e5,0.1234 ,0.5") + `}`,
+		`{"bands":4,"size":8,"pixels":[` + strings.Repeat("0.12345678,", 255) + `0.123456789]}`,
+		`{"bands":4,"size":8,"pixels":[` + strings.Repeat("0.1234567,", 255) + `0.5]}`,
+		`{"bands":4,"size":8,"pixels":` + px("-0.5,0.848978191614151") + `}`,
+		`{"bands":4,"size":8,"pixels":` + px("00.5") + `}`,
+		`{"bands":4,"size":8,"pixels":` + px("0.") + `}`,
+		`{"bands":4,"size":8,"pixels":[0.12345678,0.1234`,
+		`{"bands":4,"size":8,"pixels":[0.12345678,0.123456789`,
 		`{"bands":4,"size":8,"pixels":` + px("1.") + `}`,
 		`{"bands":4,"size":8,"pixels":` + px(".5") + `}`,
 		`{"bands":4,"size":8,"pixels":` + px("+1") + `}`,
@@ -267,6 +281,7 @@ func clipSeeds() [][]byte {
 		`{"bands":null,"size":null,"pixels":null}`,
 		`{"bands":4,"size":3037000500,"pixels":[]}`,
 		`{"bands":4,"size":4294967296,"pixels":[]}`,
+		`{"bands":4,"size":2147483648,"pixels":[]}`,
 		`{"bands":3,"size":8,"pixels":` + px("1e39") + `}`,
 		`{"bands":4,"size":7,"pixels":[1]}`,
 		`{"bands":4,"size":-8,"pixels":[1]}`,
@@ -471,6 +486,250 @@ func TestFastFloat32MatchesParseFloat(t *testing.T) {
 			t.Fatalf("%s refused", tok)
 		}
 	}
+}
+
+// The reciprocal multiply is exact for every "0." token of 1 to 8 digits:
+// fastFloat32 returns ParseFloat's bits for each of the 111,111,110 and
+// declines none, so the token path never falls back on them.
+func TestFastFloat32AllShortFractions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("111,111,110 ParseFloat calls")
+	}
+	// One goroutine per digit count and first digit: 80 slices, the
+	// largest 10^7 tokens.
+	var wg sync.WaitGroup
+	var checked atomic.Int64
+	for n := 1; n <= 8; n++ {
+		for first := byte('0'); first <= '9'; first++ {
+			wg.Add(1)
+			go func(n int, first byte) {
+				defer wg.Done()
+				tok := []byte("0." + strings.Repeat("0", n))
+				tok[2] = first
+				span := uint64(math.Pow10(n - 1))
+				m := uint64(first-'0') * span
+				for c := uint64(0); c < span; c, m = c+1, m+1 {
+					want, err := strconv.ParseFloat(string(tok), 32)
+					got, ok := fastFloat32(m, n, -n)
+					if err != nil || !ok || math.Float32bits(got) != math.Float32bits(float32(want)) {
+						t.Errorf("%s: ParseFloat gives %v (%v), fastFloat32(%d, %d, %d) %v (ok %v)",
+							tok, float32(want), err, m, n, -n, got, ok)
+						return
+					}
+					for k := len(tok) - 1; k > 2; k-- { // the next token
+						if tok[k] < '9' {
+							tok[k]++
+							break
+						}
+						tok[k] = '0'
+					}
+				}
+				checked.Add(int64(span))
+			}(n, first)
+		}
+	}
+	wg.Wait()
+	if got := checked.Load(); !t.Failed() && got != 111111110 {
+		t.Fatalf("checked %d tokens, want 111,111,110", got)
+	}
+}
+
+// Where the reciprocal multiply misrounds, the ±4-ulp guard declines it.
+// The decimal below lies within half a float64 ulp of the midpoint of two
+// float32s, on the low side: its quotient by 10^15 rounds to the
+// midpoint. RN(1e-15) puts the product 1 ulp above the midpoint, where it
+// rounds up, so a guard on the midpoint alone would let it through.
+func TestFastFloat32GuardDeclinesNearMidpoint(t *testing.T) {
+	const tok, mant = "0.848978191614151", 848978191614151
+	product := float64(mant) * negPow10[15]
+	mid := float64(mant) / pow10[15]
+	if math.Float64bits(mid)&(1<<29-1) != 1<<28 || math.Float64bits(product) != math.Float64bits(mid)+1 {
+		t.Fatalf("%s: quotient %#x, product %#x; want a midpoint and the float64 above it",
+			tok, math.Float64bits(mid), math.Float64bits(product))
+	}
+	want, _ := strconv.ParseFloat(tok, 32)
+	if float32(product) == float32(want) {
+		t.Fatalf("%s: the product rounds right; pick another victim", tok)
+	}
+	if _, ok := fastFloat32(mant, 15, -15); ok {
+		t.Fatalf("fast path took %s", tok)
+	}
+	if _, ok := parse32(t, tok); !ok {
+		t.Fatalf("%s refused", tok)
+	}
+}
+
+// slowPixelsValue is pixelsValue without the token path: every pixel goes
+// through scanFloat32. TestPixelTokenMatchesSlowPath holds the two equal.
+func (d *clipDecoder) slowPixelsValue(i int, it *clipItem) int {
+	b := d.body
+	it.n, it.nonFinite = 0, 0
+	if i >= len(b) || b[i] != '[' {
+		d.pix = d.pix[:it.off]
+		return d.lit(i, "null")
+	}
+	i = d.ws(i + 1)
+	if i < len(b) && b[i] == ']' {
+		d.pix = d.pix[:it.off]
+		return i + 1
+	}
+	pix := d.pix
+	at := it.off
+	for {
+		if i >= len(b) {
+			return d.fail(i)
+		}
+		if c := b[i]; c == '-' || isDigit(c) {
+			f, next := scanFloat32(b, i)
+			if next < 0 {
+				return d.fail(i)
+			}
+			if math.Float32bits(f)&0x7f800000 == 0x7f800000 && it.nonFinite == 0 {
+				it.nonFinite = at - it.off + 1
+			}
+			if at < len(pix) {
+				pix[at] = f
+			} else {
+				pix = append(pix, f)
+			}
+			i = next
+		} else {
+			if i = d.lit(i, "null"); i < 0 {
+				return -1
+			}
+			if at == len(pix) {
+				pix = append(pix, 0)
+			}
+		}
+		at++
+		i = d.ws(i)
+		if i < len(b) && b[i] == ']' {
+			d.pix = pix
+			it.n = at - it.off
+			return i + 1
+		}
+		if i >= len(b) || b[i] != ',' {
+			return d.fail(i)
+		}
+		i = d.ws(i + 1)
+	}
+}
+
+// pixelTokenEdges are the pixel spellings at the token path's edges: 6 to
+// 10 fractional digits, and tokens that start like its shape but leave
+// it, or are not numbers at all.
+var pixelTokenEdges = []string{
+	"0.123456", "0.1234567", "0.12345678", "0.123456789", "0.1234567891",
+	"0.99999999", "0.999999999", "0.00000001", "0.000000001", "0.0",
+	"0.12345678e5", "0.5E-3", "0.1234 ", "-0.5", "00.5", "0.", "0.,", "0.a", "0.1.2", "0.1:", "0.12345?", "0.5/",
+	"0.848978191614151",
+}
+
+// The token path changes nothing but speed: on every array built from the
+// edge spellings, and on every truncation of it (a token within
+// tokenWindow bytes of the end, a body cut mid-token), pixelsValue leaves
+// the same pixels, count, first non-finite pixel, error offset and
+// return value as slowPixelsValue. Storage already holding pixels, as a
+// repeated "pixels" key leaves it, takes the overwrite branch. And the
+// token path does take its own shape, 9 digits included.
+func TestPixelTokenMatchesSlowPath(t *testing.T) {
+	for _, tok := range pixelTokenEdges {
+		b := []byte(tok + ",0.5,0.25,0.5")
+		if _, next := pixelToken(b, 0); (next > 0) != tokenShape.Match(b) {
+			t.Fatalf("%s: token path returns %d", b, next)
+		}
+	}
+	var bodies []string
+	for _, tok := range pixelTokenEdges {
+		bodies = append(bodies,
+			"["+tok+",0.25,0.5]",
+			"[0.5,0.25,"+tok+"]",
+			"["+tok+"]",
+			"[0.5,"+tok+",0.12345678,0.123456789,0.1234567]   ")
+	}
+	all := "[" + strings.Join(pixelTokenEdges, ",0.12345678,") + ",1e39,null,0.5]"
+	for k := 0; k <= len(all); k++ {
+		bodies = append(bodies, all[:k])
+	}
+	for _, body := range bodies {
+		for _, held := range [][]float32{nil, {9, 8, 7}, make([]float32, 64)} {
+			run := func(slow bool) (d *clipDecoder, it clipItem, next int) {
+				d = &clipDecoder{body: []byte(body), pix: append([]float32(nil), held...)}
+				it = clipItem{n: -1, nonFinite: -1}
+				if slow {
+					next = d.slowPixelsValue(0, &it)
+				} else {
+					next = d.pixelsValue(0, &it)
+				}
+				return d, it, next
+			}
+			fast, fastIt, fastNext := run(false)
+			slow, slowIt, slowNext := run(true)
+			if fastNext != slowNext || fastIt != slowIt || fast.errAt != slow.errAt || len(fast.pix) != len(slow.pix) {
+				t.Fatalf("%q over %d held pixels: token path returns %d, %+v, errAt %d, %d pixels; slow path %d, %+v, errAt %d, %d pixels",
+					body, len(held), fastNext, fastIt, fast.errAt, len(fast.pix), slowNext, slowIt, slow.errAt, len(slow.pix))
+			}
+			for i := range fast.pix {
+				if math.Float32bits(fast.pix[i]) != math.Float32bits(slow.pix[i]) {
+					t.Fatalf("%q: pixel %d is %v on the token path, %v on the slow path", body, i, fast.pix[i], slow.pix[i])
+				}
+			}
+		}
+	}
+}
+
+var (
+	// numberPrefix is what scanDecimal consumes at the start of b: the
+	// longest prefix that JSON's number grammar could still extend.
+	numberPrefix = regexp.MustCompile(`^-?(?:0|[1-9][0-9]*)(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?`)
+	// numberToken is JSON's number grammar.
+	numberToken = regexp.MustCompile(`^-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?$`)
+	// tokenShape is the spelling pixelToken must take. Its guard declines
+	// none of these: no 1- to 8-digit fraction (TestFastFloat32AllShortFractions),
+	// and no 9-digit one lands within 4 ulp of a float32 midpoint (all 10^9
+	// products were checked once, when the guard was chosen).
+	tokenShape = regexp.MustCompile(`^0\.[0-9]{1,9},`)
+)
+
+// FuzzScanFloat32 checks scanFloat32 and pixelToken on arbitrary bytes
+// against strconv.ParseFloat of the number JSON's grammar reads there:
+// the same float32 bits and the same end, and a refusal where the grammar
+// or float32's range refuses.
+func FuzzScanFloat32(f *testing.F) {
+	for _, tok := range pixelTokenEdges {
+		f.Add([]byte(tok + ",0.5,0.25,"))
+		f.Add([]byte(tok + "]"))
+	}
+	for _, tok := range []string{"1e39", "-1e-400", "3.4028235e38", "16777217", "8.000000476837159", "-0", "1E+2", "01", "1.", ".5", "-", ""} {
+		f.Add([]byte(tok))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, next := scanFloat32(b, 0)
+		tok := numberPrefix.Find(b)
+		if tok == nil || !numberToken.Match(tok) {
+			if next >= 0 {
+				t.Fatalf("%q: not a JSON number, scanned as %v to %d", b, got, next)
+			}
+			return
+		}
+		want, err := strconv.ParseFloat(string(tok), 32)
+		switch {
+		case err != nil && next >= 0:
+			t.Fatalf("%q: ParseFloat refuses %s (%v), scanned as %v to %d", b, tok, err, got, next)
+		case err == nil && (next != len(tok) || math.Float32bits(got) != math.Float32bits(float32(want))):
+			t.Fatalf("%q: ParseFloat gives %v for %s, scanned as %v to %d", b, float32(want), tok, got, next)
+		}
+		if len(b) < tokenWindow {
+			return
+		}
+		v, after := pixelToken(b, 0)
+		switch {
+		case after > 0 && (next < 0 || after != next+1 || b[next] != ',' || math.Float32bits(v) != math.Float32bits(got)):
+			t.Fatalf("%q: token path gives %v to %d, scanFloat32 %v to %d", b, v, after, got, next)
+		case after == 0 && tokenShape.Match(b):
+			t.Fatalf("%q: token path declined its own shape", b)
+		}
+	})
 }
 
 // detectReference builds the test model twice from one seed: one copy

@@ -716,6 +716,11 @@ func (s *Server) checkClip(it *clipItem) *apiError {
 		return badRequest(CodeInvalidRequest,
 			fmt.Sprintf("clip size %d below minimum %d", it.size, minClipSize))
 	}
+	// bands·size² must not wrap: a size of 2^31 at 4 bands would expect
+	// 0 pixels and let an empty clip through to a replica.
+	if it.size > math.MaxInt/it.bands/it.size {
+		return badRequest(CodeInvalidRequest, fmt.Sprintf("clip size %d too large", it.size))
+	}
 	if want := it.bands * it.size * it.size; it.n != want {
 		return badRequest(CodeInvalidRequest,
 			fmt.Sprintf("expected %d pixels (bands·size²), got %d", want, it.n))

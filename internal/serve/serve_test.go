@@ -254,6 +254,40 @@ func TestDetectBatchPositionalResults(t *testing.T) {
 	}
 }
 
+// A size whose bands·size² overflows int is refused as a bad clip on both
+// routes, even where the product wraps to the pixel count sent; it never
+// reaches a replica to allocate.
+func TestHugeClipSizeRefused(t *testing.T) {
+	s := testServer(t)
+	h := s.Handler()
+	for _, clip := range []string{
+		`{"bands":4,"size":2147483648,"pixels":[]}`, // 4·2^62 wraps to 0
+		`{"bands":4,"size":4294967296,"pixels":[]}`, // 4·2^64 wraps to 0
+		`{"bands":4,"size":3037000500,"pixels":[]}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/detect", strings.NewReader(clip)))
+		var env ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest || env.Error.Code != CodeInvalidRequest {
+			t.Fatalf("/v1/detect %s: status %d, %v: %s", clip, rec.Code, err, rec.Body)
+		}
+
+		rec = httptest.NewRecorder()
+		body := batchBody([]byte(clip), harnessClip(1, 40))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/detect/batch", bytes.NewReader(body)))
+		var br BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || rec.Code != http.StatusOK || len(br.Items) != 2 {
+			t.Fatalf("/v1/detect/batch %s: status %d, %v: %s", clip, rec.Code, err, rec.Body)
+		}
+		if it := br.Items[0]; it.Error == nil || it.Error.Code != CodeInvalidRequest || it.Error.Message != "item 0: "+env.Error.Message {
+			t.Fatalf("/v1/detect/batch %s: item 0 %+v, want %q", clip, it, env.Error.Message)
+		}
+		if it := br.Items[1]; it.Result == nil || it.Error != nil {
+			t.Fatalf("/v1/detect/batch %s: item 1 %+v, want a result", clip, it)
+		}
+	}
+}
+
 // The clips of one batch request reach the pool as one unit: on an idle
 // server they leave as the fewest forward passes max-batch allows, however
 // many replicas are idle, and every answer is the reference detection.
