@@ -50,16 +50,18 @@ bench-cluster:
 
 # Alloc-regression guard: every steady-state serving forward (the
 # sequential fast path, the scheduled IOS executor, the quantized
-# int8 path and the autotuned Winograd/NCHWc/direct kernel mix) must
-# report exactly 0 allocs per run (testing.AllocsPerRun inside the
-# tests). The request decoder's guard bounds what a warm server allocates
-# per batch-16 request by a constant that does not grow with pixel count;
+# int8 path, the autotuned Winograd/NCHWc/direct kernel mix, and the
+# fp32, int8, dynamic and IOS replicas again with the stage hook a
+# trace-sampled pool binds) must report exactly 0 allocs per run
+# (testing.AllocsPerRun inside the tests). The request decoder's guard
+# bounds what a warm server allocates per batch-16 request by a constant
+# that does not grow with pixel count;
 # the pool's guard pins what one Submit on an idle pool allocates; the
 # raster-preparation guard bounds a 512² terrain.Generate (11.5 MB, 200
 # objects; 10.9 MB and ≈ 80 today — one more array per cell fails it) and
 # terrain.Render (5.5 MB, 100 objects; 5.1 MB and 55).
 check-allocs:
-	$(GO) test -run 'TestInferSteadyStateZeroAlloc|TestScheduledSteadyStateZeroAlloc|TestQuantInferSteadyStateZeroAlloc|TestTunedInferSteadyStateZeroAlloc|TestDynamicInferSteadyStateZeroAlloc' -v ./internal/model/
+	$(GO) test -run 'TestInferSteadyStateZeroAlloc|TestScheduledSteadyStateZeroAlloc|TestQuantInferSteadyStateZeroAlloc|TestTunedInferSteadyStateZeroAlloc|TestDynamicInferSteadyStateZeroAlloc|TestTracedInferSteadyStateZeroAlloc' -v ./internal/model/
 	$(GO) test -run 'TestDecodeSteadyStateAllocs' -v ./internal/serve/
 	$(GO) test -run 'TestSubmitSteadyStateAllocs' -v ./internal/serve/batcher/
 	$(GO) test -run 'TestRasterPreparationAllocBudget' -v ./internal/terrain/

@@ -7,9 +7,6 @@ import (
 
 func TestNextTuning(t *testing.T) {
 	cfg := AutoBatchConfig{TargetP95: 100 * time.Millisecond}
-	// The names are the suite's test IDs. Two of them predate the removal
-	// of the wait knob (max-batch is the only one left) and are kept so
-	// the IDs stay stable.
 	cases := []struct {
 		name string
 		cur  int
@@ -23,13 +20,13 @@ func TestNextTuning(t *testing.T) {
 			want: 8,
 		},
 		{
-			name: "over target halves both knobs",
+			name: "over target halves max-batch",
 			cur:  8,
 			obs:  BatchObs{P95: 0.150, OK: true, MaxBatchCeiling: 16},
 			want: 4,
 		},
 		{
-			name: "halving floors at batch 1 and MinWait",
+			name: "halving floors at batch 1",
 			cur:  1,
 			obs:  BatchObs{P95: 0.500, OK: true, MaxBatchCeiling: 16},
 			want: 1,

@@ -22,20 +22,11 @@ import (
 // Executor runs one serving replica's forward pass and decodes the head
 // into detections. It owns per-replica layer caches, so one goroutine at
 // a time; the caller owns the arena and Resets it between batches.
+// InferDetect is the serving path: zero heap allocations in steady state
+// with a warm arena and cap(dst) ≥ batch size, whether or not the
+// replica was built with a stage hook.
 type Executor interface {
-	// InferDetect is the serving path: zero heap allocations in steady
-	// state with a warm arena and cap(dst) ≥ batch size.
 	InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection) []metrics.Detection
-	// InferDetectTraced serves a trace-sampled batch, timed through
-	// whichever of tr's hooks the executor's path reports.
-	InferDetectTraced(x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection, tr Trace) []metrics.Detection
-}
-
-// Trace carries a trace-sampled batch's timing hooks: scheduled executors
-// report per stage group, every other one per layer of the module chain.
-type Trace struct {
-	Layer LayerHook
-	Stage nn.StageHook
 }
 
 // seqExec is the sequential zero-alloc fast path over one replica net.
@@ -45,27 +36,15 @@ func (e seqExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metrics.De
 	return InferDetect(e.net, x, a, dst)
 }
 
-func (e seqExec) InferDetectTraced(x *tensor.Tensor, _ *tensor.Arena, _ []metrics.Detection, tr Trace) []metrics.Detection {
-	return DetectWithHook(e.net, x, tr.Layer)
-}
-
 // iosExec runs one replica under the plan's IOS schedules: exec1 serves
 // single-clip batches, execN everything larger.
 type iosExec struct{ exec1, execN *nn.ScheduleExecutor }
 
-func (e iosExec) pick(x *tensor.Tensor) *nn.ScheduleExecutor {
-	if x.Dim(0) == 1 {
-		return e.exec1
-	}
-	return e.execN
-}
-
 func (e iosExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection) []metrics.Detection {
-	return InferDetectScheduled(e.pick(x), x, a, dst)
-}
-
-func (e iosExec) InferDetectTraced(x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection, tr Trace) []metrics.Detection {
-	return decodeHeadInto(e.pick(x).InferWithHook(x, a, tr.Stage), dst)
+	if x.Dim(0) == 1 {
+		return InferDetectScheduled(e.exec1, x, a, dst)
+	}
+	return InferDetectScheduled(e.execN, x, a, dst)
 }
 
 // CalibSource yields the held-out split the accuracy gates score on.
@@ -234,28 +213,41 @@ func Compile(cfg Config, net *nn.Sequential, calib CalibSource, opts CompileOpti
 // its layers' task descriptors would pin the last calibration arena) and
 // over a shared-weight clone after that. routed is the int8 routed-path
 // twin, nil unless the plan routes. Calls must not race.
-func (p *Plan) NewReplica() (exec, routed Executor, err error) {
+//
+// hook, when given (at most one), times every stage both executors run:
+// the fused blocks of the sequential and dynamic paths, the dynamic
+// exit probe, the groups of IOS schedules. It is called from the
+// replica's goroutine and, for concurrent IOS groups, from pool workers.
+func (p *Plan) NewReplica(hook ...nn.StageHook) (exec, routed Executor, err error) {
+	var h nn.StageHook
+	if len(hook) > 0 {
+		h = hook[0]
+	}
 	first := !p.handedOut
 	p.handedOut = true
-	net, err := replicaNet(p.Served, first)
+	net, err := replicaNet(p.Served, first, h)
 	if err != nil {
 		return nil, nil, err
 	}
 	switch {
 	case p.Dynamic != nil:
-		exec = NewDynamicExec(net, p.Dynamic)
+		d := NewDynamicExec(net, p.Dynamic)
+		d.hook, exec = h, d
 		if p.int8Net != nil {
-			i8, err := replicaNet(p.int8Net, first)
+			i8, err := replicaNet(p.int8Net, first, h)
 			if err != nil {
 				return nil, nil, err
 			}
-			routed = NewDynamicExec(i8, p.Dynamic)
+			d := NewDynamicExec(i8, p.Dynamic)
+			d.hook, routed = h, d
 		}
 	case p.Schedules != nil:
 		exec1, execN, err := p.Schedules.CompileExecutors(net)
 		if err != nil {
 			return nil, nil, err
 		}
+		exec1.SetStageHook(h)
+		execN.SetStageHook(h)
 		exec = iosExec{exec1, execN}
 	default:
 		exec = seqExec{net}
@@ -263,15 +255,19 @@ func (p *Plan) NewReplica() (exec, routed Executor, err error) {
 	return exec, routed, nil
 }
 
-func replicaNet(base *nn.Sequential, first bool) (*nn.Sequential, error) {
-	if first {
-		return base, nil
+// replicaNet returns base itself (first) or a shared-weight clone of it,
+// with hook bound to its inference passes.
+func replicaNet(base *nn.Sequential, first bool, hook nn.StageHook) (*nn.Sequential, error) {
+	net := base
+	if !first {
+		m, err := nn.CloneShared(base)
+		if err != nil {
+			return nil, err
+		}
+		net = m.(*nn.Sequential)
 	}
-	m, err := nn.CloneShared(base)
-	if err != nil {
-		return nil, err
-	}
-	return m.(*nn.Sequential), nil
+	net.SetStageHook(hook)
+	return net, nil
 }
 
 // KernelReport lists the conv kernels Served actually runs, one entry

@@ -3,7 +3,9 @@ package model
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"drainnet/internal/ios"
 	"drainnet/internal/metrics"
@@ -318,5 +320,52 @@ func TestPlanReplicasShareWeightTensors(t *testing.T) {
 				t.Fatalf("replica %d param %q value tensor was copied, not shared", r, base[i].Name)
 			}
 		}
+	}
+}
+
+// A replica built with a stage hook keeps the serving path's allocation
+// guarantee: a warm traced batch allocates nothing on any route — the
+// hook times the blocks the executor runs anyway. Wired into `make
+// check` (check-allocs).
+func TestTracedInferSteadyStateZeroAlloc(t *testing.T) {
+	ds := dynCalibData(rand.New(rand.NewSource(41)), 32)
+	calib := func() (*terrain.Dataset, error) { return ds, nil }
+	x, _ := ds.Batch(0, 4)
+	for _, tc := range []struct {
+		name string
+		opts CompileOptions
+	}{
+		{"fp32", CompileOptions{}},
+		{"int8", CompileOptions{Precision: PrecisionInt8, MaxAPDrop: 1}},
+		{"dynamic", CompileOptions{Dynamic: true, MaxAPDrop: 1}},
+		{"ios", CompileOptions{IOS: true, MaxBatch: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := Compile(compileTestConfig(), compileTestNet(t), calib, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stages atomic.Int64
+			exec, _, err := plan.NewReplica(func(_, _, _ int, _ string, _ time.Time, _ time.Duration) {
+				stages.Add(1)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := tensor.NewArena()
+			var dets []metrics.Detection
+			run := func() {
+				a.Reset()
+				dets = exec.InferDetect(x, a, dets)
+			}
+			run()
+			run()
+			if stages.Load() == 0 {
+				t.Fatal("the hook saw no stage")
+			}
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Fatalf("steady-state traced InferDetect allocates %v times per run, want 0", allocs)
+			}
+		})
 	}
 }

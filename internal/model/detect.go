@@ -1,10 +1,7 @@
 package model
 
 import (
-	"fmt"
 	"math"
-	"strings"
-	"time"
 
 	"drainnet/internal/metrics"
 	"drainnet/internal/nn"
@@ -15,28 +12,7 @@ import (
 // output into detections: sigmoid(objectness logit) as the score and the
 // raw regressed box, clamped to the unit square.
 func Detect(net *nn.Sequential, x *tensor.Tensor) []metrics.Detection {
-	return decodeHead(net.Forward(x))
-}
-
-// LayerHook observes one layer of a timed forward pass: the layer's
-// index in the Sequential, its name, and its wall-clock forward time.
-type LayerHook func(index int, layer string, d time.Duration)
-
-// DetectWithHook is Detect with per-layer timing: each module's Forward
-// is timed individually and reported through hook before the head is
-// decoded. A nil hook degrades to Detect. The telemetry span pipeline
-// uses this on trace-sampled requests.
-func DetectWithHook(net *nn.Sequential, x *tensor.Tensor, hook LayerHook) []metrics.Detection {
-	if hook == nil {
-		return Detect(net, x)
-	}
-	out := x
-	for i, m := range net.Modules() {
-		start := time.Now()
-		out = m.Forward(out)
-		hook(i, LayerName(m), time.Since(start))
-	}
-	return decodeHead(out)
+	return decodeHeadInto(net.Forward(x), nil)
 }
 
 // InferDetect is the serving fast path: the network runs in inference
@@ -50,15 +26,8 @@ func InferDetect(net *nn.Sequential, x *tensor.Tensor, a *tensor.Arena, dst []me
 	return decodeHeadInto(net.Infer(x, a), dst)
 }
 
-// LayerName names a module for telemetry: its concrete type without the
-// package qualifier (Conv2D, MaxPool2D, SPP, Linear, ...).
-func LayerName(m nn.Module) string {
-	return strings.TrimPrefix(fmt.Sprintf("%T", m), "*nn.")
-}
-
-func decodeHead(out *tensor.Tensor) []metrics.Detection {
-	return decodeHeadInto(out, make([]metrics.Detection, 0, out.Dim(0)))
-}
+// LayerName names a module for telemetry (nn.ModuleName).
+func LayerName(m nn.Module) string { return nn.ModuleName(m) }
 
 func decodeHeadInto(out *tensor.Tensor, dst []metrics.Detection) []metrics.Detection {
 	n := out.Dim(0)

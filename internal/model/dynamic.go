@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"drainnet/internal/metrics"
 	"drainnet/internal/nn"
@@ -255,19 +256,21 @@ func SPPIndex(net *nn.Sequential) (int, error) {
 // steady-state InferDetect performs no heap allocation; one exec must
 // not be shared across goroutines. The replica network may be fp32 or
 // int8 — the exit probe reads whichever features the replica computes.
-// Trace-sampled batches take the embedded sequential executor's timed
-// pass over the full module chain (no exit).
+// A replica built by Plan.NewReplica with a stage hook reports its
+// prefix blocks and survivor tail through the network's hook and the
+// exit probe as an "ExitHead" stage at the SPP seam.
 type DynamicExec struct {
-	seqExec
+	net    *nn.Sequential
 	plan   *DynamicPlan
 	nMods  int
+	hook   nn.StageHook
 	logits []float32
 	keep   []int
 }
 
 // NewDynamicExec binds a plan to one replica network.
 func NewDynamicExec(net *nn.Sequential, plan *DynamicPlan) *DynamicExec {
-	return &DynamicExec{seqExec: seqExec{net}, plan: plan, nMods: len(net.Modules())}
+	return &DynamicExec{net: net, plan: plan, nMods: len(net.Modules())}
 }
 
 // InferDetect is the dynamic counterpart of model.InferDetect. With the
@@ -297,11 +300,18 @@ func (e *DynamicExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metri
 	logits := e.logits[:n]
 	keep := e.keep[:0]
 	h := e.plan.Exit
+	var start time.Time
+	if e.hook != nil {
+		start = time.Now()
+	}
 	for i := 0; i < n; i++ {
 		logits[i] = h.Logit(data[i*stride:(i+1)*stride], c, hw)
 		if logits[i] > h.Threshold {
 			keep = append(keep, i)
 		}
+	}
+	if e.hook != nil {
+		e.hook(e.plan.SPPIndex, 0, 1, "ExitHead", start, time.Since(start))
 	}
 	e.keep = keep
 	e.plan.ExitStats.Add(int64(n-len(keep)), int64(n))

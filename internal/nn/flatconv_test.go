@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
+	"time"
 
 	"drainnet/internal/tensor"
 )
@@ -248,6 +250,44 @@ func TestInferRangeSplitAtEveryBoundary(t *testing.T) {
 			cur = net.InferRange(cur, a, k, k+1)
 		}
 		requireSameBits(t, fmt.Sprintf("batch %d module by module", n), cur, want)
+	}
+}
+
+// A bound stage hook sees every block InferRange runs once, in order, as
+// a one-group stage at its first module, labelled with the modules the
+// block fused; a range bound splits a block's label too, and timing
+// changes no bit.
+func TestSequentialStageHookReportsBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(2414))
+	net := splitNet(rng)
+	PrepareInference(net)
+	x := randInput(rng, 2, 3, 96, 90)
+	want := net.Infer(x, tensor.NewArena())
+	var got []string
+	net.SetStageHook(func(stage, group, groups int, label string, start time.Time, d time.Duration) {
+		if group != 0 || groups != 1 || start.IsZero() || d < 0 {
+			t.Errorf("block %q: stage %d group %d/%d, start %v, dur %v", label, stage, group, groups, start, d)
+		}
+		got = append(got, fmt.Sprintf("%d %s", stage, label))
+	})
+	requireSameBits(t, "hooked", net.Infer(x, tensor.NewArena()), want)
+	blocks := []string{
+		"0 Conv2D→ReLU→MaxPool2D",
+		"3 Conv2D", "4 BatchNorm2D", "5 ReLU", "6 MaxPool2D",
+		"7 Conv2D→MaxPool2D",
+		"9 Conv2D→ReLU", "11 MaxPool2D", // stride 2: the lowered route takes no pool
+		"12 Conv2D→ReLU", "14 MaxPool2D", // a stride-1 pool is no epilogue
+		"15 Conv2D→ReLU", "17 SPP", "18 Linear→ReLU", "20 Linear",
+	}
+	if strings.Join(got, ", ") != strings.Join(blocks, ", ") {
+		t.Fatalf("hook saw %q, want %q", got, blocks)
+	}
+
+	got = got[:0]
+	a := tensor.NewArena()
+	net.InferRange(net.InferRange(x, a, 0, 2), a, 2, 4)
+	if split := []string{"0 Conv2D→ReLU", "2 MaxPool2D", "3 Conv2D"}; strings.Join(got, ", ") != strings.Join(split, ", ") {
+		t.Fatalf("split run: hook saw %q, want %q", got, split)
 	}
 }
 

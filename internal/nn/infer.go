@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"strings"
+	"time"
 
 	"drainnet/internal/tensor"
 )
@@ -60,34 +62,93 @@ func (s *Sequential) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 // same values as one full Infer. This is the seam the dynamic inference
 // path uses: the conv stack runs as a prefix, the early-exit probe reads
 // its output, and only surviving samples pay for the SPP+FC tail.
+//
+// With a stage hook bound (SetStageHook), every block InferRange runs —
+// a fused conv→ReLU→pool, a Linear→ReLU, a lone SPP — is reported as a
+// one-group stage whose index is the block's first module.
 func (s *Sequential) InferRange(x *tensor.Tensor, a *tensor.Arena, lo, hi int) *tensor.Tensor {
 	for i := lo; i < hi; i++ {
-		m := s.mods[i]
-		if f, ok := m.(fusedInferencer); ok {
-			relu := false
-			if i+1 < hi {
-				_, relu = s.mods[i+1].(*ReLU)
-			}
-			if relu {
-				i++
-			}
-			if c, ok := m.(*Conv2D); ok && i+1 < hi && c.flatRoute(x.Dim(0)) {
-				if p, ok := s.mods[i+1].(*MaxPool2D); ok && p.Geom == pool2x2 {
-					x = c.inferBlock(x, a, relu, p)
-					i++
-					continue
-				}
-			}
-			x = f.inferFused(x, a, relu)
+		if s.hook == nil {
+			x, i = s.runBlock(x, a, i, hi)
 			continue
 		}
-		if inf, ok := m.(Inferencer); ok {
-			x = inf.Infer(x, a)
-			continue
-		}
-		x = m.Forward(x)
+		start, first, bucket := time.Now(), i, min(x.Dim(0), 2)-1
+		x, i = s.runBlock(x, a, i, hi)
+		s.hook(first, 0, 1, s.labels[first][bucket][i-first], start, time.Since(start))
 	}
 	return x
+}
+
+// runBlock runs the block of modules starting at i under InferRange's
+// fusion rules and returns its output and the index of its last module.
+func (s *Sequential) runBlock(x *tensor.Tensor, a *tensor.Arena, i, hi int) (*tensor.Tensor, int) {
+	m := s.mods[i]
+	if f, ok := m.(fusedInferencer); ok {
+		relu := false
+		if i+1 < hi {
+			_, relu = s.mods[i+1].(*ReLU)
+		}
+		if relu {
+			i++
+		}
+		if c, ok := m.(*Conv2D); ok && i+1 < hi && c.flatRoute(x.Dim(0)) {
+			if p, ok := s.mods[i+1].(*MaxPool2D); ok && p.Geom == pool2x2 {
+				return c.inferBlock(x, a, relu, p), i + 1
+			}
+		}
+		return f.inferFused(x, a, relu), i
+	}
+	if inf, ok := m.(Inferencer); ok {
+		return inf.Infer(x, a), i
+	}
+	return m.Forward(x), i
+}
+
+// blockLabels names the blocks InferRange can run from one module,
+// indexed [batch bucket (1, >1)][modules in the block - 1].
+type blockLabels [2][3]string
+
+// SetStageHook binds hook to the chain's inference passes: from now on
+// InferRange reports every block it runs (nil unbinds). Block labels
+// join the module names with "→" and tag each conv whose kernel for the
+// batch bucket is not the default im2col with it, e.g.
+// "Conv2D[masked]→ReLU"; they are fixed when the hook is bound, so bind
+// after the kernels are chosen. Clones never inherit the hook.
+func (s *Sequential) SetStageHook(hook StageHook) {
+	s.hook, s.labels = hook, nil
+	if hook == nil {
+		return
+	}
+	s.labels = make([]blockLabels, len(s.mods))
+	for i := range s.mods {
+		for b, n := range [2]int{1, 2} {
+			label := ""
+			for k := 0; k < 3 && i+k < len(s.mods); k++ {
+				if k > 0 {
+					label += "→"
+				}
+				label += opName(s.mods[i+k], n)
+				s.labels[i][b][k] = label
+			}
+		}
+	}
+}
+
+// opName names one module as it runs on a batch of n samples.
+func opName(m Module, n int) string {
+	name := ModuleName(m)
+	if c, ok := m.(*Conv2D); ok {
+		if k := c.kernelFor(n); k != KernelIm2Col {
+			name += "[" + k.String() + "]"
+		}
+	}
+	return name
+}
+
+// ModuleName names a module for telemetry: its concrete type without the
+// package qualifier (Conv2D, MaxPool2D, SPP, QuantConv2D, ...).
+func ModuleName(m Module) string {
+	return strings.TrimPrefix(fmt.Sprintf("%T", m), "*nn.")
 }
 
 // PrepareInference packs every packable layer's static weights for the

@@ -56,6 +56,9 @@ type Module interface {
 // Sequential chains modules, feeding each output to the next input.
 type Sequential struct {
 	mods []Module
+	// hook times inference blocks (SetStageHook); labels are its names.
+	hook   StageHook
+	labels []blockLabels
 }
 
 // NewSequential builds a sequential container over the given modules.

@@ -150,7 +150,7 @@ type QuantReport struct {
 // are counted in the report. All other layers are shared-cloned, so the
 // returned network is safe to run concurrently with s and with other
 // clones. The quantized layers support Infer, fused inference, scheduled
-// execution and Forward (for the tracing path) — but not Backward.
+// execution and Forward — but not Backward.
 func QuantizeForInference(s *Sequential, cal *Calibration) (*Sequential, QuantReport, error) {
 	var rep QuantReport
 	PrepareInferenceParallel(s)
@@ -213,7 +213,7 @@ type QuantConv2D struct {
 
 	colsTask qconvColsTask
 	gemmTask qconvPanelTask
-	fwd      *tensor.Arena // Forward-mode scratch (tracing path)
+	fwd      *tensor.Arena // Forward-mode scratch
 }
 
 // newQuantConv2D quantizes c against its observed input range. ok is
@@ -260,9 +260,9 @@ func (q *QuantConv2D) Params() []*Param { return q.base.Params() }
 func (q *QuantConv2D) OutShape(in []int) []int { return q.base.OutShape(in) }
 
 // Forward implements Module by running the int8 inference kernels into a
-// layer-owned arena, so trace/debug paths that walk Forward (e.g.
-// DetectWithHook) see exactly the quantized serving numbers. The output
-// is valid until this layer's next Forward call.
+// layer-owned arena, so a Forward walk of a quantized network
+// (model.Detect, model.Scan) sees exactly the quantized serving numbers.
+// The output is valid until this layer's next Forward call.
 func (q *QuantConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	q.fwd.Reset()
 	return q.inferFused(x, q.fwd, false)

@@ -326,11 +326,13 @@ func (p *GraphProgram) RunOp() {
 	p.runOp(p.measOp, p.measOuts, p.measScratch)
 }
 
-// StageHook observes one executed group of a scheduled inference: the
-// stage index, the group's index and the stage's group count, the
-// compile-time group label (operator names joined with "→"), and the
-// group's wall-clock window. Groups of one stage run concurrently, so
-// the hook MUST be safe to call from multiple goroutines.
+// StageHook observes one executed stage group of an inference pass: the
+// stage index, the group's index and the stage's group count, the group
+// label (operator names joined with "→"), and the group's wall-clock
+// window. Sequential chains report each fused block as a one-group stage
+// (Sequential.SetStageHook), scheduled executors each IOS group
+// (ScheduleExecutor.SetStageHook). Groups of one stage run concurrently,
+// so the hook MUST be safe to call from multiple goroutines.
 type StageHook func(stage, group, groups int, label string, start time.Time, dur time.Duration)
 
 // execStage is one compiled schedule stage.
@@ -359,6 +361,7 @@ type ScheduleExecutor struct {
 	outs   []*tensor.Tensor
 	arenas []*tensor.Arena // one per group lane, reset at Infer entry
 	task   stageRunTask
+	hook   StageHook // SetStageHook; nil runs untimed
 }
 
 // NewScheduleExecutor compiles sched against prog. The schedule must be
@@ -401,23 +404,16 @@ func NewScheduleExecutor(prog *GraphProgram, sched *ios.Schedule) (*ScheduleExec
 // Schedule returns the schedule the executor runs.
 func (e *ScheduleExecutor) Schedule() *ios.Schedule { return e.sched }
 
+// SetStageHook binds hook to every later Infer: each executed group is
+// reported with its compile-time label (nil unbinds).
+func (e *ScheduleExecutor) SetStageHook(hook StageHook) { e.hook = hook }
+
 // Infer runs one scheduled inference over x. Temporaries of single-group
 // stages are drawn from the caller's arena a (like Sequential.Infer);
 // concurrent groups draw from executor-owned arenas that are recycled on
 // the next call. Output is bit-for-bit identical to Sequential.Infer.
 // In steady state the call performs no heap allocation.
 func (e *ScheduleExecutor) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return e.inferHooked(x, a, nil)
-}
-
-// InferWithHook is Infer with per-group timing reported through hook
-// (nil degrades to Infer). The telemetry span pipeline uses this on
-// trace-sampled requests to lay out stage/group concurrency.
-func (e *ScheduleExecutor) InferWithHook(x *tensor.Tensor, a *tensor.Arena, hook StageHook) *tensor.Tensor {
-	return e.inferHooked(x, a, hook)
-}
-
-func (e *ScheduleExecutor) inferHooked(x *tensor.Tensor, a *tensor.Arena, hook StageHook) *tensor.Tensor {
 	e.outs[e.prog.g.In.ID] = x
 	for _, ga := range e.arenas {
 		ga.Reset()
@@ -427,25 +423,29 @@ func (e *ScheduleExecutor) inferHooked(x *tensor.Tensor, a *tensor.Arena, hook S
 		if len(st.groups) == 1 {
 			// Unbatchable stage: a single chain keeps the caller's arena and
 			// full intra-operator parallelism (the pool is free).
-			if hook != nil {
-				start := time.Now()
-				for _, op := range st.groups[0] {
-					e.prog.runOp(op, e.outs, a)
-				}
-				hook(si, 0, 1, st.labels[0], start, time.Since(start))
-				continue
-			}
-			for _, op := range st.groups[0] {
-				e.prog.runOp(op, e.outs, a)
-			}
+			e.runGroup(si, 0, st, a)
 			continue
 		}
 		t := &e.task
-		t.exec, t.groups, t.labels = e, st.groups, st.labels
-		t.stage, t.hook = si, hook
+		t.exec, t.stage, t.st = e, si, st
 		tensor.ParallelRange(len(st.groups), 1, t)
 	}
 	return e.outs[e.prog.g.Out.ID]
+}
+
+// runGroup runs group gi of stage si on arena a and reports it to the
+// bound hook.
+func (e *ScheduleExecutor) runGroup(si, gi int, st *execStage, a *tensor.Arena) {
+	var start time.Time
+	if e.hook != nil {
+		start = time.Now()
+	}
+	for _, op := range st.groups[gi] {
+		e.prog.runOp(op, e.outs, a)
+	}
+	if e.hook != nil {
+		e.hook(si, gi, len(st.groups), st.labels[gi], start, time.Since(start))
+	}
 }
 
 // stageRunTask distributes one stage's groups over the worker pool.
@@ -454,26 +454,14 @@ func (e *ScheduleExecutor) inferHooked(x *tensor.Tensor, a *tensor.Arena, hook S
 // nested ParallelRange calls that degrade to inline execution, so a
 // group is one sequential chain per worker, as IOS models it.
 type stageRunTask struct {
-	exec   *ScheduleExecutor
-	groups [][]*compiledOp
-	labels []string
-	stage  int
-	hook   StageHook
+	exec  *ScheduleExecutor
+	stage int
+	st    *execStage
 }
 
 // RunRange implements tensor.Ranger over group indices.
 func (t *stageRunTask) RunRange(lo, hi int) {
 	for gi := lo; gi < hi; gi++ {
-		if t.hook != nil {
-			start := time.Now()
-			for _, op := range t.groups[gi] {
-				t.exec.prog.runOp(op, t.exec.outs, t.exec.arenas[gi])
-			}
-			t.hook(t.stage, gi, len(t.groups), t.labels[gi], start, time.Since(start))
-			continue
-		}
-		for _, op := range t.groups[gi] {
-			t.exec.prog.runOp(op, t.exec.outs, t.exec.arenas[gi])
-		}
+		t.exec.runGroup(t.stage, gi, t.st, t.exec.arenas[gi])
 	}
 }

@@ -232,7 +232,7 @@ func TestScheduleExecutorStageHook(t *testing.T) {
 	seen := map[[2]int]string{}
 	x := randInput(rng, 2, 3, 21, 21)
 	a := tensor.NewArena()
-	got := exec.InferWithHook(x, a, func(stage, group, groups int, label string, start time.Time, d time.Duration) {
+	exec.SetStageHook(func(stage, group, groups int, label string, start time.Time, d time.Duration) {
 		mu.Lock()
 		defer mu.Unlock()
 		if groups != len(sched.Stages[stage].Groups) {
@@ -246,6 +246,7 @@ func TestScheduleExecutorStageHook(t *testing.T) {
 		}
 		seen[[2]int{stage, group}] = label
 	})
+	got := exec.Infer(x, a)
 	want := net.Infer(x, tensor.NewArena())
 	assertBitwiseEqual(t, "hooked", got, want)
 	total := 0

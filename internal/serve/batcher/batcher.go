@@ -176,6 +176,9 @@ type replica struct {
 	arena          *tensor.Arena
 	dets           []metrics.Detection
 	lats           []time.Duration
+	// sampled lists the trace-sampled requests of the running batch: the
+	// replica's stage hook emits each timed stage once per entry.
+	sampled []uint64
 }
 
 // New builds a pool of opts.Replicas replicas of net (which must have
@@ -198,11 +201,23 @@ func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 	}
 	replicas := make([]*replica, opts.Replicas)
 	for i := range replicas {
-		exec, execInt8, err := opts.Plan.NewReplica()
-		if err != nil {
+		rep := &replica{arena: tensor.NewArena(), sampled: make([]uint64, 0, opts.MaxBatch)}
+		// When telemetry samples, every stage the replica's executors run
+		// becomes one EvStageRun per trace-sampled request of the batch.
+		var hook nn.StageHook
+		if tel := opts.Telemetry; tel.Sampling() {
+			hook = func(stage, group, groups int, label string, at time.Time, d time.Duration) {
+				for _, rid := range rep.sampled {
+					tel.Emit(telemetry.Event{Kind: telemetry.EvStageRun, Req: rid, At: at, Dur: d,
+						Replica: i, Stage: stage, Group: group, Groups: groups, Name: label})
+				}
+			}
+		}
+		var err error
+		if rep.exec, rep.execInt8, err = opts.Plan.NewReplica(hook); err != nil {
 			return nil, fmt.Errorf("batcher: replica %d: %w", i, err)
 		}
-		replicas[i] = &replica{exec: exec, execInt8: execInt8, arena: tensor.NewArena()}
+		replicas[i] = rep
 	}
 	p := &Pool{
 		opts:           opts,
@@ -546,9 +561,10 @@ func (p *Pool) runWorkers(replicas []*replica) {
 
 // runBatch stacks a batch's clips into one N×C×H×W tensor drawn from the
 // replica's arena, runs a single forward pass, and delivers per-request
-// results. Untraced, the batch tensor, every layer temporary and the
-// decoded detections all come from replica-owned storage, so a warm
-// replica serves a batch with zero heap allocations in the model forward.
+// results. The batch tensor, every layer temporary and the decoded
+// detections all come from replica-owned storage, so a warm replica
+// serves a batch — traced or not — with zero heap allocations in the
+// model forward.
 func (p *Pool) runBatch(id int, rep *replica, reqs []*request) {
 	n := len(reqs)
 	first := reqs[0].x
@@ -560,51 +576,30 @@ func (p *Pool) runBatch(id int, rep *replica, reqs []*request) {
 		copy(batch.Data()[i*stride:(i+1)*stride], r.x.Data())
 	}
 
-	// Emit dispatch events and, when the batch carries a trace-sampled
-	// request, hand the executor timing hooks so the sampled span's
-	// Chrome trace shows the breakdown: per-layer slices on the plain
-	// path, per-stage-group slices on the scheduled (IOS) path.
-	var tr *model.Trace
+	// Emit dispatch events and note the trace-sampled requests, whose
+	// spans receive the replica's stage timings.
+	rep.sampled = rep.sampled[:0]
 	if p.tel.Enabled() {
 		start := time.Now()
-		var sampled []uint64
 		for _, r := range reqs {
 			p.tel.Emit(telemetry.Event{Kind: telemetry.EvDispatch, Req: r.id, At: start, Replica: id, Batch: n})
 			if p.tel.Sampled(r.id) {
-				sampled = append(sampled, r.id)
-			}
-		}
-		if len(sampled) > 0 {
-			tr = &model.Trace{
-				Stage: func(stage, group, groups int, label string, at time.Time, d time.Duration) {
-					for _, rid := range sampled {
-						p.tel.Emit(telemetry.Event{Kind: telemetry.EvStageRun,
-							Req: rid, At: at, Dur: d, Replica: id,
-							Stage: stage, Group: group, Groups: groups, Name: label})
-					}
-				},
-				Layer: func(layer int, name string, d time.Duration) {
-					for _, rid := range sampled {
-						p.tel.Emit(telemetry.Event{Kind: telemetry.EvLayerForward,
-							Req: rid, Layer: layer, Name: name, Dur: d, Replica: id})
-					}
-				},
+				rep.sampled = append(rep.sampled, r.id)
 			}
 		}
 	}
 
-	// A batch the router sent to int8 runs the replica's routed executor;
-	// traced batches always show the main path's breakdown.
+	// A batch the router sent to int8 runs the replica's routed executor.
 	path := reqs[0].path
 	exec := rep.exec
-	if path == model.PrecisionInt8 && tr == nil {
+	if path == model.PrecisionInt8 {
 		exec = rep.execInt8
 	}
 
 	// Record stats and emit EvInferenceDone *before* delivering each
 	// result: once a waiter unblocks it may immediately read /v1/stats or
 	// emit EvResponseWritten, so both must already be ordered ahead.
-	dets, err := safeDetect(exec, rep, batch, tr)
+	dets, err := safeDetect(exec, rep, batch)
 	if err != nil {
 		now := time.Now()
 		for _, r := range reqs {
@@ -633,20 +628,15 @@ func (p *Pool) runBatch(id int, rep *replica, reqs []*request) {
 // safeDetect runs one batch through exec, converting a panicking forward
 // pass (bad shapes reaching a layer, etc.) into an error for this batch
 // instead of killing the worker. Which path serves was decided when the
-// plan was compiled; the only choice left is whether the batch is traced.
-// Static paths are bit-identical for the same weights and input, and so
-// is the dynamic one whenever its exit head does not fire.
-func safeDetect(exec model.Executor, rep *replica, x *tensor.Tensor, tr *model.Trace) (dets []metrics.Detection, err error) {
+// plan was compiled, so a trace-sampled batch gets the same answers as
+// any other.
+func safeDetect(exec model.Executor, rep *replica, x *tensor.Tensor) (dets []metrics.Detection, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("batcher: inference failed: %v", r)
 		}
 	}()
-	if tr != nil {
-		dets = exec.InferDetectTraced(x, rep.arena, rep.dets, *tr)
-	} else {
-		dets = exec.InferDetect(x, rep.arena, rep.dets)
-	}
+	dets = exec.InferDetect(x, rep.arena, rep.dets)
 	if len(dets) != x.Dim(0) {
 		return nil, fmt.Errorf("batcher: detector returned %d results for batch of %d", len(dets), x.Dim(0))
 	}

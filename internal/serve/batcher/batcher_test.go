@@ -56,10 +56,6 @@ func (f stubExec) InferDetect(x *tensor.Tensor, _ *tensor.Arena, _ []metrics.Det
 	return f(x)
 }
 
-func (f stubExec) InferDetectTraced(x *tensor.Tensor, _ *tensor.Arena, _ []metrics.Detection, _ model.Trace) []metrics.Detection {
-	return f(x)
-}
-
 // setExec swaps every replica's executor for a stub, making timing-
 // sensitive behavior deterministic. Call before the first Submit.
 func setExec(p *Pool, e stubExec) {

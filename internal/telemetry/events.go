@@ -19,15 +19,13 @@ const (
 	EvBatchFormed
 	// EvDispatch: a replica began the batch's forward pass.
 	EvDispatch
-	// EvLayerForward: one layer's share of a sampled forward pass.
-	EvLayerForward
 	// EvInferenceDone: the request's detection was delivered.
 	EvInferenceDone
 	// EvResponseWritten: the HTTP response was written.
 	EvResponseWritten
-	// EvStageRun: one group of one IOS schedule stage ran during a
-	// sampled scheduled forward pass (the scheduled-path analogue of
-	// EvLayerForward).
+	// EvStageRun: one stage group of a sampled forward pass ran — a fused
+	// block, the dynamic exit probe, or one group of an IOS stage, as the
+	// executor serving the batch ran it.
 	EvStageRun
 )
 
@@ -42,8 +40,6 @@ func (k EventKind) String() string {
 		return "batch_formed"
 	case EvDispatch:
 		return "dispatch"
-	case EvLayerForward:
-		return "layer_forward"
 	case EvInferenceDone:
 		return "inference_done"
 	case EvResponseWritten:
@@ -62,23 +58,19 @@ type Event struct {
 	// Req identifies the request; events with the same Req assemble into
 	// one span.
 	Req uint64
-	// At is when the event happened.
+	// At is when the event happened (EvStageRun: when the group started).
 	At time.Time
-	// Dur is the layer forward time (EvLayerForward only).
+	// Dur is the group's run time (EvStageRun only).
 	Dur time.Duration
-	// Replica is the serving replica (EvDispatch, EvLayerForward).
+	// Replica is the serving replica (EvDispatch, EvStageRun).
 	Replica int
 	// Batch is the sealed batch size (EvBatchFormed, EvDispatch).
 	Batch int
-	// Layer is the layer index within the network (EvLayerForward).
-	Layer int
-	// Name is the layer name (EvLayerForward) or the group's operator
-	// chain label (EvStageRun).
+	// Name is the group's operator-chain label (EvStageRun only).
 	Name string
-	// Stage, Group and Groups locate one group run within an IOS
-	// schedule: stage index, group index, and the stage's group count
-	// (EvStageRun only). At is the group's start time and Dur its
-	// duration.
+	// Stage, Group and Groups locate one group run within the forward
+	// pass: stage index, group index, and the stage's group count
+	// (EvStageRun only).
 	Stage, Group, Groups int
 }
 

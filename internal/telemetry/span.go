@@ -2,17 +2,11 @@ package telemetry
 
 import "time"
 
-// LayerTiming is one layer's share of a sampled forward pass.
-type LayerTiming struct {
-	Index int
-	Name  string
-	Dur   time.Duration
-}
-
-// StageTiming is one executed group of a sampled scheduled forward pass
-// (IOS serving path): which stage and group ran, how many groups the
-// stage had, the group's operator-chain label, and its wall-clock
-// window. Groups of one stage overlap in time — that overlap is the
+// StageTiming is one executed group of a sampled forward pass: which
+// stage and group ran, how many groups the stage had, the group's
+// operator-chain label, and its wall-clock window. Sequential and
+// dynamic executors run one-group stages (a fused block, the exit
+// probe); groups of one IOS stage overlap in time — that overlap is the
 // inter-operator concurrency the schedule bought.
 type StageTiming struct {
 	Stage  int
@@ -38,7 +32,6 @@ type Span struct {
 
 	Replica   int
 	BatchSize int
-	Layers    []LayerTiming
 	Stages    []StageTiming
 
 	// http marks spans opened by the HTTP layer, which finalize on
@@ -82,8 +75,6 @@ func (t *Telemetry) handle(pending map[uint64]*Span, order []uint64, e Event) []
 		if s.BatchSize == 0 {
 			s.BatchSize = e.Batch
 		}
-	case EvLayerForward:
-		s.Layers = append(s.Layers, LayerTiming{Index: e.Layer, Name: e.Name, Dur: e.Dur})
 	case EvStageRun:
 		s.Stages = append(s.Stages, StageTiming{
 			Stage: e.Stage, Group: e.Group, Groups: e.Groups,

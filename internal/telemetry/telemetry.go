@@ -9,7 +9,7 @@
 //     costs a few atomic operations (see BenchmarkRegistry*).
 //  2. A span pipeline (events.go, span.go): instrumentation points emit
 //     typed events (request accepted, enqueued, batch formed, replica
-//     dispatch, per-layer forward, response written) into a bounded
+//     dispatch, stage run, response written) into a bounded
 //     ring; a consumer goroutine assembles them into per-request spans
 //     and an aggregator folds the spans into registry histograms
 //     (decode, queue-wait, batch-assembly, inference, serialization). The shape
@@ -157,7 +157,7 @@ func newCore(opts Options) *Telemetry {
 	t.serialization = t.reg.Histogram("drainnet_serialization_seconds",
 		"Time between result delivery and the HTTP response being written.", TimeBuckets)
 	t.stageRun = t.reg.Histogram("drainnet_stage_run_seconds",
-		"Per-group stage execution time in scheduled (IOS) forward passes.", TimeBuckets)
+		"Per-group stage execution time in sampled forward passes.", TimeBuckets)
 	return t
 }
 
@@ -182,10 +182,13 @@ func (t *Telemetry) QueueWaitQuantile(q float64) (secs float64, ok bool) {
 // NextRequestID allocates a process-unique request ID (starting at 1).
 func (t *Telemetry) NextRequestID() uint64 { return t.reqID.Add(1) }
 
+// Sampling reports whether any request can fall in the trace sample.
+func (t *Telemetry) Sampling() bool { return t.events != nil && t.opts.SampleEvery > 0 }
+
 // Sampled reports whether the request ID falls in the 1-in-N trace
 // sample.
 func (t *Telemetry) Sampled(id uint64) bool {
-	return t.events != nil && t.opts.SampleEvery > 0 && id%uint64(t.opts.SampleEvery) == 0
+	return t.Sampling() && id%uint64(t.opts.SampleEvery) == 0
 }
 
 // Emit publishes one event to the span pipeline. It never blocks: with

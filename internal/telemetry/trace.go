@@ -45,8 +45,8 @@ func (t *Telemetry) LatestTrace() (uint64, []byte) {
 
 // chromeEvents lays the span out as ledger events: the request's
 // lifecycle phases on one track (stream 0) and the replica's forward
-// pass — with per-layer slices when sampled — on the replica's track.
-// Timestamps are relative to the span's first event.
+// pass — with a slice per stage group the executor ran — on the
+// replica's track. Timestamps are relative to the span's first event.
 func chromeEvents(s *Span) []gpu.Event {
 	t0 := s.Accepted
 	if t0.IsZero() || (!s.Enqueued.IsZero() && s.Enqueued.Before(t0)) {
@@ -79,27 +79,14 @@ func chromeEvents(s *Span) []gpu.Event {
 	add("serialization", "phase", 0, s.Done, s.Responded)
 	add(fmt.Sprintf("inference (replica=%d batch=%d)", s.Replica, s.BatchSize),
 		"phase", 1+s.Replica, s.Dispatched, s.Done)
-	// Layers ran sequentially inside the forward pass; lay them out
-	// cumulatively from the dispatch time so they nest under it.
-	cur := s.Dispatched
-	for _, l := range s.Layers {
-		if cur.IsZero() {
-			break
-		}
-		next := cur.Add(l.Dur)
-		add(l.Name, "layer", 1+s.Replica, cur, next)
-		cur = next
-	}
-	// Scheduled (IOS) forward passes report per-group stage runs with
-	// real start times instead of sequential layers. Group 0 of each
-	// stage nests under the replica's inference slice; groups 1..G-1 get
-	// their own lanes above it, so concurrent groups render side by side
-	// and the stage's concurrency is visible. A sampled span traces one
-	// replica, so the lane offsets cannot collide with another replica's
-	// track within the same trace.
+	// Stage groups carry real start times. Group 0 of each stage — every
+	// block of a sequential or dynamic pass — nests under the replica's
+	// inference slice; groups 1..G-1 of an IOS stage get their own lanes
+	// above it, so concurrent groups render side by side. A sampled span
+	// traces one replica, so the lane offsets cannot collide with another
+	// replica's track within the same trace.
 	for _, st := range s.Stages {
-		add(fmt.Sprintf("s%d/g%d %s", st.Stage, st.Group, st.Label),
-			"stage", 1+s.Replica+st.Group, st.Start, st.Start.Add(st.Dur))
+		add(st.Label, "layer", 1+s.Replica+st.Group, st.Start, st.Start.Add(st.Dur))
 	}
 	return out
 }
