@@ -4,8 +4,7 @@ GO ?= go
 
 .PHONY: all check build vet test test-purego check-asm test-race test-benchmark smoke-sweep smoke-cluster \
         bench-cluster check-allocs fuzz-smoke \
-        bench bench-serve bench-telemetry bench-inference bench-kernels \
-        bench-ios bench-dynamic bench-nas test-short \
+        bench bench-serve bench-telemetry test-short \
         bench-fast experiments experiments-train examples renders clean
 
 all: build vet test
@@ -127,47 +126,6 @@ bench:
 # Simulator-only benchmarks (seconds).
 bench-fast:
 	$(GO) test -short -bench=. -benchmem -benchtime=1x .
-
-# CPU inference fast path vs the training-graph forward, batch 1 and 16.
-# The worker pool sizes itself once per process, so each GOMAXPROCS
-# setting runs in its own invocation; the rows merge into
-# BENCH_inference.json keyed by gomaxprocs.
-bench-inference:
-	GOMAXPROCS=1 $(GO) run ./cmd/drainnet-bench -exp inference
-	GOMAXPROCS=4 $(GO) run ./cmd/drainnet-bench -exp inference
-
-# Per-algorithm conv microbenchmarks: im2col+GEMM vs Winograd F(2,3) vs
-# cache-blocked NCHWc vs direct, per conv shape of the inference-bench
-# model, merged into BENCH_kernels.json keyed by gomaxprocs.
-bench-kernels:
-	GOMAXPROCS=1 $(GO) run ./cmd/drainnet-bench -exp kernels
-	GOMAXPROCS=4 $(GO) run ./cmd/drainnet-bench -exp kernels
-
-# Profile-guided IOS scheduling on the real inference path: measured
-# cost oracle -> optimized stage schedule -> concurrent executor vs the
-# sequential fast path, single- and multi-core rows merged into
-# BENCH_ios.json with a bitwise-determinism check per run.
-bench-ios:
-	GOMAXPROCS=1 $(GO) run ./cmd/drainnet-bench -exp ios
-	GOMAXPROCS=4 $(GO) run ./cmd/drainnet-bench -exp ios
-
-# Dynamic inference over realistic sweep traffic (majority empty tiles):
-# static autotuned mix vs early-exit + spatial masking (+ int8 routing
-# when the quant gate passes), per scenario, merged into
-# BENCH_dynamic.json keyed by gomaxprocs. Trains a seconds-scale
-# detector first so the accuracy gate is meaningful.
-bench-dynamic:
-	GOMAXPROCS=1 $(GO) run ./cmd/drainnet-bench -exp dynamic
-	GOMAXPROCS=4 $(GO) run ./cmd/drainnet-bench -exp dynamic
-
-# Hardware-in-the-loop NAS -> BENCH_nas.json: measured search over
-# architecture x precision x kernel mode (real training + real executor
-# latencies), run cold-sequential, warm-sequential and warm-parallel over
-# one shared cost cache (winner must be bit-identical across all three),
-# plus the synthetic executor-overlap scaling proof and the
-# sim-vs-measured winner comparison at the serving batch.
-bench-nas:
-	$(GO) run ./cmd/drainnet-bench -exp nas
 
 # Serving throughput: single-mutex path vs batched multi-replica pool.
 bench-serve:

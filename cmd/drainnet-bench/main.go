@@ -2,164 +2,120 @@
 //
 // Usage:
 //
-//	drainnet-bench -exp table2             # one experiment
-//	drainnet-bench -exp all                # everything except training
-//	drainnet-bench -exp all -train         # everything, including Table 1
-//	drainnet-bench -exp table1 -tiny       # seconds-scale training config
+//	drainnet-bench -exp table2                # one study, as a plain table
+//	drainnet-bench -exp all > RESULTS.md      # every study except training, as markdown
+//	drainnet-bench -exp all -train > RESULTS.md   # everything, including Table 1 and the baseline
+//	drainnet-bench -exp table1 -tiny          # seconds-scale training config
 //
-// Experiments: table1, table2, table3, fig6, fig7, fig8, baseline,
-// ablation-sched, ablation-spp, ablation-conv, all.
+// Studies: table1, table2, fig6, fig7, fig8, table3, ablation-sched,
+// ablation-spp, ablation-conv, throughput, census, multigpu, baseline.
+//
+// -exp all renders each study as a "## title" heading over a fenced
+// block and exits 1 at the first study that fails. Serving performance
+// is not measured here: that is the benchmark harness (BENCHMARK.json,
+// benchmark/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
+	"time"
 
 	"drainnet/internal/experiments"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id (table1,table2,table3,fig6,fig7,fig8,baseline,ablation-sched,ablation-spp,ablation-conv,inference,kernels,ios,dynamic,nas,all)")
-	tiny := flag.Bool("tiny", false, "use the seconds-scale training config")
-	withTrain := flag.Bool("train", false, "include training experiments (table1, baseline) under -exp all")
-	nasTrials := flag.Int("nas-trials", 10, "measured-NAS trials for -exp nas")
-	nasParallel := flag.Int("nas-parallel", 4, "measured-NAS parallel workers for -exp nas")
-	nasThreshold := flag.Float64("nas-threshold", 0.30, "measured-NAS accuracy constraint A for -exp nas")
-	nasCache := flag.String("nas-cache", "nas-costs.json", "measured-NAS cost-cache file for -exp nas")
-	flag.Parse()
+// renderer is what every study returns.
+type renderer interface{ Render() string }
 
+// studies is every result drainnet-bench renders, in -exp all order.
+// train marks the studies that train models (minutes): -exp all runs
+// them only with -train, on the -tiny or the default data config.
+var studies = []struct {
+	id, title string
+	train     bool
+	fn        func(dc experiments.DataConfig) (renderer, error)
+}{
+	{"table1", "Table 1 — average precision", true,
+		func(dc experiments.DataConfig) (renderer, error) { return experiments.Table1(dc) }},
+	{"table2", "Table 2 — sequential vs IOS latency", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.Table2() }},
+	{"fig6", "Figure 6 — batch-size efficiency", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.Figure6() }},
+	{"fig7", "Figure 7 — GPU memops timing", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.Figure7() }},
+	{"fig8", "Figure 8 — CUDA API usage", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.Figure8() }},
+	{"table3", "Table 3 — kernel-class breakdown", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.Table3() }},
+	{"ablation-sched", "Ablation — schedulers", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.AblationSchedulers() }},
+	{"ablation-spp", "Ablation — SPP pyramid depth", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.AblationSPPLevels(4) }},
+	{"ablation-conv", "Ablation — convolution algorithm", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.AblationConvAlgo(), nil }},
+	{"throughput", "Derived — survey throughput", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.Throughput(10000) }},
+	{"census", "Derived — search-space latency census", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.SpaceCensus(1) }},
+	{"multigpu", "Extension — multi-GPU placement", false,
+		func(experiments.DataConfig) (renderer, error) { return experiments.ExtensionMultiGPU(16) }},
+	{"baseline", "§8.1 — two-stage baseline", true,
+		func(dc experiments.DataConfig) (renderer, error) { return experiments.Baseline(dc) }},
+}
+
+func studyIDs() []string {
+	ids := make([]string, len(studies))
+	for i, s := range studies {
+		ids[i] = s.id
+	}
+	return ids
+}
+
+var (
+	exp       = flag.String("exp", "all", "study id ("+strings.Join(studyIDs(), ",")+") or all")
+	tiny      = flag.Bool("tiny", false, "use the seconds-scale training config")
+	withTrain = flag.Bool("train", false, "include the training studies (table1, baseline) under -exp all")
+)
+
+func main() {
+	flag.Parse()
 	dc := experiments.FastData()
 	if *tiny {
 		dc = experiments.TinyData()
 	}
 
-	run := func(id string) error {
-		switch id {
-		case "table1":
-			res, err := experiments.Table1(dc)
-			if err != nil {
-				return err
+	if *exp != "all" {
+		for _, s := range studies {
+			if s.id == *exp {
+				res, err := s.fn(dc)
+				if err != nil {
+					fail(s.id, err)
+				}
+				fmt.Println(res.Render())
+				return
 			}
-			fmt.Println(res.Render())
-		case "table2":
-			res, err := experiments.Table2()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "table3":
-			res, err := experiments.Table3()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "fig6":
-			res, err := experiments.Figure6()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "fig7":
-			res, err := experiments.Figure7()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "fig8":
-			res, err := experiments.Figure8()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "baseline":
-			res, err := experiments.Baseline(dc)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "ablation-sched":
-			res, err := experiments.AblationSchedulers()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "ablation-spp":
-			res, err := experiments.AblationSPPLevels(4)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "ablation-conv":
-			fmt.Println(experiments.AblationConvAlgo().Render())
-		case "census":
-			res, err := experiments.SpaceCensus(1)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "throughput":
-			res, err := experiments.Throughput(10000)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "multigpu":
-			res, err := experiments.ExtensionMultiGPU(16)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "inference":
-			res, err := experiments.InferenceBench("BENCH_inference.json")
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "kernels":
-			res, err := experiments.KernelsBench("BENCH_kernels.json")
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "ios":
-			res, err := experiments.IOSBench("BENCH_ios.json")
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "dynamic":
-			res, err := experiments.DynamicBench("BENCH_dynamic.json")
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "nas":
-			res, err := experiments.NASHardwareBench("BENCH_nas.json", experiments.NASBenchConfig{
-				Trials: *nasTrials, Parallel: *nasParallel, Threshold: *nasThreshold,
-				Seed: 42, CachePath: *nasCache,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
 		}
-		return nil
+		fmt.Fprintf(os.Stderr, "drainnet-bench: unknown study %q (want %s or all)\n", *exp, strings.Join(studyIDs(), ", "))
+		os.Exit(2)
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"table2", "fig6", "fig7", "fig8", "table3", "ablation-sched", "ablation-spp", "ablation-conv", "multigpu", "throughput", "census"}
-		if *withTrain {
-			ids = append([]string{"table1"}, append(ids, "baseline")...)
+	fmt.Printf("# drainnet results\n\nGenerated %s. Paper-vs-measured commentary: EXPERIMENTS.md.\n\n",
+		time.Now().Format(time.RFC3339))
+	for _, s := range studies {
+		if s.train && !*withTrain {
+			continue
 		}
-	}
-	for _, id := range ids {
-		if err := run(id); err != nil {
-			fmt.Fprintf(os.Stderr, "drainnet-bench: %s: %v\n", id, err)
-			os.Exit(1)
+		res, err := s.fn(dc)
+		if err != nil {
+			fail(s.id, err)
 		}
+		fmt.Printf("## %s\n\n```\n%s```\n\n", s.title, res.Render())
 	}
+}
+
+func fail(id string, err error) {
+	fmt.Fprintf(os.Stderr, "drainnet-bench: %s: %v\n", id, err)
+	os.Exit(1)
 }

@@ -114,7 +114,6 @@ func main() {
 	dynamicOn := flag.Bool("dynamic", false, "serve the accuracy-gated dynamic inference path (early-exit negatives, spatial masking, and — with a passed int8 gate — per-request precision routing); shares -quant-max-ap-drop as the gate epsilon")
 	nasPlan := flag.String("nas-plan", "", "serve a drainnet-nas winner: plan.json written by drainnet-nas -out; sets the architecture, loads the sibling checkpoint, and applies the plan's precision and kernel mode (explicit -ckpt/-precision/-autotune flags still win)")
 	sweepDir := flag.String("sweep-dir", "", "checkpoint directory for /v1/sweep jobs (empty = jobs die with the process); unfinished jobs in it resume at startup")
-	sweepConc := flag.Int("sweep-concurrency", 0, "max in-flight pool submissions per sweep job (0 = default 16)")
 	workerID := flag.Int("worker-id", -1, "cluster worker slot id; labels every metric with worker=<id> (-1 = standalone)")
 	flag.Parse()
 
@@ -259,16 +258,15 @@ func main() {
 	}
 
 	srv, err := serve.NewWithOptions(cfg, plan.Served, *threshold, serve.Options{
-		Replicas:         *replicas,
-		MaxBatch:         *maxBatch,
-		QueueSize:        *queue,
-		RequestTimeout:   *timeout,
-		Telemetry:        tel,
-		EnablePprof:      *pprofOn,
-		Plan:             plan,
-		SweepDir:         *sweepDir,
-		SweepResume:      *sweepDir != "",
-		SweepConcurrency: *sweepConc,
+		Replicas:       *replicas,
+		MaxBatch:       *maxBatch,
+		QueueSize:      *queue,
+		RequestTimeout: *timeout,
+		Telemetry:      tel,
+		EnablePprof:    *pprofOn,
+		Plan:           plan,
+		SweepDir:       *sweepDir,
+		SweepResume:    *sweepDir != "",
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -276,10 +274,10 @@ func main() {
 	popts := srv.Pool().Options()
 	// One structured line with the full resolved configuration, so a log
 	// scraper (or a human) sees every serving knob in one place.
-	fmt.Printf("level=info msg=serving model=%q addr=%s gomaxprocs=%d precision=%s autotune=%t dynamic=%t pack_ms=%.1f replicas=%d max_batch=%d queue=%d timeout=%v telemetry=%t trace_sample=%d trace_dir=%q pprof=%t ios=%t sweep_dir=%q sweep_concurrency=%d worker_id=%d\n",
+	fmt.Printf("level=info msg=serving model=%q addr=%s gomaxprocs=%d precision=%s autotune=%t dynamic=%t pack_ms=%.1f replicas=%d max_batch=%d queue=%d timeout=%v telemetry=%t trace_sample=%d trace_dir=%q pprof=%t ios=%t sweep_dir=%q worker_id=%d\n",
 		cfg.Name, *addr, runtime.GOMAXPROCS(0), plan.Precision, *autotune, *dynamicOn,
 		float64(plan.PackTime)/float64(time.Millisecond), popts.Replicas, popts.MaxBatch, popts.QueueSize,
-		*timeout, *telemetryOn, *traceSample, *traceDir, *pprofOn, *iosOn, *sweepDir, *sweepConc, *workerID)
+		*timeout, *telemetryOn, *traceSample, *traceDir, *pprofOn, *iosOn, *sweepDir, *workerID)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)

@@ -15,13 +15,12 @@
 // Usage:
 //
 //	drainnet-sweep -rows 1024 -cols 1024 -out crossings.geojson
-//	drainnet-sweep -ckpt model.ckpt -scenarios all -bench BENCH_sweep.json
+//	drainnet-sweep -ckpt model.ckpt -scenarios all
 //	drainnet-sweep -dir sweeps/            # checkpointed; Ctrl-C is safe
 //	drainnet-sweep -dir sweeps/ -resume    # finish interrupted jobs
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -58,11 +57,9 @@ func main() {
 	dir := flag.String("dir", "", "sweep checkpoint directory (empty = no persistence)")
 	resume := flag.Bool("resume", false, "resume unfinished jobs from -dir instead of starting a new sweep")
 	outPath := flag.String("out", "", "write merged crossings to this GeoJSON file")
-	benchPath := flag.String("bench", "", "write a throughput/accuracy summary to this JSON file")
 	replicas := flag.Int("replicas", 0, "model replicas (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 8, "max clips per forward pass")
 	queue := flag.Int("queue", 256, "bounded inference queue size")
-	concurrency := flag.Int("concurrency", 0, "in-flight pool submissions (0 = default 16)")
 	flag.Parse()
 
 	if *resume && *dir == "" {
@@ -113,7 +110,6 @@ func main() {
 		DefaultWindow: cfg.InSize,
 		Precision:     string(model.PrecisionFP32),
 		Dir:           *dir,
-		Concurrency:   *concurrency,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -202,12 +198,6 @@ func main() {
 		}
 		fmt.Printf("level=info msg=geojson_written path=%s\n", *outPath)
 	}
-	if *benchPath != "" {
-		if err := writeBench(*benchPath, jobs, wall); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("level=info msg=bench_written path=%s\n", *benchPath)
-	}
 }
 
 func splitScenarios(s string) []string {
@@ -273,45 +263,4 @@ func writeGeoJSON(path string, jobs []*sweep.Job) error {
 		return err
 	}
 	return f.Close()
-}
-
-// benchReport is the BENCH_sweep.json schema: enough to compare the
-// candidate prior's skip rate and pool throughput across runs.
-type benchReport struct {
-	WallSeconds float64       `json:"wall_seconds"`
-	Jobs        []benchJobRow `json:"jobs"`
-}
-
-type benchJobRow struct {
-	ID          string                  `json:"id"`
-	Rows        int                     `json:"rows"`
-	Cols        int                     `json:"cols"`
-	Scenarios   []string                `json:"scenarios"`
-	Windows     int                     `json:"windows"`
-	Candidates  int                     `json:"candidates"`
-	Skipped     int                     `json:"skipped"`
-	SkipRate    float64                 `json:"skip_rate"`
-	Inferred    int                     `json:"inferred"`
-	Hits        int                     `json:"hits"`
-	ClipsPerSec float64                 `json:"clips_per_sec"`
-	PerScenario []sweep.ScenarioSummary `json:"per_scenario"`
-}
-
-func writeBench(path string, jobs []*sweep.Job, wall float64) error {
-	rep := benchReport{WallSeconds: wall}
-	for _, j := range jobs {
-		st := j.Status()
-		spec := j.Spec()
-		rep.Jobs = append(rep.Jobs, benchJobRow{
-			ID: st.ID, Rows: spec.Rows, Cols: spec.Cols, Scenarios: spec.Scenarios,
-			Windows: st.Windows, Candidates: st.Candidates, Skipped: st.Skipped,
-			SkipRate: st.SkipRate, Inferred: st.Inferred, Hits: st.Hits,
-			ClipsPerSec: st.ClipsPerSec, PerScenario: st.PerScenario,
-		})
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,26 +1,20 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
-	"time"
 
 	"drainnet/internal/ios"
 	"drainnet/internal/model"
 	"drainnet/internal/nas"
 	"drainnet/internal/nn"
-	"drainnet/internal/provenance"
 	"drainnet/internal/terrain"
 )
 
-// This file is the hardware-in-the-loop NAS experiment: e(n) is the
-// measured steady-state latency of each candidate's compiled executor on
-// this machine (after accuracy-gated quantization, kernel autotuning and
-// IOS scheduling), instead of the simulated-GPU price the sim oracle
-// charges. BENCH_nas.json records cold/warm/parallel search wall-clocks,
-// the executor-overlap scaling proof, and the sim-vs-measured winner
-// comparison at the serving batch.
+// This file wires the hardware-in-the-loop NAS (drainnet-nas -oracle
+// measured) to the experiment data protocol: e(n) is the measured
+// steady-state latency of each candidate's compiled executor on this
+// machine (after accuracy-gated quantization, kernel autotuning and IOS
+// scheduling), instead of the simulated-GPU price the sim oracle charges.
 
 // NASProxy is the fast analytic accuracy evaluator: accuracy rises with
 // receptive field, SPP depth and capacity, saturating — used as the
@@ -118,276 +112,4 @@ func NewNASEvaluator(dc DataConfig, opts NASEvaluatorOptions) (*nas.MeasuredEval
 		ev.Proxy = NASProxy()
 	}
 	return ev, nil
-}
-
-// NASRunStats summarizes one search run inside the bench.
-type NASRunStats struct {
-	Label     string  `json:"label"`
-	Parallel  int     `json:"parallel"`
-	WallMs    float64 `json:"wall_ms"`
-	Trials    int     `json:"trials"`
-	Qualified int     `json:"qualified"`
-	CacheHits int     `json:"cache_hits"`
-	Winner    string  `json:"winner"`
-	WinnerBN  float64 `json:"winner_bn_ns"`
-}
-
-// NASExecutorScaling is the synthetic overlap proof: a fixed-cost
-// evaluator (sleep, no CPU contention) run sequentially and with N
-// workers. Unlike the real-workload numbers — which on a single-core
-// host cannot beat 1× for CPU-bound training — this isolates the
-// executor machinery and must show near-N× overlap on any host.
-type NASExecutorScaling struct {
-	Trials     int     `json:"trials"`
-	PerTrialMs float64 `json:"per_trial_ms"`
-	Workers    int     `json:"workers"`
-	SeqWallMs  float64 `json:"seq_wall_ms"`
-	ParWallMs  float64 `json:"par_wall_ms"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// NASSimVsMeasured compares the sim-oracle and measured-oracle winners
-// on the ground truth both were competing for: real measured latency at
-// the serving batch. The measured winner can never lose — it minimizes
-// exactly that metric over the same qualified set — and it wins outright
-// whenever the sim oracle's blindness to precision/kernel/schedule
-// choices makes it crown a slower candidate.
-type NASSimVsMeasured struct {
-	Batch             int     `json:"batch"`
-	SimWinner         string  `json:"sim_winner"`
-	SimWinnerRealNs   float64 `json:"sim_winner_real_ns"`
-	MeasWinner        string  `json:"measured_winner"`
-	MeasWinnerRealNs  float64 `json:"measured_winner_real_ns"`
-	MeasuredNoSlowerX float64 `json:"measured_speedup_vs_sim_winner"`
-}
-
-// NASHardwareResult is the BENCH_nas.json payload.
-type NASHardwareResult struct {
-	Options       nas.SearchOptions  `json:"options"`
-	Threshold     float64            `json:"threshold"`
-	JointSize     int                `json:"joint_size"`
-	Proxy         bool               `json:"proxy_trainer"`
-	Runs          []NASRunStats      `json:"runs"`
-	WinnerStable  bool               `json:"winner_bit_identical_on_warm_cache"`
-	WarmSpeedup   float64            `json:"warm_parallel_speedup"`
-	Executor      NASExecutorScaling `json:"executor_scaling"`
-	SimVsMeasured NASSimVsMeasured   `json:"sim_vs_measured"`
-	Winner        *nas.TrialResult   `json:"winner,omitempty"`
-	Trials        []nas.TrialResult  `json:"ranked_trials"`
-	CacheEntries  int                `json:"cache_entries"`
-	Note          string             `json:"note,omitempty"`
-	Provenance    *provenance.Stamp  `json:"provenance,omitempty"`
-}
-
-// Render formats the bench summary.
-func (r *NASHardwareResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hardware-in-the-loop NAS: joint space %d, %d trials, a(n) > %.2f (proxy trainer: %t)\n",
-		r.JointSize, r.Options.Trials, r.Threshold, r.Proxy)
-	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "  %-10s parallel=%d wall=%8.0f ms  cache-hits=%d/%d  winner=%s (bN %.3f ms)\n",
-			run.Label, run.Parallel, run.WallMs, run.CacheHits, run.Trials, run.Winner, run.WinnerBN/1e6)
-	}
-	fmt.Fprintf(&b, "  warm winner bit-identical: %t; warm parallel speedup: %.2f×\n", r.WinnerStable, r.WarmSpeedup)
-	fmt.Fprintf(&b, "  executor overlap (synthetic %0.f ms/trial): seq %.0f ms, par(%d) %.0f ms → %.2f×\n",
-		r.Executor.PerTrialMs, r.Executor.SeqWallMs, r.Executor.Workers, r.Executor.ParWallMs, r.Executor.Speedup)
-	fmt.Fprintf(&b, "  sim winner %s: real b%d %.3f ms | measured winner %s: %.3f ms (%.2f× no slower)\n",
-		r.SimVsMeasured.SimWinner, r.SimVsMeasured.Batch, r.SimVsMeasured.SimWinnerRealNs/1e6,
-		r.SimVsMeasured.MeasWinner, r.SimVsMeasured.MeasWinnerRealNs/1e6, r.SimVsMeasured.MeasuredNoSlowerX)
-	if r.Note != "" {
-		fmt.Fprintf(&b, "  note: %s\n", r.Note)
-	}
-	return b.String()
-}
-
-// NASBenchConfig parameterizes NASHardwareBench.
-type NASBenchConfig struct {
-	Trials    int
-	Parallel  int
-	Threshold float64
-	Seed      int64
-	MaxBatch  int
-	// Proxy uses the analytic-proxy trainer (seconds-scale); the real
-	// trainer otherwise.
-	Proxy bool
-	// CachePath persists the shared cost cache across invocations.
-	CachePath string
-}
-
-// NASHardwareBench runs the measured search three times over one shared
-// cost cache — cold sequential, warm sequential, warm parallel — plus
-// the synthetic executor-overlap measurement and the sim-vs-measured
-// winner comparison, and writes the result to path.
-func NASHardwareBench(path string, bc NASBenchConfig) (*NASHardwareResult, error) {
-	if bc.Trials <= 0 {
-		bc.Trials = 12
-	}
-	if bc.Parallel <= 0 {
-		bc.Parallel = 4
-	}
-	if bc.MaxBatch <= 0 {
-		bc.MaxBatch = 16
-	}
-	dc := TinyData()
-	space := nas.DefaultJointSpace()
-
-	cache := ios.NewCostCache()
-	if bc.CachePath != "" {
-		var err error
-		if cache, err = ios.LoadCostCache(bc.CachePath); err != nil {
-			return nil, err
-		}
-	}
-	opts := nas.SearchOptions{Strategy: "random", Trials: bc.Trials, Seed: bc.Seed, Parallel: 1}
-	evalOpts := NASEvaluatorOptions{
-		Threshold: bc.Threshold, MaxAPDrop: 0.02, MaxBatch: bc.MaxBatch,
-		Cache: cache, Proxy: bc.Proxy, Prefilter: !bc.Proxy,
-	}
-
-	runOnce := func(label string, parallel int) (*nas.SearchResult, NASRunStats, error) {
-		ev, err := NewNASEvaluator(dc, evalOpts)
-		if err != nil {
-			return nil, NASRunStats{}, err
-		}
-		o := opts
-		o.Parallel = parallel
-		res, err := nas.Search(space, ev, o)
-		if err != nil {
-			return nil, NASRunStats{}, err
-		}
-		stats := NASRunStats{
-			Label: label, Parallel: parallel, WallMs: res.WallMs,
-			Trials: len(res.Trials), Qualified: res.Qualified, CacheHits: res.CacheHits,
-		}
-		if w := res.Winner(); w != nil {
-			stats.Winner, stats.WinnerBN = w.Key, w.LatencyBNNs
-		}
-		return res, stats, nil
-	}
-
-	cold, coldStats, err := runOnce("cold-seq", 1)
-	if err != nil {
-		return nil, err
-	}
-	warmSeq, warmSeqStats, err := runOnce("warm-seq", 1)
-	if err != nil {
-		return nil, err
-	}
-	warmPar, warmParStats, err := runOnce("warm-par", bc.Parallel)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &NASHardwareResult{
-		Options:   opts,
-		Threshold: bc.Threshold,
-		JointSize: space.JointSize(),
-		Proxy:     bc.Proxy,
-		Runs:      []NASRunStats{coldStats, warmSeqStats, warmParStats},
-	}
-	// Bit-for-bit warm determinism: same winner key and identical cached
-	// latencies across all three runs.
-	res.WinnerStable = sameWinner(cold, warmSeq) && sameWinner(warmSeq, warmPar)
-	if warmParStats.WallMs > 0 {
-		res.WarmSpeedup = warmSeqStats.WallMs / warmParStats.WallMs
-	}
-	res.Executor = executorScaling(space, bc.Parallel)
-	res.SimVsMeasured = simVsMeasured(cold, dc, bc.MaxBatch)
-	if w := cold.Winner(); w != nil {
-		res.Winner = w
-	}
-	res.Trials = cold.Ranked()
-	res.CacheEntries = cache.Len()
-	res.Provenance = provenance.Collect()
-	if bc.Proxy {
-		res.Note = "proxy trainer: accuracies are the analytic stand-in; latencies are real measurements"
-	}
-
-	if bc.CachePath != "" {
-		if err := cache.Save(bc.CachePath); err != nil {
-			return nil, err
-		}
-	}
-	if path != "" {
-		if err := writeBenchFile(path, res); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// sameWinner demands bit-identical winning measurements, not just the
-// same key — the warm-cache reproducibility claim.
-func sameWinner(a, b *nas.SearchResult) bool {
-	wa, wb := a.Winner(), b.Winner()
-	if wa == nil || wb == nil {
-		return wa == wb
-	}
-	return wa.Key == wb.Key && wa.LatencyB1Ns == wb.LatencyB1Ns && wa.LatencyBNNs == wb.LatencyBNNs
-}
-
-// executorScaling measures the search executor's overlap with a
-// fixed-cost evaluator: each trial sleeps a constant interval (no CPU
-// contention), so an executor that genuinely fans out finishes ~N× faster
-// with N workers regardless of core count.
-func executorScaling(space nas.Space, workers int) NASExecutorScaling {
-	const trials = 16
-	const perTrial = 40 * time.Millisecond
-	eval := nas.CandidateEvaluatorFunc(func(c nas.CandidateConfig) nas.TrialResult {
-		time.Sleep(perTrial)
-		return nas.TrialResult{Candidate: c, Key: c.Key(), Accuracy: 1, Qualified: true, LatencyBNNs: 1}
-	})
-	run := func(par int) float64 {
-		start := time.Now()
-		if _, err := nas.Search(space, eval, nas.SearchOptions{Strategy: "random", Trials: trials, Seed: 9, Parallel: par}); err != nil {
-			return 0
-		}
-		return float64(time.Since(start)) / 1e6
-	}
-	seq := run(1)
-	par := run(workers)
-	sc := NASExecutorScaling{
-		Trials: trials, PerTrialMs: float64(perTrial) / 1e6, Workers: workers,
-		SeqWallMs: seq, ParWallMs: par,
-	}
-	if par > 0 {
-		sc.Speedup = seq / par
-	}
-	return sc
-}
-
-// simVsMeasured reruns the selection over the cold run's qualified
-// trials with the simulated-GPU oracle and compares both winners on real
-// measured latency at the serving batch.
-func simVsMeasured(cold *nas.SearchResult, dc DataConfig, batch int) NASSimVsMeasured {
-	out := NASSimVsMeasured{Batch: batch}
-	ranked := cold.Ranked()
-	if len(ranked) == 0 {
-		return out
-	}
-	meas := ranked[0]
-	out.MeasWinner, out.MeasWinnerRealNs = meas.Key, meas.LatencyBNNs
-
-	// The sim oracle prices the architecture graph on the simulated GPU;
-	// it cannot see precision, kernel or schedule-on-this-CPU effects.
-	sim := nas.IOSMeasurer{Dev: Device()}
-	best := -1
-	bestLat := 0.0
-	for i, t := range ranked {
-		scaled := t.Candidate.Arch.Scaled(dc.WidthScale).WithInput(terrain.NumBands, dc.ClipSize)
-		_, lat, err := sim.Latency(scaled, batch)
-		if err != nil {
-			continue
-		}
-		if best < 0 || lat < bestLat || (lat == bestLat && t.Key < ranked[best].Key) {
-			best, bestLat = i, lat
-		}
-	}
-	if best >= 0 {
-		out.SimWinner, out.SimWinnerRealNs = ranked[best].Key, ranked[best].LatencyBNNs
-		if out.MeasWinnerRealNs > 0 {
-			out.MeasuredNoSlowerX = out.SimWinnerRealNs / out.MeasWinnerRealNs
-		}
-	}
-	return out
 }

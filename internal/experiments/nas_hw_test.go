@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"drainnet/internal/ios"
 	"drainnet/internal/model"
 	"drainnet/internal/nas"
 	"drainnet/internal/tensor"
@@ -70,5 +71,40 @@ func TestNewNASEvaluatorProxyPipeline(t *testing.T) {
 	}
 	if !r.Qualified || r.LatencyB1Ns <= 0 || r.LatencyBNNs <= 0 {
 		t.Fatalf("proxy pipeline did not measure: %+v", r)
+	}
+}
+
+// TestNASWarmParallelSearchKeepsColdWinner: a cold sequential measured
+// search and a warm parallel one over the same cost cache crown the
+// same winner with bit-identical latencies. The warm run answers every
+// candidate from the cache the cold run filled, so neither the worker
+// count nor the host's timing noise can move the ranking.
+func TestNASWarmParallelSearchKeepsColdWinner(t *testing.T) {
+	dc := TinyData()
+	cache := ios.NewCostCache()
+	search := func(parallel int) *nas.SearchResult {
+		t.Helper()
+		ev, err := NewNASEvaluator(dc, NASEvaluatorOptions{Threshold: 0.3, MaxAPDrop: 0.02, MaxBatch: 4, Cache: cache, Proxy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := nas.Search(nas.DefaultJointSpace(), ev, nas.SearchOptions{Strategy: "random", Trials: 6, Seed: 42, Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := search(1)
+	warm := search(4)
+	wc, ww := cold.Winner(), warm.Winner()
+	if wc == nil || ww == nil {
+		t.Fatalf("no qualified winner: cold %v, warm %v", wc, ww)
+	}
+	if ww.Key != wc.Key || ww.LatencyB1Ns != wc.LatencyB1Ns || ww.LatencyBNNs != wc.LatencyBNNs {
+		t.Fatalf("warm parallel winner %s (b1 %v, bN %v), cold sequential %s (b1 %v, bN %v)",
+			ww.Key, ww.LatencyB1Ns, ww.LatencyBNNs, wc.Key, wc.LatencyB1Ns, wc.LatencyBNNs)
+	}
+	if warm.CacheHits != len(warm.Trials) {
+		t.Fatalf("warm run hit the cache %d times in %d trials", warm.CacheHits, len(warm.Trials))
 	}
 }

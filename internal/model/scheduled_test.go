@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -53,33 +54,60 @@ func TestBuildScaledGraphMatchesBuild(t *testing.T) {
 
 // The scheduled serving path must be bit-for-bit identical to the
 // sequential fast path (and therefore to Detect) at both planned batch
-// regimes — the determinism guarantee behind serving with -ios.
+// regimes, in both precisions — the determinism guarantee behind
+// serving with -ios. The int8 plan is measured over the fp32 plan's
+// cost cache, as a quantized replica's is: its convs and linears carry
+// precision-tagged keys, its pools and SPP reuse the fp32 timings.
 func TestInferDetectScheduledMatchesInferDetect(t *testing.T) {
 	net, plan := scheduledTestPlan(t)
-	exec1, execN, err := plan.CompileExecutors(net)
+	rng := rand.New(rand.NewSource(6))
+	calib := []*tensor.Tensor{randClip(rng, 8, 4, 40), randClip(rng, 8, 4, 40)}
+	qnet, rep, err := nn.QuantizeForInference(net, nn.Calibrate(net, calib))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(6))
-	a := tensor.NewArena()
-	var dets, want []metrics.Detection
-	for _, n := range []int{1, 4, 16} {
-		x := tensor.New(n, 4, 40, 40)
-		x.RandNormal(rng, 0, 1)
-		a.Reset()
-		want = InferDetect(net, x, a, want)
-		exec := exec1
-		if n > 1 {
-			exec = execN
+	if rep.Quantized == 0 {
+		t.Fatalf("no layer quantized: %+v", rep)
+	}
+	qplan, err := OptimizeSchedules(OriginalSPPNet().Scaled(8).WithInput(4, 40), qnet, 16, plan.Cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		precision string
+		net       *nn.Sequential
+		plan      *SchedulePlan
+	}{{"fp32", net, plan}, {"int8", qnet, qplan}} {
+		exec1, execN, err := tc.plan.CompileExecutors(tc.net)
+		if err != nil {
+			t.Fatal(err)
 		}
-		a.Reset()
-		dets = InferDetectScheduled(exec, x, a, dets)
-		if len(dets) != len(want) {
-			t.Fatalf("n=%d: got %d detections, want %d", n, len(dets), len(want))
-		}
-		for i := range want {
-			if dets[i] != want[i] {
-				t.Fatalf("n=%d: detection %d = %+v, want %+v", n, i, dets[i], want[i])
+		a := tensor.NewArena()
+		var dets, want []metrics.Detection
+		for _, n := range []int{1, 4, 16} {
+			x := randClip(rng, n, 4, 40)
+			exec := exec1
+			if n > 1 {
+				exec = execN
+			}
+			a.Reset()
+			seqOut := tc.net.Infer(x, a).Data()
+			for i, v := range exec.Infer(x, tensor.NewArena()).Data() {
+				if math.Float32bits(v) != math.Float32bits(seqOut[i]) {
+					t.Fatalf("%s n=%d: scheduled head output %d = %v, sequential %v", tc.precision, n, i, v, seqOut[i])
+				}
+			}
+			a.Reset()
+			want = InferDetect(tc.net, x, a, want)
+			a.Reset()
+			dets = InferDetectScheduled(exec, x, a, dets)
+			if len(dets) != len(want) {
+				t.Fatalf("%s n=%d: got %d detections, want %d", tc.precision, n, len(dets), len(want))
+			}
+			for i := range want {
+				if dets[i] != want[i] {
+					t.Fatalf("%s n=%d: detection %d = %+v, want %+v", tc.precision, n, i, dets[i], want[i])
+				}
 			}
 		}
 	}

@@ -23,7 +23,7 @@ type CandidateEvaluatorFunc func(c CandidateConfig) TrialResult
 func (f CandidateEvaluatorFunc) EvaluateCandidate(c CandidateConfig) TrialResult { return f(c) }
 
 // TrialResult is one scored candidate of the measured search — the row
-// the ranked trial table renders and BENCH_nas.json records.
+// the ranked trial table renders and the winner's plan.json records.
 type TrialResult struct {
 	Candidate CandidateConfig `json:"candidate"`
 	// Key identifies the candidate (arch|prec|kern); trials are deduped

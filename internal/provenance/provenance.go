@@ -1,10 +1,10 @@
-// Package provenance stamps benchmark artifacts with the machine and
-// source revision that produced them, so BENCH_*.json numbers from
-// different hosts or commits are never compared as if they were the
-// same run. It is shared by every artifact writer: the experiment
-// harness (internal/experiments), the offline bench CLI
-// (cmd/drainnet-bench), and the cluster load harness
-// (cmd/drainnet-load).
+// Package provenance stamps measurement artifacts with the machine and
+// source revision that produced them, so numbers from different hosts
+// or commits are never compared as if they were the same run. It is
+// shared by every artifact writer: the benchmark harness (benchmark/,
+// its report's "provenance"), the NAS winner plan (nas.SaveWinner's
+// plan.json), and the cluster load harness (cmd/drainnet-load's
+// BENCH_cluster.json).
 package provenance
 
 import (

@@ -220,9 +220,6 @@ type Options struct {
 	// SweepResume, with SweepDir set, relaunches unfinished checkpointed
 	// jobs when the server starts.
 	SweepResume bool
-	// SweepConcurrency bounds a sweep job's in-flight pool submissions
-	// (see sweep.ManagerOptions.Concurrency).
-	SweepConcurrency int
 }
 
 func (o Options) withDefaults() Options {
@@ -291,7 +288,6 @@ func NewWithOptions(cfg model.Config, net *nn.Sequential, threshold float64, opt
 		Precision:     string(plan.Precision),
 		Dir:           opts.SweepDir,
 		Telemetry:     tel,
-		Concurrency:   opts.SweepConcurrency,
 	}
 	if plan.Dynamic != nil {
 		sweepOpts.MaskRate = plan.Dynamic.Stats.Rate
