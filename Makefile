@@ -68,11 +68,14 @@ check-allocs:
 # Ten seconds of every native fuzz target (go test takes one -fuzz target
 # and one package per run). The /v1/detect[/batch] decoders are checked
 # against encoding/json, their number scanner and pixel token path against
-# strconv.ParseFloat; the loader fuzzers of ROADMAP item 3 go here.
+# strconv.ParseFloat, the checkpoint loader against gob's own decode (a
+# load fails untouched or restores every value); the other loader
+# fuzzers of ROADMAP item 3 go here.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetect$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFloat32$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/train/
 
 build:
 	$(GO) build ./...

@@ -416,8 +416,9 @@ const (
 // ParsePrecision parses "fp32", "int8" or "auto".
 func ParsePrecision(s string) (Precision, error) { return model.ParsePrecision(s) }
 
-// QuantOptions configures the quantization accuracy gate: the epsilon on
-// the AP drop and the calibration pass.
+// QuantOptions configures the quantization accuracy gate: its one
+// setting is MaxAPDrop, the largest tolerated drop of int8 AP below
+// fp32 AP on the held-out split, taken as given.
 type QuantOptions = model.QuantOptions
 
 // QuantDecision is the gate's verdict: the quantized network, both

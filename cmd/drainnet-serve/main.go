@@ -17,7 +17,7 @@
 //	GET    /healthz               liveness
 //	GET    /debug/pprof/*         Go profiling endpoints (only with -pprof)
 //
-// (The legacy unversioned /detect and /model aliases answer 410 Gone.)
+// Any other path answers 404 with the error envelope.
 //
 // Sweep jobs checkpoint to -sweep-dir after every chunk and survive a
 // graceful drain: restart the server with the same -sweep-dir and the
@@ -49,9 +49,11 @@
 // → weight packing → IOS scheduling, each only when asked. It returns the
 // plan every replica executes — the same call drainnet-nas prices
 // candidates with, so what a search measured is what this server runs.
-// Every gate shares -quant-max-ap-drop as its epsilon and scores one
-// held-out split, built only when a gate needs it; -cost-cache memoizes
-// every kernel and operator measurement across restarts.
+// Every step answers to one accuracy gate: the loaded net's AP on one
+// held-out split, built and scored once and only when a step needs it,
+// and an epsilon, -quant-max-ap-drop, taken as given (0 admits no AP
+// loss); -cost-cache memoizes every kernel and operator measurement
+// across restarts.
 //
 //   - -precision int8 quantizes the detector and refuses to start unless
 //     the held-out AP drop stays within epsilon; auto falls back to fp32.

@@ -41,10 +41,6 @@ type KernelOptions struct {
 	// MaxAPDrop is the gate epsilon for non-exact mixes (default 0 — any
 	// drop demotes; set to the serving tolerance, e.g. 0.01).
 	MaxAPDrop float64
-	// IoU is the AP matching threshold (0 → 0.5).
-	IoU float64
-	// EvalBatch is the batch size for gate evaluations (0 → 16).
-	EvalBatch int
 	// Cache is an optional warm measurement cache (ios.LoadCostCache);
 	// a fresh one is created when nil. Retrieve it from the returned
 	// plan's Cache field to save after tuning.
@@ -149,28 +145,29 @@ func (p *convProbe) RunOp() {
 
 // AutotuneKernels measures every eligible kernel variant of every conv
 // layer in fp32Net at the requested batch buckets, applies the fastest
-// mix, and gates it on calib. qnet, when non-nil, is an already-gated
-// int8 copy of fp32Net (QuantizeGated's net) whose conv layers compete
-// in the same measurement; layers where int8 wins at the serving bucket
-// are served by the int8 wrapper. input is the per-sample input shape
-// (C,H,W). fp32Net's conv layers are retargeted in place; the returned
-// plan's Served net shares their weights.
+// mix, and gates it on calib against fp32Net as given. qnet, when
+// non-nil, is an already-gated int8 copy of fp32Net (QuantizeGated's
+// net) whose conv layers compete in the same measurement; layers where
+// int8 wins at the serving bucket are served by the int8 wrapper. input
+// is the per-sample input shape (C,H,W). fp32Net's conv layers are
+// retargeted in place; the returned plan's Served net shares their
+// weights.
 //
 // calib may be nil, in which case Winograd (the only non-exact fp32
 // kernel) is demoted wherever it wins — there is no data to prove it
 // safe — and exact kernels are still tuned.
 func AutotuneKernels(fp32Net, qnet *nn.Sequential, input []int, calib *terrain.Dataset, opts KernelOptions) (*KernelPlan, error) {
+	return autotuneKernels(fp32Net, qnet, input, newGate(fp32Net, calib, opts.MaxAPDrop), opts)
+}
+
+// autotuneKernels is AutotuneKernels against g (nil: no calibration
+// data), whose baseline is fp32Net before any retargeting.
+func autotuneKernels(fp32Net, qnet *nn.Sequential, input []int, g *gate, opts KernelOptions) (*KernelPlan, error) {
 	if len(input) != 3 {
 		return nil, fmt.Errorf("model: autotune input shape must be (C,H,W), got %v", input)
 	}
 	if len(opts.Batches) == 0 {
 		opts.Batches = []int{1, 16}
-	}
-	if opts.IoU == 0 {
-		opts.IoU = 0.5
-	}
-	if opts.EvalBatch <= 0 {
-		opts.EvalBatch = 16
 	}
 	maxBatch, minBatch := opts.Batches[0], opts.Batches[0]
 	for _, b := range opts.Batches {
@@ -187,12 +184,8 @@ func AutotuneKernels(fp32Net, qnet *nn.Sequential, input []int, calib *terrain.D
 		return nil, err
 	}
 	plan := &KernelPlan{Batches: opts.Batches, Epsilon: opts.MaxAPDrop}
-
-	// Reference AP before any retargeting (kernels are still im2col).
-	if calib != nil && len(calib.Samples) > 0 {
-		plan.FP32AP = evalAP(fp32Net, calib, opts.IoU, opts.EvalBatch)
-	} else {
-		calib = nil
+	if g != nil {
+		plan.FP32AP = g.baseline
 	}
 
 	// Measure every (layer, variant, bucket) through the oracle.
@@ -242,23 +235,14 @@ func AutotuneKernels(fp32Net, qnet *nn.Sequential, input []int, calib *terrain.D
 
 	// Select per layer: fastest fp32 kernel per bucket; precision by the
 	// serving (largest) bucket.
-	bestAt := func(li int, b int) (nn.ConvKernel, float64) {
+	bestAt := func(li, b int, exactOnly bool) (nn.ConvKernel, float64) {
 		best, bestCost := nn.KernelIm2Col, fpCosts[li][nn.KernelIm2Col][b]
 		for _, k := range nn.ConvKernels() {
-			if c, ok := fpCosts[li][k]; ok && c[b] < bestCost {
+			if c, ok := fpCosts[li][k]; ok && (k.Exact() || !exactOnly) && c[b] < bestCost {
 				best, bestCost = k, c[b]
 			}
 		}
 		return best, bestCost
-	}
-	bestExactAt := func(li int, b int) nn.ConvKernel {
-		best, bestCost := nn.KernelIm2Col, fpCosts[li][nn.KernelIm2Col][b]
-		for _, k := range nn.ConvKernels() {
-			if c, ok := fpCosts[li][k]; ok && k.Exact() && c[b] < bestCost {
-				best, bestCost = k, c[b]
-			}
-		}
-		return best
 	}
 	type choice struct {
 		int8   bool
@@ -266,8 +250,8 @@ func AutotuneKernels(fp32Net, qnet *nn.Sequential, input []int, calib *terrain.D
 	}
 	choices := make([]choice, len(tun))
 	for li := range tun {
-		b1, _ := bestAt(li, minBatch)
-		bn, bnCost := bestAt(li, maxBatch)
+		b1, _ := bestAt(li, minBatch, false)
+		bn, bnCost := bestAt(li, maxBatch, false)
 		ch := choice{b1: b1, bn: bn}
 		if i8Costs[li] != nil && i8Costs[li][maxBatch] < bnCost {
 			ch.int8 = true
@@ -322,48 +306,44 @@ func AutotuneKernels(fp32Net, qnet *nn.Sequential, input []int, calib *terrain.D
 	demoteWinograd := func() {
 		for li := range choices {
 			if !choices[li].b1.Exact() {
-				choices[li].b1 = bestExactAt(li, minBatch)
+				choices[li].b1, _ = bestAt(li, minBatch, true)
 			}
 			if !choices[li].bn.Exact() {
-				choices[li].bn = bestExactAt(li, maxBatch)
+				choices[li].bn, _ = bestAt(li, maxBatch, true)
 			}
 		}
 	}
 	if !mixExact() {
-		if calib == nil {
+		if g == nil {
 			// No data to prove Winograd safe: demote it, keep int8 choices
 			// only if a quantized net was supplied (it passed its own gate).
 			demoteWinograd()
 			plan.Demotions = 1
 			apply()
 			plan.Served = assemble()
+		} else if v := g.check(seqExec{plan.Served}); v.Pass {
+			plan.TunedAP, plan.Drop = v.AP, v.Drop
 		} else {
-			plan.TunedAP = evalAP(plan.Served, calib, opts.IoU, opts.EvalBatch)
-			plan.Drop = plan.FP32AP - plan.TunedAP
-			if plan.Drop > opts.MaxAPDrop {
-				demoteWinograd()
-				plan.Demotions = 1
-				apply()
-				plan.Served = assemble()
-				if !mixExact() {
-					plan.TunedAP = evalAP(plan.Served, calib, opts.IoU, opts.EvalBatch)
-					plan.Drop = plan.FP32AP - plan.TunedAP
-					if plan.Drop > opts.MaxAPDrop {
-						// Final rung: pure tuned-fp32 exact mix, bitwise safe.
-						for li := range choices {
-							choices[li].int8 = false
-						}
-						plan.Demotions = 2
-						apply()
-						plan.Served = fp32Net
-						plan.TunedAP, plan.Drop = plan.FP32AP, 0
-					}
-				} else {
-					plan.TunedAP, plan.Drop = plan.FP32AP, 0
+			demoteWinograd()
+			plan.Demotions = 1
+			apply()
+			plan.Served = assemble()
+			if mixExact() {
+				plan.TunedAP, plan.Drop = plan.FP32AP, 0
+			} else if v := g.check(seqExec{plan.Served}); v.Pass {
+				plan.TunedAP, plan.Drop = v.AP, v.Drop
+			} else {
+				// Final rung: pure tuned-fp32 exact mix, bitwise safe.
+				for li := range choices {
+					choices[li].int8 = false
 				}
+				plan.Demotions = 2
+				apply()
+				plan.Served = fp32Net
+				plan.TunedAP, plan.Drop = plan.FP32AP, 0
 			}
 		}
-	} else if calib != nil {
+	} else if g != nil {
 		plan.TunedAP, plan.Drop = plan.FP32AP, 0
 	}
 

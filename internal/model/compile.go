@@ -59,7 +59,9 @@ type CompileOptions struct {
 	// failed gate is a *QuantGateError under int8, an fp32 fallback
 	// under auto.
 	Precision Precision
-	// MaxAPDrop is the epsilon every accuracy gate shares.
+	// MaxAPDrop is the accuracy gate's epsilon: the largest tolerated
+	// absolute AP drop below the loaded net on the calibration split,
+	// taken as given by every step.
 	MaxAPDrop float64
 	// Autotune serves the fastest accuracy-gated per-layer kernel mix.
 	Autotune bool
@@ -130,12 +132,15 @@ func Compile(cfg Config, net *nn.Sequential, calib CalibSource, opts CompileOpti
 	} else if _, err := ParsePrecision(string(opts.Precision)); err != nil {
 		return nil, err
 	}
-	var ds *terrain.Dataset
+	// The one accuracy gate: net as loaded, scored on the split before any
+	// step retargets a kernel, is the baseline every step answers to.
+	var g *gate
 	if calib != nil && (opts.Precision != PrecisionFP32 || opts.Autotune || opts.Dynamic) {
-		var err error
-		if ds, err = calib(); err != nil {
+		ds, err := calib()
+		if err != nil {
 			return nil, err
 		}
+		g = newGate(net, ds, opts.MaxAPDrop)
 	}
 
 	// net stays the unquantized network throughout — the autotuner
@@ -145,7 +150,7 @@ func Compile(cfg Config, net *nn.Sequential, calib CalibSource, opts CompileOpti
 	var qnet *nn.Sequential
 
 	if opts.Precision != PrecisionFP32 {
-		dec, err := QuantizeGated(net, ds, QuantOptions{MaxAPDrop: opts.MaxAPDrop})
+		dec, err := quantizeGated(net, g)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +164,7 @@ func Compile(cfg Config, net *nn.Sequential, calib CalibSource, opts CompileOpti
 	}
 
 	if opts.Autotune {
-		kplan, err := AutotuneKernels(net, qnet, []int{cfg.InBands, cfg.InSize, cfg.InSize}, ds,
+		kplan, err := autotuneKernels(net, qnet, []int{cfg.InBands, cfg.InSize, cfg.InSize}, g,
 			KernelOptions{Batches: []int{1, opts.MaxBatch}, MaxAPDrop: opts.MaxAPDrop, Cache: opts.CostCache})
 		if err != nil {
 			return nil, err
@@ -169,7 +174,7 @@ func Compile(cfg Config, net *nn.Sequential, calib CalibSource, opts CompileOpti
 	}
 
 	if opts.Dynamic {
-		dplan, err := PlanDynamic(net, ds, DynamicOptions{MaxAPDrop: opts.MaxAPDrop, Int8: p.Quant})
+		dplan, err := planDynamic(net, g, p.Quant)
 		if err != nil {
 			return nil, err
 		}

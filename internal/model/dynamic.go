@@ -26,12 +26,11 @@ import (
 //     and hard clips to fp32 when precision "auto" is enabled.
 //
 // All three are efficiency moves under the paper's selection rule
-// "maximize e(n) subject to a(n) > A": PlanDynamic evaluates the
-// composed path against the fp32 baseline on a held-out split and
-// demotes mechanisms (masking first, then the exit) until the AP drop
-// fits inside the same epsilon the quantization gate uses. With every
-// mechanism disabled the dynamic path degenerates to InferDetect and is
-// bit-for-bit identical to it.
+// "maximize e(n) subject to a(n) > A": PlanDynamic scores the composed
+// path on a held-out split and demotes mechanisms (masking first, then
+// the exit) until the accuracy gate the quantization step answers to
+// (gate.go) admits it. With every mechanism disabled the dynamic path
+// degenerates to InferDetect and is bit-for-bit identical to it.
 
 // ExitStats accumulates early-exit counts across every replica sharing
 // a plan. Safe for concurrent use.
@@ -151,25 +150,16 @@ func (r *Router) Route(x *tensor.Tensor, i int) Precision {
 
 // DynamicOptions configures dynamic-inference planning.
 type DynamicOptions struct {
-	// MaxAPDrop is the gate epsilon shared with quantization (0 → 0.01).
+	// MaxAPDrop is the gate epsilon shared with quantization.
 	MaxAPDrop float64
-	// IoU is the AP matching threshold (0 → 0.5).
-	IoU float64
-	// CalibBatch is the batch size for calibration forwards (0 → 16).
-	CalibBatch int
-	// MaskBand is the mask granularity in output rows (0 → nn default).
-	MaskBand int
-	// MaskThresholds is the ladder of candidate energy thresholds,
-	// tried most aggressive (largest) first (nil → default ladder).
-	MaskThresholds []float32
-	// ExitEpochs is the probe's gradient-descent epoch count (0 → 200).
-	ExitEpochs int
-	// DisableRouter skips difficulty-router training.
-	DisableRouter bool
 	// Int8 is the quantization decision for the deployment; the router
 	// is only enabled when Int8 cleared its own accuracy gate.
 	Int8 *QuantDecision
 }
+
+// exitEpochs is the gradient-descent epoch count of the exit probe and
+// the router.
+const exitEpochs = 200
 
 // DynamicPlan is the outcome of accuracy-gated dynamic-inference
 // planning: which mechanisms are enabled, the calibrated parameters,
@@ -347,66 +337,54 @@ func (e *DynamicExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metri
 	return dets
 }
 
-// defaultMaskLadder is tried most aggressive first: the largest
+// maskLadder is tried most aggressive first: the largest
 // threshold that keeps the AP drop inside epsilon wins. The top rungs
 // are deliberately far above typical background texture energy —
 // whether they hold is exactly what the AP gate decides, and stopping
 // the ladder early would leave gate headroom (and background bands)
 // on the table.
-var defaultMaskLadder = []float32{0.5, 0.3, 0.2, 0.12, 0.08, 0.04, 0.02, 0.01, 0.005}
+var maskLadder = []float32{0.5, 0.3, 0.2, 0.12, 0.08, 0.04, 0.02, 0.01, 0.005}
 
 // PlanDynamic calibrates the dynamic inference path on a held-out split
-// and gates it against the fp32 baseline. The ladder demotes masking
-// first (it perturbs every downstream layer) and the early exit second;
-// a fully demoted plan serves the static path. net is not modified —
-// call plan.Apply on the serving network afterwards.
+// and gates it against net as given. The ladder demotes masking first
+// (it perturbs every downstream layer) and the early exit second; a
+// fully demoted plan serves the static path. net is not modified — call
+// plan.Apply on the serving network afterwards.
 func PlanDynamic(net *nn.Sequential, calib *terrain.Dataset, opts DynamicOptions) (*DynamicPlan, error) {
-	if calib == nil || len(calib.Samples) == 0 {
+	return planDynamic(net, newGate(net, calib, opts.MaxAPDrop), opts.Int8)
+}
+
+// planDynamic plans the dynamic path of net against g; quant is the
+// deployment's quantization decision (nil when none was made).
+func planDynamic(net *nn.Sequential, g *gate, quant *QuantDecision) (*DynamicPlan, error) {
+	if g == nil {
 		return nil, fmt.Errorf("model: dynamic planning needs a non-empty calibration dataset")
-	}
-	if opts.MaxAPDrop <= 0 {
-		opts.MaxAPDrop = 0.01
-	}
-	if opts.IoU == 0 {
-		opts.IoU = 0.5
-	}
-	if opts.CalibBatch <= 0 {
-		opts.CalibBatch = 16
-	}
-	if opts.ExitEpochs <= 0 {
-		opts.ExitEpochs = 200
-	}
-	ladder := opts.MaskThresholds
-	if len(ladder) == 0 {
-		ladder = defaultMaskLadder
 	}
 	sppIdx, err := SPPIndex(net)
 	if err != nil {
 		return nil, err
 	}
+	calib := g.calib
 
 	plan := &DynamicPlan{
 		SPPIndex:  sppIdx,
-		Epsilon:   opts.MaxAPDrop,
-		MaskBand:  opts.MaskBand,
+		Epsilon:   g.eps,
 		Stats:     &nn.MaskStats{},
 		ExitStats: &ExitStats{},
-		FP32AP:    evalAP(net, calib, opts.IoU, opts.CalibBatch),
+		FP32AP:    g.baseline,
 	}
-	gts := calibGroundTruth(calib)
 
 	// Calibrate the mask energy threshold on a masked clone, most
 	// aggressive first; masking alone must fit inside epsilon before the
 	// composed gate even considers it.
 	maskOK := false
-	for _, thresh := range ladder {
-		cl, err := maskedClone(net, opts.MaskBand, thresh, plan.Stats)
+	for _, thresh := range maskLadder {
+		cl, err := maskedClone(net, thresh, plan.Stats)
 		if err != nil {
 			return nil, err
 		}
 		plan.Stats.Reset()
-		ap := evalAP(cl, calib, opts.IoU, opts.CalibBatch)
-		if plan.FP32AP-ap <= opts.MaxAPDrop {
+		if g.check(seqExec{cl}).Pass {
 			maskOK = true
 			plan.MaskThreshold = thresh
 			break
@@ -427,21 +405,20 @@ func PlanDynamic(net *nn.Sequential, calib *terrain.Dataset, opts DynamicOptions
 		plan.Demotions = rung
 		evalNet := net
 		if plan.MaskEnabled {
-			cl, err := maskedClone(net, opts.MaskBand, plan.MaskThreshold, plan.Stats)
+			cl, err := maskedClone(net, plan.MaskThreshold, plan.Stats)
 			if err != nil {
 				return nil, err
 			}
 			evalNet = cl
 		}
 		if rung < 2 {
-			feats, labels := prefixFeatures(evalNet, sppIdx, calib, opts.CalibBatch)
-			if head := trainExitHead(feats, labels, opts.ExitEpochs); head != nil {
+			feats, labels := prefixFeatures(evalNet, sppIdx, calib)
+			if head := trainExitHead(feats, labels); head != nil {
 				logits := make([]float32, len(calib.Samples))
 				for i, f := range feats {
 					logits[i] = probeLogit(head, f)
 				}
-				fullDets := detectAll(seqExec{evalNet}, calib, opts.CalibBatch)
-				if tau, ok := calibrateExitThreshold(logits, fullDets, gts, plan.FP32AP, opts.MaxAPDrop, opts.IoU); ok {
+				if tau, ok := calibrateExitThreshold(logits, g.detectAll(seqExec{evalNet}), g); ok {
 					head.Threshold = tau
 					plan.Exit = head
 					plan.ExitEnabled = true
@@ -450,10 +427,9 @@ func PlanDynamic(net *nn.Sequential, calib *terrain.Dataset, opts DynamicOptions
 		}
 		plan.Stats.Reset()
 		plan.ExitStats.Reset()
-		exec := NewDynamicExec(evalNet, plan)
-		plan.DynamicAP = evalAPExec(exec, calib, opts.IoU, opts.CalibBatch)
-		plan.Drop = plan.FP32AP - plan.DynamicAP
-		if plan.Drop <= opts.MaxAPDrop || (!plan.MaskEnabled && !plan.ExitEnabled) {
+		v := g.check(NewDynamicExec(evalNet, plan))
+		plan.DynamicAP, plan.Drop = v.AP, v.Drop
+		if v.Pass || (!plan.MaskEnabled && !plan.ExitEnabled) {
 			break
 		}
 	}
@@ -464,37 +440,34 @@ func PlanDynamic(net *nn.Sequential, calib *terrain.Dataset, opts DynamicOptions
 
 	// The router only matters when an int8 replica set exists, and that
 	// path must have cleared its own accuracy gate.
-	if !opts.DisableRouter && opts.Int8 != nil && opts.Int8.Enabled {
-		plan.Router = trainRouter(calib, opts.CalibBatch, opts.ExitEpochs)
+	if quant != nil && quant.Enabled {
+		plan.Router = trainRouter(calib)
 		plan.RouterEnabled = plan.Router != nil
 	}
 	return plan, nil
 }
 
 // maskedClone builds an inference replica of net with the mask spec
-// applied to every conv after the first. Weights are shared; the clone
-// packs its own masked-kernel state lazily.
-func maskedClone(net *nn.Sequential, band int, thresh float32, stats *nn.MaskStats) (*nn.Sequential, error) {
+// (the nn default band) applied to every conv after the first. Weights
+// are shared; the clone packs its own masked-kernel state lazily.
+func maskedClone(net *nn.Sequential, thresh float32, stats *nn.MaskStats) (*nn.Sequential, error) {
 	m, err := nn.CloneShared(net)
 	if err != nil {
 		return nil, err
 	}
 	cl := m.(*nn.Sequential)
-	applyMasks(cl, band, thresh, stats)
+	applyMasks(cl, 0, thresh, stats)
 	return cl, nil
 }
 
 // prefixFeatures runs the conv-stack prefix over the split and returns
 // each sample's globally pooled feature vector and objectness label.
-func prefixFeatures(net *nn.Sequential, sppIdx int, ds *terrain.Dataset, batch int) ([][]float32, []bool) {
+func prefixFeatures(net *nn.Sequential, sppIdx int, ds *terrain.Dataset) ([][]float32, []bool) {
 	a := tensor.NewArena()
 	feats := make([][]float32, 0, len(ds.Samples))
 	labels := make([]bool, 0, len(ds.Samples))
-	for lo := 0; lo < len(ds.Samples); lo += batch {
-		hi := lo + batch
-		if hi > len(ds.Samples) {
-			hi = len(ds.Samples)
-		}
+	for lo := 0; lo < len(ds.Samples); lo += gateBatch {
+		hi := min(lo+gateBatch, len(ds.Samples))
 		x, targets := ds.Batch(lo, hi)
 		a.Reset()
 		mid := net.InferRange(x, a, 0, sppIdx)
@@ -521,8 +494,8 @@ func prefixFeatures(net *nn.Sequential, sppIdx int, ds *terrain.Dataset, batch i
 // trainExitHead fits the logistic probe with full-batch gradient
 // descent on standardized features, then folds the standardization into
 // the weights. Returns nil when the split lacks both classes.
-func trainExitHead(feats [][]float32, labels []bool, epochs int) *ExitHead {
-	w, b, ok := trainLogistic(feats, labels, epochs)
+func trainExitHead(feats [][]float32, labels []bool) *ExitHead {
+	w, b, ok := trainLogistic(feats, labels)
 	if !ok {
 		return nil
 	}
@@ -532,7 +505,7 @@ func trainExitHead(feats [][]float32, labels []bool, epochs int) *ExitHead {
 // trainLogistic is the shared deterministic trainer: standardize each
 // feature dimension, run fixed-epoch full-batch GD on the logistic
 // loss, fold the standardization back into the returned weights.
-func trainLogistic(feats [][]float32, labels []bool, epochs int) (w []float32, b float32, ok bool) {
+func trainLogistic(feats [][]float32, labels []bool) (w []float32, b float32, ok bool) {
 	n := len(feats)
 	if n == 0 {
 		return nil, 0, false
@@ -578,7 +551,7 @@ func trainLogistic(feats [][]float32, labels []bool, epochs int) (w []float32, b
 	var bz float64
 	grad := make([]float64, d)
 	const lr = 0.5
-	for e := 0; e < epochs; e++ {
+	for e := 0; e < exitEpochs; e++ {
 		for j := range grad {
 			grad[j] = 0
 		}
@@ -623,13 +596,12 @@ func probeLogit(h *ExitHead, f []float32) float32 {
 }
 
 // calibrateExitThreshold picks the most permissive exit threshold whose
-// simulated composed AP stays within epsilon of the baseline. The
-// simulation swaps each would-exit sample's full-path detection for the
-// exit detection the runtime would emit (probe sigmoid, empty box) and
-// re-evaluates AP — no extra forward passes. Candidates are the
-// descending quantiles of the calibration logit distribution.
-func calibrateExitThreshold(logits []float32, fullDets []metrics.Detection,
-	gts []metrics.GroundTruth, baseAP, eps, iou float64) (float32, bool) {
+// simulated composed AP passes g. The simulation swaps each would-exit
+// sample's full-path detection for the exit detection the runtime would
+// emit (probe sigmoid, empty box) and re-scores — no extra forward
+// passes. Candidates are the descending quantiles of the calibration
+// logit distribution.
+func calibrateExitThreshold(logits []float32, fullDets []metrics.Detection, g *gate) (float32, bool) {
 	sorted := append([]float32(nil), logits...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	dets := make([]metrics.Detection, len(fullDets))
@@ -644,7 +616,7 @@ func calibrateExitThreshold(logits []float32, fullDets []metrics.Detection,
 				}
 			}
 		}
-		if baseAP-metrics.Evaluate(dets, gts, iou).AP <= eps {
+		if g.checkDetections(dets).Pass {
 			return tau, true
 		}
 	}
@@ -654,15 +626,12 @@ func calibrateExitThreshold(logits []float32, fullDets []metrics.Detection,
 // trainRouter fits the difficulty probe on raw-input channel statistics
 // and sets the margin to the 25th percentile of |logit| — three
 // quarters of calibration traffic routes to the int8 path.
-func trainRouter(ds *terrain.Dataset, batch, epochs int) *Router {
+func trainRouter(ds *terrain.Dataset) *Router {
 	feats := make([][]float32, 0, len(ds.Samples))
 	labels := make([]bool, 0, len(ds.Samples))
 	var channels int
-	for lo := 0; lo < len(ds.Samples); lo += batch {
-		hi := lo + batch
-		if hi > len(ds.Samples) {
-			hi = len(ds.Samples)
-		}
+	for lo := 0; lo < len(ds.Samples); lo += gateBatch {
+		hi := min(lo+gateBatch, len(ds.Samples))
 		x, targets := ds.Batch(lo, hi)
 		c, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
 		channels = c
@@ -690,7 +659,7 @@ func trainRouter(ds *terrain.Dataset, batch, epochs int) *Router {
 			labels = append(labels, targets[i].HasObject)
 		}
 	}
-	w, b, ok := trainLogistic(feats, labels, epochs)
+	w, b, ok := trainLogistic(feats, labels)
 	if !ok {
 		return nil
 	}

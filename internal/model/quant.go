@@ -3,18 +3,16 @@ package model
 import (
 	"fmt"
 
-	"drainnet/internal/metrics"
 	"drainnet/internal/nn"
 	"drainnet/internal/tensor"
 	"drainnet/internal/terrain"
 )
 
-// This file implements the accuracy gate for int8 serving: the paper's
-// selection rule is "maximize efficiency e(n) subject to accuracy
-// a(n) > A", and quantization is an efficiency move that must clear the
-// same bar. QuantizeGated builds the int8 network, evaluates both
+// This file gates int8 serving on accuracy: the paper's selection rule
+// is "maximize efficiency e(n) subject to accuracy a(n) > A", and
+// quantization is an efficiency move that must clear the same bar. QuantizeGated builds the int8 network, evaluates both
 // precisions on a held-out calibration split, and only enables int8 when
-// the AP drop stays within a configurable epsilon.
+// the one accuracy gate (gate.go) admits it.
 
 // Precision names the numeric precision of a serving network.
 type Precision string
@@ -44,15 +42,11 @@ type QuantOptions struct {
 	// MaxAPDrop is the gate epsilon: the largest tolerated absolute AP
 	// degradation (fp32 AP − int8 AP) on the calibration split.
 	MaxAPDrop float64
-	// IoU is the AP matching threshold (0 → 0.5, the paper's setting).
-	IoU float64
-	// CalibBatch is the batch size for calibration and evaluation
-	// forwards (0 → 16).
-	CalibBatch int
-	// MaxCalibBatches caps how many batches feed the min/max observers;
-	// the AP evaluation always uses the full split (0 → 8).
-	MaxCalibBatches int
 }
+
+// quantCalibBatches caps how many gate batches feed the min/max
+// observers; the AP evaluation always uses the full split.
+const quantCalibBatches = 8
 
 // QuantDecision is the outcome of an accuracy-gated quantization.
 type QuantDecision struct {
@@ -71,28 +65,21 @@ type QuantDecision struct {
 }
 
 // QuantizeGated calibrates net on the held-out split, builds the int8
-// copy, and evaluates the accuracy gate. net itself is not modified.
+// copy, and evaluates the accuracy gate against net itself. net is not
+// modified.
 func QuantizeGated(net *nn.Sequential, calib *terrain.Dataset, opts QuantOptions) (*QuantDecision, error) {
-	if calib == nil || len(calib.Samples) == 0 {
+	return quantizeGated(net, newGate(net, calib, opts.MaxAPDrop))
+}
+
+// quantizeGated calibrates and quantizes net on g's split and checks the
+// int8 copy against g.
+func quantizeGated(net *nn.Sequential, g *gate) (*QuantDecision, error) {
+	if g == nil {
 		return nil, fmt.Errorf("model: quantization needs a non-empty calibration dataset")
 	}
-	if opts.IoU == 0 {
-		opts.IoU = 0.5
-	}
-	if opts.CalibBatch <= 0 {
-		opts.CalibBatch = 16
-	}
-	if opts.MaxCalibBatches <= 0 {
-		opts.MaxCalibBatches = 8
-	}
-
 	var batches []*tensor.Tensor
-	for lo := 0; lo < len(calib.Samples) && len(batches) < opts.MaxCalibBatches; lo += opts.CalibBatch {
-		hi := lo + opts.CalibBatch
-		if hi > len(calib.Samples) {
-			hi = len(calib.Samples)
-		}
-		x, _ := calib.Batch(lo, hi)
+	for lo := 0; lo < len(g.calib.Samples) && len(batches) < quantCalibBatches; lo += gateBatch {
+		x, _ := g.calib.Batch(lo, min(lo+gateBatch, len(g.calib.Samples)))
 		batches = append(batches, x)
 	}
 	cal := nn.Calibrate(net, batches)
@@ -100,47 +87,14 @@ func QuantizeGated(net *nn.Sequential, calib *terrain.Dataset, opts QuantOptions
 	if err != nil {
 		return nil, err
 	}
-	dec := &QuantDecision{
+	v := g.check(seqExec{qnet})
+	return &QuantDecision{
 		Net:     qnet,
 		Report:  rep,
-		FP32AP:  evalAP(net, calib, opts.IoU, opts.CalibBatch),
-		Int8AP:  evalAP(qnet, calib, opts.IoU, opts.CalibBatch),
-		Epsilon: opts.MaxAPDrop,
-	}
-	dec.Drop = dec.FP32AP - dec.Int8AP
-	dec.Enabled = rep.Quantized > 0 && dec.Drop <= opts.MaxAPDrop
-	return dec, nil
-}
-
-// evalAP scores net on ds through the inference fast path (InferDetect
-// is bit-identical to Detect, and it is the path serving actually runs).
-func evalAP(net *nn.Sequential, ds *terrain.Dataset, iou float64, batch int) float64 {
-	return evalAPExec(seqExec{net}, ds, iou, batch)
-}
-
-// evalAPExec scores any serving executor on ds.
-func evalAPExec(exec Executor, ds *terrain.Dataset, iou float64, batch int) float64 {
-	return metrics.Evaluate(detectAll(exec, ds, batch), calibGroundTruth(ds), iou).AP
-}
-
-// detectAll runs exec over ds in batches, one detection per sample.
-func detectAll(exec Executor, ds *terrain.Dataset, batch int) []metrics.Detection {
-	a := tensor.NewArena()
-	dets := make([]metrics.Detection, 0, len(ds.Samples))
-	scratch := make([]metrics.Detection, 0, batch)
-	for lo := 0; lo < len(ds.Samples); lo += batch {
-		x, _ := ds.Batch(lo, min(lo+batch, len(ds.Samples)))
-		a.Reset()
-		scratch = exec.InferDetect(x, a, scratch[:0])
-		dets = append(dets, scratch...)
-	}
-	return dets
-}
-
-func calibGroundTruth(ds *terrain.Dataset) []metrics.GroundTruth {
-	targets := make([]nn.DetectionTarget, len(ds.Samples))
-	for i, s := range ds.Samples {
-		targets[i] = s.Target
-	}
-	return TargetsToGroundTruth(targets)
+		FP32AP:  g.baseline,
+		Int8AP:  v.AP,
+		Drop:    v.Drop,
+		Epsilon: g.eps,
+		Enabled: rep.Quantized > 0 && v.Pass,
+	}, nil
 }

@@ -109,26 +109,6 @@ func TestControlBatchingEndpoint(t *testing.T) {
 	}
 }
 
-func TestLegacyModelAliasGone(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("legacy /model status %d, want 410", resp.StatusCode)
-	}
-	if link := resp.Header.Get("Link"); link != `</v1/model>; rel="successor-version"` {
-		t.Fatalf("legacy route Link header %q", link)
-	}
-	env := decodeError(t, resp)
-	resp.Body.Close()
-	if env.Error.Code != CodeGone {
-		t.Fatalf("code %q, want %q", env.Error.Code, CodeGone)
-	}
-}
-
 func TestRetryAfterFrom(t *testing.T) {
 	cases := []struct {
 		name string

@@ -12,7 +12,6 @@ const (
 	CodePayloadTooLarge  = "payload_too_large"
 	CodeMethodNotAllowed = "method_not_allowed"
 	CodeNotFound         = "not_found"
-	CodeGone             = "gone"
 	CodeQueueFull        = "queue_full"
 	CodeTimeout          = "timeout"
 	CodeCanceled         = "canceled"
@@ -26,8 +25,8 @@ type ErrorBody struct {
 	Message string `json:"message"`
 }
 
-// ErrorEnvelope is the uniform error shape for every /v1 (and legacy)
-// route: {"error":{"code":"...","message":"..."}}.
+// ErrorEnvelope is the uniform error shape for every route:
+// {"error":{"code":"...","message":"..."}}.
 type ErrorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
@@ -76,18 +75,5 @@ func method(verb string, h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		h(w, r)
-	}
-}
-
-// gone retires a legacy unversioned route: every request gets 410 with
-// the standard envelope and a Link header naming the /v1 successor.
-func gone(successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		writeError(w, &apiError{
-			Status:  http.StatusGone,
-			Code:    CodeGone,
-			Message: "this route was removed; use " + successor,
-		})
 	}
 }

@@ -10,48 +10,51 @@ import (
 )
 
 // These tests pin down the /v1 error-envelope contract at its edges:
-// the catch-all 404 body shape, method enforcement on every route, and
-// the 410 retirement of both legacy aliases.
+// the catch-all 404 body shape and method enforcement on every route.
 
+// An unknown path — the retired unversioned /detect and /model among
+// them — gets a 404 whose body is exactly the envelope.
 func TestNotFoundEnvelopeExactShape(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v2/detect")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d, want 404", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Content-Type %q, want application/json", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The body must be exactly {"error":{"code":...,"message":...}} —
-	// one top-level key, two keys inside, nothing extra.
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(body, &top); err != nil {
-		t.Fatalf("404 body is not JSON: %v\n%s", err, body)
-	}
-	if len(top) != 1 || top["error"] == nil {
-		t.Fatalf("404 body keys %v, want exactly {error}", top)
-	}
-	var inner map[string]string
-	if err := json.Unmarshal(top["error"], &inner); err != nil {
-		t.Fatal(err)
-	}
-	if len(inner) != 2 {
-		t.Fatalf("error object keys %v, want exactly {code, message}", inner)
-	}
-	if inner["code"] != CodeNotFound {
-		t.Fatalf("code %q, want %q", inner["code"], CodeNotFound)
-	}
-	if !strings.Contains(inner["message"], "/v2/detect") {
-		t.Fatalf("message %q should name the missing path", inner["message"])
+	for _, path := range []string{"/v2/detect", "/detect", "/model"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: Content-Type %q, want application/json", path, ct)
+		}
+		// The body must be exactly {"error":{"code":...,"message":...}} —
+		// one top-level key, two keys inside, nothing extra.
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(body, &top); err != nil {
+			t.Fatalf("%s: 404 body is not JSON: %v\n%s", path, err, body)
+		}
+		if len(top) != 1 || top["error"] == nil {
+			t.Fatalf("%s: 404 body keys %v, want exactly {error}", path, top)
+		}
+		var inner map[string]string
+		if err := json.Unmarshal(top["error"], &inner); err != nil {
+			t.Fatal(err)
+		}
+		if len(inner) != 2 {
+			t.Fatalf("%s: error object keys %v, want exactly {code, message}", path, inner)
+		}
+		if inner["code"] != CodeNotFound {
+			t.Fatalf("%s: code %q, want %q", path, inner["code"], CodeNotFound)
+		}
+		if !strings.Contains(inner["message"], path) {
+			t.Fatalf("%s: message %q should name the missing path", path, inner["message"])
+		}
 	}
 }
 
@@ -88,45 +91,6 @@ func TestMethodNotAllowedOnEveryRoute(t *testing.T) {
 		resp.Body.Close()
 		if env.Error.Code != CodeMethodNotAllowed {
 			t.Fatalf("%s %s: code %q, want %q", c.method, c.path, env.Error.Code, CodeMethodNotAllowed)
-		}
-	}
-}
-
-func TestLegacyAliasesReturnGone(t *testing.T) {
-	// The retired aliases answer 410 for every method, with the standard
-	// envelope and a Link naming the /v1 successor.
-	ts := httptest.NewServer(testServer(t).Handler())
-	defer ts.Close()
-	cases := []struct {
-		method, path, successor string
-	}{
-		{http.MethodGet, "/model", "/v1/model"},
-		{http.MethodPost, "/model", "/v1/model"},
-		{http.MethodPost, "/detect", "/v1/detect"},
-		{http.MethodGet, "/detect", "/v1/detect"},
-	}
-	for _, c := range cases {
-		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusGone {
-			t.Fatalf("%s %s: status %d, want 410", c.method, c.path, resp.StatusCode)
-		}
-		if link := resp.Header.Get("Link"); link != "<"+c.successor+`>; rel="successor-version"` {
-			t.Fatalf("%s %s: Link header %q", c.method, c.path, link)
-		}
-		env := decodeError(t, resp)
-		resp.Body.Close()
-		if env.Error.Code != CodeGone {
-			t.Fatalf("%s %s: code %q, want %q", c.method, c.path, env.Error.Code, CodeGone)
-		}
-		if !strings.Contains(env.Error.Message, c.successor) {
-			t.Fatalf("%s %s: message %q should name the successor", c.method, c.path, env.Error.Message)
 		}
 	}
 }

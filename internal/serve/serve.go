@@ -17,8 +17,8 @@
 //	GET    /healthz               liveness (unversioned)
 //	GET    /debug/pprof/*         Go profiling (only with Options.EnablePprof)
 //
-// The retired unversioned /detect and /model aliases answer 410 Gone
-// with a Link header naming their /v1 successor.
+// Any other path, the unversioned /detect and /model included, answers
+// 404 with the error envelope.
 //
 // Response conventions: no /v1 endpoint returns a bare JSON array —
 // collections arrive as {"items": [...]} with an optional next_cursor —
@@ -374,9 +374,6 @@ func (s *Server) Handler() http.Handler {
 	handle("/v1/detect/batch", method(http.MethodPost, s.handleDetectBatch))
 	handle("/v1/sweep", s.handleSweepCollection)
 	handle("/v1/sweep/", s.handleSweepJob)
-	// Retired unversioned aliases: 410 pointing at the /v1 successor.
-	handle("/model", gone("/v1/model"))
-	handle("/detect", gone("/v1/detect"))
 	if s.opts.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -202,23 +202,6 @@ func TestDetectRejectsGarbageJSON(t *testing.T) {
 	}
 }
 
-func TestLegacyDetectAliasGone(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).Handler())
-	defer ts.Close()
-	resp := postJSON(t, ts.URL+"/detect", validDetectRequest())
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("legacy /detect status %d, want 410", resp.StatusCode)
-	}
-	if link := resp.Header.Get("Link"); link != `</v1/detect>; rel="successor-version"` {
-		t.Fatalf("legacy route Link header %q", link)
-	}
-	env := decodeError(t, resp)
-	resp.Body.Close()
-	if env.Error.Code != CodeGone {
-		t.Fatalf("code %q, want %q", env.Error.Code, CodeGone)
-	}
-}
-
 func TestDetectBatchPositionalResults(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"drainnet/internal/nn"
 )
@@ -40,7 +41,10 @@ func Save(w io.Writer, net *nn.Sequential) error {
 }
 
 // Load restores parameters saved by Save into net. The network must have
-// the same architecture (same parameter names and shapes, in order).
+// the same architecture (same parameter names and shapes, in order), and
+// every saved tensor must hold exactly as many values as its shape. net
+// is written only after the whole checkpoint checks out, so an error
+// leaves it as it was.
 func Load(r io.Reader, net *nn.Sequential) error {
 	var cf checkpointFile
 	if err := gob.NewDecoder(r).Decode(&cf); err != nil {
@@ -58,10 +62,15 @@ func Load(r io.Reader, net *nn.Sequential) error {
 		if p.Name != saved.Name {
 			return fmt.Errorf("train: parameter %d name mismatch: %q vs %q", i, saved.Name, p.Name)
 		}
-		if !sameShape(p.Value.Shape(), saved.Shape) {
+		if !slices.Equal(p.Value.Shape(), saved.Shape) {
 			return fmt.Errorf("train: parameter %q shape mismatch: %v vs %v", p.Name, saved.Shape, p.Value.Shape())
 		}
-		copy(p.Value.Data(), saved.Data)
+		if len(saved.Data) != p.Value.Len() {
+			return fmt.Errorf("train: parameter %q holds %d values, shape %v needs %d", p.Name, len(saved.Data), saved.Shape, p.Value.Len())
+		}
+	}
+	for i, p := range params {
+		copy(p.Value.Data(), cf.Params[i].Data)
 	}
 	return nil
 }
@@ -93,16 +102,4 @@ func LoadFile(path string, net *nn.Sequential) error {
 	}
 	defer f.Close()
 	return Load(f, net)
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
