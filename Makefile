@@ -57,8 +57,10 @@ bench-cluster:
 # that does not grow with pixel count;
 # the pool's guard pins what one Submit on an idle pool allocates; the
 # raster-preparation guard bounds a 512² terrain.Generate (11.5 MB, 200
-# objects; 10.9 MB and ≈ 80 today — one more array per cell fails it) and
-# terrain.Render (5.5 MB, 100 objects; 5.1 MB and 55).
+# objects; 10.9 MB and 83 here, where the worker pool first starts inside
+# AllocsPerRun's GOMAXPROCS 1 and the flood is one tile, 121 at two tiles
+# — one more array per cell fails it) and terrain.Render (5.5 MB, 100
+# objects; 5.1 MB and 55).
 check-allocs:
 	$(GO) test -run 'TestInferSteadyStateZeroAlloc|TestScheduledSteadyStateZeroAlloc|TestQuantInferSteadyStateZeroAlloc|TestTunedInferSteadyStateZeroAlloc|TestDynamicInferSteadyStateZeroAlloc|TestTracedInferSteadyStateZeroAlloc' -v ./internal/model/
 	$(GO) test -run 'TestDecodeSteadyStateAllocs' -v ./internal/serve/

@@ -36,6 +36,14 @@ func (f *FlowDir) Downstream(p Point) (Point, bool) {
 
 // D8FlowDirections computes steepest-descent D8 directions on dem. Border
 // cells whose steepest descent leaves the raster are marked EdgeDir.
+//
+// A neighbour's slope is its drop divided by its distance, 1 or √2. It
+// divides only a diagonal drop that already beats the best slope so far:
+// the best slope is never negative, a drop that beats it is positive, and
+// a correctly rounded quotient of a positive drop by a distance ≥ 1 is
+// at most the drop, so a drop that loses cannot win once divided. NaN
+// fails every comparison, divided or not; a division by 1 changes no
+// bit. The directions are those of dividing every drop.
 func D8FlowDirections(dem *Grid) *FlowDir {
 	rows, cols := dem.Rows, dem.Cols
 	f := &FlowDir{Rows: rows, Cols: cols, Dir: make([]int8, rows*cols)}
@@ -58,9 +66,20 @@ func D8FlowDirections(dem *Grid) *FlowDir {
 				if rim && !dem.In(r+d8dr[k], c+d8dc[k]) {
 					continue
 				}
-				if slope := (z - dem.Data[i+offset[k]]) / dist8(k); slope > bestSlope {
-					bestSlope, best = slope, int8(k)
+				// The slope is the drop over a distance ≥ 1, so it is at
+				// most the drop: a drop that does not beat the best slope
+				// is not divided. A diagonal's (the odd directions) is; the
+				// others' distance is 1.
+				slope := z - dem.Data[i+offset[k]]
+				if !(slope > bestSlope) {
+					continue
 				}
+				if k&1 == 1 {
+					if slope /= dist8(k); !(slope > bestSlope) {
+						continue
+					}
+				}
+				bestSlope, best = slope, int8(k)
 			}
 			if rim && best == PitDir {
 				// Flowing off the edge is always possible for rim cells;
@@ -296,30 +315,121 @@ func (q *floodQueue) drain(l int, z []float64) {
 // one least surface with filled[n] = min over neighbours m of f(filled[m])
 // and the rim kept, whichever of several equal-z cells pops first.
 //
+// The raster is flooded in row tiles, one per worker-pool participant
+// and none thinner than fillTileRows, each from the raster rim inside it.
+// A tile's first surface is the least one over paths that stay inside
+// the tile, never below the global one. The seams are then relaxed until
+// no tile lowers a cell (see fillTile.relax): every write is f of a
+// current neighbour and only lowers, so the fixpoint is the least
+// surface above, bit for bit, at any tile count. One participant, or a
+// busy pool, floods a single tile: the whole raster, as one flood.
+//
 // A dem holding NaN or ±Inf is filled without panicking, but to
 // unspecified values. Rasters are limited to 2³¹−1 cells.
 func FillDepressions(dem *Grid) *Grid {
-	const eps = 1e-6
-	out := dem.Clone()
-	rows, cols := dem.Rows, dem.Cols
+	f := newTiledFill(dem, min(tensor.PoolWorkers()+1, max(dem.Rows/fillTileRows, 1)))
+	tensor.ParallelRange(len(f.tiles), 1, f)
+	return f.finish()
+}
+
+// fillEps is the rise FillDepressions gives a cell it raises over the
+// neighbour it was reached from.
+const fillEps = 1e-6
+
+// fillTileRows is the thinnest row tile FillDepressions floods on its
+// own, so that seams stay a small share of a tile's cells.
+const fillTileRows = 32
+
+// fillStep is f_n of FillDepressions: the elevation cell n, at d in the
+// dem, gets when it is reached from a neighbour at elevation z.
+func fillStep(z, d float64) float64 {
+	if d <= z {
+		return z + fillEps
+	}
+	return d
+}
+
+// tiledFill is one FillDepressions call: the filled copy of dem cut into
+// row tiles. As a Ranger it floods tiles [lo, hi) as one tile, so the
+// pool running a region inline floods the whole raster at once.
+type tiledFill struct {
+	dem, out *Grid
+	visited  []bool
+	bounds   []int      // tile t holds rows [bounds[t], bounds[t+1])
+	tiles    []fillTile // tiles[lo] is set by the RunRange that started at lo
+}
+
+func newTiledFill(dem *Grid, k int) *tiledFill {
 	n := len(dem.Data)
 	if n > math.MaxInt32 {
-		panic(fmt.Sprintf("hydro: FillDepressions: %dx%d raster exceeds the flood queue's 32-bit cell index", rows, cols))
+		panic(fmt.Sprintf("hydro: FillDepressions: %dx%d raster exceeds the flood queue's 32-bit cell index", dem.Rows, dem.Cols))
 	}
-	visited := make([]bool, n)
-	q := newFloodQueue(dem)
+	k = min(max(k, 1), dem.Rows)
+	f := &tiledFill{
+		dem: dem, out: dem.Clone(), visited: make([]bool, n),
+		bounds: make([]int, k+1), tiles: make([]fillTile, k),
+	}
+	for t := range f.bounds {
+		f.bounds[t] = t * dem.Rows / k
+	}
+	return f
+}
+
+func (f *tiledFill) RunRange(lo, hi int) {
+	r0, r1 := f.bounds[lo], f.bounds[hi]
+	cols := f.dem.Cols
+	rows := func(g *Grid) *Grid {
+		return &Grid{Rows: r1 - r0, Cols: cols, CellSize: g.CellSize, Data: g.Data[r0*cols : r1*cols]}
+	}
+	t := &f.tiles[lo]
+	*t = fillTile{dem: rows(f.dem), out: rows(f.out), visited: f.visited[r0*cols : r1*cols], next: hi}
+	t.flood(r0 == 0, r1 == f.dem.Rows)
+}
+
+// finish relaxes the seams between the tiles as flooded and returns the
+// filled raster.
+func (f *tiledFill) finish() *Grid {
+	tiles := f.tiles[:0]
+	for t := 0; t < len(f.tiles); t = f.tiles[t].next {
+		tiles = append(tiles, f.tiles[t])
+	}
+	tileSet(tiles).relax()
+	return f.out
+}
+
+// fillTile is one row tile of a tiledFill: views of its rows of the dem,
+// of the filled surface and of the flood's visited marks.
+type fillTile struct {
+	dem, out *Grid
+	visited  []bool
+	next     int // the tile index after this one
+	// above and below snapshot the rows across the tile's top and bottom
+	// seams; nil on the raster's rim.
+	above, below []float64
+	heap         floodHeap
+	lowered      bool
+}
+
+// flood is the priority flood from the raster rim inside the tile: its
+// first and last columns, and its first (last) row when top (bottom).
+func (t *fillTile) flood(top, bottom bool) {
+	out := t.out
+	rows, cols := out.Rows, out.Cols
+	n := len(out.Data)
+	visited := t.visited
+	q := newFloodQueue(out)
 	seed := func(r, c int) {
 		i := r*cols + c
 		visited[i] = true
 		q.add(out.Data[i], int32(i))
 	}
-	for c := 0; c < cols; c++ {
-		seed(0, c)
-		if rows > 1 {
-			seed(rows-1, c)
+	for r := 0; r < rows; r++ {
+		if r == 0 && top || r == rows-1 && bottom {
+			for c := 0; c < cols; c++ {
+				seed(r, c)
+			}
+			continue
 		}
-	}
-	for r := 1; r < rows-1; r++ {
 		seed(r, 0)
 		if cols > 1 {
 			seed(r, cols-1)
@@ -338,7 +448,7 @@ func FillDepressions(dem *Grid) *Grid {
 		visited[ni] = true
 		nz := out.Data[ni]
 		if nz <= z {
-			nz = z + eps
+			nz = z + fillEps
 			out.Data[ni] = nz
 		}
 		q.add(nz, int32(ni))
@@ -348,7 +458,7 @@ func FillDepressions(dem *Grid) *Grid {
 		for len(q.heap) > 0 {
 			cell := q.heap.pop()
 			i := int(cell.i)
-			// Only a cell on the raster's rim has neighbours to bounds-check.
+			// Only a cell on the tile's rim has neighbours to bounds-check.
 			if c := i % cols; i >= cols && i < n-cols && c > 0 && c < cols-1 {
 				for _, d := range offset {
 					reach(i+d, cell.z)
@@ -357,13 +467,97 @@ func FillDepressions(dem *Grid) *Grid {
 			}
 			r, c := i/cols, i%cols
 			for k, d := range offset {
-				if dem.In(r+d8dr[k], c+d8dc[k]) {
+				if out.In(r+d8dr[k], c+d8dc[k]) {
 					reach(i+d, cell.z)
 				}
 			}
 		}
 	}
-	return out
+}
+
+// tileSet is a raster's row tiles, top to bottom. As a Ranger each
+// relaxes its seams against the last snapshot.
+type tileSet []fillTile
+
+// relax runs rounds until no tile lowers a cell: snapshot the row across
+// every seam, then let each tile relax against its snapshots. The loop
+// stops on that flag and never compares values, so NaN cannot keep it
+// going; a cell is written only to a strictly lower value, so it ends.
+func (ts tileSet) relax() {
+	if len(ts) < 2 {
+		return
+	}
+	cols := ts[0].out.Cols
+	for t := 1; t < len(ts); t++ {
+		ts[t].above = make([]float64, cols)
+		ts[t-1].below = make([]float64, cols)
+	}
+	for {
+		for t := 1; t < len(ts); t++ {
+			up := ts[t-1].out
+			copy(ts[t].above, up.Data[len(up.Data)-cols:])
+			copy(ts[t-1].below, ts[t].out.Data[:cols])
+		}
+		tensor.ParallelRange(len(ts), 1, ts)
+		lowered := false
+		for t := range ts {
+			lowered = lowered || ts[t].lowered
+		}
+		if !lowered {
+			return
+		}
+	}
+}
+
+func (ts tileSet) RunRange(lo, hi int) {
+	for t := lo; t < hi; t++ {
+		ts[t].relax()
+	}
+}
+
+// relax lowers each cell of the tile's seam rows to f of the cells
+// across the seam, as snapshotted, where that is lower, and spreads the
+// lowering through the tile: a Dijkstra that writes a cell only to a
+// strictly lower f of a neighbour. lowered reports whether it wrote any.
+func (t *fillTile) relax() {
+	out := t.out
+	rows, cols := out.Rows, out.Cols
+	t.lowered = false
+	lower := func(i int, z float64) {
+		if nz := fillStep(z, t.dem.Data[i]); nz < out.Data[i] {
+			out.Data[i] = nz
+			t.heap.push(floodCell{z: nz, i: int32(i)})
+			t.lowered = true
+		}
+	}
+	seam := func(across []float64, r int) {
+		for c := 0; c < cols; c++ {
+			for _, cc := range [3]int{c - 1, c, c + 1} {
+				if cc >= 0 && cc < cols {
+					lower(r*cols+c, across[cc])
+				}
+			}
+		}
+	}
+	if t.above != nil {
+		seam(t.above, 0)
+	}
+	if t.below != nil {
+		seam(t.below, rows-1)
+	}
+	for len(t.heap) > 0 {
+		cell := t.heap.pop()
+		i := int(cell.i)
+		if cell.z != out.Data[i] {
+			continue // lowered again since it was queued
+		}
+		r, c := i/cols, i%cols
+		for k := range d8dr {
+			if out.In(r+d8dr[k], c+d8dc[k]) {
+				lower(i+d8dr[k]*cols+d8dc[k], cell.z)
+			}
+		}
+	}
 }
 
 // FillDepressionsLimited fills depressions only up to maxDepth of fill:

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 )
 
 // The implementations this package shipped before the sweep's raster
@@ -355,8 +356,63 @@ func TestFillDepressionsIgnoresTieOrder(t *testing.T) {
 	}
 }
 
-// Values are unspecified on a raster holding NaN or ±Inf, but the level
-// arithmetic must neither panic nor index out of range on one.
+// fillTiles is FillDepressions over k row tiles (fewer when the raster
+// has fewer rows), flooded one after another so that the count does not
+// depend on the worker pool.
+func fillTiles(dem *Grid, k int) *Grid {
+	f := newTiledFill(dem, k)
+	for t := range f.tiles {
+		f.RunRange(t, t+1)
+	}
+	return f.finish()
+}
+
+// maxFillTiles is the largest tile count the tests cut a raster into:
+// more than this machine's workers, and tiles of one to three rows on
+// the small rasters.
+const maxFillTiles = 8
+
+// Any tile count gives the one least surface (see FillDepressions), so
+// every count must match the container/heap flood bit for bit.
+func TestFillTilesMatchesReference(t *testing.T) {
+	dems := differentialDEMs()
+	for name, dem := range floodEdgeDEMs() {
+		dems[name] = dem
+	}
+	for name, dem := range dems {
+		before := dem.Clone()
+		want := refFillDepressions(dem)
+		for k := 1; k <= maxFillTiles; k++ {
+			if got := fillTiles(dem, k); !sameBits(got.Data, want.Data) {
+				t.Errorf("%s: %d tiles: filled surface differs from the container/heap implementation", name, k)
+			}
+		}
+		if !sameBits(dem.Data, before.Data) {
+			t.Errorf("%s: fillTiles modified its input", name)
+		}
+	}
+}
+
+// withinDeadline fails the test if f has not returned after d, so that
+// a flood that never settles fails in seconds rather than at the
+// package timeout.
+func withinDeadline(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s: still running after %v", what, d)
+	}
+}
+
+// Values are unspecified on a raster holding NaN or ±Inf, but neither the
+// level arithmetic nor the seam relaxation may panic, index out of range
+// or loop on one, at any tile count.
 func TestFillDepressionsSurvivesNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, bad := range [][]float64{{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {math.NaN(), math.Inf(1), math.Inf(-1)}} {
@@ -371,15 +427,37 @@ func TestFillDepressionsSurvivesNonFinite(t *testing.T) {
 			if first {
 				g.Data[0] = bad[0] // MinMax starts from cell 0
 			}
-			if out := FillDepressions(g); len(out.Data) != len(g.Data) {
-				t.Fatalf("filled raster has %d cells, want %d", len(out.Data), len(g.Data))
+			for k := 1; k <= maxFillTiles; k++ {
+				what := fmt.Sprintf("%v (first %v), %d tiles", bad, first, k)
+				withinDeadline(t, 5*time.Second, what, func() {
+					if out := fillTiles(g, k); len(out.Data) != len(g.Data) {
+						t.Errorf("%s: filled raster has %d cells, want %d", what, len(out.Data), len(g.Data))
+					}
+				})
 			}
+			withinDeadline(t, 5*time.Second, "FillDepressions", func() { FillDepressions(g) })
 		}
 	}
 }
 
 func TestD8FlowDirectionsMatchesReference(t *testing.T) {
-	for name, dem := range differentialDEMs() {
+	dems := differentialDEMs()
+	// Cells the pruned comparison must treat as the divided one does:
+	// NaN and ±Inf drops and slopes, and −0 beside +0.
+	rng := rand.New(rand.NewSource(17))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	for s, v := range special {
+		g := NewGrid(21, 26, 1)
+		for i := range g.Data {
+			g.Data[i] = float64(rng.Intn(3)) * 1e-300 // ties and subnormal slopes
+			if rng.Intn(6) == 0 {
+				g.Data[i] = special[rng.Intn(len(special))]
+			}
+		}
+		g.Data[len(g.Data)/2] = v
+		dems[fmt.Sprintf("special_%d", s)] = g
+	}
+	for name, dem := range dems {
 		for _, g := range []*Grid{dem, FillDepressions(dem)} {
 			if got, want := D8FlowDirections(g), refD8FlowDirections(g); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: D8 directions differ from the bounds-checked implementation", name)

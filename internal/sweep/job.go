@@ -435,19 +435,28 @@ func (j *Job) setPhase(phase string) {
 // watershed (masks and crossings only — a sweep never reads the DEMs) and
 // its candidate windows. Consecutive scenarios that differ only in imaging
 // conditions generate the same terrain.Config, so they share it and only
-// re-render; a different config, or a resumed job, prepares afresh.
+// re-perturb; a different config, or a resumed job, prepares afresh.
 type scene struct {
 	w     *terrain.Watershed
 	cands []window
 	total int
+	// base is the watershed's unperturbed render while a later scenario
+	// of the job still needs it, and work the image the scenarios before
+	// the last perturb a copy of it in.
+	base, work *tensor.Tensor
 }
 
-// prepare readies the scene for scenario sc of spec and renders it,
-// announcing each stage it actually runs through enter: generate and
-// extract only when the previous scenario's config differs. The previous
-// watershed is released before a different one is generated, so two are
-// never live at once.
-func (s *scene) prepare(spec Spec, sc terrain.Scenario, enter func(phase string)) (*tensor.Tensor, error) {
+// prepare readies the scene for rest[0], the first of the job's remaining
+// scenarios, and renders it, announcing each stage it actually runs
+// through enter: generate and extract only when the previous scenario's
+// config differs. The previous watershed is released before a different
+// one is generated, so two are never live at once. A watershed is
+// rendered once: while the next scenario shares the watershed, a scenario
+// perturbs a copy of that render in the work image the previous one
+// used, and the last perturbs the render itself, so a single-scenario
+// job holds one image and a longer one two.
+func (s *scene) prepare(spec Spec, rest []terrain.Scenario, enter func(phase string)) (*tensor.Tensor, error) {
+	sc := rest[0]
 	cfg := spec.terrainConfig(sc)
 	reuse := s.w != nil && s.w.Cfg == cfg
 	if !reuse {
@@ -461,7 +470,21 @@ func (s *scene) prepare(spec Spec, sc terrain.Scenario, enter func(phase string)
 		s.w = w
 	}
 	enter("render")
-	img := terrain.RenderScenario(s.w, sc)
+	if s.base == nil {
+		s.base = terrain.Render(s.w)
+	}
+	img := s.base
+	switch {
+	case len(rest) == 1 || spec.terrainConfig(rest[1]) != cfg:
+		s.base, s.work = nil, nil
+	case s.work == nil:
+		s.work = s.base.Clone()
+		img = s.work
+	default:
+		s.work.CopyFrom(s.base)
+		img = s.work
+	}
+	terrain.Perturb(img, s.w, sc)
 	if !reuse {
 		enter("extract")
 		s.cands, s.total = candidateWindows(s.w, spec)
@@ -470,13 +493,14 @@ func (s *scene) prepare(spec Spec, sc terrain.Scenario, enter func(phase string)
 }
 
 func (j *Job) sweep() error {
+	scenarios, err := j.spec.scenarios()
+	if err != nil {
+		return err
+	}
 	var prep scene
-	for si := j.scenarioIdx; si < len(j.spec.Scenarios); si++ {
-		sc, err := terrain.ScenarioByName(j.spec.Scenarios[si])
-		if err != nil {
-			return err
-		}
-		img, err := prep.prepare(j.spec, sc, func(phase string) {
+	for si := j.scenarioIdx; si < len(scenarios); si++ {
+		sc := scenarios[si]
+		img, err := prep.prepare(j.spec, scenarios[si:], func(phase string) {
 			j.mu.Lock()
 			j.scenarioIdx = si
 			j.scenario = sc.Name

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,32 +70,42 @@ var interleaved = []string{"flat_plain", "baseline", "flat_plain"}
 // config differs from the previous scenario's: 3 times over the default
 // suite instead of 7 (five scenarios share the baseline config), and it
 // announces exactly the stages it runs, so Status.Phase never shows one
-// that was skipped. One entry only: an interleaved order regenerates.
+// that was skipped. It renders each watershed once, 3 times over the
+// suite, and the other scenarios perturb that render, in one work image
+// per watershed: 4 images over the suite. One entry only: an interleaved
+// order regenerates.
 func TestSceneGeneratesEachDistinctConfigOnce(t *testing.T) {
 	fresh := []string{"generate", "render", "extract"}
 	reused := []string{"render"}
 	for _, tc := range []struct {
 		scenarios []string
 		want      [][]string
+		images    int
 	}{
-		{[]string{"all"}, [][]string{fresh, reused, reused, reused, reused, fresh, fresh}},
-		{interleaved, [][]string{fresh, fresh, fresh}},
+		{[]string{"all"}, [][]string{fresh, reused, reused, reused, reused, fresh, fresh}, 4},
+		{interleaved, [][]string{fresh, fresh, fresh}, 3},
 	} {
 		spec := suiteSpec(tc.scenarios...).WithDefaults(32)
+		scenarios, err := spec.scenarios()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var prep scene
-		generated := 0
-		for i, name := range spec.Scenarios {
-			sc, err := terrain.ScenarioByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		generated, rendered := 0, 0
+		images := map[*tensor.Tensor]bool{}
+		for i, sc := range scenarios {
+			kept := prep.base // the render the previous scenario left
 			var phases []string
-			img, err := prep.prepare(spec, sc, func(phase string) { phases = append(phases, phase) })
+			img, err := prep.prepare(spec, scenarios[i:], func(phase string) { phases = append(phases, phase) })
 			if err != nil {
 				t.Fatal(err)
 			}
+			if kept == nil || prep.base != kept && img != kept {
+				rendered++ // it neither kept the render nor perturbed it in place
+			}
+			images[img] = true
 			if !reflect.DeepEqual(phases, tc.want[i]) {
-				t.Errorf("%v scenario %d (%s): stages %v, want %v", tc.scenarios, i, name, phases, tc.want[i])
+				t.Errorf("%v scenario %d (%s): stages %v, want %v", tc.scenarios, i, sc.Name, phases, tc.want[i])
 			}
 			if phases[0] == "generate" {
 				generated++
@@ -102,27 +113,74 @@ func TestSceneGeneratesEachDistinctConfigOnce(t *testing.T) {
 			// Whatever was reused, the scene must be what preparing the
 			// scenario from nothing gives.
 			var alone scene
-			imgAlone, err := alone.prepare(spec, sc, func(string) {})
+			imgAlone, err := alone.prepare(spec, scenarios[i:i+1], func(string) {})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(img.Data(), imgAlone.Data()) {
-				t.Errorf("%s: image differs from a fresh preparation", name)
+				t.Errorf("%s: image differs from a fresh preparation", sc.Name)
 			}
 			if !reflect.DeepEqual(prep.cands, alone.cands) || prep.total != alone.total {
-				t.Errorf("%s: candidate windows differ from a fresh preparation", name)
+				t.Errorf("%s: candidate windows differ from a fresh preparation", sc.Name)
 			}
 			if !reflect.DeepEqual(prep.w.Crossings, alone.w.Crossings) {
-				t.Errorf("%s: crossings differ from a fresh preparation", name)
+				t.Errorf("%s: crossings differ from a fresh preparation", sc.Name)
 			}
 			if prep.w.BaseDEM != nil || prep.w.DEM != nil {
-				t.Errorf("%s: the scene keeps DEMs the sweep never reads", name)
+				t.Errorf("%s: the scene keeps DEMs the sweep never reads", sc.Name)
 			}
 		}
 		if want := 3; generated != want {
 			t.Errorf("%v: terrain.Generate ran %d times, want %d", tc.scenarios, generated, want)
 		}
+		if want := 3; rendered != want {
+			t.Errorf("%v: terrain.Render ran %d times, want %d", tc.scenarios, rendered, want)
+		}
+		if len(images) != tc.images {
+			t.Errorf("%v: the scenarios were perturbed in %d images, want %d", tc.scenarios, len(images), tc.images)
+		}
 	}
+
+	// A single-scenario job perturbs its one render in place: preparing
+	// it allocates no more than generating, rendering the scenario and
+	// extracting its windows directly, so no second image, and the scene
+	// keeps no render once the job's last scenario has it.
+	spec := suiteSpec("cloud_shadow").WithDefaults(32)
+	scenarios, err := spec.scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := scenarios[0]
+	direct := allocatedBytes(func() {
+		w, err := terrain.Generate(spec.terrainConfig(sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.BaseDEM, w.DEM = nil, nil
+		terrain.RenderScenario(w, sc)
+		candidateWindows(w, spec)
+	})
+	var prep scene
+	var img *tensor.Tensor
+	prepared := allocatedBytes(func() {
+		if img, err = prep.prepare(spec, scenarios, func(string) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if imageBytes := uint64(4 * len(img.Data())); prepared > direct+imageBytes/2 {
+		t.Errorf("a single-scenario prepare allocates %d B, %d B more than generating and rendering it directly: a second %d B image", prepared, prepared-direct, imageBytes)
+	}
+	if prep.base != nil {
+		t.Error("a single-scenario scene keeps a render no later scenario needs")
+	}
+}
+
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // runToDone sweeps spec on a fresh manager and returns what a client can
@@ -273,5 +331,55 @@ func TestKillAndResumeMidSuiteRegenerates(t *testing.T) {
 	if st.Windows != ref.Windows || st.Candidates != ref.Candidates || st.Skipped != ref.Skipped ||
 		st.Inferred != ref.Inferred || st.Exited != ref.Exited {
 		t.Fatalf("resumed counters differ: %+v vs %+v", st, ref)
+	}
+}
+
+// BenchmarkScenePrepare prepares every scenario of one job of the
+// benchmark harness's sweep workloads (benchmark/load.go), at the served
+// model's 40-pixel window: prior is sweep_prior's priorSpec(21) and (22),
+// 512², all seven scenarios; dense is sweep_dense's four single-scenario
+// 512² jobs, seeds 11–14. An op is one job, the workload's jobs in turn,
+// so ns/op is what a job spends before and between its inferences.
+func BenchmarkScenePrepare(b *testing.B) {
+	prior := func(seed int64) Spec {
+		return Spec{Rows: 512, Cols: 512, Seed: seed, RoadSpacing: 256, StreamThreshold: 460.8, Scenarios: []string{"all"}}
+	}
+	dense := func(seed int64, scenario string) Spec {
+		s := Spec{Rows: 512, Cols: 512, Seed: seed, Stride: 10, Scenarios: []string{scenario}}
+		s.Prior.Disabled = true
+		return s
+	}
+	for _, bc := range []struct {
+		name  string
+		specs []Spec
+	}{
+		{"prior", []Spec{prior(21), prior(22)}},
+		{"dense", []Spec{dense(11, "baseline"), dense(12, "leaf_off"), dense(13, "noisy_sensor"), dense(14, "cloud_shadow")}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			type job struct {
+				spec      Spec
+				scenarios []terrain.Scenario
+			}
+			jobs := make([]job, len(bc.specs))
+			for i, spec := range bc.specs {
+				spec = spec.WithDefaults(40)
+				scenarios, err := spec.scenarios()
+				if err != nil {
+					b.Fatal(err)
+				}
+				jobs[i] = job{spec, scenarios}
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				jb := jobs[i%len(jobs)]
+				var prep scene
+				for si := range jb.scenarios {
+					if _, err := prep.prepare(jb.spec, jb.scenarios[si:], func(string) {}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -163,15 +163,26 @@ func (s Spec) Validate(precision string) error {
 	if s.MinScore < 0 || s.MinScore >= 1 {
 		return fmt.Errorf("sweep: min_score %v outside [0,1)", s.MinScore)
 	}
-	for _, name := range s.Scenarios {
-		if _, err := terrain.ScenarioByName(name); err != nil {
-			return err
-		}
+	if _, err := s.scenarios(); err != nil {
+		return err
 	}
 	if s.Precision != "" && precision != "" && s.Precision != precision {
 		return fmt.Errorf("sweep: spec wants precision %q but the pool serves %q", s.Precision, precision)
 	}
 	return nil
+}
+
+// scenarios resolves the spec's scenario names, in order.
+func (s Spec) scenarios() ([]terrain.Scenario, error) {
+	out := make([]terrain.Scenario, len(s.Scenarios))
+	for i, name := range s.Scenarios {
+		sc, err := terrain.ScenarioByName(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = sc
+	}
+	return out, nil
 }
 
 // terrainConfig derives the generator config for one scenario of the

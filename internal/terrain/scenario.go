@@ -75,7 +75,7 @@ func ScenarioByName(name string) (Scenario, error) {
 
 // Apply folds the scenario's terrain regime into a watershed config.
 // Rendering knobs (NIR shift, noise, shadow) do not alter the config;
-// they act in RenderScenario.
+// they act in Perturb.
 func (s Scenario) Apply(cfg Config) Config {
 	switch s.Regime {
 	case "", "default":
@@ -99,13 +99,21 @@ func (s Scenario) Apply(cfg Config) Config {
 }
 
 // RenderScenario renders the watershed's orthophoto under the scenario's
-// imaging conditions. The perturbation stream is seeded from the
-// watershed seed and the scenario name, so every (config, scenario) pair
-// renders bit-identically across processes.
+// imaging conditions: Render, then Perturb.
 func RenderScenario(w *Watershed, s Scenario) *tensor.Tensor {
 	img := Render(w)
+	Perturb(img, w, s)
+	return img
+}
+
+// Perturb applies the scenario's imaging conditions in place to img, the
+// watershed's Render. The perturbation stream is seeded from the
+// watershed seed and the scenario name, so every (config, scenario) pair
+// renders bit-identically across processes. Scenarios sharing a
+// watershed can each perturb a copy of one Render.
+func Perturb(img *tensor.Tensor, w *Watershed, s Scenario) {
 	if s.NIRShift == 0 && s.NoiseSigma == 0 && s.CloudShadow == 0 {
-		return img
+		return
 	}
 	cfg := w.Cfg
 	rng := rand.New(rand.NewSource(cfg.Seed ^ scenarioSeed(s.Name)))
@@ -155,7 +163,6 @@ func RenderScenario(w *Watershed, s Scenario) *tensor.Tensor {
 			data[i] = clampUnit(v + float32(rng.NormFloat64()*s.NoiseSigma))
 		}
 	}
-	return img
 }
 
 func clampUnit(v float32) float32 {

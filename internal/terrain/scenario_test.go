@@ -1,6 +1,8 @@
 package terrain
 
 import (
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -91,6 +93,35 @@ func TestScenarioPerturbationsTakeEffect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// One Render serves every scenario of a watershed: perturbing a copy of
+// it gives RenderScenario's raster bit for bit, for all seven scenarios,
+// and leaves the shared render as Render made it.
+func TestPerturbOfOneRenderEqualsRenderScenario(t *testing.T) {
+	for _, sc := range Scenarios() {
+		w, err := Generate(sc.Apply(scenarioTestConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := Render(w)
+		img := base.Clone()
+		Perturb(img, w, sc)
+		if want := RenderScenario(w, sc); !slices.Equal(bitsOf(img.Data()), bitsOf(want.Data())) {
+			t.Errorf("%s: Perturb of a Render differs from RenderScenario", sc.Name)
+		}
+		if !slices.Equal(bitsOf(base.Data()), bitsOf(Render(w).Data())) {
+			t.Errorf("%s: perturbing a copy changed the shared render", sc.Name)
+		}
+	}
+}
+
+func bitsOf(v []float32) []uint32 {
+	out := make([]uint32, len(v))
+	for i, x := range v {
+		out[i] = math.Float32bits(x)
+	}
+	return out
 }
 
 // Scenario values must stay in the renderer's [0,1] radiance contract.
