@@ -55,7 +55,9 @@ bench-cluster:
 # (testing.AllocsPerRun inside the tests). The request decoder's guard
 # bounds what a warm server allocates per batch-16 request by a constant
 # that does not grow with pixel count;
-# the pool's guard pins what one Submit on an idle pool allocates; the
+# the pool's guards pin what one Submit and one 16-clip SubmitAll (a
+# sweep unit) on an idle pool allocate; the fp32, int8 and dynamic
+# forwards run batches 16 and 17 too, the FC layers' GEMM route; the
 # raster-preparation guard bounds a 512² terrain.Generate (11.5 MB, 200
 # objects; 10.9 MB and 83 here, where the worker pool first starts inside
 # AllocsPerRun's GOMAXPROCS 1 and the flood is one tile, 121 at two tiles
@@ -64,7 +66,7 @@ bench-cluster:
 check-allocs:
 	$(GO) test -run 'TestInferSteadyStateZeroAlloc|TestScheduledSteadyStateZeroAlloc|TestQuantInferSteadyStateZeroAlloc|TestTunedInferSteadyStateZeroAlloc|TestDynamicInferSteadyStateZeroAlloc|TestTracedInferSteadyStateZeroAlloc' -v ./internal/model/
 	$(GO) test -run 'TestDecodeSteadyStateAllocs' -v ./internal/serve/
-	$(GO) test -run 'TestSubmitSteadyStateAllocs' -v ./internal/serve/batcher/
+	$(GO) test -run 'TestSubmitSteadyStateAllocs|TestSubmitAllSteadyStateAllocs' -v ./internal/serve/batcher/
 	$(GO) test -run 'TestRasterPreparationAllocBudget' -v ./internal/terrain/
 
 # Ten seconds of every native fuzz target (go test takes one -fuzz target

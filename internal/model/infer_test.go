@@ -56,10 +56,13 @@ func TestInferDetectMatchesDetect(t *testing.T) {
 // conv blocks' offset tables and scratch, the SPP's bin tables — must
 // settle at its larger shape and be rebuilt within that capacity. This
 // is the alloc-regression guard wired into `make check` (check-allocs).
+// Batches 16 and 17 take the FC layers' GEMM route, the micro-kernel's
+// full width and its ragged tail.
 func TestInferSteadyStateZeroAlloc(t *testing.T) {
 	net := inferTestNet(t)
 	rng := rand.New(rand.NewSource(7))
-	xs := []*tensor.Tensor{randClip(rng, 4, 4, 40), randClip(rng, 4, 4, 28), randClip(rng, 1, 4, 40), randClip(rng, 1, 4, 28)}
+	xs := []*tensor.Tensor{randClip(rng, 4, 4, 40), randClip(rng, 4, 4, 28), randClip(rng, 1, 4, 40), randClip(rng, 1, 4, 28),
+		randClip(rng, 16, 4, 40), randClip(rng, 17, 4, 40)}
 	a := tensor.NewArena()
 	var dets []metrics.Detection
 	run := func() {

@@ -147,16 +147,19 @@ func TestQuantInferDeterministic(t *testing.T) {
 }
 
 // Steady-state int8 serving must allocate nothing, exactly like the fp32
-// fast path. Wired into `make check` (check-allocs).
+// fast path, at the batches a sweep unit and its tail hand a replica.
+// Wired into `make check` (check-allocs).
 func TestQuantInferSteadyStateZeroAlloc(t *testing.T) {
 	qnet, _ := quantTestNet(t)
 	rng := rand.New(rand.NewSource(14))
-	x := randClip(rng, 4, 4, 40)
+	xs := []*tensor.Tensor{randClip(rng, 4, 4, 40), randClip(rng, 16, 4, 40), randClip(rng, 17, 4, 40)}
 	a := tensor.NewArena()
 	var dets []metrics.Detection
 	run := func() {
-		a.Reset()
-		dets = InferDetect(qnet, x, a, dets)
+		for _, x := range xs {
+			a.Reset()
+			dets = InferDetect(qnet, x, a, dets)
+		}
 	}
 	run()
 	run()

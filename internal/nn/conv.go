@@ -65,8 +65,7 @@ type Conv2D struct {
 	maskStats   *MaskStats
 	wsum        []float32
 	wpre        []float32
-	maskedBatch maskedBatchTask
-	maskedB1    maskedBandTask
+	maskedBands maskedBandTask
 }
 
 // NewConv2D creates a convolution layer with He initialization. Kernel is

@@ -278,9 +278,11 @@ func maskedBandEdges(out, mu, tmp, wpre, bias []float32, inC, outC, h, w, ohw, o
 	}
 }
 
-// inferMasked is the masked inference forward. Batches parallelize over
-// samples; batch 1 runs the energy pass serially and parallelizes over
-// bands. Arena scratch per sample: the cols stripe plus mu/energy/flat.
+// inferMasked is the masked inference forward, one route at every batch
+// size: sample by sample, a serial O(c·h·w) energy pass, then the
+// sample's output-row bands across the pool. Arena scratch is one
+// sample's whatever the batch: the cols stripe, mu/energy/flat and the
+// bands' edge scratch.
 func (c *Conv2D) inferMasked(out, x *tensor.Tensor, a *tensor.Arena, relu bool, n, ch, h, w, oh, ow int) {
 	c.ensureKernel(KernelMasked)
 	band := c.maskBand
@@ -295,22 +297,6 @@ func (c *Conv2D) inferMasked(out, x *tensor.Tensor, a *tensor.Arena, relu bool, 
 	ohw := oh * ow
 	bias := c.Bias.Value.Data()
 
-	if n > 1 {
-		cols := a.Get(n, kdim, ohw)
-		scratch := a.Get(n, ch+h+2*c.OutC)
-		t := &c.maskedBatch
-		t.out, t.x, t.cols, t.scratch = out.Data(), x.Data(), cols.Data(), scratch.Data()
-		t.sampleStride, t.colStride, t.outStride, t.scratchStride = ch*h*w, kdim*ohw, c.OutC*ohw, ch+h+2*c.OutC
-		t.c, t.h, t.w, t.oh, t.ow, t.outC = ch, h, w, oh, ow, c.OutC
-		t.geom, t.packed = c.Geom, c.packed
-		t.bias, t.wsum, t.wpre, t.relu = bias, c.wsum, c.wpre, relu
-		t.band, t.thresh = band, thresh
-		t.stats = c.maskStats
-		tensor.ParallelRange(n, 1, t)
-		return
-	}
-
-	// Batch 1: one serial O(c·h·w) energy pass, then bands across the pool.
 	nb := (oh + band - 1) / band
 	cols := a.Get(kdim, ohw)
 	scratch := a.Get(ch + h + c.OutC)
@@ -318,82 +304,22 @@ func (c *Conv2D) inferMasked(out, x *tensor.Tensor, a *tensor.Arena, relu bool, 
 	mu := scratch.Data()[:ch]
 	energy := scratch.Data()[ch : ch+h]
 	flat := scratch.Data()[ch+h : ch+h+c.OutC]
-	maskEnergy(x.Data(), ch, h, w, mu, energy)
-	flatResponse(flat, mu, c.wsum, bias, c.OutC, c.InC)
-	t := &c.maskedB1
-	t.out, t.x, t.cols = out.Data(), x.Data(), cols.Data()
+	t := &c.maskedBands
+	t.cols = cols.Data()
 	t.mu, t.energy, t.flat, t.tmp, t.wpre = mu, energy, flat, tmp.Data(), c.wpre
 	t.c, t.h, t.w, t.oh, t.ow, t.outC = ch, h, w, oh, ow, c.OutC
 	t.geom, t.packed = c.Geom, c.packed
 	t.bias, t.relu = bias, relu
 	t.band, t.thresh = band, thresh
 	t.stats = c.maskStats
-	tensor.ParallelRange(nb, 1, t)
-}
-
-// maskedSample runs the full masked conv for one sample whose energy
-// pass is done, returning how many bands were skipped.
-func maskedSample(out, x, cols, mu, energy, flat, tmp, wpre []float32, c, h, w, oh, ow, outC, band int,
-	thresh float32, g tensor.ConvGeom, packed *tensor.Packed, bias []float32, relu bool) (masked int64) {
-	ohw := oh * ow
-	panels := packed.Panels()
-	cellNorm := float32(c * w)
-	edgeL, edgeR0 := maskEdgeCols(g, w, ow)
-	for oy0 := 0; oy0 < oh; oy0 += band {
-		oy1 := oy0 + band
-		if oy1 > oh {
-			oy1 = oh
-		}
-		iy0, iy1 := maskBandRange(oy0, oy1, g, h)
-		var e float32
-		for _, v := range energy[iy0:iy1] {
-			e += v
-		}
-		if e > thresh*cellNorm*float32(iy1-iy0) {
-			tensor.Im2ColSliceRows(cols, x, c, h, w, g, oy0, oy1)
-			packed.MulPanelsColsInto(out, cols, ohw, bias, relu, 0, panels, oy0*ow, oy1*ow)
-			continue
-		}
-		tensor.BiasFillCols(out, outC, ohw, flat, relu, oy0*ow, oy1*ow)
-		maskedBandEdges(out, mu, tmp, wpre, bias, c, outC, h, w, ohw, ow, g, oy0, oy1, edgeL, edgeR0, relu)
-		masked++
+	in, outStride := ch*h*w, c.OutC*ohw
+	for i := 0; i < n; i++ {
+		t.x = x.Data()[i*in : (i+1)*in]
+		t.out = out.Data()[i*outStride : (i+1)*outStride]
+		maskEnergy(t.x, ch, h, w, mu, energy)
+		flatResponse(flat, mu, c.wsum, bias, c.OutC, c.InC)
+		tensor.ParallelRange(nb, 1, t)
 	}
-	return masked
-}
-
-// maskedBatchTask runs whole samples [lo,hi): energy pass, flat
-// response, then band-by-band lowering/GEMM or flat fill.
-type maskedBatchTask struct {
-	out, x, cols, scratch                             []float32
-	sampleStride, colStride, outStride, scratchStride int
-	c, h, w, oh, ow, outC                             int
-	geom                                              tensor.ConvGeom
-	packed                                            *tensor.Packed
-	bias, wsum, wpre                                  []float32
-	relu                                              bool
-	band                                              int
-	thresh                                            float32
-	stats                                             *MaskStats
-}
-
-func (t *maskedBatchTask) RunRange(lo, hi int) {
-	nb := int64((t.oh + t.band - 1) / t.band)
-	var masked int64
-	for i := lo; i < hi; i++ {
-		scr := t.scratch[i*t.scratchStride : (i+1)*t.scratchStride]
-		mu := scr[:t.c]
-		energy := scr[t.c : t.c+t.h]
-		flat := scr[t.c+t.h : t.c+t.h+t.outC]
-		tmp := scr[t.c+t.h+t.outC:]
-		x := t.x[i*t.sampleStride : (i+1)*t.sampleStride]
-		maskEnergy(x, t.c, t.h, t.w, mu, energy)
-		flatResponse(flat, mu, t.wsum, t.bias, t.outC, t.c)
-		masked += maskedSample(t.out[i*t.outStride:(i+1)*t.outStride], x,
-			t.cols[i*t.colStride:(i+1)*t.colStride], mu, energy, flat, tmp, t.wpre,
-			t.c, t.h, t.w, t.oh, t.ow, t.outC, t.band, t.thresh,
-			t.geom, t.packed, t.bias, t.relu)
-	}
-	t.stats.Add(masked, nb*int64(hi-lo))
 }
 
 // maskedBandTask runs output-row bands [lo,hi) of one sample whose

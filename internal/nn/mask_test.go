@@ -146,3 +146,98 @@ func TestInferRangeSplitMatchesInfer(t *testing.T) {
 		}
 	}
 }
+
+// halfFlatBatch fills n samples whose top half is spatially constant per
+// channel and whose bottom half is noise, so a threshold between the two
+// energies masks some bands of every sample and leaves others.
+func halfFlatBatch(rng *rand.Rand, n, c, h, w int) *tensor.Tensor {
+	x := tensor.New(n, c, h, w)
+	d := x.Data()
+	for s := 0; s < n; s++ {
+		for ch := 0; ch < c; ch++ {
+			base := float32(rng.NormFloat64())
+			plane := d[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
+			for i := range plane {
+				plane[i] = base
+				if i/w >= h/2 {
+					plane[i] += float32(rng.NormFloat64())
+				}
+			}
+		}
+	}
+	return x
+}
+
+// A batch runs the batch-1 route sample by sample, so each sample of a
+// batch-N masked forward must carry the bits it gets alone — at every
+// band height, with thresholds that mask none, some (a band short enough
+// to fit in the flat half) and all of the bands, with and without the
+// ReLU — and the skip counters must add up the same.
+func TestMaskedBatchMatchesBatch1(t *testing.T) {
+	const n, ch, h, w = 5, 3, 17, 13
+	rng := rand.New(rand.NewSource(51))
+	x := halfFlatBatch(rng, n, ch, h, w)
+	for _, thr := range []struct {
+		name string
+		v    float32
+	}{{"none", 1e-20}, {"some", 0.3}, {"all", 1e30}} {
+		for band := 1; band <= h; band++ {
+			for _, relu := range []bool{false, true} {
+				c := maskTestConv(t, 3, 1)
+				stats := &MaskStats{}
+				c.SetMask(ConvMask{BandRows: band, Threshold: thr.v, Stats: stats})
+				c.SetKernels(KernelMasked, KernelMasked)
+				got := c.inferFused(x, tensor.NewArena(), relu)
+				batchMasked, batchTotal := stats.Counts()
+				stats.Reset()
+				per := got.Len() / n
+				for s := 0; s < n; s++ {
+					xs := tensor.FromSlice(x.Data()[s*ch*h*w:(s+1)*ch*h*w], 1, ch, h, w)
+					want := c.inferFused(xs, tensor.NewArena(), relu)
+					for i, v := range want.Data() {
+						if g := got.Data()[s*per+i]; math.Float32bits(g) != math.Float32bits(v) {
+							t.Fatalf("threshold %s band %d relu=%v: sample %d element %d = %v in the batch, %v alone",
+								thr.name, band, relu, s, i, g, v)
+						}
+					}
+				}
+				masked, total := stats.Counts()
+				if masked != batchMasked || total != batchTotal {
+					t.Fatalf("threshold %s band %d: batch counted %d/%d masked bands, batch-1 runs %d/%d",
+						thr.name, band, batchMasked, batchTotal, masked, total)
+				}
+				switch {
+				case thr.name == "none" && masked != 0,
+					thr.name == "some" && band <= h/4 && (masked == 0 || masked == total),
+					thr.name == "all" && masked != total:
+					t.Fatalf("threshold %s band %d masked %d of %d bands", thr.name, band, masked, total)
+				}
+			}
+		}
+	}
+}
+
+// The masked route keeps one sample's scratch at any batch size: a warm
+// batch-16 forward's arena holds what a batch-1 forward's does plus the
+// fifteen more output samples, and not sixteen lowerings.
+func TestMaskedBatchScratchIsOneSample(t *testing.T) {
+	const ch, h, w = 3, 17, 13
+	c := maskTestConv(t, 3, 1)
+	c.SetMask(ConvMask{BandRows: 4, Threshold: 0.3})
+	c.SetKernels(KernelMasked, KernelMasked)
+	rng := rand.New(rand.NewSource(52))
+	floats := func(n int) int {
+		x := halfFlatBatch(rng, n, ch, h, w)
+		a := tensor.NewArena()
+		for i := 0; i < 2; i++ {
+			a.Reset()
+			c.inferFused(x, a, true)
+		}
+		return a.Floats()
+	}
+	one, sixteen := floats(1), floats(16)
+	if grown, out := sixteen-one, 15*c.OutC*h*w; grown != out {
+		t.Fatalf("batch-16 arena holds %d floats, batch-1 %d: %d more, want the %d of fifteen more output samples",
+			sixteen, one, grown, out)
+	}
+}

@@ -160,8 +160,9 @@ type Pool struct {
 	reps  []*replica
 
 	// router assigns each request a precision path (nil unless the plan
-	// routes). It runs in Submit — routing must precede batching because
-	// the two paths run different replica executors.
+	// routes). It runs in SubmitAll on the admitted clips — routing must
+	// precede batching because the two paths run different replica
+	// executors.
 	router *model.Router
 }
 
@@ -360,12 +361,7 @@ func (p *Pool) SubmitAll(clips []Clip) {
 		if !ok {
 			id = p.tel.NextRequestID()
 		}
-		req := request{ctx: c.Ctx, x: c.X, slot: i, id: id, enq: now}
-		if p.router != nil {
-			req.path = p.router.Route(c.X, 0)
-			p.stats.route(req.path)
-		}
-		reqs = append(reqs, req)
+		reqs = append(reqs, request{ctx: c.Ctx, x: c.X, slot: i, id: id, enq: now})
 	}
 
 	refused := ErrClosed
@@ -375,6 +371,12 @@ func (p *Pool) SubmitAll(clips []Clip) {
 		if admitted = p.admit(len(reqs)); admitted > 0 {
 			for i := range reqs[:admitted] {
 				r := &reqs[i]
+				// Only an admitted clip is routed and counted: a refused one
+				// costs no router pass, and a retry is not counted twice.
+				if p.router != nil {
+					r.path = p.router.Route(r.x, 0)
+					p.stats.route(r.path)
+				}
 				r.done = make(chan struct{}, 1)
 				p.tel.Emit(telemetry.Event{Kind: telemetry.EvEnqueued, Req: r.id, At: now})
 			}

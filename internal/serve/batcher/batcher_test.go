@@ -450,6 +450,38 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// What one 16-clip SubmitAll on an idle pool allocates — the hand-off of
+// a sweep unit: the request slice, a done channel per clip and the
+// dispatcher's FIFO. The batch-16 forward behind it (the FC layers'
+// GEMM route included) must add nothing.
+func TestSubmitAllSteadyStateAllocs(t *testing.T) {
+	const n = 16
+	p := newTestPool(t, Options{Replicas: 1, MaxBatch: n, QueueSize: 64})
+	clips := make([]Clip, n)
+	xs := make([]*tensor.Tensor, n)
+	for i := range xs {
+		xs[i] = clip(int64(i))
+	}
+	submit := func() {
+		for i := range clips {
+			clips[i] = Clip{Ctx: context.Background(), X: xs[i]}
+		}
+		p.SubmitAll(clips)
+		for i, c := range clips {
+			if c.Err != nil {
+				t.Fatalf("clip %d: %v", i, c.Err)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		submit() // warm the replica's arena at every batch size a unit splits into
+	}
+	// 1 request slice + 16 done channels + 5 growths of the FIFO (1 → 16).
+	if allocs := testing.AllocsPerRun(50, submit); allocs > n+6 {
+		t.Fatalf("%.1f allocations per %d-clip SubmitAll on an idle pool, want ≤ %d", allocs, n, n+6)
+	}
+}
+
 func TestSubmitContextCancellation(t *testing.T) {
 	block := make(chan struct{})
 	p := newTestPool(t, Options{Replicas: 1, MaxBatch: 1, QueueSize: 16})

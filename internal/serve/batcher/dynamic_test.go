@@ -2,10 +2,12 @@ package batcher
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"drainnet/internal/metrics"
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
 	"drainnet/internal/tensor"
@@ -177,5 +179,67 @@ func TestDynamicPoolRoutesPerRequestPrecision(t *testing.T) {
 	}
 	if st.RoutedInt8+st.RoutedFP32 != n {
 		t.Fatalf("routed %d, want %d", st.RoutedInt8+st.RoutedFP32, n)
+	}
+}
+
+// The router runs on admitted clips only: a SubmitAll that meets the
+// queue bound part-way must not route, or count in the routed totals,
+// the clips it refuses — a sweep retries those, and would count them
+// again.
+func TestRefusedClipsAreNotRouted(t *testing.T) {
+	cfg := tinyConfig()
+	net := tinyNet(t, cfg)
+	compiled := compileDynamic(t, cfg, net, 43, model.PrecisionAuto)
+	if compiled.Router == nil {
+		t.Fatal("plan does not route")
+	}
+	const queueSize = 2
+	p, err := New(cfg, net, Options{Replicas: 1, MaxBatch: 1, QueueSize: queueSize, Plan: compiled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	block, entered := make(chan struct{}), make(chan struct{}, 8)
+	held := stubExec(func(x *tensor.Tensor) []metrics.Detection {
+		entered <- struct{}{}
+		<-block
+		return stubDetect(nil)(x)
+	})
+	for _, rep := range p.reps {
+		rep.exec, rep.execInt8 = held, held
+	}
+
+	var wg sync.WaitGroup
+	submitAsync(t, p, &wg, dynClip(1, true))
+	<-entered // the replica is held inside the first clip's batch
+
+	clips := make([]Clip, 5)
+	for i := range clips {
+		clips[i] = Clip{Ctx: context.Background(), X: dynClip(int64(10+i), i%2 == 0)}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.SubmitAll(clips)
+	}()
+	awaitWaiting(t, p, queueSize)
+	close(block)
+	<-done
+	wg.Wait()
+
+	admitted := 0
+	for i, c := range clips {
+		switch {
+		case c.Err == nil:
+			admitted++
+		case !errors.Is(c.Err, ErrQueueFull):
+			t.Fatalf("clip %d: %v", i, c.Err)
+		}
+	}
+	if admitted != queueSize {
+		t.Fatalf("%d clips admitted, want %d", admitted, queueSize)
+	}
+	if st := p.Stats(); st.RoutedFP32+st.RoutedInt8 != uint64(1+admitted) {
+		t.Fatalf("routed fp32 %d + int8 %d, want the %d admitted clips", st.RoutedFP32, st.RoutedInt8, 1+admitted)
 	}
 }

@@ -32,7 +32,6 @@ func TestSweepAccountsEarlyExits(t *testing.T) {
 	m, err := NewManager(ManagerOptions{
 		Submit:        o,
 		DefaultWindow: 32,
-		Concurrency:   4,
 		MaskRate:      func() float64 { return 0.375 },
 	})
 	if err != nil {

@@ -40,6 +40,16 @@ func (a *Arena) Reset() {
 // high-water mark of concurrent temporaries).
 func (a *Arena) Slots() int { return len(a.slots) }
 
+// Floats reports the float32 capacity the arena's tensor slots hold: the
+// memory a warm forward pass keeps for its temporaries.
+func (a *Arena) Floats() int {
+	n := 0
+	for _, t := range a.slots {
+		n += cap(t.data)
+	}
+	return n
+}
+
 // Get returns a tensor of the given shape drawn from the arena. The
 // contents are UNSPECIFIED — stale data from a previous use — so callers
 // must fully overwrite it. Get never zeroes memory.

@@ -18,6 +18,11 @@ const (
 	dotPanels  = 4
 )
 
+// KernelCols is the column width of the fp32 GEMM micro-kernel: a
+// MulPanelsColsInto band at least this wide runs it, a narrower one the
+// scalar loops.
+const KernelCols = kernelCols
+
 // useAVX2 routes full panels through the assembly micro-kernels. It is
 // set once, at package init, from what the CPU and the OS report
 // (haveAVX2: CPUID and XGETBV on amd64, false on every other GOARCH and
@@ -114,8 +119,9 @@ func (p *Packed) MulPanelsInto(dst, b []float32, n int, bias []float32, relu boo
 // loops below or the AVX2 micro-kernel (panel_amd64.s) produced it.
 //
 // This is the fp32 GEMM entry of the lowered serving routes: the
-// stride ≠ 1 convs, the masked dynamic path's row bands and the 16
-// Winograd position GEMMs land here; the stride-1 convs reach the same
+// stride ≠ 1 convs, the masked dynamic path's row bands, the 16
+// Winograd position GEMMs and the fully-connected layers from
+// KernelCols samples up land here; the stride-1 convs reach the same
 // panel loop through MulPanelFlat. The micro-kernel takes full panels at
 // least kernelCols columns wide; narrower bands and the partial last
 // panel stay on the scalar loops.
@@ -286,8 +292,9 @@ func epilogue(c []float32, bias []float32, r0, n, rem int, relu bool, c0, c1 int
 // DotPanelsInto computes outputs [4*p0, min(4*p1, rows)) of
 // y = P·x (+bias, ReLU) for one input vector: dst has length rows, x
 // length cols. This is the transposed-weight orientation used by
-// fully-connected layers, where each sample's output is a set of dot
-// products against static weight rows. Every output is one chain over
+// fully-connected layers below KernelCols samples, where each sample's
+// output is a set of dot products against static weight rows. Every
+// output is one chain over
 // ascending k from zero, matching the reference MatMulTransB kernel
 // bit-for-bit; while four full panels remain the AVX2 dot kernel runs
 // sixteen such chains at once (one XMM register per panel, one lane per
