@@ -48,11 +48,11 @@ bench-cluster:
 	    -serve-bin /tmp/drainnet-bench-bin/drainnet-serve
 
 # Alloc-regression guard: every steady-state serving forward (the
-# sequential fast path, the scheduled IOS executor, the quantized
-# int8 path, the autotuned Winograd/NCHWc/direct kernel mix, and the
-# fp32, int8, dynamic and IOS replicas again with the stage hook a
-# trace-sampled pool binds) must report exactly 0 allocs per run
-# (testing.AllocsPerRun inside the tests). The request decoder's guard
+# sequential fast path, the quantized int8 path, the autotuned
+# Winograd/NCHWc/direct kernel mix, the dynamic path, and the fp32, int8
+# and dynamic replicas again with the stage hook a trace-sampled pool
+# binds) must report exactly 0 allocs per run (testing.AllocsPerRun
+# inside the tests). The request decoder's guard
 # bounds what a warm server allocates per batch-16 request by a constant
 # that does not grow with pixel count;
 # the pool's guards pin what one Submit and one 16-clip SubmitAll (a
@@ -62,24 +62,38 @@ bench-cluster:
 # objects; 10.9 MB and 83 here, where the worker pool first starts inside
 # AllocsPerRun's GOMAXPROCS 1 and the flood is one tile, 121 at two tiles
 # — one more array per cell fails it) and terrain.Render (5.5 MB, 100
-# objects; 5.1 MB and 55).
+# objects; 5.1 MB and 55). Every name is anchored and must print
+# `--- PASS`, so a deleted or misspelt guard fails the target instead of
+# matching nothing.
 check-allocs:
-	$(GO) test -run 'TestInferSteadyStateZeroAlloc|TestScheduledSteadyStateZeroAlloc|TestQuantInferSteadyStateZeroAlloc|TestTunedInferSteadyStateZeroAlloc|TestDynamicInferSteadyStateZeroAlloc|TestTracedInferSteadyStateZeroAlloc' -v ./internal/model/
-	$(GO) test -run 'TestDecodeSteadyStateAllocs' -v ./internal/serve/
-	$(GO) test -run 'TestSubmitSteadyStateAllocs|TestSubmitAllSteadyStateAllocs' -v ./internal/serve/batcher/
-	$(GO) test -run 'TestRasterPreparationAllocBudget' -v ./internal/terrain/
+	@$(call guards,./internal/model/,TestInferSteadyStateZeroAlloc TestQuantInferSteadyStateZeroAlloc TestTunedInferSteadyStateZeroAlloc TestDynamicInferSteadyStateZeroAlloc TestTracedInferSteadyStateZeroAlloc)
+	@$(call guards,./internal/serve/,TestDecodeSteadyStateAllocs)
+	@$(call guards,./internal/serve/batcher/,TestSubmitSteadyStateAllocs TestSubmitAllSteadyStateAllocs)
+	@$(call guards,./internal/terrain/,TestRasterPreparationAllocBudget)
+
+# $(call guards,pkg,names) runs the named top-level tests (space-separated)
+# of pkg, verbose and anchored, and fails unless each one printed
+# `--- PASS`.
+empty :=
+space := $(empty) $(empty)
+guards = out=$$($(GO) test -run '^($(subst $(space),|,$(strip $(2))))$$' -v $(1)); status=$$?; echo "$$out"; \
+	[ $$status -eq 0 ] || exit $$status; \
+	for t in $(2); do echo "$$out" | grep -q "^--- PASS: $$t " || { echo "$(1): guard $$t did not run"; exit 1; }; done
 
 # Ten seconds of every native fuzz target (go test takes one -fuzz target
 # and one package per run). The /v1/detect[/batch] decoders are checked
 # against encoding/json, their number scanner and pixel token path against
 # strconv.ParseFloat, the checkpoint loader against gob's own decode (a
-# load fails untouched or restores every value); the other loader
-# fuzzers of ROADMAP item 3 go here.
+# load fails untouched or restores every value), the cost-cache loader
+# against encoding/json (a load fails, or returns the file's entries,
+# every one a positive time); the other loader fuzzers of ROADMAP item 3
+# go here.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetect$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFloat32$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/train/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCostCache$$' -fuzztime 10s ./internal/ios/
 
 build:
 	$(GO) build ./...
@@ -109,8 +123,8 @@ test-purego:
 check-asm:
 	! grep -nE 'VFN?M(ADD|SUB)|VPMADDUBSW|VPDPBUSDS|VPDPWSSDS' internal/tensor/*.s
 
-# Several minutes: GOMAXPROCS=4 gives the shared worker pool, the IOS
-# stage executor and the parallel NAS search real fan-out to race on.
+# Several minutes: GOMAXPROCS=4 gives the shared worker pool and the
+# parallel NAS search real fan-out to race on.
 test-race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 

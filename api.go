@@ -269,8 +269,8 @@ func DefaultJointSearchSpace() SearchSpace { return nas.DefaultJointSpace() }
 
 // MeasuredEvaluator scores joint candidates with real trained accuracy
 // and the measured steady-state latency of each candidate's compiled
-// executor on this machine (after accuracy-gated quantization, kernel
-// autotuning and IOS scheduling). Safe for concurrent use by
+// executor on this machine (after accuracy-gated quantization and
+// kernel autotuning). Safe for concurrent use by
 // MeasuredSearch workers.
 type MeasuredEvaluator = nas.MeasuredEvaluator
 
@@ -342,26 +342,12 @@ func OptimizeSchedule(g *Graph, dev Device, batch int) (*Schedule, error) {
 	return ios.Optimize(g, ios.NewSimOracle(dev), batch)
 }
 
-// SchedulePlan holds measured-cost-optimal IOS schedules for serving
-// one model on this machine (batch-1 and max-batch regimes).
-type SchedulePlan = model.SchedulePlan
-
-// CostCache memoizes wall-clock operator measurements across processes.
+// CostCache memoizes wall-clock kernel and NAS candidate measurements
+// across processes.
 type CostCache = ios.CostCache
 
-// LoadCostCache reads a saved operator cost cache (empty when missing).
+// LoadCostCache reads a saved measurement cost cache (empty when missing).
 func LoadCostCache(path string) (*CostCache, error) { return ios.LoadCostCache(path) }
-
-// OptimizeSchedules benchmarks net's operators on this machine and runs
-// the IOS dynamic program against the measured costs. To serve under the
-// schedules, Compile with CompileOptions.IOS instead of calling this.
-func OptimizeSchedules(cfg ModelConfig, net *Network, maxBatch int, cache *CostCache) (*SchedulePlan, error) {
-	return model.OptimizeSchedules(cfg, net, maxBatch, cache)
-}
-
-// ScheduleExecutor runs a network under an IOS schedule on the shared
-// worker pool, bit-for-bit identical to the sequential fast path.
-type ScheduleExecutor = nn.ScheduleExecutor
 
 // LatencyResult summarizes one measured inference.
 type LatencyResult = ios.RunResult
@@ -445,8 +431,8 @@ type ServingPlan = model.Plan
 type CompileOptions = model.CompileOptions
 
 // Compile assembles net for serving — quantization gate → kernel
-// autotuning → dynamic planning → weight packing → IOS scheduling, each
-// only when opts asks — as drainnet-serve and the measured NAS loop do.
+// autotuning → dynamic planning → weight packing, each only when opts
+// asks — as drainnet-serve and the measured NAS loop do.
 // calib yields the gates' held-out split, only if a gate needs it.
 func Compile(cfg ModelConfig, net *Network, calib func() (*Dataset, error), opts CompileOptions) (*ServingPlan, error) {
 	return model.Compile(cfg, net, calib, opts)

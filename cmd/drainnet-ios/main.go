@@ -1,41 +1,27 @@
 // drainnet-ios optimizes a model's execution schedule with the IOS
-// dynamic program and reports sequential vs optimized latency, like the
-// paper's IOS_Model.py artifact.
-//
-// Two cost oracles are available. The default simulated oracle prices
-// stages on the modeled GPU and reports simulated latencies. The
-// measured oracle builds the real network, benchmarks each operator on
-// this machine (memoized in -cost-cache), optimizes against those
-// wall-clock costs, and reports *measured* CPU latencies of the
-// sequential fast path vs the scheduled executor.
+// dynamic program on the simulated GPU and reports sequential vs
+// optimized simulated latency, like the paper's IOS_Model.py artifact
+// (Table 2, Fig 6).
 //
 // Usage:
 //
 //	drainnet-ios -model sppnet2 -batch 1
 //	drainnet-ios -model sppnet2 -batches 1,2,4,8,16,32,64
 //	drainnet-ios -model original -show-schedule
-//	drainnet-ios -oracle measured -scale 8 -batches 1,16 -cost-cache costs.json
-//	drainnet-ios -oracle measured -scale 8 -emit-schedule sched.json
+//	drainnet-ios -scale 8 -emit-schedule sched.json
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
-
-	"runtime"
 
 	"drainnet/internal/experiments"
 	"drainnet/internal/graph"
 	"drainnet/internal/ios"
 	"drainnet/internal/model"
-	"drainnet/internal/nn"
-	"drainnet/internal/tensor"
 )
 
 func main() {
@@ -44,9 +30,7 @@ func main() {
 	batch := flag.Int("batch", 1, "batch size")
 	batches := flag.String("batches", "", "comma-separated batch sweep (overrides -batch)")
 	show := flag.Bool("show-schedule", false, "print the optimized stage/group structure")
-	oracleKind := flag.String("oracle", "sim", "cost oracle: sim (GPU simulator) or measured (wall-clock operator timings on this machine)")
-	scale := flag.Int("scale", 1, "width scale divisor (1 = paper widths; larger = thinner model, CPU-friendly)")
-	costCache := flag.String("cost-cache", "", "measured-oracle cost cache file (loaded if present, saved after measuring)")
+	scale := flag.Int("scale", 1, "width scale divisor (1 = paper widths; larger = thinner model)")
 	emit := flag.String("emit-schedule", "", "write the optimized schedule as JSON to this file (sweeps append .b<batch>)")
 	flag.Parse()
 
@@ -111,14 +95,7 @@ func main() {
 		fmt.Printf("wrote %s\n", path)
 	}
 
-	switch *oracleKind {
-	case "sim":
-		runSim(cfg, g, sweep, *show, emitFile)
-	case "measured":
-		runMeasured(cfg, g, sweep, *show, *costCache, emitFile)
-	default:
-		fatal(fmt.Errorf("unknown oracle %q (want sim or measured)", *oracleKind))
-	}
+	runSim(cfg, g, sweep, *show, emitFile)
 }
 
 // runSim prices and replays schedules on the simulated GPU (the paper's
@@ -142,98 +119,6 @@ func runSim(cfg model.Config, g *graph.Graph, sweep []int, show bool, emit func(
 			fmt.Print(sched.String())
 		}
 		emit(sched, b)
-	}
-}
-
-// runMeasured builds the real network, optimizes against wall-clock
-// operator costs, and reports measured CPU latencies: the sequential
-// zero-alloc fast path vs the scheduled executor.
-func runMeasured(cfg model.Config, g *graph.Graph, sweep []int, show bool, cachePath string, emit func(*ios.Schedule, int)) {
-	net, err := cfg.Build(rand.New(rand.NewSource(1)))
-	if err != nil {
-		fatal(err)
-	}
-	nn.PrepareInference(net)
-	prog, err := nn.CompileGraph(net, g)
-	if err != nil {
-		fatal(err)
-	}
-	cache := ios.NewCostCache()
-	if cachePath != "" {
-		if cache, err = ios.LoadCostCache(cachePath); err != nil {
-			fatal(err)
-		}
-	}
-	before := cache.Len()
-	oracle := ios.NewMeasuredOracle(prog, cache)
-
-	fmt.Printf("model: %s  (%s, scale %d)\ndevice: this machine (GOMAXPROCS=%d, pool workers=%d)\n",
-		cfg.Name, cfg.Notation(), cfg.WidthScale, runtime.GOMAXPROCS(0), tensor.PoolWorkers())
-	fmt.Printf("%6s %14s %14s %9s %16s %8s\n", "batch", "seq ms", "IOS ms", "gain", "IOS µs/image", "stages")
-	arena := tensor.NewArena()
-	for _, b := range sweep {
-		sched, err := ios.Optimize(g, oracle, b)
-		if err != nil {
-			fatal(err)
-		}
-		if err := oracle.Err(); err != nil {
-			fatal(err)
-		}
-		exec, err := nn.NewScheduleExecutor(prog, sched)
-		if err != nil {
-			fatal(err)
-		}
-		x := tensor.New(b, cfg.InBands, cfg.InSize, cfg.InSize)
-		fillRandom(x, int64(b))
-		seqNs := timeNs(func() {
-			arena.Reset()
-			net.Infer(x, arena)
-		})
-		iosNs := timeNs(func() {
-			arena.Reset()
-			exec.Infer(x, arena)
-		})
-		fmt.Printf("%6d %14.3f %14.3f %8.2fx %16.1f %8d\n",
-			b, seqNs/1e6, iosNs/1e6, seqNs/iosNs, iosNs/float64(b)/1e3, len(sched.Stages))
-		if show {
-			fmt.Print(sched.String())
-		}
-		emit(sched, b)
-	}
-	if cachePath != "" && cache.Len() != before {
-		if err := cache.Save(cachePath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("saved %d operator measurements to %s\n", cache.Len(), cachePath)
-	}
-}
-
-// timeNs reports the trimmed-mean wall-clock nanoseconds of f over a
-// short warmup + sample loop.
-func timeNs(f func()) float64 {
-	for i := 0; i < 2; i++ {
-		f()
-	}
-	samples := make([]float64, 8)
-	for i := range samples {
-		start := time.Now()
-		f()
-		samples[i] = float64(time.Since(start))
-	}
-	sort.Float64s(samples)
-	kept := samples[2:6]
-	total := 0.0
-	for _, v := range kept {
-		total += v
-	}
-	return total / float64(len(kept))
-}
-
-func fillRandom(t *tensor.Tensor, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	d := t.Data()
-	for i := range d {
-		d[i] = rng.Float32()
 	}
 }
 

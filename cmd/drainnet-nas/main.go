@@ -8,8 +8,8 @@
 //   - -oracle measured: hardware in the loop — the search space widens to
 //     architecture × precision × kernel mode, and e(n) is the measured
 //     steady-state latency of each candidate's compiled executor on THIS
-//     machine, after accuracy-gated int8 quantization, per-layer kernel
-//     autotuning and IOS scheduling. Candidates evaluate across -parallel
+//     machine, after accuracy-gated int8 quantization and per-layer
+//     kernel autotuning. Candidates evaluate across -parallel
 //     workers sharing one cost cache; a warm -cost-cache makes re-search
 //     deterministic (bit-identical ranking) and fast.
 //

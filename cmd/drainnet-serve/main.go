@@ -37,22 +37,21 @@
 //	drainnet-serve -ckpt model.ckpt            # load a saved checkpoint
 //	drainnet-serve -replicas 4 -max-batch 32 -queue 256
 //	drainnet-serve -trace-sample 100 -trace-dir traces/ -pprof
-//	drainnet-serve -ios -cost-cache costs.json               # IOS-scheduled replicas
 //	drainnet-serve -precision int8 -quant-max-ap-drop 0.01   # accuracy-gated int8
 //	drainnet-serve -autotune -cost-cache costs.json          # tuned conv kernels
 //	drainnet-serve -dynamic -precision auto                  # dynamic inference
 //	drainnet-serve -nas-plan nas-out/plan.json               # serve a searched winner
 //
-// The pipeline flags (-precision, -autotune, -dynamic, -ios, with
+// The pipeline flags (-precision, -autotune, -dynamic, with
 // -quant-max-ap-drop, -max-batch and -cost-cache) feed one compile step,
 // model.Compile: quantization gate → kernel autotuning → dynamic planning
-// → weight packing → IOS scheduling, each only when asked. It returns the
+// → weight packing, each only when asked. It returns the
 // plan every replica executes — the same call drainnet-nas prices
 // candidates with, so what a search measured is what this server runs.
 // Every step answers to one accuracy gate: the loaded net's AP on one
 // held-out split, built and scored once and only when a step needs it,
 // and an epsilon, -quant-max-ap-drop, taken as given (0 admits no AP
-// loss); -cost-cache memoizes every kernel and operator measurement
+// loss); -cost-cache memoizes the autotuner's kernel measurements
 // across restarts.
 //
 //   - -precision int8 quantizes the detector and refuses to start unless
@@ -62,9 +61,7 @@
 //     and batch bucket and serves the fastest mix that passes the gate.
 //   - -dynamic serves the early-exit / spatially-masked fp32 path, with
 //     easy clips routed to int8 replicas when that gate passed; a ladder
-//     demotes masking first, then the exit. Does not compose with -ios.
-//   - -ios serves under this machine's measured-cost-optimal stage
-//     schedule.
+//     demotes masking first, then the exit.
 //
 // /v1/model and the drainnet_kernel_choice gauge report what the plan
 // actually serves (precision after any fallback, kernels after any
@@ -108,11 +105,10 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "export every N-th request as a Chrome trace (0 = off)")
 	traceDir := flag.String("trace-dir", "", "also write sampled traces to this directory (req-<id>.trace.json)")
 	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof endpoints")
-	iosOn := flag.Bool("ios", false, "serve with IOS-scheduled inference: benchmark this machine's operators and run the measured-cost-optimal stage schedule on every replica")
 	precisionFlag := flag.String("precision", "fp32", "serving precision: fp32, int8 (refuse to start if the accuracy gate fails) or auto (fall back to fp32)")
 	quantMaxDrop := flag.Float64("quant-max-ap-drop", 0.01, "accuracy gate epsilon: largest tolerated AP drop (fp32 AP − int8 AP) on the held-out split before int8 is refused")
 	autotune := flag.Bool("autotune", false, "measure every conv kernel variant (im2col, winograd, nchwc, direct, int8 when gated on) per layer and batch bucket on this machine and serve the fastest accuracy-gated mix; shares -quant-max-ap-drop as the gate epsilon")
-	costCache := flag.String("cost-cache", "", "measurement cache file shared by -autotune and -ios (loaded if present, saved when it grew; a warm cache skips re-measurement)")
+	costCache := flag.String("cost-cache", "", "-autotune's kernel measurement cache file (loaded if present, saved when it grew; a warm cache skips re-measurement)")
 	dynamicOn := flag.Bool("dynamic", false, "serve the accuracy-gated dynamic inference path (early-exit negatives, spatial masking, and — with a passed int8 gate — per-request precision routing); shares -quant-max-ap-drop as the gate epsilon")
 	nasPlan := flag.String("nas-plan", "", "serve a drainnet-nas winner: plan.json written by drainnet-nas -out; sets the architecture, loads the sibling checkpoint, and applies the plan's precision and kernel mode (explicit -ckpt/-precision/-autotune flags still win)")
 	sweepDir := flag.String("sweep-dir", "", "checkpoint directory for /v1/sweep jobs (empty = jobs die with the process); unfinished jobs in it resume at startup")
@@ -202,7 +198,6 @@ func main() {
 		MaxAPDrop: *quantMaxDrop,
 		Autotune:  *autotune,
 		Dynamic:   *dynamicOn,
-		IOS:       *iosOn,
 		MaxBatch:  *maxBatch,
 		CostCache: cache,
 	})
@@ -236,15 +231,6 @@ func main() {
 			d.ExitEnabled, d.MaskEnabled, d.RouterEnabled, d.Demotions,
 			d.FP32AP, d.DynamicAP, d.Drop, d.Epsilon, d.ExitRate, d.MaskRate)
 	}
-	if sp := plan.Schedules; sp != nil {
-		// The chosen schedules, one line each and greppable against the
-		// bench harness output (same Compact rendering).
-		fmt.Printf("level=info msg=ios_plan batch1_stages=%d batchN_stages=%d measured_ops=%d cache=%q\n",
-			len(sp.Batch1.Stages), len(sp.BatchN.Stages), cache.Len(), *costCache)
-		fmt.Printf("level=info msg=schedule batch=1 plan=%q\n", sp.Batch1.Compact())
-		fmt.Printf("level=info msg=schedule batch=%d plan=%q\n", *maxBatch, sp.BatchN.Compact())
-	}
-
 	var tel *telemetry.Telemetry
 	if *telemetryOn {
 		topts := telemetry.Options{SampleEvery: *traceSample}
@@ -276,10 +262,10 @@ func main() {
 	popts := srv.Pool().Options()
 	// One structured line with the full resolved configuration, so a log
 	// scraper (or a human) sees every serving knob in one place.
-	fmt.Printf("level=info msg=serving model=%q addr=%s gomaxprocs=%d precision=%s autotune=%t dynamic=%t pack_ms=%.1f replicas=%d max_batch=%d queue=%d timeout=%v telemetry=%t trace_sample=%d trace_dir=%q pprof=%t ios=%t sweep_dir=%q worker_id=%d\n",
+	fmt.Printf("level=info msg=serving model=%q addr=%s gomaxprocs=%d precision=%s autotune=%t dynamic=%t pack_ms=%.1f replicas=%d max_batch=%d queue=%d timeout=%v telemetry=%t trace_sample=%d trace_dir=%q pprof=%t sweep_dir=%q worker_id=%d\n",
 		cfg.Name, *addr, runtime.GOMAXPROCS(0), plan.Precision, *autotune, *dynamicOn,
 		float64(plan.PackTime)/float64(time.Millisecond), popts.Replicas, popts.MaxBatch, popts.QueueSize,
-		*timeout, *telemetryOn, *traceSample, *traceDir, *pprofOn, *iosOn, *sweepDir, *workerID)
+		*timeout, *telemetryOn, *traceSample, *traceDir, *pprofOn, *sweepDir, *workerID)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)

@@ -13,8 +13,8 @@ import (
 // This file wires the hardware-in-the-loop NAS (drainnet-nas -oracle
 // measured) to the experiment data protocol: e(n) is the measured
 // steady-state latency of each candidate's compiled executor on this
-// machine (after accuracy-gated quantization, kernel autotuning and IOS
-// scheduling), instead of the simulated-GPU price the sim oracle charges.
+// machine (after accuracy-gated quantization and kernel autotuning),
+// instead of the simulated-GPU price the sim oracle charges.
 
 // NASProxy is the fast analytic accuracy evaluator: accuracy rises with
 // receptive field, SPP depth and capacity, saturating — used as the

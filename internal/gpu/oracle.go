@@ -5,10 +5,8 @@ import "drainnet/internal/graph"
 // CostOracle prices one stage — a set of operator groups that execute
 // concurrently, each group a sequential chain — at a batch size, in
 // nanoseconds of end-to-end time. It is the pricing interface the IOS
-// dynamic program searches against. Two implementations exist:
-// internal/ios.SimOracle replays stages on the simulated GPU in this
-// package, and internal/ios.MeasuredOracle prices them from wall-clock
-// timings of the concrete model's kernels on the local CPU.
+// dynamic program searches against; internal/ios.SimOracle implements
+// it by replaying stages on the simulated GPU in this package.
 type CostOracle interface {
 	StageCost(groups [][]*graph.Node, batch int) float64
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // CostCache is a serializable memo of operator (and NAS candidate)
-// measurements. Keys embed GOMAXPROCS, so one file is valid across pool
-// configurations; a cache loaded on a machine with different timings
-// simply prices schedules from the recorded numbers (use a per-host
-// cache file for fidelity).
+// measurements, in nanoseconds. Keys embed GOMAXPROCS, so one file is
+// valid across pool configurations; a cache loaded on a machine with
+// different timings simply prices from the recorded numbers (use a
+// per-host cache file for fidelity).
 //
 // The cache is safe for concurrent use by multiple goroutines (every
 // access goes through Get/Put/Len/Snapshot, guarded by an in-process
@@ -30,8 +30,9 @@ type CostCache struct {
 }
 
 // costCacheVersion bumps when the key format or measurement protocol
-// changes incompatibly.
-const costCacheVersion = 1
+// changes incompatibly. Version 2 dropped the execution regime from
+// operator keys and times NAS latencies on the executor that serves.
+const costCacheVersion = 2
 
 // NewCostCache returns an empty cache.
 func NewCostCache() *CostCache {
@@ -121,7 +122,9 @@ func (c *CostCache) Save(path string) error {
 
 // LoadCostCache reads a cache written by Save. A missing file or a
 // version mismatch yields an empty cache and no error, so callers can
-// unconditionally load-measure-save.
+// unconditionally load-measure-save. An entry that is not a positive
+// time is an error naming its key: ranked as the cheapest choice, it
+// would win every comparison it entered.
 func LoadCostCache(path string) (*CostCache, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -136,6 +139,11 @@ func LoadCostCache(path string) (*CostCache, error) {
 	}
 	if cf.Version != costCacheVersion || cf.Entries == nil {
 		return NewCostCache(), nil
+	}
+	for k, v := range cf.Entries {
+		if !(v > 0) {
+			return nil, fmt.Errorf("ios: cost cache %s: entry %q = %v is not a positive time", path, k, v)
+		}
 	}
 	return &CostCache{Version: cf.Version, Entries: cf.Entries}, nil
 }

@@ -1,8 +1,11 @@
 package ios
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -46,7 +49,7 @@ func TestCostCacheTwoWriterMerge(t *testing.T) {
 
 	a, b := NewCostCache(), NewCostCache()
 	for i := 0; i < 50; i++ {
-		a.Put(fmt.Sprintf("a|op%d", i), float64(i))
+		a.Put(fmt.Sprintf("a|op%d", i), float64(1+i))
 		b.Put(fmt.Sprintf("b|op%d", i), float64(1000+i))
 	}
 	a.Put("shared", 1)
@@ -75,7 +78,7 @@ func TestCostCacheTwoWriterMerge(t *testing.T) {
 		t.Fatalf("merged cache has %d entries, want 101 (a's 50 + b's 50 + shared)", got.Len())
 	}
 	for i := 0; i < 50; i++ {
-		if v, ok := got.Get(fmt.Sprintf("a|op%d", i)); !ok || v != float64(i) {
+		if v, ok := got.Get(fmt.Sprintf("a|op%d", i)); !ok || v != float64(1+i) {
 			t.Fatalf("a|op%d = %v,%t after merge", i, v, ok)
 		}
 		if v, ok := got.Get(fmt.Sprintf("b|op%d", i)); !ok || v != float64(1000+i) {
@@ -101,7 +104,85 @@ func TestCostCacheTwoWriterMerge(t *testing.T) {
 	if got.Len() != 102 {
 		t.Fatalf("after third writer: %d entries, want 102", got.Len())
 	}
-	if v, ok := got.Get("a|op0"); !ok || v != 0 {
+	if v, ok := got.Get("a|op0"); !ok || v != 1 {
 		t.Fatalf("third writer dropped a|op0: %v,%t", v, ok)
 	}
+}
+
+// A hand-edited or hand-repaired file can hold a zero or negative time;
+// loaded, it would rank that candidate or kernel as the cheapest. The
+// load must refuse it and name the key.
+func TestLoadCostCacheRejectsNonPositive(t *testing.T) {
+	for _, v := range []string{"-1", "0", "-0", "null"} {
+		path := filepath.Join(t.TempDir(), "costs.json")
+		body := fmt.Sprintf(`{"version":%d,"entries":{"p2|b1|conv":5.5,"nas|p2|C8|b16":%s}}`, costCacheVersion, v)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := LoadCostCache(path)
+		if err == nil {
+			t.Fatalf("entry %s loaded: %v", v, c.Snapshot())
+		}
+		if !strings.Contains(err.Error(), `"nas|p2|C8|b16"`) {
+			t.Fatalf("entry %s: error %q does not name the key", v, err)
+		}
+	}
+}
+
+// FuzzLoadCostCache: a load either fails, or returns exactly the
+// entries the file holds at the current version (none at another), and
+// every one of them is a positive time.
+func FuzzLoadCostCache(f *testing.F) {
+	c := NewCostCache()
+	c.Put("p2|b1|conv|ins=[4 40 40]|out=[8 38 38]|f=1|w=2", 1234.5)
+	c.Put("nas|p2|in4x40|ws8|C8,3,1|prec=fp32|kern=default|b16", 9.75e5)
+	path := filepath.Join(f.TempDir(), "seed.json")
+	if err := c.Save(path); err != nil {
+		f.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved)
+	for i, b := range saved {
+		if strings.IndexByte(`{}[]:,"`, b) >= 0 {
+			f.Add(saved[:i])
+			f.Add(saved[:i+1])
+		}
+	}
+	for _, v := range []string{"0", "-1", "null"} {
+		f.Add([]byte(fmt.Sprintf(`{"version":%d,"entries":{"k":%s}}`, costCacheVersion, v)))
+	}
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"entries":{"k":5}}`, costCacheVersion-1)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "costs.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadCostCache(path)
+		if err != nil {
+			return
+		}
+		var file costCacheFile
+		if err := json.Unmarshal(data, &file); err != nil {
+			t.Fatalf("loaded a file encoding/json refuses: %v", err)
+		}
+		want := file.Entries
+		if file.Version != costCacheVersion {
+			want = nil
+		}
+		have := got.Snapshot()
+		if len(have) != len(want) {
+			t.Fatalf("loaded %d entries, the file holds %d", len(have), len(want))
+		}
+		for k, v := range want {
+			if hv, ok := have[k]; !ok || hv != v {
+				t.Fatalf("entry %q loaded as %v (%t), the file holds %v", k, hv, ok, v)
+			}
+			if !(v > 0) {
+				t.Fatalf("entry %q = %v loaded", k, v)
+			}
+		}
+	})
 }

@@ -7,53 +7,36 @@ import (
 	"time"
 
 	"drainnet/internal/graph"
-	"drainnet/internal/tensor"
 )
 
 // OpRunner executes one operator of the concrete model so the measured
 // oracle can time it. BindOp prepares node n at a batch size (synthetic
 // inputs, kernel selection); each subsequent RunOp executes the bound
-// operator once. nn.GraphProgram is the real implementation.
+// operator once. The kernel autotuner's conv probe is the real
+// implementation.
 type OpRunner interface {
 	BindOp(n *graph.Node, batch int) error
 	RunOp()
 }
 
 // OpTagger is optionally implemented by an OpRunner whose operators run
-// in more than one numeric precision. The tag joins the cost-cache key,
-// so e.g. an int8-quantized conv is priced independently of its fp32
-// sibling with the same shapes. An empty tag means the default (fp32)
-// precision and leaves the key unchanged — warm caches recorded before
-// tagging existed stay valid.
+// in more than one kernel or numeric precision. The tag joins the
+// cost-cache key, so e.g. an int8-quantized conv is priced independently
+// of its fp32 sibling with the same shapes. An empty tag means the
+// default (fp32 im2col) kernel and leaves the key unchanged.
 type OpTagger interface {
 	OpTag(n *graph.Node) string
 }
 
-// MeasuredOracle prices stages from wall-clock timings of the concrete
-// model's kernels on the local machine, replacing the simulated GPU with
-// the hardware that will actually serve. Each operator is benchmarked in
-// the two regimes the ScheduleExecutor runs it in:
-//
-//   - solo: the operator owns the worker pool (single-group stage) and
-//     keeps its intra-operator parallelism;
-//   - inline: the operator runs inside one group of a concurrent stage,
-//     where nested parallel regions degrade to serial execution
-//     (reproduced via tensor.RunInline).
-//
-// A single-group stage then costs the sum of its solo times; a
-// multi-group stage costs the LPT makespan of its groups' inline chain
-// times over the available lanes, plus a fixed fork/join overhead.
-// Timings are warmup + trimmed-mean and memoized in a CostCache keyed by
-// operator signature, batch, regime and GOMAXPROCS, so a serve process
-// that loads a saved cache never re-measures.
+// MeasuredOracle prices operators from wall-clock timings of the
+// concrete model's kernels on the local machine: each operator runs solo,
+// owning the worker pool and keeping its intra-operator parallelism, as
+// the serving executors run it. Timings are warmup + trimmed-mean and
+// memoized in a CostCache keyed by operator signature, batch, kernel tag
+// and GOMAXPROCS, so a process that loads a saved cache never
+// re-measures.
 type MeasuredOracle struct {
 	Runner OpRunner
-	// Workers is the number of concurrent group lanes a stage can use:
-	// the pool workers plus the calling goroutine.
-	Workers int
-	// StageSyncNs is the fixed fork/join overhead charged per multi-group
-	// stage (the ParallelRange submit + completion handshake).
-	StageSyncNs float64
 	// Warmup and Samples control each measurement: Warmup discarded runs,
 	// then Samples timed runs whose trimmed mean is the cost.
 	Warmup  int
@@ -75,8 +58,6 @@ func NewMeasuredOracle(r OpRunner, cache *CostCache) *MeasuredOracle {
 	}
 	return &MeasuredOracle{
 		Runner:      r,
-		Workers:     tensor.PoolWorkers() + 1,
-		StageSyncNs: 5e3,
 		Warmup:      2,
 		Samples:     10,
 		MinSampleNs: 2e5,
@@ -84,38 +65,18 @@ func NewMeasuredOracle(r OpRunner, cache *CostCache) *MeasuredOracle {
 	}
 }
 
-// Cache returns the oracle's cost cache (for saving after optimization).
+// Cache returns the oracle's cost cache (for saving after measuring).
 func (o *MeasuredOracle) Cache() *CostCache { return o.cache }
 
-// Err returns the first operator-binding error encountered, if any.
-// StageCost cannot report errors through the CostOracle interface, so a
-// failed bind is priced pessimistically and recorded here; callers should
-// check Err after Optimize.
+// Err returns the first operator-binding error encountered, if any. A
+// failed bind is priced pessimistically and recorded here; callers
+// check Err after pricing.
 func (o *MeasuredOracle) Err() error { return o.err }
 
-// StageCost implements the shared gpu.CostOracle interface.
-func (o *MeasuredOracle) StageCost(groups []Group, batch int) float64 {
-	if len(groups) == 1 {
-		total := 0.0
-		for _, n := range groups[0] {
-			total += o.opCost(n, batch, false)
-		}
-		return total
-	}
-	chains := make([]float64, len(groups))
-	for gi, g := range groups {
-		for _, n := range g {
-			chains[gi] += o.opCost(n, batch, true)
-		}
-	}
-	return lptMakespan(chains, o.Workers) + o.StageSyncNs
-}
-
-// opCost returns the trimmed-mean nanoseconds of one execution of node n
-// at the batch size, in the inline or solo regime, measuring on a cache
-// miss.
-func (o *MeasuredOracle) opCost(n *graph.Node, batch int, inline bool) float64 {
-	key := costKey(n, batch, inline)
+// OpCost returns the trimmed-mean nanoseconds of one execution of node n
+// at the batch size, measuring on a cache miss.
+func (o *MeasuredOracle) OpCost(n *graph.Node, batch int) float64 {
+	key := costKey(n, batch)
 	if t, ok := o.Runner.(OpTagger); ok {
 		if tag := t.OpTag(n); tag != "" {
 			key += "|prec=" + tag
@@ -128,26 +89,16 @@ func (o *MeasuredOracle) opCost(n *graph.Node, batch int, inline bool) float64 {
 		if o.err == nil {
 			o.err = err
 		}
-		// Pessimistic but finite, so the DP still terminates.
+		// Pessimistic but finite, so a comparison still has an answer.
 		return 1e12
 	}
-	c := o.measure(inline)
-	o.cache.Put(key, c)
-	return c
-}
-
-// measure times the bound operator under the oracle's sampling knobs.
-func (o *MeasuredOracle) measure(inline bool) float64 {
-	loop := func(reps int) {
+	c := TimeTrimmed(func(reps int) {
 		for i := 0; i < reps; i++ {
 			o.Runner.RunOp()
 		}
-	}
-	if inline {
-		plain := loop
-		loop = func(reps int) { tensor.RunInline(func() { plain(reps) }) }
-	}
-	return TimeTrimmed(loop, o.Warmup, o.Samples, o.MinSampleNs)
+	}, o.Warmup, o.Samples, o.MinSampleNs)
+	o.cache.Put(key, c)
+	return c
 }
 
 // TimeTrimmed returns the steady-state wall-clock cost in ns of one
@@ -186,51 +137,16 @@ func TimeTrimmed(loop func(reps int), warmup, samples int, minSampleNs float64) 
 	return total / float64(len(kept))
 }
 
-// lptMakespan schedules the given chain durations onto lanes by longest
-// processing time first — the same greedy order a work-stealing pool
-// approximates — and returns the finishing time of the busiest lane.
-func lptMakespan(chains []float64, lanes int) float64 {
-	if lanes < 1 {
-		lanes = 1
-	}
-	if lanes > len(chains) {
-		lanes = len(chains)
-	}
-	sorted := append([]float64(nil), chains...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	loads := make([]float64, lanes)
-	for _, d := range sorted {
-		min := 0
-		for i := 1; i < lanes; i++ {
-			if loads[i] < loads[min] {
-				min = i
-			}
-		}
-		loads[min] += d
-	}
-	max := loads[0]
-	for _, l := range loads[1:] {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // costKey identifies one measurement: what the operator computes (kind,
 // input/output shapes, work and weight volume — not its name, so
-// identical ops share one entry), the batch size, the execution regime,
-// and GOMAXPROCS (pool shape changes both regimes' timings).
-func costKey(n *graph.Node, batch int, inline bool) string {
-	regime := "solo"
-	if inline {
-		regime = "inline"
-	}
+// identical ops share one entry), the batch size and GOMAXPROCS (the
+// pool shape changes the timing).
+func costKey(n *graph.Node, batch int) string {
 	ins := ""
 	for _, in := range n.Inputs {
 		ins += fmt.Sprintf("%v", in.OutShape)
 	}
-	return fmt.Sprintf("p%d|b%d|%s|%s|ins=%s|out=%v|f=%d|w=%d",
-		runtime.GOMAXPROCS(0), batch, regime, n.Kind, ins, n.OutShape,
+	return fmt.Sprintf("p%d|b%d|%s|ins=%s|out=%v|f=%d|w=%d",
+		runtime.GOMAXPROCS(0), batch, n.Kind, ins, n.OutShape,
 		n.FLOPsPerSample, n.WeightBytes)
 }

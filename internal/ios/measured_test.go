@@ -1,7 +1,6 @@
 package ios
 
 import (
-	"math"
 	"path/filepath"
 	"testing"
 	"time"
@@ -53,80 +52,28 @@ func TestMeasuredOracleCachesMeasurements(t *testing.T) {
 	g := branchyGraph(t)
 	r := &fakeRunner{}
 	o := fastOracle(r, nil)
-	groups := [][]*graph.Node{{g.Nodes[1]}} // the conv node, single group
-	first := o.StageCost(groups, 2)
+	conv := g.Nodes[1]
+	first := o.OpCost(conv, 2)
 	runsAfterFirst := r.runs
-	second := o.StageCost(groups, 2)
+	second := o.OpCost(conv, 2)
 	if first != second {
 		t.Fatalf("cached cost changed: %g != %g", first, second)
 	}
 	if r.runs != runsAfterFirst {
-		t.Fatalf("second StageCost re-measured (%d extra runs)", r.runs-runsAfterFirst)
+		t.Fatalf("second OpCost re-measured (%d extra runs)", r.runs-runsAfterFirst)
 	}
 	// A different batch size is a different measurement.
-	o.StageCost(groups, 4)
+	o.OpCost(conv, 4)
 	if r.runs == runsAfterFirst {
 		t.Fatal("batch change did not trigger a new measurement")
-	}
-}
-
-func TestMeasuredOracleSingleVsMultiGroupRegimes(t *testing.T) {
-	g := branchyGraph(t)
-	r := &fakeRunner{}
-	o := fastOracle(r, nil)
-	a, b := g.Nodes[2], g.Nodes[3]
-	single := o.StageCost([][]*graph.Node{{a}}, 1)
-	o.StageCost([][]*graph.Node{{a}, {b}}, 1)
-	// Same node priced in both regimes must create two cache entries
-	// (solo and inline) plus one for b.
-	if got := o.Cache().Len(); got != 3 {
-		t.Fatalf("expected 3 cache entries (a-solo, a-inline, b-inline), got %d", got)
-	}
-	if single <= 0 {
-		t.Fatalf("non-positive single-group cost %g", single)
-	}
-}
-
-func TestMeasuredOracleOptimizeEndToEnd(t *testing.T) {
-	g := branchyGraph(t)
-	o := fastOracle(&fakeRunner{}, nil)
-	sched, err := Optimize(g, o, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLPTMakespan(t *testing.T) {
-	cases := []struct {
-		chains []float64
-		lanes  int
-		want   float64
-	}{
-		{[]float64{5, 3, 2}, 1, 10},       // one lane: serial sum
-		{[]float64{5, 3, 2}, 2, 5},        // LPT: {5} | {3,2}
-		{[]float64{5, 3, 2}, 3, 5},        // one chain per lane
-		{[]float64{4, 4, 4, 4}, 8, 4},     // lanes capped at chain count
-		{[]float64{6, 5, 4, 3, 2}, 2, 11}, // LPT: {6,3,2}=11 | {5,4}=9 (greedy, not optimal 10)
-	}
-	for i, c := range cases {
-		got := lptMakespan(c.chains, c.lanes)
-		if math.Abs(got-c.want) > 1e-9 {
-			t.Fatalf("case %d: lptMakespan(%v, %d) = %g, want %g", i, c.chains, c.lanes, got, c.want)
-		}
 	}
 }
 
 func TestCostCacheRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "costs.json")
 	c := NewCostCache()
-	c.Entries["p1|b2|solo|conv|..."] = 123.5
-	c.Entries["p1|b2|inline|conv|..."] = 456.25
+	c.Entries["p1|b2|conv|..."] = 123.5
+	c.Entries["p1|b2|conv|...|prec=int8"] = 456.25
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +81,7 @@ func TestCostCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || got.Entries["p1|b2|solo|conv|..."] != 123.5 {
+	if got.Len() != 2 || got.Entries["p1|b2|conv|..."] != 123.5 {
 		t.Fatalf("round trip lost data: %+v", got.Entries)
 	}
 	// Missing file loads empty without error.
@@ -142,14 +89,18 @@ func TestCostCacheRoundTrip(t *testing.T) {
 	if err != nil || empty.Len() != 0 {
 		t.Fatalf("missing file: cache=%v err=%v", empty, err)
 	}
-	// Version mismatch loads empty.
-	c.Version = 999
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	stale, err := LoadCostCache(path)
-	if err != nil || stale.Len() != 0 {
-		t.Fatalf("stale version should load empty, got %d entries err=%v", stale.Len(), err)
+	// Version mismatch loads empty: a newer version, and version 1, whose
+	// NAS entries were timed on the scheduled executor that no longer
+	// serves and would rank candidates on stale numbers.
+	for _, v := range []int{999, 1} {
+		c.Version = v
+		if err := c.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		stale, err := LoadCostCache(path)
+		if err != nil || stale.Len() != 0 {
+			t.Fatalf("version %d should load empty, got %d entries err=%v", v, stale.Len(), err)
+		}
 	}
 }
 
@@ -157,12 +108,13 @@ func TestMeasuredOracleWarmCacheSkipsMeasurement(t *testing.T) {
 	g := branchyGraph(t)
 	r1 := &fakeRunner{}
 	o1 := fastOracle(r1, nil)
-	groups := [][]*graph.Node{{g.Nodes[2]}, {g.Nodes[3]}}
-	o1.StageCost(groups, 1)
+	o1.OpCost(g.Nodes[2], 1)
+	o1.OpCost(g.Nodes[3], 1)
 	// Second oracle over the saved cache must not touch its runner.
 	r2 := &fakeRunner{}
 	o2 := fastOracle(r2, o1.Cache())
-	o2.StageCost(groups, 1)
+	o2.OpCost(g.Nodes[2], 1)
+	o2.OpCost(g.Nodes[3], 1)
 	if r2.binds != 0 || r2.runs != 0 {
 		t.Fatalf("warm cache still measured: binds=%d runs=%d", r2.binds, r2.runs)
 	}

@@ -17,8 +17,7 @@ const MaxDPBlockSize = 16
 
 // CostOracle prices one stage (a set of concurrent groups) at a batch
 // size, in nanoseconds of end-to-end time. It is an alias of the shared
-// gpu.CostOracle interface; both the simulated oracle below and the
-// wall-clock MeasuredOracle implement it.
+// gpu.CostOracle interface, which the simulated oracle below implements.
 type CostOracle = gpu.CostOracle
 
 // SimOracle prices stages by replaying them on a scratch GPU simulator.

@@ -66,27 +66,6 @@ func (s *Schedule) String() string {
 	return b.String()
 }
 
-// Compact renders the whole schedule on one line — groups joined with
-// "→" inside, " | " between groups, " ; " between stages — e.g.
-// "conv1→pool1 ; spp_l5 | spp_l2 | spp_l1 ; fc1→head". Used by serve's
-// structured startup logs and the bench harness, so a logged schedule is
-// greppable against a benched one.
-func (s *Schedule) Compact() string {
-	var stages []string
-	for _, st := range s.Stages {
-		var groups []string
-		for _, g := range st.Groups {
-			var names []string
-			for _, n := range g {
-				names = append(names, n.Name)
-			}
-			groups = append(groups, strings.Join(names, "→"))
-		}
-		stages = append(stages, strings.Join(groups, " | "))
-	}
-	return strings.Join(stages, " ; ")
-}
-
 // Validate checks that the schedule executes every non-input node of g
 // exactly once and respects dependencies: an operator's inputs must be
 // scheduled in an earlier stage, or earlier within the same group.

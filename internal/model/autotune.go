@@ -22,11 +22,10 @@ import (
 // held-out AP drop within epsilon, with a demotion ladder down to the
 // always-safe pure-fp32 im2col mix.
 //
-// Measurements run through ios.MeasuredOracle — the same warmup /
-// trimmed-mean / MinSampleNs machinery and cost cache that prices IOS
-// schedules — with each variant keyed by a kernel tag (see
-// nn.GraphProgram.OpTag), so a saved kernel cache makes retuning on the
-// same host instant and stays consistent with IOS planning.
+// Measurements run through ios.MeasuredOracle — warmup, trimmed mean,
+// MinSampleNs stretching and the shared cost cache — with each variant
+// keyed by a kernel tag (convProbe.OpTag), so a saved kernel cache makes
+// retuning on the same host instant.
 
 // KernelInt8 is the pseudo-variant name for a conv layer served by its
 // int8 wrapper instead of an fp32 kernel.
@@ -210,13 +209,13 @@ func autotuneKernels(fp32Net, qnet *nn.Sequential, input []int, g *gate, opts Ke
 			rc.SetKernels(k, k)
 			probe.conv, probe.qconv, probe.relu = rc, nil, tc.relu
 			if k == nn.KernelIm2Col {
-				probe.tag = "" // matches untagged fp32 keys shared with IOS planning
+				probe.tag = "" // the default kernel keeps the untagged key
 			} else {
 				probe.tag = "kern=" + k.String() + ":" + k.String()
 			}
 			fpCosts[li][k] = make(map[int]float64)
 			for _, b := range opts.Batches {
-				fpCosts[li][k][b] = oracle.StageCost([]ios.Group{{tc.node}}, b)
+				fpCosts[li][k][b] = oracle.OpCost(tc.node, b)
 			}
 		}
 		if tc.qconv != nil {
@@ -224,7 +223,7 @@ func autotuneKernels(fp32Net, qnet *nn.Sequential, input []int, g *gate, opts Ke
 			probe.tag = "int8"
 			i8Costs[li] = make(map[int]float64)
 			for _, b := range opts.Batches {
-				i8Costs[li][b] = oracle.StageCost([]ios.Group{{tc.node}}, b)
+				i8Costs[li][b] = oracle.OpCost(tc.node, b)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -13,11 +12,10 @@ import (
 )
 
 // This file is the one place that assembles a network for serving.
-// Compile alone knows the legal order of the four accuracy-gated steps
-// (QuantizeGated, AutotuneKernels, PlanDynamic, OptimizeSchedules), which
-// network each one sees and which combinations are refused; drainnet-serve
-// and the NAS loop both call it and run the Executor its Plan hands out,
-// so what a search priced is what serves.
+// Compile alone knows the legal order of the three accuracy-gated steps
+// (QuantizeGated, AutotuneKernels, PlanDynamic) and which network each
+// one sees; drainnet-serve and the NAS loop both call it and run the
+// Executor its Plan hands out, so what a search priced is what serves.
 
 // Executor runs one serving replica's forward pass and decodes the head
 // into detections. It owns per-replica layer caches, so one goroutine at
@@ -34,17 +32,6 @@ type seqExec struct{ net *nn.Sequential }
 
 func (e seqExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection) []metrics.Detection {
 	return InferDetect(e.net, x, a, dst)
-}
-
-// iosExec runs one replica under the plan's IOS schedules: exec1 serves
-// single-clip batches, execN everything larger.
-type iosExec struct{ exec1, execN *nn.ScheduleExecutor }
-
-func (e iosExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection) []metrics.Detection {
-	if x.Dim(0) == 1 {
-		return InferDetectScheduled(e.exec1, x, a, dst)
-	}
-	return InferDetectScheduled(e.execN, x, a, dst)
 }
 
 // CalibSource yields the held-out split the accuracy gates score on.
@@ -68,13 +55,11 @@ type CompileOptions struct {
 	// Dynamic serves the early-exit / masked path on the fp32 net, with
 	// a gated int8 net behind the difficulty router.
 	Dynamic bool
-	// IOS serves under measured-cost-optimal stage schedules.
-	IOS bool
-	// MaxBatch is the large-batch bucket kernels and schedules are
-	// optimised for (≤ 0 → 8, the batcher default).
+	// MaxBatch is the large-batch bucket kernels are tuned for (≤ 0 → 8,
+	// the batcher default).
 	MaxBatch int
-	// CostCache memoizes the autotune and IOS measurements (the caller
-	// loads and saves it across processes). Nil starts a fresh one.
+	// CostCache memoizes the autotuner's measurements (the caller loads
+	// and saves it across processes). Nil starts a fresh one.
 	CostCache *ios.CostCache
 }
 
@@ -97,11 +82,10 @@ type Plan struct {
 	Precision Precision
 	// Quant is the int8 gate decision, Kernels the autotuner's outcome,
 	// Dynamic the dynamic-inference plan (its Stats/ExitStats carry the
-	// live serving counters), Schedules the IOS stage schedules.
-	Quant     *QuantDecision
-	Kernels   *KernelPlan
-	Dynamic   *DynamicPlan
-	Schedules *SchedulePlan
+	// live serving counters).
+	Quant   *QuantDecision
+	Kernels *KernelPlan
+	Dynamic *DynamicPlan
 	// Router sends easy clips to the int8 replica path backed by int8Net;
 	// both are nil unless the plan routes.
 	Router  *Router
@@ -113,14 +97,11 @@ type Plan struct {
 }
 
 // Compile assembles net for serving: quantization gate → kernel
-// autotuning → dynamic planning → weight packing → IOS scheduling, each
-// step only when opts asks and each pricing the operators the previous
-// ones left in place. net must implement cfg; its conv kernels may be
-// retargeted in place.
+// autotuning → dynamic planning → weight packing, each step only when
+// opts asks and each pricing the operators the previous ones left in
+// place. net must implement cfg; its conv kernels may be retargeted in
+// place.
 func Compile(cfg Config, net *nn.Sequential, calib CalibSource, opts CompileOptions) (*Plan, error) {
-	if opts.Dynamic && opts.IOS {
-		return nil, errors.New("model: -dynamic does not compose with -ios schedules")
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 8
 	}
@@ -195,14 +176,6 @@ func Compile(cfg Config, net *nn.Sequential, calib CalibSource, opts CompileOpti
 		nn.PrepareInference(p.int8Net)
 	}
 
-	if opts.IOS {
-		sched, err := OptimizeSchedules(cfg, p.Served, opts.MaxBatch, opts.CostCache)
-		if err != nil {
-			return nil, err
-		}
-		p.Schedules = sched
-	}
-
 	p.Precision = PrecisionFP32
 	for _, m := range p.Served.Modules() {
 		if nn.Unwrap(m) != m {
@@ -220,9 +193,8 @@ func Compile(cfg Config, net *nn.Sequential, calib CalibSource, opts CompileOpti
 // twin, nil unless the plan routes. Calls must not race.
 //
 // hook, when given (at most one), times every stage both executors run:
-// the fused blocks of the sequential and dynamic paths, the dynamic
-// exit probe, the groups of IOS schedules. It is called from the
-// replica's goroutine and, for concurrent IOS groups, from pool workers.
+// the fused blocks of the sequential and dynamic paths and the dynamic
+// exit probe, one after another on the replica's goroutine.
 func (p *Plan) NewReplica(hook ...nn.StageHook) (exec, routed Executor, err error) {
 	var h nn.StageHook
 	if len(hook) > 0 {
@@ -234,28 +206,18 @@ func (p *Plan) NewReplica(hook ...nn.StageHook) (exec, routed Executor, err erro
 	if err != nil {
 		return nil, nil, err
 	}
-	switch {
-	case p.Dynamic != nil:
-		d := NewDynamicExec(net, p.Dynamic)
-		d.hook, exec = h, d
-		if p.int8Net != nil {
-			i8, err := replicaNet(p.int8Net, first, h)
-			if err != nil {
-				return nil, nil, err
-			}
-			d := NewDynamicExec(i8, p.Dynamic)
-			d.hook, routed = h, d
-		}
-	case p.Schedules != nil:
-		exec1, execN, err := p.Schedules.CompileExecutors(net)
+	if p.Dynamic == nil {
+		return seqExec{net}, nil, nil
+	}
+	d := NewDynamicExec(net, p.Dynamic)
+	d.hook, exec = h, d
+	if p.int8Net != nil {
+		i8, err := replicaNet(p.int8Net, first, h)
 		if err != nil {
 			return nil, nil, err
 		}
-		exec1.SetStageHook(h)
-		execN.SetStageHook(h)
-		exec = iosExec{exec1, execN}
-	default:
-		exec = seqExec{net}
+		d := NewDynamicExec(i8, p.Dynamic)
+		d.hook, routed = h, d
 	}
 	return exec, routed, nil
 }

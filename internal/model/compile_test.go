@@ -3,7 +3,6 @@ package model
 import (
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,22 +113,6 @@ func TestCompileMatchesHandChain(t *testing.T) {
 				return NewDynamicExec(net, dplan).InferDetect, NewDynamicExec(dec.Net, dplan).InferDetect
 			},
 		},
-		{
-			name: "ios", opts: CompileOptions{IOS: true}, precision: PrecisionFP32, exact: true, noCalib: true,
-			hand: func(net *nn.Sequential, _ *terrain.Dataset, cache *ios.CostCache) (detectFunc, detectFunc) {
-				sp, err := OptimizeSchedules(cfg, net, maxBatch, cache)
-				must(err)
-				exec1, execN, err := sp.CompileExecutors(net)
-				must(err)
-				return func(x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection) []metrics.Detection {
-					exec := execN
-					if x.Dim(0) == 1 {
-						exec = exec1
-					}
-					return InferDetectScheduled(exec, x, a, dst)
-				}, nil
-			},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -207,21 +190,6 @@ func TestCompileInt8GateFailureIsTyped(t *testing.T) {
 	}
 }
 
-// Dynamic inference does not compose with IOS schedules (the stage
-// executors bypass the dynamic seam): Compile refuses the combination
-// before doing any work.
-func TestCompileRejectsDynamicWithIOS(t *testing.T) {
-	_, err := Compile(compileTestConfig(), compileTestNet(t),
-		func() (*terrain.Dataset, error) {
-			t.Fatal("calibration source evaluated for a refused combination")
-			return nil, nil
-		},
-		CompileOptions{Dynamic: true, IOS: true})
-	if err == nil {
-		t.Fatal("Compile accepted Dynamic + IOS")
-	}
-}
-
 // A plain fp32 compile has no gate to score, so it must never build the
 // calibration split — that is what keeps a static server's startup in
 // the milliseconds.
@@ -235,7 +203,7 @@ func TestCompilePlainFP32NeverLoadsCalib(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Quant != nil || plan.Kernels != nil || plan.Dynamic != nil || plan.Schedules != nil {
+	if plan.Quant != nil || plan.Kernels != nil || plan.Dynamic != nil {
 		t.Fatalf("plain compile ran a step: %+v", plan)
 	}
 	if plan.KernelReport() != nil || plan.Router != nil {
@@ -338,17 +306,14 @@ func TestTracedInferSteadyStateZeroAlloc(t *testing.T) {
 		{"fp32", CompileOptions{}},
 		{"int8", CompileOptions{Precision: PrecisionInt8, MaxAPDrop: 1}},
 		{"dynamic", CompileOptions{Dynamic: true, MaxAPDrop: 1}},
-		{"ios", CompileOptions{IOS: true, MaxBatch: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan, err := Compile(compileTestConfig(), compileTestNet(t), calib, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var stages atomic.Int64
-			exec, _, err := plan.NewReplica(func(_, _, _ int, _ string, _ time.Time, _ time.Duration) {
-				stages.Add(1)
-			})
+			stages := 0
+			exec, _, err := plan.NewReplica(func(int, string, time.Time, time.Duration) { stages++ })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,7 +325,7 @@ func TestTracedInferSteadyStateZeroAlloc(t *testing.T) {
 			}
 			run()
 			run()
-			if stages.Load() == 0 {
+			if stages == 0 {
 				t.Fatal("the hook saw no stage")
 			}
 			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {

@@ -301,7 +301,7 @@ func (e *DynamicExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metri
 		}
 	}
 	if e.hook != nil {
-		e.hook(e.plan.SPPIndex, 0, 1, "ExitHead", start, time.Since(start))
+		e.hook(e.plan.SPPIndex, "ExitHead", start, time.Since(start))
 	}
 	e.keep = keep
 	e.plan.ExitStats.Add(int64(n-len(keep)), int64(n))

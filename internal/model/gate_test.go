@@ -317,7 +317,6 @@ func TestServedExecutorsDifferential(t *testing.T) {
 		opts CompileOptions
 	}{
 		{"fp32", CompileOptions{}},
-		{"ios", CompileOptions{IOS: true}},
 		{"autotune", CompileOptions{Autotune: true}},
 		{"int8", CompileOptions{Precision: PrecisionInt8}},
 		{"auto", CompileOptions{Precision: PrecisionAuto}},

@@ -244,15 +244,27 @@ func (c Config) Build(rng *rand.Rand) (*nn.Sequential, error) {
 }
 
 // BuildGraph constructs the inference IR for the (unscaled) architecture,
-// with activations fused into the producing kernels.
+// with activations fused into the producing kernels: the paper's widths,
+// which the GPU-simulator experiments price Table 1 models at.
 func (c Config) BuildGraph() (*graph.Graph, error) {
+	return c.buildGraph(func(f int) int { return f })
+}
+
+// BuildScaledGraph constructs the inference IR at the config's width
+// scale: the graph whose shapes match the network Build returns.
+func (c Config) BuildScaledGraph() (*graph.Graph, error) {
+	return c.buildGraph(c.filters)
+}
+
+// buildGraph lays out the IR with every conv and FC width mapped by width.
+func (c Config) buildGraph(width func(int) int) (*graph.Graph, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	g := graph.NewGraph(c.Name, c.InBands, c.InSize, c.InSize)
 	x := g.In
 	for i, cv := range c.Convs {
-		x = g.Conv(x, fmt.Sprintf("conv%d", i+1), cv.Filters, cv.Kernel, cv.Stride)
+		x = g.Conv(x, fmt.Sprintf("conv%d", i+1), width(cv.Filters), cv.Kernel, cv.Stride)
 		if cv.PoolSize > 0 {
 			x = g.Pool(x, fmt.Sprintf("pool%d", i+1), cv.PoolSize, cv.PoolStride)
 		}
@@ -262,7 +274,7 @@ func (c Config) BuildGraph() (*graph.Graph, error) {
 		branches = append(branches, g.AdaptivePool(x, fmt.Sprintf("spp_l%d", l), l))
 	}
 	cat := g.Concat(branches, "spp_concat")
-	h := g.FC(cat, "fc1", c.FCWidth)
+	h := g.FC(cat, "fc1", width(c.FCWidth))
 	g.FC(h, "head", c.HeadOut)
 	if err := g.Validate(); err != nil {
 		return nil, err

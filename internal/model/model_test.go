@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -119,6 +120,64 @@ func TestBuildGraphMatchesArchitecture(t *testing.T) {
 	if sppCount != len(cfg.SPPLevels) {
 		t.Fatalf("spp branches = %d, want %d", sppCount, len(cfg.SPPLevels))
 	}
+}
+
+// BuildScaledGraph must agree with the scaled network Build produces:
+// every conv, pool, SPP and FC layer's output has the shape of its
+// graph node, in order.
+func TestBuildScaledGraphMatchesBuild(t *testing.T) {
+	cfg := SPPNet2().Scaled(4).WithInput(4, 50)
+	net, err := cfg.Build(rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := cfg.BuildScaledGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphMatchesNet(g, net, cfg); err != nil {
+		t.Fatalf("scaled graph does not match the scaled network: %v", err)
+	}
+	// The unscaled graph must NOT match at scale > 1 — that mismatch is
+	// exactly why BuildScaledGraph exists.
+	ug, err := cfg.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphMatchesNet(ug, net, cfg); err == nil {
+		t.Fatal("unscaled graph unexpectedly matches a scaled network")
+	}
+}
+
+// graphMatchesNet runs one clip through net layer by layer and compares
+// each non-activation layer's per-sample output shape with the next
+// conv, pool, concat or FC node of g.
+func graphMatchesNet(g *graph.Graph, net *nn.Sequential, cfg Config) error {
+	var nodes []*graph.Node
+	for _, n := range g.Nodes {
+		switch n.Kind {
+		case graph.OpConv, graph.OpPool, graph.OpConcat, graph.OpMatMul:
+			nodes = append(nodes, n)
+		}
+	}
+	x := tensor.New(1, cfg.InBands, cfg.InSize, cfg.InSize)
+	for i, m := range net.Modules() {
+		x = m.Forward(x)
+		if _, act := m.(*nn.ReLU); act {
+			continue
+		}
+		if len(nodes) == 0 {
+			return fmt.Errorf("module %d has no graph node", i)
+		}
+		if got, want := fmt.Sprint(x.Shape()[1:]), fmt.Sprint(nodes[0].OutShape); got != want {
+			return fmt.Errorf("module %d outputs %s, node %q %s", i, got, nodes[0].Name, want)
+		}
+		nodes = nodes[1:]
+	}
+	if len(nodes) != 0 {
+		return fmt.Errorf("%d graph nodes without a module", len(nodes))
+	}
+	return nil
 }
 
 func TestBuildGraphFC1InputWidth(t *testing.T) {

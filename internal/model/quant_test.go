@@ -167,38 +167,3 @@ func TestQuantInferSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state int8 InferDetect allocates %v times per run, want 0", allocs)
 	}
 }
-
-// The IOS scheduled executor must price and run the quantized operators,
-// reproducing the sequential int8 fast path bit for bit.
-func TestQuantScheduledMatchesInfer(t *testing.T) {
-	qnet, _ := quantTestNet(t)
-	cfg := OriginalSPPNet().Scaled(8).WithInput(4, 40)
-	plan, err := OptimizeSchedules(cfg, qnet, 16, nil)
-	if err != nil {
-		t.Fatalf("OptimizeSchedules: %v", err)
-	}
-	exec1, execN, err := plan.CompileExecutors(qnet)
-	if err != nil {
-		t.Fatalf("CompileExecutors: %v", err)
-	}
-	rng := rand.New(rand.NewSource(15))
-	a := tensor.NewArena()
-	for _, tc := range []struct {
-		batch int
-		exec  *nn.ScheduleExecutor
-	}{{1, exec1}, {16, execN}} {
-		x := randClip(rng, tc.batch, 4, 40)
-		a.Reset()
-		want := append([]metrics.Detection(nil), InferDetect(qnet, x, a, nil)...)
-		a.Reset()
-		got := InferDetectScheduled(tc.exec, x, a, nil)
-		if len(got) != len(want) {
-			t.Fatalf("batch %d: %d detections, want %d", tc.batch, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("batch %d: scheduled detection %d = %+v, want %+v", tc.batch, i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -16,8 +16,8 @@ import (
 
 // This file closes the paper's optimization loop against the real
 // hardware: e(n) becomes the measured steady-state latency of each
-// candidate's compiled, scheduled, autotuned, possibly-int8 executor on
-// the machine that will serve, instead of the simulated-GPU price the
+// candidate's compiled, autotuned, possibly-int8 executor on the machine
+// that will serve, instead of the simulated-GPU price the
 // IOSMeasurer charges. Each candidate goes through model.Compile — the
 // same call drainnet-serve makes at startup — and the executor the plan
 // hands out is what gets benched, all against one shared ios.CostCache,
@@ -70,13 +70,13 @@ type MeasuredEvaluator struct {
 	// MaxAPDrop is the gate epsilon shared by the quantization and
 	// kernel gates.
 	MaxAPDrop float64
-	// MaxBatch is the large-batch bucket e(n) is optimized and measured
+	// MaxBatch is the large-batch bucket e(n) is tuned and measured
 	// at (default 16); batch 1 is always measured too.
 	MaxBatch int
-	// Cache is the shared measurement cache: operator costs (IOS +
-	// autotune keys) and candidate-level end-to-end latencies all live in
-	// it, so a warm cache makes re-search deterministic and cheap. A
-	// fresh cache is created when nil.
+	// Cache is the shared measurement cache: operator costs (autotune
+	// keys) and candidate-level end-to-end latencies all live in it, so
+	// a warm cache makes re-search deterministic and cheap. A fresh cache
+	// is created when nil.
 	Cache *ios.CostCache
 	// Warmup and Samples control the executor bench (defaults 2 and 8):
 	// Warmup discarded runs, then Samples timed runs whose trimmed mean
@@ -87,8 +87,8 @@ type MeasuredEvaluator struct {
 	MinSampleNs float64
 
 	// benchMu serializes every section that takes wall-clock timings
-	// (model.Compile's autotune and schedule steps, the executor bench), so
-	// N parallel workers measure as cleanly as a sequential run. Cached
+	// (model.Compile's autotune step, the executor bench), so N parallel
+	// workers measure as cleanly as a sequential run. Cached
 	// candidates skip it entirely, which is what makes warm-cache
 	// parallel search scale.
 	benchMu sync.Mutex
@@ -247,9 +247,9 @@ func (e *MeasuredEvaluator) EvaluateCandidate(c CandidateConfig) TrialResult {
 }
 
 // measureCandidate compiles a shared-weight clone of the trained net the
-// way serving would (IOS-scheduled, at the candidate's precision and
-// kernel mode), benches the plan's executor at batch 1 and MaxBatch, and
-// records the latencies and gate outcomes in r.
+// way serving would (at the candidate's precision and kernel mode),
+// benches the plan's executor at batch 1 and MaxBatch, and records the
+// latencies and gate outcomes in r.
 func (e *MeasuredEvaluator) measureCandidate(scaled model.Config, base *nn.Sequential, r *TrialResult) error {
 	clone, err := nn.CloneShared(base)
 	if err != nil {
@@ -259,7 +259,6 @@ func (e *MeasuredEvaluator) measureCandidate(scaled model.Config, base *nn.Seque
 	opts := model.CompileOptions{
 		MaxAPDrop: e.MaxAPDrop,
 		Autotune:  c.Kernels == KernelModeTuned,
-		IOS:       true,
 		MaxBatch:  e.MaxBatch,
 		CostCache: e.Cache,
 	}

@@ -254,9 +254,9 @@ func TestInferRangeSplitAtEveryBoundary(t *testing.T) {
 }
 
 // A bound stage hook sees every block InferRange runs once, in order, as
-// a one-group stage at its first module, labelled with the modules the
-// block fused; a range bound splits a block's label too, and timing
-// changes no bit.
+// a stage at its first module, labelled with the modules the block
+// fused; a range bound splits a block's label too, and timing changes no
+// bit.
 func TestSequentialStageHookReportsBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(2414))
 	net := splitNet(rng)
@@ -264,9 +264,9 @@ func TestSequentialStageHookReportsBlocks(t *testing.T) {
 	x := randInput(rng, 2, 3, 96, 90)
 	want := net.Infer(x, tensor.NewArena())
 	var got []string
-	net.SetStageHook(func(stage, group, groups int, label string, start time.Time, d time.Duration) {
-		if group != 0 || groups != 1 || start.IsZero() || d < 0 {
-			t.Errorf("block %q: stage %d group %d/%d, start %v, dur %v", label, stage, group, groups, start, d)
+	net.SetStageHook(func(stage int, label string, start time.Time, d time.Duration) {
+		if start.IsZero() || d < 0 {
+			t.Errorf("block %q: stage %d, start %v, dur %v", label, stage, start, d)
 		}
 		got = append(got, fmt.Sprintf("%d %s", stage, label))
 	})

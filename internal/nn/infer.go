@@ -65,7 +65,7 @@ func (s *Sequential) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 //
 // With a stage hook bound (SetStageHook), every block InferRange runs —
 // a fused conv→ReLU→pool, a Linear→ReLU, a lone SPP — is reported as a
-// one-group stage whose index is the block's first module.
+// stage whose index is the block's first module.
 func (s *Sequential) InferRange(x *tensor.Tensor, a *tensor.Arena, lo, hi int) *tensor.Tensor {
 	for i := lo; i < hi; i++ {
 		if s.hook == nil {
@@ -74,7 +74,7 @@ func (s *Sequential) InferRange(x *tensor.Tensor, a *tensor.Arena, lo, hi int) *
 		}
 		start, first, bucket := time.Now(), i, min(x.Dim(0), 2)-1
 		x, i = s.runBlock(x, a, i, hi)
-		s.hook(first, 0, 1, s.labels[first][bucket][i-first], start, time.Since(start))
+		s.hook(first, s.labels[first][bucket][i-first], start, time.Since(start))
 	}
 	return x
 }
@@ -103,6 +103,13 @@ func (s *Sequential) runBlock(x *tensor.Tensor, a *tensor.Arena, i, hi int) (*te
 	}
 	return m.Forward(x), i
 }
+
+// StageHook observes one executed stage of an inference pass: the
+// stage index, its label (module names joined with "→") and its
+// wall-clock window. Sequential chains report each fused block
+// (Sequential.SetStageHook), the dynamic executor its exit probe too;
+// stages run one after another on the caller's goroutine.
+type StageHook func(stage int, label string, start time.Time, dur time.Duration)
 
 // blockLabels names the blocks InferRange can run from one module,
 // indexed [batch bucket (1, >1)][modules in the block - 1].

@@ -12,9 +12,8 @@ import (
 // serving host and picks the fastest, with non-bitwise variants gated on
 // held-out accuracy. KernelIm2Col is the safe default everywhere.
 //
-// Kernel choice only affects the inference fast path (Infer/inferFused
-// and, through it, the scheduled IOS executor). Forward keeps the
-// training im2col path untouched.
+// Kernel choice only affects the inference fast path (Infer/inferFused).
+// Forward keeps the training im2col path untouched.
 type ConvKernel uint8
 
 const (

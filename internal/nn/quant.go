@@ -149,8 +149,8 @@ type QuantReport struct {
 // activation ranges. Hostile layers silently keep their fp32 kernels and
 // are counted in the report. All other layers are shared-cloned, so the
 // returned network is safe to run concurrently with s and with other
-// clones. The quantized layers support Infer, fused inference, scheduled
-// execution and Forward — but not Backward.
+// clones. The quantized layers support Infer, fused inference and
+// Forward — but not Backward.
 func QuantizeForInference(s *Sequential, cal *Calibration) (*Sequential, QuantReport, error) {
 	var rep QuantReport
 	PrepareInferenceParallel(s)

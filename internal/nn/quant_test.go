@@ -1,12 +1,49 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
-	"drainnet/internal/ios"
 	"drainnet/internal/tensor"
 )
+
+// buildSPPNet constructs a small conv→pool→conv→SPP→FC network with
+// the branched SPP pyramid of the detector.
+func buildSPPNet(rng *rand.Rand) *Sequential {
+	const (
+		inC, c1, c2 = 3, 6, 10
+		fcw, head   = 24, 5
+	)
+	net := NewSequential()
+	net.Add(NewConv2D(rng, inC, c1, 3, 1))
+	net.Add(NewReLU())
+	net.Add(NewMaxPool2D(2, 2))
+	net.Add(NewConv2D(rng, c1, c2, 3, 1))
+	net.Add(NewReLU())
+	spp := NewSPP(3, 2, 1)
+	net.Add(spp)
+	net.Add(NewLinear(rng, spp.OutFeatures(c2), fcw))
+	net.Add(NewReLU())
+	net.Add(NewLinear(rng, fcw, head))
+	return net
+}
+
+// assertBitwiseEqual fails unless got and want agree on shape and on
+// every element's exact bit pattern.
+func assertBitwiseEqual(t *testing.T, label string, got, want *tensor.Tensor) {
+	t.Helper()
+	gd, wd := got.Data(), want.Data()
+	if len(gd) != len(wd) {
+		t.Fatalf("%s: size %d != %d", label, len(gd), len(wd))
+	}
+	for i := range gd {
+		if math.Float32bits(gd[i]) != math.Float32bits(wd[i]) {
+			t.Fatalf("%s: element %d differs: %g (%#x) != %g (%#x)",
+				label, i, gd[i], math.Float32bits(gd[i]), wd[i], math.Float32bits(wd[i]))
+		}
+	}
+}
 
 func calibBatches(rng *rand.Rand, n int, shape ...int) []*tensor.Tensor {
 	var out []*tensor.Tensor
@@ -63,7 +100,7 @@ func TestMinMaxObserverQParams(t *testing.T) {
 // batches and returns (fp32 net, quantized net).
 func quantizedPair(t *testing.T, rng *rand.Rand) (*Sequential, *Sequential) {
 	t.Helper()
-	net, _ := buildSPPPair(t, rng, 1)
+	net := buildSPPNet(rng)
 	cal := Calibrate(net, calibBatches(rng, 4, 8, 3, 21, 21))
 	qnet, rep, err := QuantizeForInference(net, cal)
 	if err != nil {
@@ -146,7 +183,7 @@ func TestQuantInferDeterministicAndForwardParity(t *testing.T) {
 
 func TestQuantizeFallbackHostileLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	net, _ := buildSPPPair(t, rng, 1)
+	net := buildSPPNet(rng)
 	// Direct-algorithm convs are not quantizable.
 	net.Modules()[0].(*Conv2D).Algo = ConvDirect
 	cal := Calibrate(net, calibBatches(rng, 2, 4, 3, 21, 21))
@@ -169,42 +206,4 @@ func TestQuantizeFallbackHostileLayers(t *testing.T) {
 	x := randInput(rng, 2, 3, 21, 21)
 	assertBitwiseEqual(t, "fallback net",
 		qnet.Infer(x, tensor.NewArena()), net.Infer(x, tensor.NewArena()))
-}
-
-// TestQuantScheduleExecutorMatchesInfer pins the scheduled execution of a
-// quantized program to the quantized fast path, bit for bit, and checks
-// the precision tagging the cost oracle keys on.
-func TestQuantScheduleExecutorMatchesInfer(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	net, g := buildSPPPair(t, rng, 1)
-	cal := Calibrate(net, calibBatches(rng, 3, 8, 3, 21, 21))
-	qnet, _, err := QuantizeForInference(net, cal)
-	if err != nil {
-		t.Fatalf("QuantizeForInference: %v", err)
-	}
-	prog, err := CompileGraph(qnet, g)
-	if err != nil {
-		t.Fatalf("CompileGraph over quantized net: %v", err)
-	}
-	tagged := 0
-	for _, n := range g.Nodes {
-		if prog.OpTag(n) == "int8" {
-			tagged++
-		}
-	}
-	if tagged != 4 { // conv1, conv2, fc1, head
-		t.Fatalf("OpTag marked %d int8 nodes, want 4", tagged)
-	}
-	for _, sched := range []*ios.Schedule{ios.SequentialSchedule(g), ios.GreedySchedule(g)} {
-		exec, err := NewScheduleExecutor(prog, sched)
-		if err != nil {
-			t.Fatalf("executor %s: %v", sched.Name, err)
-		}
-		for _, batch := range []int{1, 16} {
-			x := randInput(rng, batch, 3, 21, 21)
-			want := qnet.Infer(x, tensor.NewArena())
-			got := exec.Infer(x, tensor.NewArena())
-			assertBitwiseEqual(t, sched.Name, got, want)
-		}
-	}
 }

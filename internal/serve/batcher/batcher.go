@@ -207,10 +207,10 @@ func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 		// becomes one EvStageRun per trace-sampled request of the batch.
 		var hook nn.StageHook
 		if tel := opts.Telemetry; tel.Sampling() {
-			hook = func(stage, group, groups int, label string, at time.Time, d time.Duration) {
+			hook = func(stage int, label string, at time.Time, d time.Duration) {
 				for _, rid := range rep.sampled {
 					tel.Emit(telemetry.Event{Kind: telemetry.EvStageRun, Req: rid, At: at, Dur: d,
-						Replica: i, Stage: stage, Group: group, Groups: groups, Name: label})
+						Replica: i, Stage: stage, Name: label})
 				}
 			}
 		}

@@ -105,8 +105,7 @@ func serveAll(t *testing.T, plan *model.Plan, tel *telemetry.Telemetry, ds *terr
 // Trace sampling only observes: a pool whose every request is sampled
 // must give the same answers, bit for bit, and move the same dynamic
 // counters as one whose telemetry is off — with the exit, the masks and
-// the int8 route all firing, and under IOS schedules whose concurrent
-// groups call the timing hook from pool workers.
+// the int8 route all firing.
 func TestTraceSamplingChangesNoAnswer(t *testing.T) {
 	ds := benchTraffic(t)
 	cases := []struct {
@@ -114,7 +113,6 @@ func TestTraceSamplingChangesNoAnswer(t *testing.T) {
 		opts model.CompileOptions
 	}{
 		{"dynamic auto", model.CompileOptions{Dynamic: true, Precision: model.PrecisionAuto, MaxAPDrop: 0.05, MaxBatch: 16}},
-		{"ios", model.CompileOptions{IOS: true, MaxBatch: 16}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,8 +177,8 @@ func opName(m nn.Module, n int) string {
 
 // The sampled trace names what the serving executor ran — fused flat
 // blocks, int8 convs, autotuned kernels, masked convs and the exit
-// probe, IOS groups — and every stage slice lies inside the inference
-// slice; slices overlap only as concurrent groups of one IOS stage.
+// probe — and every stage slice lies inside the inference slice, with
+// no two of them overlapping.
 func TestTraceNamesServedRoute(t *testing.T) {
 	ds := benchTraffic(t)
 	ds.Samples = ds.Samples[:64]
@@ -193,7 +191,6 @@ func TestTraceNamesServedRoute(t *testing.T) {
 		{"int8", model.CompileOptions{Precision: model.PrecisionInt8, MaxAPDrop: 1}, "QuantConv2D→ReLU"},
 		{"autotune", model.CompileOptions{Autotune: true, MaxAPDrop: 1, MaxBatch: 8}, ""},
 		{"dynamic router", model.CompileOptions{Dynamic: true, Precision: model.PrecisionAuto, MaxAPDrop: 0.05, MaxBatch: 8}, "ExitHead"},
-		{"ios", model.CompileOptions{IOS: true, MaxBatch: 8}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -215,18 +212,6 @@ func TestTraceNamesServedRoute(t *testing.T) {
 				t.Fatalf("%d traces for %d clips", len(traces), len(ds.Samples))
 			}
 
-			groupLabels := map[string]bool{}
-			if sp := plan.Schedules; sp != nil {
-				for _, st := range append(sp.Batch1.Stages, sp.BatchN.Stages...) {
-					for _, g := range st.Groups {
-						names := make([]string, len(g))
-						for i, n := range g {
-							names[i] = n.Name
-						}
-						groupLabels[strings.Join(names, "→")] = true
-					}
-				}
-			}
 			sawWant := tc.want == ""
 			for _, tr := range traces {
 				checkTraceLayout(t, tr)
@@ -241,14 +226,6 @@ func TestTraceNamesServedRoute(t *testing.T) {
 				}
 				for _, n := range names {
 					sawWant = sawWant || n == tc.want
-				}
-				if plan.Schedules != nil {
-					for _, n := range names {
-						if !groupLabels[n] {
-							t.Fatalf("slice %q is no group of the served schedules", n)
-						}
-					}
-					continue
 				}
 				ops := strings.Split(strings.Join(names, "→"), "→")
 				if plan.Dynamic != nil && strings.HasPrefix(ops[0], "Quant") {
@@ -287,8 +264,8 @@ func TestTraceNamesServedRoute(t *testing.T) {
 }
 
 // checkTraceLayout requires every stage slice of one trace to lie inside
-// its inference slice, and stage groups to overlap in time only when
-// they are concurrent groups of one IOS stage.
+// its inference slice and to end before the next one starts: a
+// replica's executors run their stages one after another.
 func checkTraceLayout(t *testing.T, tr capturedTrace) {
 	t.Helper()
 	const eps = 1e-3 // µs: both ends are whole nanoseconds
@@ -303,20 +280,23 @@ func checkTraceLayout(t *testing.T, tr capturedTrace) {
 	if inf == nil {
 		t.Fatalf("span %d has no inference slice", tr.span.ID)
 	}
-	for _, e := range tr.events {
-		if e.Cat == "kernel/layer" && (e.Ts < *inf-eps || e.Ts+e.Dur > infEnd+eps) {
+	var slices []int
+	for i, e := range tr.events {
+		if e.Cat != "kernel/layer" {
+			continue
+		}
+		if e.Ts < *inf-eps || e.Ts+e.Dur > infEnd+eps {
 			t.Fatalf("span %d: slice %q [%v, %v] outside inference [%v, %v]",
 				tr.span.ID, e.Name, e.Ts, e.Ts+e.Dur, *inf, infEnd)
 		}
+		slices = append(slices, i)
 	}
-	st := append([]telemetry.StageTiming(nil), tr.span.Stages...)
-	sort.Slice(st, func(i, j int) bool { return st[i].Start.Before(st[j].Start) })
-	for i := range st {
-		for j := i + 1; j < len(st) && st[j].Start.Before(st[i].Start.Add(st[i].Dur)); j++ {
-			if st[i].Stage != st[j].Stage || st[i].Groups < 2 {
-				t.Fatalf("span %d: %q (stage %d) overlaps %q (stage %d)",
-					tr.span.ID, st[i].Label, st[i].Stage, st[j].Label, st[j].Stage)
-			}
+	sort.Slice(slices, func(i, j int) bool { return tr.events[slices[i]].Ts < tr.events[slices[j]].Ts })
+	for k := 1; k < len(slices); k++ {
+		prev, next := tr.events[slices[k-1]], tr.events[slices[k]]
+		if prev.Ts+prev.Dur > next.Ts+eps {
+			t.Fatalf("span %d: slice %q [%v, %v] overlaps %q [%v, %v]",
+				tr.span.ID, prev.Name, prev.Ts, prev.Ts+prev.Dur, next.Name, next.Ts, next.Ts+next.Dur)
 		}
 	}
 }

@@ -23,9 +23,9 @@ const (
 	EvInferenceDone
 	// EvResponseWritten: the HTTP response was written.
 	EvResponseWritten
-	// EvStageRun: one stage group of a sampled forward pass ran — a fused
-	// block, the dynamic exit probe, or one group of an IOS stage, as the
-	// executor serving the batch ran it.
+	// EvStageRun: one stage of a sampled forward pass ran — a fused
+	// block or the dynamic exit probe, as the executor serving the batch
+	// ran it.
 	EvStageRun
 )
 
@@ -58,20 +58,19 @@ type Event struct {
 	// Req identifies the request; events with the same Req assemble into
 	// one span.
 	Req uint64
-	// At is when the event happened (EvStageRun: when the group started).
+	// At is when the event happened (EvStageRun: when the stage started).
 	At time.Time
-	// Dur is the group's run time (EvStageRun only).
+	// Dur is the stage's run time (EvStageRun only).
 	Dur time.Duration
 	// Replica is the serving replica (EvDispatch, EvStageRun).
 	Replica int
 	// Batch is the sealed batch size (EvBatchFormed, EvDispatch).
 	Batch int
-	// Name is the group's operator-chain label (EvStageRun only).
+	// Name is the stage's operator-chain label (EvStageRun only).
 	Name string
-	// Stage, Group and Groups locate one group run within the forward
-	// pass: stage index, group index, and the stage's group count
-	// (EvStageRun only).
-	Stage, Group, Groups int
+	// Stage is the stage's index within the forward pass (EvStageRun
+	// only).
+	Stage int
 }
 
 // ctxKey carries a request ID through a context.

@@ -158,8 +158,8 @@ func TestTraceExportAndLatestTrace(t *testing.T) {
 	tel.Emit(Event{Kind: EvEnqueued, Req: id, At: base})
 	tel.Emit(Event{Kind: EvBatchFormed, Req: id, At: base.Add(time.Millisecond), Batch: 1})
 	tel.Emit(Event{Kind: EvDispatch, Req: id, At: base.Add(2 * time.Millisecond), Replica: 1, Batch: 1})
-	tel.Emit(Event{Kind: EvStageRun, Req: id, At: base.Add(2 * time.Millisecond), Stage: 0, Groups: 1, Name: "Conv2D", Dur: 3 * time.Millisecond})
-	tel.Emit(Event{Kind: EvStageRun, Req: id, At: base.Add(5 * time.Millisecond), Stage: 1, Groups: 1, Name: "Linear", Dur: time.Millisecond})
+	tel.Emit(Event{Kind: EvStageRun, Req: id, At: base.Add(2 * time.Millisecond), Stage: 0, Name: "Conv2D", Dur: 3 * time.Millisecond})
+	tel.Emit(Event{Kind: EvStageRun, Req: id, At: base.Add(5 * time.Millisecond), Stage: 1, Name: "Linear", Dur: time.Millisecond})
 	tel.Emit(Event{Kind: EvInferenceDone, Req: id, At: base.Add(8 * time.Millisecond)})
 	tel.Emit(Event{Kind: EvResponseWritten, Req: id, At: base.Add(9 * time.Millisecond)})
 	tel.Flush()

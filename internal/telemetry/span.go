@@ -2,19 +2,14 @@ package telemetry
 
 import "time"
 
-// StageTiming is one executed group of a sampled forward pass: which
-// stage and group ran, how many groups the stage had, the group's
-// operator-chain label, and its wall-clock window. Sequential and
-// dynamic executors run one-group stages (a fused block, the exit
-// probe); groups of one IOS stage overlap in time — that overlap is the
-// inter-operator concurrency the schedule bought.
+// StageTiming is one executed stage of a sampled forward pass — a fused
+// block or the dynamic exit probe: its index, its operator-chain label
+// and its wall-clock window.
 type StageTiming struct {
-	Stage  int
-	Group  int
-	Groups int
-	Label  string
-	Start  time.Time
-	Dur    time.Duration
+	Stage int
+	Label string
+	Start time.Time
+	Dur   time.Duration
 }
 
 // Span is the assembled timeline of one request: the event timestamps
@@ -76,10 +71,7 @@ func (t *Telemetry) handle(pending map[uint64]*Span, order []uint64, e Event) []
 			s.BatchSize = e.Batch
 		}
 	case EvStageRun:
-		s.Stages = append(s.Stages, StageTiming{
-			Stage: e.Stage, Group: e.Group, Groups: e.Groups,
-			Label: e.Name, Start: e.At, Dur: e.Dur,
-		})
+		s.Stages = append(s.Stages, StageTiming{Stage: e.Stage, Label: e.Name, Start: e.At, Dur: e.Dur})
 	case EvInferenceDone:
 		s.Done = e.At
 		// Direct pool users have no HTTP layer to close the span.

@@ -157,7 +157,7 @@ func newCore(opts Options) *Telemetry {
 	t.serialization = t.reg.Histogram("drainnet_serialization_seconds",
 		"Time between result delivery and the HTTP response being written.", TimeBuckets)
 	t.stageRun = t.reg.Histogram("drainnet_stage_run_seconds",
-		"Per-group stage execution time in sampled forward passes.", TimeBuckets)
+		"Stage execution time in sampled forward passes.", TimeBuckets)
 	return t
 }
 

@@ -45,7 +45,7 @@ func (t *Telemetry) LatestTrace() (uint64, []byte) {
 
 // chromeEvents lays the span out as ledger events: the request's
 // lifecycle phases on one track (stream 0) and the replica's forward
-// pass — with a slice per stage group the executor ran — on the
+// pass — with a slice per stage the executor ran — on the
 // replica's track. Timestamps are relative to the span's first event.
 func chromeEvents(s *Span) []gpu.Event {
 	t0 := s.Accepted
@@ -79,14 +79,10 @@ func chromeEvents(s *Span) []gpu.Event {
 	add("serialization", "phase", 0, s.Done, s.Responded)
 	add(fmt.Sprintf("inference (replica=%d batch=%d)", s.Replica, s.BatchSize),
 		"phase", 1+s.Replica, s.Dispatched, s.Done)
-	// Stage groups carry real start times. Group 0 of each stage — every
-	// block of a sequential or dynamic pass — nests under the replica's
-	// inference slice; groups 1..G-1 of an IOS stage get their own lanes
-	// above it, so concurrent groups render side by side. A sampled span
-	// traces one replica, so the lane offsets cannot collide with another
-	// replica's track within the same trace.
+	// Stages carry real start times and nest under the replica's
+	// inference slice.
 	for _, st := range s.Stages {
-		add(st.Label, "layer", 1+s.Replica+st.Group, st.Start, st.Start.Add(st.Dur))
+		add(st.Label, "layer", 1+s.Replica, st.Start, st.Start.Add(st.Dur))
 	}
 	return out
 }

@@ -152,24 +152,6 @@ func ParallelRange(n, grain int, r Ranger) {
 	workPool.mu.Unlock()
 }
 
-// RunInline executes f while holding the pool's region lock, so every
-// ParallelRange issued from inside f degrades to inline serial execution
-// on the calling goroutine. This reproduces, on demand, the execution
-// mode an operator sees when it runs inside one group of a concurrent
-// IOS stage (where the stage itself owns the pool); the measured cost
-// oracle uses it to price that mode without spinning up a real stage.
-// If the pool is busy or has no workers, f simply runs — nested regions
-// already degrade inline in both cases.
-func RunInline(f func()) {
-	workPool.once.Do(startWorkers)
-	if workPool.workers == 0 || !workPool.mu.TryLock() {
-		f()
-		return
-	}
-	defer workPool.mu.Unlock()
-	f()
-}
-
 // funcRanger adapts a per-index closure to the Ranger interface for the
 // legacy ParallelFor API. It allocates (the closure escapes), which is
 // fine on training paths; inference paths use ParallelRange directly

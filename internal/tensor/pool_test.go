@@ -109,42 +109,6 @@ func TestParallelForMatchesSerial(t *testing.T) {
 	}
 }
 
-// recordRanger logs every RunRange call without synchronization: valid
-// only when execution is guaranteed single-goroutine (the race detector
-// enforces that guarantee when this runs under -race).
-type recordRanger struct{ calls [][2]int }
-
-func (r *recordRanger) RunRange(lo, hi int) { r.calls = append(r.calls, [2]int{lo, hi}) }
-
-func TestRunInline(t *testing.T) {
-	if PoolWorkers() == 0 {
-		t.Skip("no pool workers; RunInline trivially degrades")
-	}
-	runs := 0
-	rec := &recordRanger{}
-	RunInline(func() {
-		runs++
-		// While RunInline holds the pool, a region must degrade to a
-		// single inline RunRange(0, n) on this goroutine — the execution
-		// mode one group of a concurrent IOS stage sees.
-		ParallelRange(1000, 1, rec)
-	})
-	if runs != 1 {
-		t.Fatalf("RunInline ran f %d times, want 1", runs)
-	}
-	if len(rec.calls) != 1 || rec.calls[0] != [2]int{0, 1000} {
-		t.Fatalf("nested region inside RunInline ran as %v, want one inline [0 1000] call", rec.calls)
-	}
-	// Outside RunInline the pool must be usable again.
-	c := &countRanger{hits: make([]atomic.Int32, 1000)}
-	ParallelRange(1000, 1, c)
-	for i := range c.hits {
-		if c.hits[i].Load() != 1 {
-			t.Fatalf("post-RunInline coverage broken at %d", i)
-		}
-	}
-}
-
 func TestParallelRangeZeroAndNegative(t *testing.T) {
 	c := &countRanger{hits: make([]atomic.Int32, 1)}
 	ParallelRange(0, 1, c)  // must not touch anything
