@@ -116,12 +116,15 @@ test-purego:
 # Instructions that would break the kernels' bit-identity with the
 # scalar loops must not appear in the assembly, comments included: the
 # FMA family — multiply-add, multiply-subtract, their negated and
-# alternating forms — rounds once where the loops round twice; VPMADDUBSW
-# saturates its int16 pair sum and VPDPBUSDS / VPDPWSSDS their int32
-# accumulator where the loops' integer sums are exact. Tier-1 runs the
-# same grep as TestAssemblyHasNoFusedOrSaturatingMultiplyAdd.
+# alternating forms, and the AVX-512 four-iteration, FP16-complex and
+# BF16-dot relatives — rounds once where the loops round twice;
+# VPMADDUBSW saturates its int16 pair sum and VPDPBUSDS / VPDPWSSDS /
+# VP4DPWSSDS their int32 accumulator where the loops' integer sums are
+# exact; a directed embedded rounding (.RU_SAE, .RD_SAE, .RZ_SAE) is not
+# the loops' round-to-nearest. Tier-1 runs the same grep as
+# TestAssemblyHasNoFusedOrSaturatingMultiplyAdd.
 check-asm:
-	! grep -nE 'VFN?M(ADD|SUB)|VPMADDUBSW|VPDPBUSDS|VPDPWSSDS' internal/tensor/*.s
+	! grep -nE 'VFN?M(ADD|SUB)|VPMADDUBSW|VPDPBUSDS|VPDPWSSDS|V4FN?MADD|VP4DPWSSDS|VFC?MADDC|VFC?MULC|VDPBF16PS|\.R[UDZ]_SAE' internal/tensor/*.s
 
 # Several minutes: GOMAXPROCS=4 gives the shared worker pool and the
 # parallel NAS search real fan-out to race on.

@@ -107,7 +107,7 @@ type AdaptiveMaxPool2D struct {
 	inShape []int
 	argmax  []int32
 
-	task adaptivePoolTask // inference dispatch, reused across calls
+	task pyramidTask // inference dispatch, reused across calls
 }
 
 // NewAdaptiveMaxPool2D creates an adaptive max pool with an out×out target.
@@ -273,66 +273,134 @@ func (p *AdaptiveMaxPool2D) cloneShared() Module {
 	return &AdaptiveMaxPool2D{OutH: p.OutH, OutW: p.OutW}
 }
 
-// Infer implements Inferencer: adaptive max pooling without the argmax map.
+// Infer implements Inferencer: adaptive max pooling without the argmax
+// map — the one-level case of the SPP pyramid pass.
 func (p *AdaptiveMaxPool2D) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	checkRank(x, 4, "AdaptiveMaxPool2D.Infer")
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	if h < 1 || w < 1 {
-		panic("nn: AdaptiveMaxPool2D empty input")
-	}
+	n, c := x.Dim(0), x.Dim(1)
 	out := a.Get(n, c, p.OutH, p.OutW)
-	t := &p.task
-	t.x, t.out = x.Data(), out.Data()
-	t.setBins(h, w, p.OutH, p.OutW)
-	tensor.ParallelRange(n*c, 1, t)
+	p.task.run(x, out.Data(), p.OutH, p.OutW)
 	return out
 }
 
-// adaptivePoolTask computes adaptive pooling for channel planes [lo,hi).
-// The bins depend on the shapes alone, so their bounds — two integer
-// divisions each — are tabulated once per (h, w, oh, ow) instead of
-// being recomputed for every output of every plane: rows[2·oy] and
-// rows[2·oy+1] are binBounds(oy, h, oh), cols likewise.
-type adaptivePoolTask struct {
-	x, out       []float32
-	h, w, oh, ow int
-	rows, cols   []int
+// pyramidTask max-pools every plane of an N×C×H×W input into every level
+// of a pyramid of adaptive pools, written straight into place: level
+// li's OH×OW bins of plane (i, ch) land at out[i·width + c·col +
+// ch·OH·OW], which is SPP's concatenated layout (and, with one level at
+// col 0, an N×C×OH×OW tensor). One pool region covers the whole batch;
+// per sample, each level is one tensor.MaxBins call over its c planes.
+// Each bin starts from -Inf and takes, in row-major order, every input
+// that compares greater — so NaN never wins, a bin of only NaNs stays
+// -Inf and of equal zeros the first one seen stays: the bits Forward's
+// argmax loop produces. The bins depend on the shapes alone, so their
+// bounds — binBounds, two integer divisions each — are tabulated once
+// per (H, W) and reused for every plane of every batch.
+type pyramidTask struct {
+	x, out      []float32
+	c, h, w     int
+	width       int
+	levels      []pyramidLevel
+	bound       []int // the bins' [lo, hi) row and column pairs, per level
+	boundsValid bool  // bound holds the levels' bins over an h×w plane
 }
 
-func (t *adaptivePoolTask) setBins(h, w, oh, ow int) {
-	if t.h == h && t.w == w && t.oh == oh && t.ow == ow && len(t.rows) == 2*oh {
-		return
+// pyramidLevel is one level's output grid and where its bounds and its
+// outputs start: rows at bound[rows:], columns at bound[cols:], and the
+// level's bins of a sample at c·col, past the coarser levels' c·OH·OW.
+type pyramidLevel struct {
+	oh, ow, col int
+	rows, cols  int
+}
+
+// setLevels declares the pyramid: one oh×ow grid per entry of oh and ow.
+func (t *pyramidTask) setLevels(oh, ow []int) {
+	t.levels = t.levels[:0]
+	for i := range oh {
+		t.levels = append(t.levels, pyramidLevel{oh: oh[i], ow: ow[i]})
 	}
-	t.h, t.w, t.oh, t.ow = h, w, oh, ow
-	t.rows, t.cols = t.rows[:0], t.cols[:0]
-	for oy := 0; oy < oh; oy++ {
-		y0, y1 := binBounds(oy, h, oh)
-		t.rows = append(t.rows, y0, y1)
+	t.boundsValid = false
+}
+
+// run pools x into out as the one-level pyramid oh×ow.
+func (t *pyramidTask) run(x *tensor.Tensor, out []float32, oh, ow int) {
+	if len(t.levels) != 1 || t.levels[0].oh != oh || t.levels[0].ow != ow {
+		t.setLevels([]int{oh}, []int{ow})
 	}
-	for ox := 0; ox < ow; ox++ {
-		x0, x1 := binBounds(ox, w, ow)
-		t.cols = append(t.cols, x0, x1)
+	t.runLevels(x, out)
+}
+
+// pyramidGrainCells is the least work, in bin reads, that one pool
+// chunk of the pyramid pass takes.
+const pyramidGrainCells = 1 << 14
+
+// runLevels pools x into every declared level of out. Samples are spread
+// over the worker pool in chunks of at least pyramidGrainCells bin
+// reads, so a small pyramid (the bench net's sixteen 5×5 planes per
+// clip) runs inline instead of paying a region's wake-up for a few
+// microseconds of compares.
+func (t *pyramidTask) runLevels(x *tensor.Tensor, out []float32) {
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	if h < 1 || w < 1 {
+		panic("nn: adaptive max pool of an empty input")
+	}
+	t.x, t.out, t.c = x.Data(), out, c
+	if !t.boundsValid || t.h != h || t.w != w {
+		t.setBounds(h, w)
+	}
+	t.width = len(out) / max(n, 1)
+	reads := 0
+	for _, l := range t.levels {
+		reads += c * l.binReads(t.bound)
+	}
+	tensor.ParallelRange(n, max(1, pyramidGrainCells/max(reads, 1)), t)
+}
+
+// setBounds tabulates every level's bins over an h×w plane and lays the
+// levels out one after another per channel.
+func (t *pyramidTask) setBounds(h, w int) {
+	t.h, t.w, t.boundsValid = h, w, true
+	t.bound = t.bound[:0]
+	col := 0
+	for i := range t.levels {
+		l := &t.levels[i]
+		l.col = col
+		l.rows = len(t.bound)
+		for oy := 0; oy < l.oh; oy++ {
+			y0, y1 := binBounds(oy, h, l.oh)
+			t.bound = append(t.bound, y0, y1)
+		}
+		l.cols = len(t.bound)
+		for ox := 0; ox < l.ow; ox++ {
+			x0, x1 := binBounds(ox, w, l.ow)
+			t.bound = append(t.bound, x0, x1)
+		}
+		col += l.oh * l.ow
 	}
 }
 
-func (t *adaptivePoolTask) RunRange(lo, hi int) {
-	for nc := lo; nc < hi; nc++ {
-		in := t.x[nc*t.h*t.w : (nc+1)*t.h*t.w]
-		out := t.out[nc*t.oh*t.ow : (nc+1)*t.oh*t.ow]
-		for oy := 0; oy < t.oh; oy++ {
-			y0, y1 := t.rows[2*oy], t.rows[2*oy+1]
-			for ox := 0; ox < t.ow; ox++ {
-				x0, x1 := t.cols[2*ox], t.cols[2*ox+1]
-				best := float32(math.Inf(-1))
-				for iy := y0; iy < y1; iy++ {
-					for _, v := range in[iy*t.w+x0 : iy*t.w+x1] {
-						if v > best {
-							best = v
-						}
-					}
-				}
-				out[oy*t.ow+ox] = best
-			}
+// binReads is how many inputs one plane's pass over the level reads.
+func (l *pyramidLevel) binReads(bound []int) int {
+	rows, cols := 0, 0
+	for oy := 0; oy < l.oh; oy++ {
+		rows += bound[l.rows+2*oy+1] - bound[l.rows+2*oy]
+	}
+	for ox := 0; ox < l.ow; ox++ {
+		cols += bound[l.cols+2*ox+1] - bound[l.cols+2*ox]
+	}
+	return rows * cols
+}
+
+// RunRange pools samples [lo, hi): per level, one tensor.MaxBins over
+// the sample's c planes.
+func (t *pyramidTask) RunRange(lo, hi int) {
+	plane, c := t.h*t.w, t.c
+	for i := lo; i < hi; i++ {
+		in := t.x[i*c*plane : (i+1)*c*plane]
+		for li := range t.levels {
+			l := &t.levels[li]
+			cells := l.oh * l.ow
+			tensor.MaxBins(t.out[i*t.width+l.col*c:], cells, in, plane, c, t.h, t.w,
+				t.bound[l.rows:l.rows+2*l.oh], t.bound[l.cols:l.cols+2*l.ow])
 		}
 	}
 }

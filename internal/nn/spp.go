@@ -21,6 +21,7 @@ type SPP struct {
 	pools  []*AdaptiveMaxPool2D
 
 	inShape []int
+	task    pyramidTask // inference: every level straight into the output
 }
 
 // NewSPP creates a spatial pyramid pooling layer with the given levels.
@@ -35,6 +36,7 @@ func NewSPP(levels ...int) *SPP {
 		}
 		s.pools = append(s.pools, NewAdaptiveMaxPool2D(l))
 	}
+	s.task.setLevels(s.Levels, s.Levels)
 	return s
 }
 
@@ -98,23 +100,12 @@ func (s *SPP) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // cloneShared implements sharedCloner.
 func (s *SPP) cloneShared() Module { return NewSPP(s.Levels...) }
 
-// Infer implements Inferencer: per-level adaptive pools into arena
-// scratch, concatenated into one arena output.
+// Infer implements Inferencer: one pool region fills every pyramid level
+// straight into its place in the concatenated arena output — no
+// per-level regions, scratch or copies.
 func (s *SPP) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	checkRank(x, 4, "SPP.Infer")
-	n, c := x.Dim(0), x.Dim(1)
-	width := s.OutFeatures(c)
-	out := a.Get(n, width)
-	col := 0
-	for li, pool := range s.pools {
-		po := pool.Infer(x, a) // N×C×l×l
-		l := s.Levels[li]
-		feat := c * l * l
-		for i := 0; i < n; i++ {
-			copy(out.Data()[i*width+col:i*width+col+feat],
-				po.Data()[i*feat:(i+1)*feat])
-		}
-		col += feat
-	}
+	out := a.Get(x.Dim(0), s.OutFeatures(x.Dim(1)))
+	s.task.runLevels(x, out.Data())
 	return out
 }

@@ -66,6 +66,7 @@ import (
 	"drainnet/internal/serve/batcher"
 	"drainnet/internal/sweep"
 	"drainnet/internal/telemetry"
+	"drainnet/internal/tensor"
 )
 
 // minClipSize is the smallest clip edge the service accepts; smaller
@@ -158,6 +159,9 @@ type ModelInfo struct {
 	// KernelDemotions counts accuracy-gate demotion steps the kernel
 	// autotuner took (0 = first measured mix served).
 	KernelDemotions int `json:"kernel_demotions,omitempty"`
+	// ISA is the widest instruction set the tensor kernels serve with on
+	// this host (tensor.KernelISA): "avx512", "avx2" or "generic".
+	ISA string `json:"isa"`
 	// Dynamic, when the served plan runs the dynamic inference path,
 	// reports the accuracy-gated plan it serves with.
 	Dynamic *DynamicInfo `json:"dynamic,omitempty"`
@@ -469,6 +473,11 @@ func (s *Server) handleControlBatching(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.Model())
+}
+
+// Model describes the served model as GET /v1/model reports it.
+func (s *Server) Model() ModelInfo {
 	popts := s.pool.Options()
 	info := ModelInfo{
 		Name:      s.cfg.Name,
@@ -481,6 +490,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		MaxBatch:  popts.MaxBatch,
 		Precision: string(popts.Plan.Precision),
 		Kernels:   popts.Plan.KernelReport(),
+		ISA:       tensor.KernelISA(),
 	}
 	if popts.Plan.Kernels != nil {
 		info.KernelDemotions = popts.Plan.Kernels.Demotions
@@ -506,7 +516,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		}
 		info.Dynamic = d
 	}
-	writeJSON(w, http.StatusOK, info)
+	return info
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

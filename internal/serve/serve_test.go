@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"drainnet/internal/model"
+	"drainnet/internal/tensor"
 )
 
 func testServer(t *testing.T) *Server {
@@ -89,6 +90,33 @@ func TestModelInfoV1(t *testing.T) {
 	}
 	if info.Replicas != 2 || info.MaxBatch != 4 {
 		t.Fatalf("pool config not reported: %+v", info)
+	}
+}
+
+// /v1/model and the msg=serving line (drainnet-serve prints
+// Server.Model().ISA) must name the instruction set the tensor kernels
+// actually dispatch to.
+func TestModelInfoReportsKernelISA(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info ModelInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	want := tensor.KernelISA()
+	switch want {
+	case "avx512", "avx2", "generic":
+	default:
+		t.Fatalf("tensor.KernelISA() = %q, not one of avx512, avx2, generic", want)
+	}
+	if info.ISA != want || s.Model().ISA != want {
+		t.Fatalf("/v1/model isa %q, the serving line's %q, tensor serves %q", info.ISA, s.Model().ISA, want)
 	}
 }
 

@@ -147,9 +147,10 @@ func TestPadBorderAndInterior(t *testing.T) {
 // a short destination or a band under one block must panic before the
 // kernel has written anything.
 func TestFlatPanelKernelOutOfRangePanics(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 kernels in this build or on this CPU")
-	}
+	asmLegs(t, testFlatPanelKernelOutOfRangePanics)
+}
+
+func testFlatPanelKernelOutOfRangePanics(t *testing.T) {
 	const k, n, nq = 6, 40, 36
 	rng := rand.New(rand.NewSource(2403))
 	pan := randSlice(rng, panelRows*k)
@@ -176,7 +177,7 @@ func TestFlatPanelKernelOutOfRangePanics(t *testing.T) {
 		}()
 		f()
 	}
-	mulPanel4FlatAVX2(dst, pan, src, off, bias, n, 0, nq, true) // in range as given
+	mulPanel4FlatAsm(dst, pan, src, off, bias, n, 0, nq, true) // in range as given
 	for _, tc := range []struct {
 		name              string
 		c, pan, src, bias []float32
@@ -196,7 +197,7 @@ func TestFlatPanelKernelOutOfRangePanics(t *testing.T) {
 		{"band past the row", dst, pan, src, nil, off, n, 30, n + 1},
 		{"negative c0", dst, pan, src, nil, off, n, -1, 20},
 	} {
-		mustPanic(tc.name, func() { mulPanel4FlatAVX2(tc.c, tc.pan, tc.src, tc.off, tc.bias, tc.n, tc.c0, tc.c1, true) })
+		mustPanic(tc.name, func() { mulPanel4FlatAsm(tc.c, tc.pan, tc.src, tc.off, tc.bias, tc.n, tc.c0, tc.c1, true) })
 	}
 	a := New(panelRows, k)
 	p := PackMatrix(a)
@@ -275,14 +276,13 @@ func TestMaxPool2x2MatchesWindowLoop(t *testing.T) {
 	})
 }
 
-func TestMaxPoolKernelShortSlicesPanic(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 kernels in this build or on this CPU")
-	}
+func TestMaxPoolKernelShortSlicesPanic(t *testing.T) { asmLegs(t, testMaxPoolKernelShortSlicesPanic) }
+
+func testMaxPoolKernelShortSlicesPanic(t *testing.T) {
 	const oh, ow, stride = 3, 9, 20
 	src := make([]float32, (2*oh-1)*stride+2*ow)
 	dst := make([]float32, oh*ow)
-	maxPool2x2AVX2(dst, src, oh, ow, stride) // in range as given
+	maxPool2x2Asm(dst, src, oh, ow, stride) // in range as given
 	for _, tc := range []struct {
 		name           string
 		dst, src       []float32
@@ -302,7 +302,7 @@ func TestMaxPoolKernelShortSlicesPanic(t *testing.T) {
 					t.Errorf("%s: no panic", tc.name)
 				}
 			}()
-			maxPool2x2AVX2(tc.dst, tc.src, tc.oh, tc.ow, tc.stride)
+			maxPool2x2Asm(tc.dst, tc.src, tc.oh, tc.ow, tc.stride)
 		}()
 	}
 }
@@ -313,11 +313,127 @@ func BenchmarkMaxPool2x2(b *testing.B) {
 		const planes = 64 // distinct planes, so the scalar compares see fresh data
 		src := randSlice(rng, planes*hw*hw)
 		dst := make([]float32, hw/2*(hw/2))
-		b.Run(fmt.Sprintf("%dx%d", hw, hw), func(b *testing.B) {
+		benchLegs(b, fmt.Sprintf("%dx%d", hw, hw), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				MaxPool2x2(dst, src[i%planes*hw*hw:], hw/2, hw/2, hw)
 			}
 		})
 	}
+}
+
+// binRef is one adaptive bin by its definition: -Inf, then every input
+// of the rectangle in row-major order that compares greater.
+func binRef(in []float32, w, y0, y1, x0, x1 int) float32 {
+	best := float32(math.Inf(-1))
+	for iy := y0; iy < y1; iy++ {
+		for ix := x0; ix < x1; ix++ {
+			if v := in[iy*w+ix]; v > best {
+				best = v
+			}
+		}
+	}
+	return best
+}
+
+// MaxBins, on every leg, must store each bin's definition bit for bit —
+// bins of one cell, overlapping bins, bins repeating cells (more bins
+// than inputs), non-square planes, plane strides with slack — on inputs
+// salted with NaN, ±Inf, ±0 and subnormals up to all-hostile, and must
+// write nothing outside each plane's oh·ow outputs.
+func TestMaxBinsMatchesDefinition(t *testing.T) {
+	kernelModes(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3703))
+		const sentinel = float32(-777)
+		bounds := func(n, out int) []int {
+			var b []int
+			for i := 0; i < out; i++ {
+				lo := i * n / out
+				b = append(b, lo, max(min((i+1)*n+out-1, n*out)/out, lo+1))
+			}
+			return b
+		}
+		for h := 1; h <= 9; h++ {
+			for w := 1; w <= 9; w += 2 {
+				for _, grid := range [][2]int{{1, 1}, {2, 2}, {5, 5}, {3, 7}, {12, 2}} {
+					rows, cols := bounds(h, grid[0]), bounds(w, grid[1])
+					oh, ow := grid[0], grid[1]
+					const planes = 3
+					srcStride, dstStride := h*w+h%3, oh*ow+w%2
+					src := randSlice(rng, planes*srcStride)
+					salt(rng, src, []float64{0, 0.3, 1}[(h+w)%3])
+					dst := make([]float32, planes*dstStride+2)
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					MaxBins(dst, dstStride, src, srcStride, planes, h, w, rows, cols)
+					for p := 0; p < planes; p++ {
+						for j := 0; j < dstStride; j++ {
+							got := dst[p*dstStride+j]
+							if j >= oh*ow {
+								if got != sentinel {
+									t.Fatalf("%dx%d into %dx%d: plane %d slack %d written", h, w, oh, ow, p, j)
+								}
+								continue
+							}
+							oy, ox := j/ow, j%ow
+							want := binRef(src[p*srcStride:], w, rows[2*oy], rows[2*oy+1], cols[2*ox], cols[2*ox+1])
+							if math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("%dx%d into %dx%d: plane %d bin (%d,%d) = %x, want %x", h, w, oh, ow, p, oy, ox,
+									math.Float32bits(got), math.Float32bits(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// The kernel checks nothing, so MaxBins must refuse a call whose tables
+// or slices would take it out of range, before it writes.
+func TestMaxBinsOutOfRangePanics(t *testing.T) {
+	kernelModes(t, func(t *testing.T) {
+		const h, w = 5, 5
+		src := make([]float32, 2*h*w)
+		dst := make([]float32, 2*4)
+		rows, cols := []int{0, 3, 2, 5}, []int{0, 3, 2, 5}
+		MaxBins(dst, 4, src, h*w, 2, h, w, rows, cols) // in range as given
+		for _, tc := range []struct {
+			name                 string
+			dst, src             []float32
+			dstStride, srcStride int
+			planes               int
+			rows, cols           []int
+		}{
+			{"short src", dst, src[:2*h*w-1], 4, h * w, 2, rows, cols},
+			{"short dst", dst[:7], src, 4, h * w, 2, rows, cols},
+			{"row past the plane", dst, src, 4, h * w, 2, []int{0, 3, 2, 6}, cols},
+			{"column past the plane", dst, src, 4, h * w, 2, rows, []int{0, 6, 2, 5}},
+			{"empty bin", dst, src, 4, h * w, 2, []int{0, 3, 3, 3}, cols},
+			{"negative bound", dst, src, 4, h * w, 2, []int{-1, 3, 2, 5}, cols},
+			{"odd table", dst, src, 4, h * w, 2, rows[:3], cols},
+			{"planes overlap", dst, src, 4, h*w - 1, 2, rows, cols},
+			{"outputs overlap", dst, src, 3, h * w, 2, rows, cols},
+			{"negative planes", dst, src, 4, h * w, -1, rows, cols},
+			{"huge planes", dst, src, 4, h * w, math.MaxInt / 2, rows, cols},
+		} {
+			func() {
+				for i := range dst {
+					dst[i] = -777
+				}
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: no panic", tc.name)
+					}
+					for i, v := range dst {
+						if v != -777 {
+							t.Fatalf("%s: dst[%d] written before the panic", tc.name, i)
+						}
+					}
+				}()
+				MaxBins(tc.dst, tc.dstStride, tc.src, tc.srcStride, tc.planes, h, w, tc.rows, tc.cols)
+			}()
+		}
+	})
 }

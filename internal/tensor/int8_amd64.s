@@ -263,3 +263,177 @@ qloop:
 qdone:
 	VZEROUPPER
 	RET
+
+// The ZMM form of the panel GEMM (AVX512F + AVX512BW; useAVX512): one
+// ZMM of sixteen int32 accumulators per panel row instead of two YMM.
+// Per k-pair the sixteen activation pairs are interleaved as above,
+// joined into one YMM and sign-extended to one ZMM, so a row takes one
+// VPMADDWD and one VPADDD. The integers are the same exact sums, and
+// the epilogue is DEQUANT's three rounded operations per element on
+// wider registers, so the stores are the YMM kernel's bits.
+#define KPAIRZ \
+	VPUNPCKLBW X9, X8, X10;      \
+	VPUNPCKHBW X9, X8, X11;      \
+	VINSERTI128 $1, X11, Y10, Y10; \
+	VPMOVSXBW  Y10, Z10;         \
+	VPBROADCASTD (AX), Z12;      \
+	VPMADDWD   Z10, Z12, Z13;    \
+	VPADDD     Z13, Z0, Z0;      \
+	VPBROADCASTD 4(AX), Z12;     \
+	VPMADDWD   Z10, Z12, Z14;    \
+	VPADDD     Z14, Z2, Z2;      \
+	VPBROADCASTD 8(AX), Z12;     \
+	VPMADDWD   Z10, Z12, Z13;    \
+	VPADDD     Z13, Z4, Z4;      \
+	VPBROADCASTD 12(AX), Z12;    \
+	VPMADDWD   Z10, Z12, Z14;    \
+	VPADDD     Z14, Z6, Z6
+
+#define DEQUANTZ(off, acc) \
+	VPBROADCASTD off(R8), Z8;  \
+	VPSUBD       Z8, acc, acc; \
+	VCVTDQ2PS    acc, acc;     \
+	VBROADCASTSS off(R9), Z9;  \
+	VMULPS       Z9, acc, acc; \
+	VBROADCASTSS off(R10), Z8; \
+	VADDPS       Z8, acc, acc
+
+// func mulPanelInt8x16Z(dst *float32, pairs *int16, b *int8, corr *int32, scale, bias *float32, n, k int, relu bool)
+//
+// mulPanelInt8x16's contract, sixteen columns a block in one ZMM per
+// row; the last block starts at n-16 and overlaps the one before it.
+TEXT ·mulPanelInt8x16Z(SB), NOSPLIT, $0-65
+	MOVQ   dst+0(FP), DI
+	MOVQ   pairs+8(FP), SI
+	MOVQ   b+16(FP), DX
+	MOVQ   corr+24(FP), R8
+	MOVQ   scale+32(FP), R9
+	MOVQ   bias+40(FP), R10
+	MOVQ   n+48(FP), R11         // row stride of b in bytes
+	MOVQ   k+56(FP), R12
+	XORQ   R13, R13              // j: first column of the current block
+	VPXORD Z15, Z15, Z15         // +0 for the ReLU
+
+zblock:
+	LEAQ -16(R11), AX            // first column of the last block
+	CMPQ R13, AX
+	JLE  ztile
+	CMPQ R13, R11
+	JGE  zdone                   // j reached n: every column is stored
+	MOVQ AX, R13                 // ragged tail: one overlapping block
+
+ztile:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z2, Z2, Z2
+	VPXORD Z4, Z4, Z4
+	VPXORD Z6, Z6, Z6
+	LEAQ   (DX)(R13*1), BX       // &b[0][j]
+	MOVQ   SI, AX                // the panel's first k-pair
+	MOVQ   R12, CX
+	SHRQ   $1, CX
+	JZ     zoddk
+
+zkloop:
+	VMOVDQU (BX), X8
+	VMOVDQU (BX)(R11*1), X9
+	KPAIRZ
+	ADDQ    $16, AX
+	LEAQ    (BX)(R11*2), BX
+	DECQ    CX
+	JNZ     zkloop
+
+zoddk:
+	BTQ     $0, R12
+	JCC     zdequant
+	VMOVDQU (BX), X8
+	VPXOR   X9, X9, X9
+	KPAIRZ
+
+zdequant:
+	DEQUANTZ(0, Z0)
+	DEQUANTZ(4, Z2)
+	DEQUANTZ(8, Z4)
+	DEQUANTZ(12, Z6)
+	MOVBLZX relu+64(FP), CX
+	TESTQ   CX, CX
+	JZ      zstore
+	VMAXPS  Z15, Z0, Z0
+	VMAXPS  Z15, Z2, Z2
+	VMAXPS  Z15, Z4, Z4
+	VMAXPS  Z15, Z6, Z6
+
+zstore:
+	LEAQ    (DI)(R13*4), BX      // &dst[0][j]
+	LEAQ    (R11*4), CX          // row stride of dst in bytes
+	VMOVUPS Z0, (BX)
+	ADDQ    CX, BX
+	VMOVUPS Z2, (BX)
+	ADDQ    CX, BX
+	VMOVUPS Z4, (BX)
+	ADDQ    CX, BX
+	VMOVUPS Z6, (BX)
+	ADDQ    $16, R13
+	JMP     zblock
+
+zdone:
+	VZEROUPPER
+	RET
+
+// dotIdx spreads dword i of a register over 128-bit lane i (VPERMD):
+// the i-th of four activation pairs against the four rows of k-pair i.
+DATA dotIdx<>+0(SB)/4, $0
+DATA dotIdx<>+4(SB)/4, $0
+DATA dotIdx<>+8(SB)/4, $0
+DATA dotIdx<>+12(SB)/4, $0
+DATA dotIdx<>+16(SB)/4, $1
+DATA dotIdx<>+20(SB)/4, $1
+DATA dotIdx<>+24(SB)/4, $1
+DATA dotIdx<>+28(SB)/4, $1
+DATA dotIdx<>+32(SB)/4, $2
+DATA dotIdx<>+36(SB)/4, $2
+DATA dotIdx<>+40(SB)/4, $2
+DATA dotIdx<>+44(SB)/4, $2
+DATA dotIdx<>+48(SB)/4, $3
+DATA dotIdx<>+52(SB)/4, $3
+DATA dotIdx<>+56(SB)/4, $3
+DATA dotIdx<>+60(SB)/4, $3
+GLOBL dotIdx<>(SB), RODATA|NOPTR, $64
+
+// func dotPanelInt8Z(acc *int32, pairs *int16, x *int8, k8 int)
+//
+// dotPanelInt8's contract on one ZMM: the 64 bytes the pair layout
+// stores for four consecutive k-pairs are one load, the eight codes of
+// x they meet are sign-extended and spread by VPERMD so that 128-bit
+// lane i holds pair i four times, and one VPMADDWD + VPADDD advances the
+// four rows by eight terms. The four lanes are summed at the end; int32
+// sums are exact here, so the order is free.
+TEXT ·dotPanelInt8Z(SB), NOSPLIT, $0-32
+	MOVQ      acc+0(FP), DI
+	MOVQ      pairs+8(FP), SI
+	MOVQ      x+16(FP), DX
+	MOVQ      k8+24(FP), CX
+	VPXORD    Z0, Z0, Z0
+	VMOVDQU32 dotIdx<>(SB), Z7
+	TESTQ     CX, CX
+	JZ        zdotsum
+
+zdotloop:
+	VPMOVSXBW (DX), X4
+	VPERMD    Z4, Z7, Z5
+	VPMADDWD  (SI), Z5, Z6
+	VPADDD    Z6, Z0, Z0
+	ADDQ      $64, SI
+	ADDQ      $8, DX
+	DECQ      CX
+	JNZ       zdotloop
+
+zdotsum:
+	VEXTRACTI32X4 $1, Z0, X1
+	VEXTRACTI32X4 $2, Z0, X2
+	VEXTRACTI32X4 $3, Z0, X3
+	VPADDD        X1, X0, X0
+	VPADDD        X3, X2, X2
+	VPADDD        X2, X0, X0
+	VMOVDQU       X0, (DI)
+	VZEROUPPER
+	RET

@@ -259,10 +259,9 @@ func TestQuantizeSliceMatchesReference(t *testing.T) {
 // The wrappers must refuse, before any store, a call whose slices are
 // too short for what the kernel would touch (run under -race, checkptr
 // would also trip on an out-of-range pointer built on the way).
-func TestInt8KernelShortSlicesPanic(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 kernels in this build or on this CPU")
-	}
+func TestInt8KernelShortSlicesPanic(t *testing.T) { asmLegs(t, testInt8KernelShortSlicesPanic) }
+
+func testInt8KernelShortSlicesPanic(t *testing.T) {
 	const m, k, n = 8, 7, 40
 	rng := rand.New(rand.NewSource(2204))
 	q, b, outScale, bias := int8Case(rng, m, k, n, false, false)
@@ -303,14 +302,14 @@ func TestInt8KernelShortSlicesPanic(t *testing.T) {
 	mustPanic("empty b", func() { p.MulPanelsInto(dst, nil, n, acc, 3, outScale, nil, false, 0, 1) })
 	mustPanic("short outScale", func() { p.MulPanelsInto(dst, b, n, acc, 3, outScale[:3], bias, true, 0, 1) })
 	mustPanic("short bias", func() { p.MulPanelsInto(dst, b, n, acc, 3, outScale, bias[:7], true, 1, 2) })
-	mustPanic("short dst", func() { p.mulPanelAVX2(dst[:4*n-1], b, n, 0, 3, outScale, bias, true) })
-	mustPanic("n beyond c", func() { p.mulPanelAVX2(dst[:4*n], b, 1<<61, 0, 3, outScale, bias, true) })
-	mustPanic("n under one block", func() { p.mulPanelAVX2(dst[:4*n], b, kernelCols-1, 0, 3, outScale, bias, true) })
-	mustPanic("panel past the matrix", func() { p.mulPanelAVX2(dst[:4*n], b, n, 2, 3, outScale, bias, true) })
-	mustPanic("negative panel", func() { p.mulPanelAVX2(dst[:4*n], b, n, -1, 3, outScale, bias, true) })
+	mustPanic("short dst", func() { p.mulPanelAsm(dst[:4*n-1], b, n, 0, 3, outScale, bias, true) })
+	mustPanic("n beyond c", func() { p.mulPanelAsm(dst[:4*n], b, 1<<61, 0, 3, outScale, bias, true) })
+	mustPanic("n under one block", func() { p.mulPanelAsm(dst[:4*n], b, kernelCols-1, 0, 3, outScale, bias, true) })
+	mustPanic("panel past the matrix", func() { p.mulPanelAsm(dst[:4*n], b, n, 2, 3, outScale, bias, true) })
+	mustPanic("negative panel", func() { p.mulPanelAsm(dst[:4*n], b, n, -1, 3, outScale, bias, true) })
 
 	tail := PackInt8(q[:6*k], 6, k)
-	mustPanic("partial panel", func() { tail.mulPanelAVX2(dst[:4*n], b, n, 1, 3, outScale, bias, true) })
+	mustPanic("partial panel", func() { tail.mulPanelAsm(dst[:4*n], b, n, 1, 3, outScale, bias, true) })
 
 	// A matrix packed while the dispatch bool was off has no pair layout.
 	useAVX2 = false
@@ -320,7 +319,7 @@ func TestInt8KernelShortSlicesPanic(t *testing.T) {
 	mustPanic("no pair layout, dot", func() { bare.DotPanelInto(dst, b[:k], 0, 3, outScale, bias, true) })
 
 	mustPanic("short x", func() { p.DotPanelInto(dst, b[:k-1:k-1], 0, 3, outScale, bias, true) })
-	mustPanic("dot panel past the matrix", func() { p.dotPanelAVX2(new([panelRows]int32), b[:k], 2) })
+	mustPanic("dot panel past the matrix", func() { p.dotPanelAsm(new([panelRows]int32), b[:k], 2) })
 
 	src := randSlice(rng, 40)
 	mustPanic("quantize, short dst", func() { QuantizeSlice(codes[:39], src, 10, 3) })

@@ -124,3 +124,193 @@ next4:
 done:
 	VZEROUPPER
 	RET
+
+// func maxBins(dst *float32, dstStride int, src *float32, srcStride, planes, w int, rows *int, oh int, cols *int, ow int)
+//
+// The adaptive bins of MaxBins (maxpool.go), plane after plane: bin
+// (oy, ox) covers rows [rows[2oy], rows[2oy+1]) and columns
+// [cols[2ox], cols[2ox+1]) of the plane and is scanned in row-major
+// order with one VMAXSS per input, the input as the first source and
+// the running best, from -Inf, as the second — `if v > best { best = v }`
+// as above, with no branch on the data. A bin row's columns are walked
+// by a negative index up to the row's end. Counters that do not fit in
+// registers live in the frame: 0(SP) bins left in the row, 8(SP) bin
+// rows left, 16(SP) columns per bin, 24(SP) rows per bin. The caller
+// guarantees every bin is non-empty and every address in range.
+TEXT ·maxBins(SB), NOSPLIT, $32-80
+	MOVQ  dst+0(FP), DI
+	MOVQ  dstStride+8(FP), R8
+	SHLQ  $2, R8                     // output plane stride in bytes
+	MOVQ  src+16(FP), SI
+	MOVQ  srcStride+24(FP), R9
+	SHLQ  $2, R9                     // input plane stride in bytes
+	MOVQ  w+40(FP), R10
+	SHLQ  $2, R10                    // input row stride in bytes
+	MOVL  $0xFF800000, AX            // -Inf
+	MOVQ  AX, X15
+	MOVQ  planes+32(FP), R11
+	TESTQ R11, R11
+	JZ    mbdone
+
+mbplane:
+	MOVQ DI, BX                      // the plane's next output
+	MOVQ rows+48(FP), R12
+	MOVQ oh+56(FP), AX
+	MOVQ AX, 8(SP)
+
+mbrow:
+	MOVQ 8(R12), AX
+	SUBQ (R12), AX
+	MOVQ AX, 24(SP)
+	MOVQ cols+64(FP), R14
+	MOVQ ow+72(FP), AX
+	MOVQ AX, 0(SP)
+
+mbbin:
+	MOVQ    (R14), R13               // x0
+	MOVQ    8(R14), AX
+	SUBQ    R13, AX
+	MOVQ    AX, 16(SP)
+	ADDQ    AX, R13                  // x1
+	MOVQ    (R12), AX                // y0
+	IMULQ   R10, AX
+	LEAQ    (AX)(R13*4), R13
+	ADDQ    SI, R13                  // one past the bin's first row
+	MOVQ    24(SP), CX
+	VMOVAPS X15, X0                  // best = -Inf
+
+mbscan:
+	MOVQ 16(SP), DX
+	NEGQ DX
+
+mbcell:
+	VMOVSS (R13)(DX*4), X1
+	VMAXSS X0, X1, X0                // best = v > best ? v : best
+	INCQ   DX
+	JNZ    mbcell
+	ADDQ   R10, R13
+	DECQ   CX
+	JNZ    mbscan
+	VMOVSS X0, (BX)
+	ADDQ   $4, BX
+	ADDQ   $16, R14
+	DECQ   0(SP)
+	JNZ    mbbin
+	ADDQ   $16, R12
+	DECQ   8(SP)
+	JNZ    mbrow
+	ADDQ   R8, DI
+	ADDQ   R9, SI
+	DECQ   R11
+	JNZ    mbplane
+
+mbdone:
+	RET
+
+// poolIdx holds the VPERMT2PS indices that pick the even (first 64
+// bytes) and the odd (last 64) floats of a 32-float pair of registers.
+DATA poolIdx<>+0(SB)/4, $0
+DATA poolIdx<>+4(SB)/4, $2
+DATA poolIdx<>+8(SB)/4, $4
+DATA poolIdx<>+12(SB)/4, $6
+DATA poolIdx<>+16(SB)/4, $8
+DATA poolIdx<>+20(SB)/4, $10
+DATA poolIdx<>+24(SB)/4, $12
+DATA poolIdx<>+28(SB)/4, $14
+DATA poolIdx<>+32(SB)/4, $16
+DATA poolIdx<>+36(SB)/4, $18
+DATA poolIdx<>+40(SB)/4, $20
+DATA poolIdx<>+44(SB)/4, $22
+DATA poolIdx<>+48(SB)/4, $24
+DATA poolIdx<>+52(SB)/4, $26
+DATA poolIdx<>+56(SB)/4, $28
+DATA poolIdx<>+60(SB)/4, $30
+DATA poolIdx<>+64(SB)/4, $1
+DATA poolIdx<>+68(SB)/4, $3
+DATA poolIdx<>+72(SB)/4, $5
+DATA poolIdx<>+76(SB)/4, $7
+DATA poolIdx<>+80(SB)/4, $9
+DATA poolIdx<>+84(SB)/4, $11
+DATA poolIdx<>+88(SB)/4, $13
+DATA poolIdx<>+92(SB)/4, $15
+DATA poolIdx<>+96(SB)/4, $17
+DATA poolIdx<>+100(SB)/4, $19
+DATA poolIdx<>+104(SB)/4, $21
+DATA poolIdx<>+108(SB)/4, $23
+DATA poolIdx<>+112(SB)/4, $25
+DATA poolIdx<>+116(SB)/4, $27
+DATA poolIdx<>+120(SB)/4, $29
+DATA poolIdx<>+124(SB)/4, $31
+GLOBL poolIdx<>(SB), RODATA|NOPTR, $128
+
+// POOL_STEP16 pools sixteen outputs: thirty-two floats of each input
+// row, split into even and odd columns by VPERMT2PS (which overwrites
+// its first table, so each split starts from a copy), then the same
+// four VMAXPS in window order from -Inf as POOL_STEP8. The permute
+// crosses lanes, so the outputs come out in order.
+#define POOL_STEP16 \
+	VMOVUPS   (SI)(CX*8), Z0;   \
+	VMOVUPS   64(SI)(CX*8), Z1; \
+	VMOVUPS   (DX)(CX*8), Z2;   \
+	VMOVUPS   64(DX)(CX*8), Z3; \
+	VMOVAPS   Z0, Z4;           \
+	VPERMT2PS Z1, Z13, Z4;      \
+	VMOVAPS   Z0, Z5;           \
+	VPERMT2PS Z1, Z14, Z5;      \
+	VMOVAPS   Z2, Z6;           \
+	VPERMT2PS Z3, Z13, Z6;      \
+	VMOVAPS   Z2, Z7;           \
+	VPERMT2PS Z3, Z14, Z7;      \
+	VMAXPS    Z15, Z4, Z8;      \
+	VMAXPS    Z8, Z5, Z8;       \
+	VMAXPS    Z8, Z6, Z8;       \
+	VMAXPS    Z8, Z7, Z8;       \
+	VMOVUPS   Z8, (DI)(CX*4)
+
+// func maxPool2x2Z(dst, src *float32, oh, ow, stride int)
+//
+// maxPool2x2 in blocks of sixteen outputs (AVX-512F; useAVX512), the
+// last block ending at ow. The caller guarantees ow ≥ 16 and that every
+// address is in range.
+TEXT ·maxPool2x2Z(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         oh+16(FP), R8
+	MOVQ         ow+24(FP), R9
+	MOVQ         stride+32(FP), R10
+	SHLQ         $2, R10             // input row stride in bytes
+	LEAQ         (R9*4), R11         // output row in bytes
+	MOVL         $0xFF800000, AX     // -Inf
+	MOVQ         AX, X15
+	VBROADCASTSS X15, Z15
+	VMOVUPS      poolIdx<>(SB), Z13
+	VMOVUPS      poolIdx<>+64(SB), Z14
+	TESTQ        R8, R8
+	JZ           zpdone
+
+zrows:
+	LEAQ -16(R9), R12                // first output of the last block
+	LEAQ (SI)(R10*1), DX             // the window's second row
+	XORQ CX, CX
+
+zblock16:
+	CMPQ CX, R12
+	JLE  zstep16
+	CMPQ CX, R9
+	JGE  znext
+	MOVQ R12, CX                     // ragged tail: one overlapping block
+
+zstep16:
+	POOL_STEP16
+	ADDQ $16, CX
+	JMP  zblock16
+
+znext:
+	LEAQ (SI)(R10*2), SI
+	ADDQ R11, DI
+	DECQ R8
+	JNZ  zrows
+
+zpdone:
+	VZEROUPPER
+	RET

@@ -11,8 +11,9 @@ const panelRows = 4
 // panel of a Packed matrix produces.
 const PanelRows = panelRows
 
-// The AVX2 micro-kernels (panel_amd64.s) tile panelRows rows by
-// kernelCols columns of a GEMM, and dotPanels panels of a dot product.
+// The micro-kernels (panel_amd64.s) tile panelRows rows by kernelCols
+// columns of a GEMM — the YMM kernel's block, and the narrowest band
+// the ZMM kernel takes — and dotPanels panels of a dot product.
 const (
 	kernelCols = 16
 	dotPanels  = 4
@@ -23,13 +24,30 @@ const (
 // scalar loops.
 const KernelCols = kernelCols
 
-// useAVX2 routes full panels through the assembly micro-kernels. It is
-// set once, at package init, from what the CPU and the OS report
-// (haveAVX2: CPUID and XGETBV on amd64, false on every other GOARCH and
-// under the purego build tag) and is not configurable: both paths
-// compute the same bits, so there is nothing to choose. Tests flip it
-// to run the scalar loops and the kernels in one process.
-var useAVX2 = haveAVX2()
+// useAVX2 routes full panels through the assembly micro-kernels, and
+// useAVX512 those kernels that have a ZMM form to it. Both are set once,
+// at package init, from what the CPU and the OS report (haveAVX2 and
+// avx512Missing: CPUID and XGETBV on amd64, false on every other GOARCH
+// and under the purego build tag) and are not configurable: every path
+// computes the same bits, so there is nothing to choose. useAVX512 is
+// never set without useAVX2. Tests flip them to run the scalar loops
+// and both kernel widths in one process.
+var (
+	useAVX2   = haveAVX2()
+	useAVX512 = useAVX2 && avx512Missing() == ""
+)
+
+// KernelISA names the widest instruction set the serving kernels run
+// on this host: "avx512", "avx2" or "generic" (the scalar loops).
+func KernelISA() string {
+	switch {
+	case useAVX512:
+		return "avx512"
+	case useAVX2:
+		return "avx2"
+	}
+	return "generic"
+}
 
 // Packed is an immutable matrix laid out for the inference matmul
 // micro-kernel. Rows are grouped into panels of four; within a panel the
@@ -116,7 +134,8 @@ func (p *Packed) MulPanelsInto(dst, b []float32, n int, bias []float32, relu boo
 // as the reference MatMulInto kernel followed by a bias add and a ReLU
 // pass — so the fused result is bit-identical to the unfused reference
 // path, whichever column band it was computed in and whether the scalar
-// loops below or the AVX2 micro-kernel (panel_amd64.s) produced it.
+// loops below or an assembly micro-kernel (panel_amd64.s, YMM or ZMM)
+// produced it.
 //
 // This is the fp32 GEMM entry of the lowered serving routes: the
 // stride ≠ 1 convs, the masked dynamic path's row bands, the 16
@@ -183,9 +202,9 @@ func (p *Packed) mulPanel(c, b []float32, off []int, n int, bias []float32, relu
 			pbias = bias[r0 : r0+panelRows]
 		}
 		if off != nil {
-			mulPanel4FlatAVX2(c, pan, b, off, pbias, n, c0, c1, relu)
+			mulPanel4FlatAsm(c, pan, b, off, pbias, n, c0, c1, relu)
 		} else {
-			mulPanel4AVX2(c, pan, b, pbias, n, k, c0, c1, relu)
+			mulPanel4Asm(c, pan, b, pbias, n, k, c0, c1, relu)
 		}
 		return
 	case rem == panelRows:
@@ -201,7 +220,7 @@ func (p *Packed) mulPanel(c, b []float32, off []int, n int, bias []float32, relu
 // or, given an offset table, at off[kk]. The four accumulation streams
 // are independent, giving the compiler ILP without the per-element
 // zero-test the training kernel carries. It is the scalar form of the
-// AVX2 micro-kernel and the oracle the kernel is tested against.
+// assembly micro-kernels and the oracle they are tested against.
 func mulPanel4(c, pan, b []float32, off []int, n, k, c0, c1 int) {
 	w := c1 - c0
 	cc0 := c[c0 : c0+w : c0+w]
@@ -308,7 +327,7 @@ func (p *Packed) DotPanelsInto(dst, x []float32, p0, p1 int, bias []float32, rel
 			if bias != nil {
 				pbias = bias[r0 : r0+dotPanels*panelRows]
 			}
-			dotPanels4AVX2(dst[r0:r0+dotPanels*panelRows],
+			dotPanels4Asm(dst[r0:r0+dotPanels*panelRows],
 				p.panels[r0*p.cols:(r0+dotPanels*panelRows)*p.cols], x, pbias, p.cols, relu)
 		}
 	}

@@ -17,6 +17,9 @@ func xgetbv() (eax, edx uint32)
 func mulPanel4x16(dst, pan, b, bias *float32, off *int, n, k, c0, c1 int, relu bool)
 
 //go:noescape
+func mulPanel4x32Z(dst, pan, b, bias *float32, off *int, n, k, c0, c1 int, relu bool)
+
+//go:noescape
 func dotPanels4x4(dst, pan, x, bias *float32, k int, relu bool)
 
 // haveAVX2 reports whether the micro-kernels may run: the CPU has AVX
@@ -39,21 +42,43 @@ func haveAVX2() bool {
 	return b&avx2 != 0
 }
 
-// mulPanel4AVX2 computes columns [c0, c1) of one full panel's four
-// output rows with the 4×16 micro-kernel, bias add and ReLU fused into
-// its store: c holds the panel's four rows of the n-column output, pan
-// its 4·k packed weights, b the k×n right-hand side, bias (nil or four
-// entries) the panel's own biases. The band must be at least kernelCols
-// wide; a ragged tail is covered by one more block ending at c1, which
-// overlaps the block before it — the kernel overwrites, so computing a
-// column twice stores the same bits twice.
+// avx512Missing names the first CPUID or XCR0 bit the ZMM kernels need
+// that this CPU or OS does not report, or returns "" when they may run:
+// AVX512F and AVX512BW (leaf 7, EBX bits 16 and 30), and the OS saving
+// the SSE, AVX, opmask and both upper ZMM states (XCR0 bits 1, 2, 5, 6
+// and 7). It is only asked once haveAVX2 holds, so OSXSAVE is known.
+func avx512Missing() string {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return fmt.Sprintf("XCR0 bits 1, 2, 5, 6 and 7 (opmask and ZMM state saved by the OS; XCR0 = %#x)", xcr0)
+	}
+	const avx512f, avx512bw = 1 << 16, 1 << 30
+	_, b, _, _ := cpuid(7, 0)
+	switch {
+	case b&avx512f == 0:
+		return "AVX512F (CPUID leaf 7, EBX bit 16)"
+	case b&avx512bw == 0:
+		return "AVX512BW (CPUID leaf 7, EBX bit 30)"
+	}
+	return ""
+}
+
+// mulPanel4Asm computes columns [c0, c1) of one full panel's four
+// output rows with the assembly micro-kernel, bias add and ReLU fused
+// into its store: c holds the panel's four rows of the n-column output,
+// pan its 4·k packed weights, b the k×n right-hand side, bias (nil or
+// four entries) the panel's own biases. Under useAVX512 that is the ZMM
+// kernel (4×32 blocks, 4×16 for the last 16 or fewer columns and for
+// bands under 32), otherwise the YMM 4×16 one. The band must be at
+// least kernelCols wide; a ragged tail is covered by one more block
+// ending at c1, which overlaps the block before it — the kernels
+// overwrite, so computing a column twice stores the same bits twice.
 //
 // The assembly does no bounds checking. Every address it touches is one
 // of the index expressions the scalar loops (mulPanel4, epilogue) would
 // bounds-check — c[3n+c1-1], pan[4k-1], b[(k-1)n+c1-1], bias[3] are the
 // largest — so they are established here, in Go, written so that no
 // product can overflow, and a violation panics before the kernel runs.
-func mulPanel4AVX2(c, pan, b, bias []float32, n, k, c0, c1 int, relu bool) {
+func mulPanel4Asm(c, pan, b, bias []float32, n, k, c0, c1 int, relu bool) {
 	if c0 < 0 || c1-c0 < kernelCols || c1 > n || k < 0 ||
 		n > len(c) || len(c) < (panelRows-1)*n+c1 ||
 		k > len(pan)/panelRows ||
@@ -62,16 +87,16 @@ func mulPanel4AVX2(c, pan, b, bias []float32, n, k, c0, c1 int, relu bool) {
 		panic(fmt.Sprintf("tensor: panel kernel out of range: len(c)=%d len(pan)=%d len(b)=%d len(bias)=%d n=%d k=%d cols [%d,%d)",
 			len(c), len(pan), len(b), len(bias), n, k, c0, c1))
 	}
-	mulPanel4x16(unsafe.SliceData(c), unsafe.SliceData(pan), unsafe.SliceData(b), unsafe.SliceData(bias), nil, n, k, c0, c1, relu)
+	mulPanel4Kernel(unsafe.SliceData(c), unsafe.SliceData(pan), unsafe.SliceData(b), unsafe.SliceData(bias), nil, n, k, c0, c1, relu)
 }
 
-// mulPanel4FlatAVX2 is mulPanel4AVX2 with the right-hand side addressed
+// mulPanel4FlatAsm is mulPanel4Asm with the right-hand side addressed
 // through an offset table: row kk of it starts at b[off[kk]], k is
 // len(off), and n is the row stride of c alone. The kernel reads
-// b[off[kk]+j] for j < c1, so beside mulPanel4AVX2's conditions on c,
+// b[off[kk]+j] for j < c1, so beside mulPanel4Asm's conditions on c,
 // pan and bias this establishes 0 ≤ off[kk] ≤ len(b) − c1 for every
 // term, one comparison each, before the call.
-func mulPanel4FlatAVX2(c, pan, b []float32, off []int, bias []float32, n, c0, c1 int, relu bool) {
+func mulPanel4FlatAsm(c, pan, b []float32, off []int, bias []float32, n, c0, c1 int, relu bool) {
 	k := len(off)
 	ok := c0 >= 0 && c1-c0 >= kernelCols && c1 <= n && c1 <= len(b) &&
 		n <= len(c) && len(c) >= (panelRows-1)*n+c1 &&
@@ -89,14 +114,24 @@ func mulPanel4FlatAVX2(c, pan, b []float32, off []int, bias []float32, n, c0, c1
 		panic(fmt.Sprintf("tensor: flat panel kernel out of range: len(c)=%d len(pan)=%d len(b)=%d len(bias)=%d n=%d k=%d positions [%d,%d)",
 			len(c), len(pan), len(b), len(bias), n, k, c0, c1))
 	}
-	mulPanel4x16(unsafe.SliceData(c), unsafe.SliceData(pan), unsafe.SliceData(b), unsafe.SliceData(bias), unsafe.SliceData(off), n, k, c0, c1, relu)
+	mulPanel4Kernel(unsafe.SliceData(c), unsafe.SliceData(pan), unsafe.SliceData(b), unsafe.SliceData(bias), unsafe.SliceData(off), n, k, c0, c1, relu)
 }
 
-// dotPanels4AVX2 computes the sixteen outputs of four full consecutive
+// mulPanel4Kernel is the one ISA choice of the fp32 panel: both kernels
+// take the same checked arguments and store the same bits.
+func mulPanel4Kernel(dst, pan, b, bias *float32, off *int, n, k, c0, c1 int, relu bool) {
+	if useAVX512 {
+		mulPanel4x32Z(dst, pan, b, bias, off, n, k, c0, c1, relu)
+	} else {
+		mulPanel4x16(dst, pan, b, bias, off, n, k, c0, c1, relu)
+	}
+}
+
+// dotPanels4Asm computes the sixteen outputs of four full consecutive
 // panels against one input vector: dst[0:16], pan the panels' 16·k
 // packed weights, x the k inputs, bias nil or the sixteen biases. The
-// bounds contract is mulPanel4AVX2's.
-func dotPanels4AVX2(dst, pan, x, bias []float32, k int, relu bool) {
+// bounds contract is mulPanel4Asm's.
+func dotPanels4Asm(dst, pan, x, bias []float32, k int, relu bool) {
 	const outs = dotPanels * panelRows
 	if k < 0 || len(dst) < outs || k > len(pan)/outs || len(x) < k || (bias != nil && len(bias) < outs) {
 		panic(fmt.Sprintf("tensor: dot kernel out of range: len(dst)=%d len(pan)=%d len(x)=%d len(bias)=%d k=%d",

@@ -250,3 +250,243 @@ dotstore:
 	VMOVUPS X3, 48(DI)
 	VZEROUPPER
 	RET
+
+// The ZMM forms of the panel kernel (AVX-512F; useAVX512). A ZMM lane
+// is what a YMM lane is — one output element's own chain, from +0 over
+// ascending k, one rounded VMULPS then one rounded VADDPS per term, the
+// bias added, then VMAXPS against zero as the second source — only
+// sixteen of them share a register instead of eight, so the kernel
+// stores the bits of panel_amd64.s's 4×16 and of the scalar loop. No
+// masked or merge-masked form, no embedded rounding, nothing of the FMA
+// family: tails recompute, as above.
+
+// PANEL_KSTEP32 is one k-step of the 4×32 tile: Z8 and Z9 hold the
+// thirty-two right-hand-side values of this k, AX points at the panel's
+// four weights for it; row r accumulates in Z(2r), Z(2r+1).
+#define PANEL_KSTEP32 \
+	VBROADCASTSS (AX), Z10;   \
+	VMULPS       Z8, Z10, Z11; \
+	VADDPS       Z11, Z0, Z0;  \
+	VMULPS       Z9, Z10, Z12; \
+	VADDPS       Z12, Z1, Z1;  \
+	VBROADCASTSS 4(AX), Z10;  \
+	VMULPS       Z8, Z10, Z11; \
+	VADDPS       Z11, Z2, Z2;  \
+	VMULPS       Z9, Z10, Z12; \
+	VADDPS       Z12, Z3, Z3;  \
+	VBROADCASTSS 8(AX), Z10;  \
+	VMULPS       Z8, Z10, Z11; \
+	VADDPS       Z11, Z4, Z4;  \
+	VMULPS       Z9, Z10, Z12; \
+	VADDPS       Z12, Z5, Z5;  \
+	VBROADCASTSS 12(AX), Z10; \
+	VMULPS       Z8, Z10, Z11; \
+	VADDPS       Z11, Z6, Z6;  \
+	VMULPS       Z9, Z10, Z12; \
+	VADDPS       Z12, Z7, Z7;  \
+	ADDQ         $16, AX
+
+// PANEL_KSTEP16 is one k-step of the 4×16 tile: Z8 holds the sixteen
+// right-hand-side values, row r accumulates in Z(2r).
+#define PANEL_KSTEP16 \
+	VBROADCASTSS (AX), Z10;   \
+	VMULPS       Z8, Z10, Z11; \
+	VADDPS       Z11, Z0, Z0;  \
+	VBROADCASTSS 4(AX), Z10;  \
+	VMULPS       Z8, Z10, Z12; \
+	VADDPS       Z12, Z2, Z2;  \
+	VBROADCASTSS 8(AX), Z10;  \
+	VMULPS       Z8, Z10, Z11; \
+	VADDPS       Z11, Z4, Z4;  \
+	VBROADCASTSS 12(AX), Z10; \
+	VMULPS       Z8, Z10, Z12; \
+	VADDPS       Z12, Z6, Z6;  \
+	ADDQ         $16, AX
+
+// PANEL_BIAS adds bias[r] (R8 points at the four biases, off = 4r) to
+// the two registers of row r of the 4×32 tile.
+#define PANEL_BIAS(off, lo, hi) \
+	VBROADCASTSS off(R8), Z10; \
+	VADDPS       Z10, lo, lo;  \
+	VADDPS       Z10, hi, hi
+
+// func mulPanel4x32Z(dst, pan, b, bias *float32, off *int, n, k, c0, c1 int, relu bool)
+//
+// mulPanel4x16's contract on ZMM registers. Columns [c0, c1) go in
+// blocks of 32 (two ZMM per panel row) while a whole one fits; what is
+// left — r < 32 columns — takes one 32-block ending at c1 when r > 16
+// and a block of 32 ran before it, and otherwise 16-blocks (one ZMM per
+// row), the last ending at c1. Every column is computed, none outside
+// [c0, c1) is touched, and an overlapped column is stored twice with
+// the same bits. The k loops read B row-major (off nil) or through the
+// offset table, as mulPanel4x16's do. The caller guarantees c1-c0 >= 16
+// and that every address is in range.
+TEXT ·mulPanel4x32Z(SB), NOSPLIT, $0-73
+	MOVQ   dst+0(FP), DI
+	MOVQ   pan+8(FP), SI
+	MOVQ   b+16(FP), DX
+	MOVQ   off+32(FP), R14
+	MOVQ   n+40(FP), R9
+	MOVQ   k+48(FP), R10
+	MOVQ   c0+56(FP), R11        // j: first column of the current block
+	MOVQ   c1+64(FP), R12
+	SHLQ   $2, R9                // row stride of dst (and of a row-major b) in bytes
+	VPXORD Z15, Z15, Z15         // +0 for the ReLU
+
+next:
+	MOVQ R12, AX
+	SUBQ R11, AX                 // columns left
+	JLE  zdone
+	CMPQ AX, $32
+	JGE  tile32
+	CMPQ AX, $16
+	JLE  last16
+	CMPQ R11, c0+56(FP)
+	JEQ  tile16                  // a band under 32: 16 now, the rest ending at c1
+	LEAQ -32(R12), R11           // after 32-blocks: one overlapping 32-block
+	JMP  tile32
+
+last16:
+	LEAQ -16(R12), R11           // the last 16-block ends at c1
+
+tile16:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z2, Z2, Z2
+	VPXORD Z4, Z4, Z4
+	VPXORD Z6, Z6, Z6
+	LEAQ   (DX)(R11*4), BX       // &b[j]
+	MOVQ   SI, AX                // &pan[0]
+	MOVQ   R10, CX
+	TESTQ  CX, CX
+	JZ     bias16
+	MOVQ   R14, R8
+	TESTQ  R8, R8
+	JNZ    kflat16
+
+kloop16:
+	VMOVUPS (BX), Z8
+	PANEL_KSTEP16
+	ADDQ    R9, BX
+	DECQ    CX
+	JNZ     kloop16
+	JMP     bias16
+
+kflat16:
+	MOVQ    (R8), R13            // off[kk], in floats
+	VMOVUPS (BX)(R13*4), Z8
+	PANEL_KSTEP16
+	ADDQ    $8, R8
+	DECQ    CX
+	JNZ     kflat16
+
+bias16:
+	MOVQ         bias+24(FP), R8
+	TESTQ        R8, R8
+	JZ           relu16
+	VBROADCASTSS (R8), Z10
+	VADDPS       Z10, Z0, Z0
+	VBROADCASTSS 4(R8), Z10
+	VADDPS       Z10, Z2, Z2
+	VBROADCASTSS 8(R8), Z10
+	VADDPS       Z10, Z4, Z4
+	VBROADCASTSS 12(R8), Z10
+	VADDPS       Z10, Z6, Z6
+
+relu16:
+	MOVBLZX relu+72(FP), R13
+	TESTQ  R13, R13
+	JZ     store16
+	VMAXPS Z15, Z0, Z0
+	VMAXPS Z15, Z2, Z2
+	VMAXPS Z15, Z4, Z4
+	VMAXPS Z15, Z6, Z6
+
+store16:
+	LEAQ    (DI)(R11*4), BX      // &dst[0][j]
+	VMOVUPS Z0, (BX)
+	ADDQ    R9, BX
+	VMOVUPS Z2, (BX)
+	ADDQ    R9, BX
+	VMOVUPS Z4, (BX)
+	ADDQ    R9, BX
+	VMOVUPS Z6, (BX)
+	ADDQ    $16, R11
+	JMP     next
+
+tile32:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	LEAQ   (DX)(R11*4), BX
+	MOVQ   SI, AX
+	MOVQ   R10, CX
+	TESTQ  CX, CX
+	JZ     bias32
+	MOVQ   R14, R8
+	TESTQ  R8, R8
+	JNZ    kflat32
+
+kloop32:
+	VMOVUPS (BX), Z8
+	VMOVUPS 64(BX), Z9
+	PANEL_KSTEP32
+	ADDQ    R9, BX
+	DECQ    CX
+	JNZ     kloop32
+	JMP     bias32
+
+kflat32:
+	MOVQ    (R8), R13
+	VMOVUPS (BX)(R13*4), Z8
+	VMOVUPS 64(BX)(R13*4), Z9
+	PANEL_KSTEP32
+	ADDQ    $8, R8
+	DECQ    CX
+	JNZ     kflat32
+
+bias32:
+	MOVQ  bias+24(FP), R8
+	TESTQ R8, R8
+	JZ    relu32
+	PANEL_BIAS(0, Z0, Z1)
+	PANEL_BIAS(4, Z2, Z3)
+	PANEL_BIAS(8, Z4, Z5)
+	PANEL_BIAS(12, Z6, Z7)
+
+relu32:
+	MOVBLZX relu+72(FP), R13
+	TESTQ  R13, R13
+	JZ     store32
+	VMAXPS Z15, Z0, Z0
+	VMAXPS Z15, Z1, Z1
+	VMAXPS Z15, Z2, Z2
+	VMAXPS Z15, Z3, Z3
+	VMAXPS Z15, Z4, Z4
+	VMAXPS Z15, Z5, Z5
+	VMAXPS Z15, Z6, Z6
+	VMAXPS Z15, Z7, Z7
+
+store32:
+	LEAQ    (DI)(R11*4), BX
+	VMOVUPS Z0, (BX)
+	VMOVUPS Z1, 64(BX)
+	ADDQ    R9, BX
+	VMOVUPS Z2, (BX)
+	VMOVUPS Z3, 64(BX)
+	ADDQ    R9, BX
+	VMOVUPS Z4, (BX)
+	VMOVUPS Z5, 64(BX)
+	ADDQ    R9, BX
+	VMOVUPS Z6, (BX)
+	VMOVUPS Z7, 64(BX)
+	ADDQ    $32, R11
+	JMP     next
+
+zdone:
+	VZEROUPPER
+	RET

@@ -64,19 +64,38 @@ func salt(rng *rand.Rand, s []float32, share float64) {
 	}
 }
 
-// kernelModes runs f with the dispatch bool off and, where this build and
-// CPU have the kernels, on — both paths in one process.
+// kernelModes runs f on the scalar loops (both dispatch bools off) and
+// then on each assembly width through asmLegs — every path in one
+// process.
 func kernelModes(t *testing.T, f func(t *testing.T)) {
-	had := useAVX2
-	defer func() { useAVX2 = had }()
-	useAVX2 = false
+	had2, had512 := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = had2, had512 }()
+	useAVX2, useAVX512 = false, false
 	t.Run("scalar", f)
-	if !had {
-		t.Log("no AVX2 kernels in this build or on this CPU: scalar path only")
-		return
+	asmLegs(t, f)
+}
+
+// asmLegs runs f once with the YMM kernels (useAVX2 alone) and once with
+// the ZMM ones (useAVX512 too), each as a subtest that skips, naming
+// what is missing, where this build or CPU lacks that width.
+func asmLegs(t *testing.T, f func(t *testing.T)) {
+	had2, had512 := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = had2, had512 }()
+	for _, leg := range []struct {
+		name string
+		zmm  bool
+	}{{"avx2", false}, {"avx512", true}} {
+		t.Run(leg.name, func(t *testing.T) {
+			if !haveAVX2() {
+				t.Skip("no AVX2 kernels in this build or on this CPU")
+			}
+			if m := avx512Missing(); leg.zmm && m != "" {
+				t.Skip("no ZMM kernels: this CPU or OS does not report " + m)
+			}
+			useAVX2, useAVX512 = true, leg.zmm
+			f(t)
+		})
 	}
-	useAVX2 = true
-	t.Run("avx2", f)
 }
 
 func TestPanelKernelMatchesReferenceBitwise(t *testing.T) {
@@ -204,10 +223,9 @@ func TestDotPanelsMatchesReferenceBitwise(t *testing.T) {
 // must panic in the Go wrapper before the kernel runs — and the kernel
 // must not have written by then. Run under -race, checkptr would also
 // trip on an out-of-range pointer built on the way.
-func TestPanelKernelShortSlicesPanic(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 kernels in this build or on this CPU")
-	}
+func TestPanelKernelShortSlicesPanic(t *testing.T) { asmLegs(t, testPanelKernelShortSlicesPanic) }
+
+func testPanelKernelShortSlicesPanic(t *testing.T) {
 	const m, k, n = 8, 6, 40
 	rng := rand.New(rand.NewSource(2106))
 	a := New(m, k)
@@ -262,7 +280,7 @@ func TestPanelKernelShortSlicesPanic(t *testing.T) {
 		{"n beyond c", c, pan, b, nil, 1 << 62, k, 0, 16},
 		{"k beyond pan", c, pan, b, nil, n, 1 << 61, 0, n},
 	} {
-		mustPanic("mulPanel4AVX2 "+tc.name, func() { mulPanel4AVX2(tc.c, tc.pan, tc.b, tc.bias, tc.n, tc.k, tc.c0, tc.c1, true) })
+		mustPanic("mulPanel4Asm "+tc.name, func() { mulPanel4Asm(tc.c, tc.pan, tc.b, tc.bias, tc.n, tc.k, tc.c0, tc.c1, true) })
 	}
 
 	x := randSlice(rng, k)
@@ -282,7 +300,7 @@ func TestPanelKernelShortSlicesPanic(t *testing.T) {
 		{"short bias", out, pw.panels, x, bias16[:15], k},
 		{"negative k", out, pw.panels, x, nil, -1},
 	} {
-		mustPanic("dotPanels4AVX2 "+tc.name, func() { dotPanels4AVX2(tc.dst, tc.pan, tc.x, tc.bias, tc.k, true) })
+		mustPanic("dotPanels4Asm "+tc.name, func() { dotPanels4Asm(tc.dst, tc.pan, tc.x, tc.bias, tc.k, true) })
 	}
 	mustPanic("short x through DotPanelsInto", func() { pw.DotPanelsInto(out, x[:k-1], 0, 4, nil, false) })
 }
@@ -377,4 +395,65 @@ func TestIm2ColRowCopiesMatchElementwise(t *testing.T) {
 	if cases < 100 {
 		t.Fatalf("only %d geometries were valid; the sweep lost its coverage", cases)
 	}
+}
+
+// BenchmarkPanelKernel times the fp32 panel GEMM on the bench net's
+// shapes (the ÷16 SPP-Net #2 on 40×40 clips: the three stride-1 convs'
+// rows × terms × flat positions, and fc0 at batch 16) on each leg, so a
+// ZMM form is kept only where it beats the YMM one.
+func BenchmarkPanelKernel(b *testing.B) {
+	rng := rand.New(rand.NewSource(2108))
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+	}{{"conv0", 4, 36, 1678}, {"conv1", 8, 36, 438}, {"conv2", 16, 72, 118}, {"fc0b16", 256, 480, 16}} {
+		a := New(s.m, s.k)
+		copy(a.data, randSlice(rng, s.m*s.k))
+		p := PackMatrix(a)
+		rhs := randSlice(rng, s.k*s.n)
+		bias := randSlice(rng, s.m)
+		dst := make([]float32, s.m*s.n)
+		benchLegs(b, s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.MulPanelsInto(dst, rhs, s.n, bias, true, 0, p.Panels())
+			}
+			b.ReportMetric(float64(2*s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+// benchLegs runs f as sub-benchmarks name/avx2 and name/avx512, the
+// latter only where the CPU has the ZMM kernels.
+func benchLegs(b *testing.B, name string, f func(b *testing.B)) {
+	had2, had512 := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = had2, had512 }()
+	if !had2 {
+		b.Skip("no AVX2 kernels in this build or on this CPU")
+	}
+	useAVX512 = false
+	b.Run(name+"/avx2", f)
+	if had512 {
+		useAVX512 = true
+		b.Run(name+"/avx512", f)
+	}
+}
+
+// BenchmarkDotKernel times the FC dot below batch 16 on fc0 of the
+// bench net (256 outputs × 480 inputs, one sample), on each leg. The
+// dot has no ZMM form (one measured slower than the YMM kernel and was
+// dropped), so both legs run the YMM kernel; a candidate ZMM form is
+// measured here against it.
+func BenchmarkDotKernel(b *testing.B) {
+	rng := rand.New(rand.NewSource(2109))
+	w := New(256, 480)
+	copy(w.data, randSlice(rng, 256*480))
+	p := PackMatrix(w)
+	x := randSlice(rng, 480)
+	bias := randSlice(rng, 256)
+	dst := make([]float32, 256)
+	benchLegs(b, "fc0b1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.DotPanelsInto(dst, x, 0, p.Panels(), bias, true)
+		}
+	})
 }

@@ -198,9 +198,10 @@ func (p *PackedInt8) RowSum(r int) int32 { return p.rowSum[r] }
 // ranges need disjoint acc slices. When relu is set, negatives (and NaN
 // from a pathological outScale) clamp to zero after the bias, matching
 // the fp32 epilogue's semantics. Full panels of at least kernelCols
-// columns take the AVX2 kernel, which keeps its accumulators in
-// registers and leaves acc alone; integer accumulation is exact, so it
-// stores the bits the scalar loops below would.
+// columns take the assembly kernel (YMM, or ZMM under useAVX512), which
+// keeps its accumulators in registers and leaves acc alone; integer
+// accumulation is exact, so it stores the bits the scalar loops below
+// would.
 func (p *PackedInt8) MulPanelsInto(dst []float32, b []int8, n int, acc []int64, zp int32, outScale, bias []float32, relu bool, p0, p1 int) {
 	k := p.cols
 	acc01 := acc[0:n:n]
@@ -212,7 +213,7 @@ func (p *PackedInt8) MulPanelsInto(dst []float32, b []int8, n int, acc []int64, 
 			rem = panelRows
 		}
 		if useAVX2 && rem == panelRows && n >= kernelCols {
-			p.mulPanelAVX2(dst[r0*n:(r0+rem)*n], b, n, pi, zp, outScale, bias, relu)
+			p.mulPanelAsm(dst[r0*n:(r0+rem)*n], b, n, pi, zp, outScale, bias, relu)
 			continue
 		}
 		// Tail panels run the same kernel: their dead rows are zero-filled,
@@ -343,7 +344,7 @@ func (p *PackedInt8) dequantRows(dst []float32, acc01, acc23 []int64, r0, n, rem
 // input vector, dequantized into dst[4·pi : min(4·pi+4, rows)]. x is the
 // quantized activation vector (length cols, zero point zp). Accumulation
 // stays in registers, so unlike MulPanelsInto no scratch is needed —
-// this is the orientation the fully-connected layers use. The AVX2
+// this is the orientation the fully-connected layers use. The assembly
 // kernel sums the leading multiple of eight terms (dead rows of a tail
 // panel are zeros there too) and the loop below adds the rest.
 func (p *PackedInt8) DotPanelInto(dst []float32, x []int8, pi int, zp int32, outScale, bias []float32, relu bool) {
@@ -352,7 +353,7 @@ func (p *PackedInt8) DotPanelInto(dst []float32, x []int8, pi int, zp int32, out
 	var a0, a1, a2, a3 int32
 	if useAVX2 {
 		var lead [panelRows]int32
-		done := p.dotPanelAVX2(&lead, x, pi)
+		done := p.dotPanelAsm(&lead, x, pi)
 		a0, a1, a2, a3 = lead[0], lead[1], lead[2], lead[3]
 		x, pan, k = x[done:], pan[done*panelRows:], k-done
 	}

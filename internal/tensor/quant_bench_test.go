@@ -83,3 +83,35 @@ func BenchmarkIm2ColInt8(b *testing.B) {
 		Im2ColSliceInt8(dst, img, 128, 25, 25, g, -3)
 	}
 }
+
+// BenchmarkInt8Kernels times the int8 panel GEMM on the bench net's
+// lowered int8 convs (rows × terms × OH·OW of the ÷16 SPP-Net #2 on
+// 40×40 clips) and the int8 FC dot (fc0, 256 × 480, one sample), on
+// each assembly leg.
+func BenchmarkInt8Kernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(3706))
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+	}{{"conv0", 4, 36, 1600}, {"conv1", 8, 36, 400}, {"conv2", 16, 72, 100}} {
+		q, codes, outScale, bias := int8Case(rng, s.m, s.k, s.n, false, false)
+		dst := make([]float32, s.m*s.n)
+		acc := make([]int64, 2*s.n)
+		benchLegs(b, "panel/"+s.name, func(b *testing.B) {
+			p := PackInt8(q, s.m, s.k)
+			for i := 0; i < b.N; i++ {
+				p.MulPanelsInto(dst, codes, s.n, acc, -3, outScale, bias, true, 0, p.Panels())
+			}
+		})
+	}
+	q, x, outScale, bias := int8Case(rng, 256, 480, 1, false, false)
+	dst := make([]float32, 256)
+	benchLegs(b, "dot/fc0", func(b *testing.B) {
+		p := PackInt8(q, 256, 480)
+		for i := 0; i < b.N; i++ {
+			for pi := 0; pi < p.Panels(); pi++ {
+				p.DotPanelInto(dst, x, pi, 5, outScale, bias, true)
+			}
+		}
+	})
+}
