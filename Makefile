@@ -82,8 +82,9 @@ guards = out=$$($(GO) test -run '^($(subst $(space),|,$(strip $(2))))$$' -v $(1)
 
 # Ten seconds of every native fuzz target (go test takes one -fuzz target
 # and one package per run). The /v1/detect[/batch] decoders are checked
-# against encoding/json, their number scanner and pixel token path against
-# strconv.ParseFloat, the checkpoint loader against gob's own decode (a
+# against encoding/json on both decode paths, their number scanner and
+# pixel token path against strconv.ParseFloat, the pixel-run kernel
+# against a loop of the token path, the checkpoint loader against gob's own decode (a
 # load fails untouched or restores every value), the cost-cache loader
 # against encoding/json (a load fails, or returns the file's entries,
 # every one a positive time); the other loader fuzzers of ROADMAP item 3
@@ -92,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetect$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFloat32$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzPixelRun$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/train/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCostCache$$' -fuzztime 10s ./internal/ios/
 
@@ -106,12 +108,13 @@ test:
 
 # The fp32 GEMM and dot, the int8 GEMM, dot and quantizer, and their
 # callers without the AVX2 micro-kernels (internal/tensor/panel_amd64.s,
-# int8_amd64.s): what a non-amd64 build serves. The differential and
-# golden-digest tests hold the scalar loops to the same bits, so the
-# fallback cannot rot unseen.
+# int8_amd64.s), and the request decoder without its pixel-run kernel
+# (internal/serve/pixelrun_amd64.s): what a non-amd64 build serves. The
+# differential and golden-digest tests hold the scalar loops to the same
+# bits, so the fallback cannot rot unseen.
 test-purego:
-	$(GO) vet -tags purego ./internal/tensor/...
-	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/model/
+	$(GO) vet -tags purego ./internal/tensor/... ./internal/serve/
+	$(GO) test -tags purego ./internal/tensor/ ./internal/nn/ ./internal/model/ ./internal/serve/
 
 # Instructions that would break the kernels' bit-identity with the
 # scalar loops must not appear in the assembly, comments included: the
@@ -121,10 +124,11 @@ test-purego:
 # VPMADDUBSW saturates its int16 pair sum and VPDPBUSDS / VPDPWSSDS /
 # VP4DPWSSDS their int32 accumulator where the loops' integer sums are
 # exact; a directed embedded rounding (.RU_SAE, .RD_SAE, .RZ_SAE) is not
-# the loops' round-to-nearest. Tier-1 runs the same grep as
-# TestAssemblyHasNoFusedOrSaturatingMultiplyAdd.
+# the loops' round-to-nearest. Every .s file of the module is checked
+# (directories starting with '.' are not the module's). Tier-1 runs the
+# same grep as TestAssemblyHasNoFusedOrSaturatingMultiplyAdd.
 check-asm:
-	! grep -nE 'VFN?M(ADD|SUB)|VPMADDUBSW|VPDPBUSDS|VPDPWSSDS|V4FN?MADD|VP4DPWSSDS|VFC?MADDC|VFC?MULC|VDPBF16PS|\.R[UDZ]_SAE' internal/tensor/*.s
+	! grep -nE 'VFN?M(ADD|SUB)|VPMADDUBSW|VPDPBUSDS|VPDPWSSDS|V4FN?MADD|VP4DPWSSDS|VFC?MADDC|VFC?MULC|VDPBF16PS|\.R[UDZ]_SAE' $$(find . -path './.*' -prune -o -name '*.s' -print)
 
 # Several minutes: GOMAXPROCS=4 gives the shared worker pool and the
 # parallel NAS search real fan-out to race on.

@@ -262,8 +262,8 @@ func main() {
 	popts := srv.Pool().Options()
 	// One structured line with the full resolved configuration, so a log
 	// scraper (or a human) sees every serving knob in one place.
-	fmt.Printf("level=info msg=serving model=%q addr=%s gomaxprocs=%d isa=%s precision=%s autotune=%t dynamic=%t pack_ms=%.1f replicas=%d max_batch=%d queue=%d timeout=%v telemetry=%t trace_sample=%d trace_dir=%q pprof=%t sweep_dir=%q worker_id=%d\n",
-		cfg.Name, *addr, runtime.GOMAXPROCS(0), srv.Model().ISA, plan.Precision, *autotune, *dynamicOn,
+	fmt.Printf("level=info msg=serving model=%q addr=%s gomaxprocs=%d isa=%s decode_isa=%s precision=%s autotune=%t dynamic=%t pack_ms=%.1f replicas=%d max_batch=%d queue=%d timeout=%v telemetry=%t trace_sample=%d trace_dir=%q pprof=%t sweep_dir=%q worker_id=%d\n",
+		cfg.Name, *addr, runtime.GOMAXPROCS(0), srv.Model().ISA, srv.Model().DecodeISA, plan.Precision, *autotune, *dynamicOn,
 		float64(plan.PackTime)/float64(time.Millisecond), popts.Replicas, popts.MaxBatch, popts.QueueSize,
 		*timeout, *telemetryOn, *traceSample, *traceDir, *pprofOn, *sweepDir, *workerID)
 

@@ -97,15 +97,20 @@ func BenchmarkServeThroughput(b *testing.B) {
 }
 
 // benchDecode times the request decoders on body as the handlers run
-// them: the pooled one-pass scanner, and the encoding/json + validate
-// pair it replaced, kept here as the reference.
+// them: the pooled one-pass scanner as it serves on this host, the same
+// scanner on its scalar path (the pixel-run kernel off), and the
+// encoding/json + validate pair it replaced, kept here as the reference.
 func benchDecode(b *testing.B, body []byte, scan, reference func(s *Server) error) {
 	s := schemaServer()
 	for _, c := range []struct {
 		name   string
 		decode func(s *Server) error
-	}{{"scanner", scan}, {"encoding-json", reference}} {
+		scalar bool
+	}{{"scanner", scan, false}, {"scalar", scan, true}, {"encoding-json", reference, false}} {
 		b.Run(c.name, func(b *testing.B) {
+			had := usePixelRun
+			defer func() { usePixelRun = had }()
+			usePixelRun = usePixelRun && !c.scalar
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

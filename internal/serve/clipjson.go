@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"drainnet/internal/tensor"
 )
@@ -428,6 +429,18 @@ func (d *clipDecoder) pixelsValue(i int, it *clipItem) int {
 					pix = append(pix, f)
 				}
 				at++
+				// One pixel of the token shape predicts a run of them: the
+				// kernel takes the rest of it, into pix's spare capacity or
+				// over held pixels, and pix grows only over what it wrote.
+				// Where the kernel stops, this loop goes on as before, so a
+				// pixel of another shape never pays for a vector step.
+				if usePixelRun {
+					if k, after := pixelRun(pix[at:cap(pix)], b, next); k > 0 {
+						at += k
+						pix = pix[:max(len(pix), at)]
+						next = after
+					}
+				}
 				i = d.ws(next)
 				continue
 			}
@@ -540,6 +553,40 @@ func pixelToken(b []byte, i int) (f float32, next int) {
 		return f, next + 1
 	}
 	return 0, 0
+}
+
+// usePixelRun routes runs of token-shaped pixels through pixelRun. It is
+// set once, from what the CPU and the OS report (tensor.ByteKernelMissing;
+// false on every other GOARCH and under the purego build tag), and is not
+// configurable: both paths compute the same bits, so there is nothing to
+// choose. Tests flip it to run the scalar loop and the kernel in one
+// process.
+var usePixelRun = tensor.ByteKernelMissing() == ""
+
+// decodeISA names the instruction set the pixel decoder runs on this
+// host: "avx512" (pixelRun's kernel) or "generic" (pixelToken alone).
+func decodeISA() string {
+	if usePixelRun {
+		return "avx512"
+	}
+	return "generic"
+}
+
+// pixelRun converts, from b[i], the longest run of pixels whose tokens
+// each have pixelToken's shape — "0.", 1 to 9 digits, ',' — into
+// dst[:k]: exactly the float32s pixelToken returns for them. next is the
+// offset past the last ',' it consumed (i when k is 0). It stops before
+// any other token, and also where its kernel stops: that reads b in
+// 64-byte windows, up to eight tokens each, and writes eight floats at
+// most per window, so it converts nothing once fewer than 64 bytes
+// remain at a window's start or dst has fewer than 8 free slots. It
+// needs the kernel: call it only where usePixelRun could be set.
+func pixelRun(dst []float32, b []byte, i int) (k, next int) {
+	if len(b)-i < 64 || len(dst) < 8 {
+		return 0, i
+	}
+	k, adv := pixelRunKernel(unsafe.SliceData(dst), len(dst), &b[i], len(b)-i)
+	return k, i + adv
 }
 
 // scanDecimal scans the JSON number at b[i], checking its grammar, and

@@ -257,6 +257,11 @@ func clipSeeds() [][]byte {
 		`{"bands":4,"size":8,"pixels":[` + strings.Repeat("0.12345678,", 255) + `0.123456789]}`,
 		`{"bands":4,"size":8,"pixels":[` + strings.Repeat("0.1234567,", 255) + `0.5]}`,
 		`{"bands":4,"size":8,"pixels":` + px("-0.5,0.848978191614151") + `}`,
+		// Long enough for pixelRun: a non-fast pixel amid runs of
+		// token-shaped ones, and a run cut short.
+		`{"bands":4,"size":8,"pixels":` + px(strings.Repeat("0.12345678,0.1234567,", 5)+"0.5 ,0.25,1e-3,0.123456789,-0.5,0.,"+strings.Repeat("0.7654321,", 9)+"null") + `}`,
+		`{"bands":4,"size":8,"pixels":` + px(strings.Repeat("0.87654321,", 7)+"0.1234567890,"+strings.Repeat("0.87654321,", 7)+"0.5e3") + `}`,
+		`{"bands":4,"size":8,"pixels":[` + strings.Repeat("0.12345678,", 40) + `0.1`,
 		`{"bands":4,"size":8,"pixels":` + px("00.5") + `}`,
 		`{"bands":4,"size":8,"pixels":` + px("0.") + `}`,
 		`{"bands":4,"size":8,"pixels":[0.12345678,0.1234`,
@@ -366,7 +371,10 @@ func FuzzDecodeDetect(f *testing.F) {
 		f.Add(seed)
 	}
 	s := schemaServer()
-	f.Fuzz(func(t *testing.T, b []byte) { checkDetectAgainstReference(t, s, b) })
+	logKernelLeg(f)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		bothPaths(func() { checkDetectAgainstReference(t, s, b) })
+	})
 }
 
 func FuzzDecodeBatch(f *testing.F) {
@@ -374,7 +382,10 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(seed)
 	}
 	s := schemaServer()
-	f.Fuzz(func(t *testing.T, b []byte) { checkBatchAgainstReference(t, s, b) })
+	logKernelLeg(f)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		bothPaths(func() { checkBatchAgainstReference(t, s, b) })
+	})
 }
 
 // The allow-list must not swallow the seeds that are there to be
@@ -627,11 +638,13 @@ var pixelTokenEdges = []string{
 
 // The token path changes nothing but speed: on every array built from the
 // edge spellings, and on every truncation of it (a token within
-// tokenWindow bytes of the end, a body cut mid-token), pixelsValue leaves
-// the same pixels, count, first non-finite pixel, error offset and
-// return value as slowPixelsValue. Storage already holding pixels, as a
-// repeated "pixels" key leaves it, takes the overwrite branch. And the
-// token path does take its own shape, 9 digits included.
+// tokenWindow bytes of the end, a body cut mid-token), and on the longer
+// runBodies the pixel-run kernel takes, pixelsValue leaves the same
+// pixels, count, first non-finite pixel, error offset and return value
+// as slowPixelsValue, on both decode paths. Storage already holding
+// pixels, as a repeated "pixels" key leaves it, takes the overwrite
+// branch, and past what is written keeps them. And the token path does
+// take its own shape, 9 digits included.
 func TestPixelTokenMatchesSlowPath(t *testing.T) {
 	for _, tok := range pixelTokenEdges {
 		b := []byte(tok + ",0.5,0.25,0.5")
@@ -651,8 +664,17 @@ func TestPixelTokenMatchesSlowPath(t *testing.T) {
 	for k := 0; k <= len(all); k++ {
 		bodies = append(bodies, all[:k])
 	}
+	bodies = append(bodies, runBodies()...)
+	decodeModes(t, func(t *testing.T) { pixelsMatchSlowPath(t, bodies) })
+}
+
+func pixelsMatchSlowPath(t *testing.T, bodies []string) {
+	many := make([]float32, 500)
+	for j := range many {
+		many[j] = float32(j) + 0.25
+	}
 	for _, body := range bodies {
-		for _, held := range [][]float32{nil, {9, 8, 7}, make([]float32, 64)} {
+		for _, held := range [][]float32{nil, {9, 8, 7}, make([]float32, 64), many} {
 			run := func(slow bool) (d *clipDecoder, it clipItem, next int) {
 				d = &clipDecoder{body: []byte(body), pix: append([]float32(nil), held...)}
 				it = clipItem{n: -1, nonFinite: -1}
@@ -694,16 +716,24 @@ var (
 // FuzzScanFloat32 checks scanFloat32 and pixelToken on arbitrary bytes
 // against strconv.ParseFloat of the number JSON's grammar reads there:
 // the same float32 bits and the same end, and a refusal where the grammar
-// or float32's range refuses.
+// or float32's range refuses. Where the pixel-run kernel exists it also
+// holds pixelRun from the same offset to the token loop.
 func FuzzScanFloat32(f *testing.F) {
+	run := strings.Repeat("0.12345678,0.1234567,", 4)
 	for _, tok := range pixelTokenEdges {
 		f.Add([]byte(tok + ",0.5,0.25,"))
 		f.Add([]byte(tok + "]"))
+		f.Add([]byte(tok + "," + run)) // long enough for pixelRun's window
+		f.Add([]byte(run + tok + "," + run))
 	}
 	for _, tok := range []string{"1e39", "-1e-400", "3.4028235e38", "16777217", "8.000000476837159", "-0", "1E+2", "01", "1.", ".5", "-", ""} {
 		f.Add([]byte(tok))
 	}
+	logKernelLeg(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if kernelMissing == "" {
+			checkPixelRun(t, b, 0, 64)
+		}
 		got, next := scanFloat32(b, 0)
 		tok := numberPrefix.Find(b)
 		if tok == nil || !numberToken.Match(tok) {
@@ -767,6 +797,10 @@ func sameHit(want metrics.Detection, got *Hit) bool {
 // request allocates is request bookkeeping, the same for 256-pixel and
 // 6,400-pixel clips.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
+	decodeModes(t, decodeSteadyStateAllocs)
+}
+
+func decodeSteadyStateAllocs(t *testing.T) {
 	s, _ := detectReference(t, Options{Replicas: 1, MaxBatch: 16})
 	h := s.Handler()
 	perRequest := func(size int) float64 {

@@ -162,6 +162,11 @@ type ModelInfo struct {
 	// ISA is the widest instruction set the tensor kernels serve with on
 	// this host (tensor.KernelISA): "avx512", "avx2" or "generic".
 	ISA string `json:"isa"`
+	// DecodeISA is the instruction set the JSON pixel decoder of
+	// /v1/detect and /v1/detect/batch runs on this host: "avx512" (the
+	// pixel-run kernel, gated by tensor.ByteKernelMissing, which asks for
+	// more CPUID bits than ISA's "avx512") or "generic" (the scalar loop).
+	DecodeISA string `json:"decode_isa"`
 	// Dynamic, when the served plan runs the dynamic inference path,
 	// reports the accuracy-gated plan it serves with.
 	Dynamic *DynamicInfo `json:"dynamic,omitempty"`
@@ -491,6 +496,7 @@ func (s *Server) Model() ModelInfo {
 		Precision: string(popts.Plan.Precision),
 		Kernels:   popts.Plan.KernelReport(),
 		ISA:       tensor.KernelISA(),
+		DecodeISA: decodeISA(),
 	}
 	if popts.Plan.Kernels != nil {
 		info.KernelDemotions = popts.Plan.Kernels.Demotions

@@ -120,6 +120,42 @@ func TestModelInfoReportsKernelISA(t *testing.T) {
 	}
 }
 
+// /v1/model and the msg=serving line report the pixel decoder's path
+// from its own gate: a host with the ZMM tensor kernels but without the
+// decoder's extra CPUID bits must not read "avx512" there.
+func TestModelInfoReportsDecodeISA(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func() ModelInfo {
+		resp, err := http.Get(ts.URL + "/v1/model")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var info ModelInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	want := "generic"
+	if tensor.ByteKernelMissing() == "" {
+		want = "avx512"
+	}
+	if info := get(); info.DecodeISA != want || s.Model().DecodeISA != want {
+		t.Fatalf("/v1/model decode_isa %q, the serving line's %q; tensor.ByteKernelMissing() = %q",
+			info.DecodeISA, s.Model().DecodeISA, tensor.ByteKernelMissing())
+	}
+	// The report follows the path pixelsValue takes.
+	had := usePixelRun
+	defer func() { usePixelRun = had }()
+	usePixelRun = false
+	if info := get(); info.DecodeISA != "generic" {
+		t.Fatalf("decode_isa %q with the kernel off, want generic", info.DecodeISA)
+	}
+}
+
 func TestDetectValidRequestV1(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()

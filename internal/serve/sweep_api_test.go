@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"drainnet/internal/model"
 	"drainnet/internal/sweep"
 )
 
@@ -263,9 +265,21 @@ func TestSweepSurvivesServerRestart(t *testing.T) {
 }
 
 // 429 responses carry Retry-After guidance; once queue waits have been
-// observed, the header derives from the live p95.
+// observed, the header derives from the live p95. The end-to-end half
+// holds the only replica inside its forward pass (a stage hook on the
+// served network blocks until released) and fills the 1-slot queue
+// behind it, so the next request is refused on every run.
 func TestQueueFullRetryAfter(t *testing.T) {
-	s := testServerWith(t, Options{Replicas: 1, MaxBatch: 1, QueueSize: 1})
+	cfg := model.OriginalSPPNet().Scaled(16).WithInput(4, 40)
+	net, err := cfg.Build(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWithOptions(cfg, net, 0.5, Options{Replicas: 1, MaxBatch: 1, QueueSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -289,31 +303,67 @@ func TestQueueFullRetryAfter(t *testing.T) {
 		t.Fatalf("histogram-derived Retry-After %q, want %q", got, want)
 	}
 
-	// End-to-end: saturate the tiny queue until a 429 appears and check
-	// the header rode along.
-	var mu sync.Mutex
-	var retryAfter string
+	// End-to-end. The lone replica serves net itself (the pool's first
+	// replica is never a clone), so a hook bound to net now runs inside
+	// its forward passes: the first one parks there until released.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	net.SetStageHook(func(int, string, time.Time, time.Duration) {
+		once.Do(func() { close(entered) })
+		<-release
+	})
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	body, _ := json.Marshal(validDetectRequest())
+	post := func() (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/detect", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return 0, err.Error()
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Retry-After")
+	}
+	codes := make(chan int, 2)
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, _ := json.Marshal(validDetectRequest())
-			resp, err := http.Post(ts.URL+"/v1/detect", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode == http.StatusTooManyRequests {
-				mu.Lock()
-				retryAfter = resp.Header.Get("Retry-After")
-				mu.Unlock()
-			}
+			code, _ := post()
+			codes <- code
 		}()
+		if i == 0 {
+			select {
+			case <-entered: // the replica is busy
+			case <-time.After(10 * time.Second):
+				t.Fatal("the replica never started the first request")
+			}
+		}
 	}
+	// The second request waits in the queue's one slot.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.pool.Stats().QueueDepth != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests waiting, want 1", s.pool.Stats().QueueDepth)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	code, retryAfter := post()
+	close(release)
+	released = true
 	wg.Wait()
-	if retryAfter == "" {
-		t.Skip("queue never filled; load-dependent")
+	close(codes)
+	for c := range codes {
+		if c != http.StatusOK {
+			t.Errorf("a request admitted before the queue filled answered %d, want 200", c)
+		}
+	}
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("third request answered %d with the replica busy and the queue full, want 429", code)
 	}
 	if retryAfter != want {
 		t.Fatalf("429 Retry-After %q, want the histogram-derived %q", retryAfter, want)

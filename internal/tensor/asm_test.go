@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -25,7 +26,7 @@ var forbiddenMnemonics = regexp.MustCompile(`VFN?M(ADD|SUB)|VPMADDUBSW|VPDPBUSDS
 
 // The grep behind `make check-asm`, run by `go test ./...` so that tier 1
 // catches a fused or saturating multiply-add without make: no line of
-// this package's assembly, comments included, may name one.
+// the module's assembly, comments included, may name one.
 func TestAssemblyHasNoFusedOrSaturatingMultiplyAdd(t *testing.T) {
 	for _, m := range []string{"VFMADD231PS", "VFNMADD132PS", "VFMSUB213PS", "VFNMSUB231SS", "VFMSUBADD132PS", "VFMADDSUB231PD", "VPMADDUBSW", "VPDPBUSDS", "VPDPWSSDS",
 		"V4FMADDPS", "V4FNMADDSS", "VP4DPWSSDS", "VFMADDCPH", "VFCMADDCSH", "VFMULCPH", "VFCMULCSH", "VDPBF16PS",
@@ -39,12 +40,9 @@ func TestAssemblyHasNoFusedOrSaturatingMultiplyAdd(t *testing.T) {
 			t.Errorf("the pattern rejects %s, which the kernels use or may use", m)
 		}
 	}
-	files, err := filepath.Glob("*.s")
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := moduleAssembly(t)
 	if len(files) == 0 {
-		t.Fatal("no assembly files found: the test no longer runs in the package directory")
+		t.Fatal("no assembly files found under the module root")
 	}
 	for _, f := range files {
 		src, err := os.ReadFile(f)
@@ -57,4 +55,37 @@ func TestAssemblyHasNoFusedOrSaturatingMultiplyAdd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// moduleAssembly lists every .s file of the module: the tree two levels
+// above this package's directory, without directories starting with '.'
+// or holding a go.mod of their own (another module).
+func moduleAssembly(t *testing.T) []string {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("the module root is not two levels up: %v", err)
+	}
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root {
+			if strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".s") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

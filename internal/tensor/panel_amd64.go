@@ -62,6 +62,42 @@ func avx512Missing() string {
 	return ""
 }
 
+// ByteKernelMissing names the first CPUID or XCR0 bit that the AVX-512
+// byte kernels outside this package (internal/serve's pixel decoder)
+// need and this CPU or OS does not report, or returns "" when they may
+// run: everything the ZMM kernels here need (haveAVX2, avx512Missing),
+// and AVX512DQ, AVX512_VBMI, AVX512_VBMI2, BMI1, BMI2 and POPCNT.
+func ByteKernelMissing() string {
+	if !haveAVX2() {
+		return "AVX2 (CPUID leaf 7, EBX bit 5) with OSXSAVE and the YMM state"
+	}
+	if m := avx512Missing(); m != "" {
+		return m
+	}
+	const (
+		bmi1, bmi2, avx512dq = 1 << 3, 1 << 8, 1 << 17 // leaf 7, EBX
+		vbmi, vbmi2          = 1 << 1, 1 << 6          // leaf 7, ECX
+		popcnt               = 1 << 23                 // leaf 1, ECX
+	)
+	_, b, c, _ := cpuid(7, 0)
+	_, _, c1, _ := cpuid(1, 0)
+	switch {
+	case b&avx512dq == 0:
+		return "AVX512DQ (CPUID leaf 7, EBX bit 17)"
+	case c&vbmi == 0:
+		return "AVX512_VBMI (CPUID leaf 7, ECX bit 1)"
+	case c&vbmi2 == 0:
+		return "AVX512_VBMI2 (CPUID leaf 7, ECX bit 6)"
+	case b&bmi1 == 0:
+		return "BMI1 (CPUID leaf 7, EBX bit 3)"
+	case b&bmi2 == 0:
+		return "BMI2 (CPUID leaf 7, EBX bit 8)"
+	case c1&popcnt == 0:
+		return "POPCNT (CPUID leaf 1, ECX bit 23)"
+	}
+	return ""
+}
+
 // mulPanel4Asm computes columns [c0, c1) of one full panel's four
 // output rows with the assembly micro-kernel, bias add and ReLU fused
 // into its store: c holds the panel's four rows of the n-column output,

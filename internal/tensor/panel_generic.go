@@ -9,6 +9,10 @@ func haveAVX2() bool { return false }
 
 func avx512Missing() string { return "assembly kernels (purego build or not amd64)" }
 
+// ByteKernelMissing is the amd64 probe's answer for a build without
+// assembly: the AVX-512 byte kernels outside this package never run.
+func ByteKernelMissing() string { return avx512Missing() }
+
 func mulPanel4Asm(c, pan, b, bias []float32, n, k, c0, c1 int, relu bool) {
 	panic("tensor: no assembly panel kernel in this build")
 }
