@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all check build vet test test-purego check-asm test-race test-benchmark smoke-sweep smoke-cluster \
         bench-cluster check-allocs fuzz-smoke \
-        bench bench-serve bench-telemetry test-short \
+        bench bench-kernels bench-serve bench-telemetry test-short \
         bench-fast experiments experiments-train examples renders clean
 
 all: build vet test
@@ -57,7 +57,8 @@ bench-cluster:
 # that does not grow with pixel count;
 # the pool's guards pin what one Submit and one 16-clip SubmitAll (a
 # sweep unit) on an idle pool allocate; the fp32, int8 and dynamic
-# forwards run batches 16 and 17 too, the FC layers' GEMM route; the
+# forwards run batches 16 and 17 too, the FC kernel's multi-sample tile
+# and the one-sample tail after it; the
 # raster-preparation guard bounds a 512² terrain.Generate (11.5 MB, 200
 # objects; 10.9 MB and 83 here, where the worker pool first starts inside
 # AllocsPerRun's GOMAXPROCS 1 and the flood is one tile, 121 at two tiles
@@ -106,8 +107,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# The fp32 GEMM and dot, the int8 GEMM, dot and quantizer, and their
-# callers without the AVX2 micro-kernels (internal/tensor/panel_amd64.s,
+# The fp32 GEMM and FC layers, the int8 GEMM, dot and quantizer, and
+# their callers without the AVX2 micro-kernels (internal/tensor/panel_amd64.s,
 # int8_amd64.s), and the request decoder without its pixel-run kernel
 # (internal/serve/pixelrun_amd64.s): what a non-amd64 build serves. The
 # differential and golden-digest tests hold the scalar loops to the same
@@ -150,6 +151,14 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -run '^$$' -bench 512 -benchmem ./internal/terrain/
+
+# Each assembly kernel's avx2 and avx512 leg on the bench net's shapes,
+# one core: the fp32 panel, the int8 panel and dot, the FC layers'
+# kernel at batches 1, 8, 16 and 17, and the 2×2 max-pool. A ZMM form
+# is kept where it beats the YMM one here (DESIGN.md §5.8). Not part of
+# `make check`: it measures, it does not gate.
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'PanelKernel|Int8Kernels|FCKernel|MaxPool2x2/40' -cpu 1 ./internal/tensor/
 
 # Simulator-only benchmarks (seconds).
 bench-fast:

@@ -409,7 +409,11 @@ func (c *Conv2D) inferBlock(x *tensor.Tensor, a *tensor.Arena, relu bool, pool *
 // 431–493 against 323–366, the paper-width 64→128@50² (184 M) 7.0–7.2
 // against 4.2–4.7 ms — split wins. The crossover is between 1.8 and
 // 5.8 M; every layer of the bench model (115–230 k) stays inline and
-// every layer of the paper's models at 100² (23–184 M) splits.
+// every layer of the paper's models at 100² (23–184 M) splits. A Linear
+// batch follows the same rule on n·In·Out, split by row groups; fc0
+// (BenchmarkLinearBatch, same method) at batch 1 (123 k MACs) ran
+// 6.8–7.5 inline against 12.5–13.1 µs split, and at batch 16 (2.0 M)
+// 74–78 against 84–86 µs — inline wins at both.
 const convSplitMACs = 1 << 22
 
 // inferFlat is the stride-1 default route: an implicit GEMM over the

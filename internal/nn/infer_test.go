@@ -115,6 +115,26 @@ func TestCloneSharedSharesWeightsOwnsCaches(t *testing.T) {
 			t.Fatalf("param %q value tensor was copied, not shared", orig[i].Name)
 		}
 	}
+	// So must every packed weight layout: a per-replica repack changes no
+	// answer, only each replica's RSS (fc0's pack is 0.49 MB).
+	packs := 0
+	for i, m := range clone.Modules() {
+		switch c := m.(type) {
+		case *Conv2D:
+			if o := net.Modules()[i].(*Conv2D).packed; o == nil || c.packed != o {
+				t.Fatalf("conv at %d: clone's packed panels %p, original's %p", i, c.packed, o)
+			}
+			packs++
+		case *Linear:
+			if o := net.Modules()[i].(*Linear).packed; o == nil || c.packed != o {
+				t.Fatalf("linear at %d: clone's FC pack %p, original's %p", i, c.packed, o)
+			}
+			packs++
+		}
+	}
+	if packs < 4 {
+		t.Fatalf("checked %d packed layers; the test net has two convs and two linears", packs)
+	}
 	// Mutable training state must be fresh: a cloned Dropout serves
 	// deterministically regardless of the original's mode.
 	for i, m := range clone.Modules() {

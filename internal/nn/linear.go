@@ -16,9 +16,8 @@ type Linear struct {
 	input *tensor.Tensor
 
 	// inference fast path
-	packed *tensor.Packed
+	packed *tensor.PackedFC
 	task   linearTask
-	gemm   linearGEMMTask
 }
 
 // NewLinear creates a fully-connected layer with Xavier initialization.
@@ -102,10 +101,10 @@ func (f *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return gradOut.Reshape(f.inShape...)
 }
 
-// prepareInference packs the weight matrix for the fast-path kernels.
+// prepareInference packs the weight matrix for the FC kernels.
 func (l *Linear) prepareInference() {
 	if l.packed == nil {
-		l.packed = tensor.PackMatrix(l.Weight.Value)
+		l.packed = tensor.PackFC(l.Weight.Value)
 	}
 }
 
@@ -120,16 +119,12 @@ func (l *Linear) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 }
 
 // inferFused computes y = x·Wᵀ + b with the bias and optional ReLU
-// fused. Below tensor.KernelCols samples each output is a dot product of
-// one sample against one packed weight row, parallel over (sample,
-// weight panel), so the weights stream through the cache once per
-// sample. From tensor.KernelCols samples up the batch is one GEMM,
-// yᵀ = W·xᵀ: x is transposed into arena scratch, the packed panels run
-// MulPanelsInto across the pool with the epilogue fused, and the result
-// is transposed back, so each weight panel is read once per batch. Both
-// routes compute every output as one chain of rounded multiplies and
-// rounded adds over ascending k from zero, then the bias add, then the
-// clamp: the same IEEE operations on the same values, so the same bits.
+// fused, at every batch size through one entry,
+// tensor.PackedFC.MulTransInto: it reads the row-major samples and
+// writes the row-major outputs, nothing is transposed, and every
+// output is one chain of rounded multiplies and rounded adds over
+// ascending k from zero, then the bias add, then the clamp — the
+// training forward's operations, so its bits.
 func (l *Linear) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tensor.Tensor {
 	checkRank(x, 2, "Linear.Infer")
 	if x.Dim(1) != l.In {
@@ -137,70 +132,37 @@ func (l *Linear) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 	}
 	l.prepareInference()
 	out := a.Get(x.Dim(0), l.Out)
-	l.inferInto(out.Data(), x.Data(), x.Dim(0), a, l.Bias.Value.Data(), relu)
+	l.inferInto(out.Data(), x.Data(), x.Dim(0), l.Bias.Value.Data(), relu)
 	return out
 }
 
 // inferInto is inferFused on raw n×In input and n×Out output slices;
-// bias may be nil.
-func (l *Linear) inferInto(out, x []float32, n int, a *tensor.Arena, bias []float32, relu bool) {
-	if n >= tensor.KernelCols {
-		xt, yt := a.Get(l.In, n).Data(), a.Get(l.Out, n).Data()
-		transposeInto(xt, x, n, l.In)
-		g := &l.gemm
-		g.packed, g.yt, g.xt, g.n, g.bias, g.relu = l.packed, yt, xt, n, bias, relu
-		tensor.ParallelRange(l.packed.Panels(), 1, g)
-		transposeInto(out, yt, l.Out, n)
+// bias may be nil. The batch runs inline below convSplitMACs
+// multiply-adds — the conv block's rule, for the same reason: a region's
+// wake-up and hand-back outweigh a few microseconds of kernel — and
+// above it the row groups go to the pool, four to a range at least so
+// the one-sample kernel keeps its 64-row tile.
+func (l *Linear) inferInto(out, x []float32, n int, bias []float32, relu bool) {
+	if n*l.In*l.Out < convSplitMACs {
+		l.packed.MulTransInto(out, x, n, bias, relu, 0, l.packed.Groups())
 		return
 	}
 	t := &l.task
-	t.packed, t.out, t.x = l.packed, out, x
-	t.outW, t.inW, t.panels = l.Out, l.In, l.packed.Panels()
-	t.bias, t.relu = bias, relu
-	tensor.ParallelRange(n*t.panels, 1, t)
+	t.packed, t.out, t.x, t.n, t.bias, t.relu = l.packed, out, x, n, bias, relu
+	tensor.ParallelRange(l.packed.Groups(), 4, t)
 }
 
-// transposeInto writes the cols×rows transpose of the rows×cols
-// row-major src into dst.
-func transposeInto(dst, src []float32, rows, cols int) {
-	for r := 0; r < rows; r++ {
-		for c, v := range src[r*cols : (r+1)*cols] {
-			dst[c*rows+r] = v
-		}
-	}
-}
-
-// linearTask spreads per-sample dot-product panels across the pool.
+// linearTask spreads a batch's row groups across the pool.
 type linearTask struct {
-	packed            *tensor.Packed
-	out, x            []float32
-	outW, inW, panels int
-	bias              []float32
-	relu              bool
-}
-
-func (t *linearTask) RunRange(lo, hi int) {
-	for idx := lo; idx < hi; {
-		i := idx / t.panels
-		p0 := idx % t.panels
-		p1 := min(t.panels, p0+hi-idx)
-		t.packed.DotPanelsInto(t.out[i*t.outW:(i+1)*t.outW], t.x[i*t.inW:(i+1)*t.inW], p0, p1, t.bias, t.relu)
-		idx += p1 - p0
-	}
-}
-
-// linearGEMMTask spreads the weight panels of a batch GEMM across the
-// pool: yt (Out×n) = W·xt (In×n), bias and ReLU fused.
-type linearGEMMTask struct {
-	packed *tensor.Packed
-	yt, xt []float32
+	packed *tensor.PackedFC
+	out, x []float32
 	n      int
 	bias   []float32
 	relu   bool
 }
 
-func (t *linearGEMMTask) RunRange(lo, hi int) {
-	t.packed.MulPanelsInto(t.yt, t.xt, t.n, t.bias, t.relu, lo, hi)
+func (t *linearTask) RunRange(lo, hi int) {
+	t.packed.MulTransInto(t.out, t.x, t.n, t.bias, t.relu, lo, hi)
 }
 
 // cloneShared implements sharedCloner.

@@ -44,30 +44,48 @@ func linearSpecials(rng *rand.Rand, x []float32, n, in int) {
 	}
 }
 
-// From tensor.KernelCols samples up a Linear runs its batch as one packed
-// GEMM. Every output must carry the bits the per-sample dot route gives
-// it — on fc0's shape, on layers whose output count leaves a partial
-// panel, at every batch around the switch and the micro-kernel's ragged
-// tail, with bias and ReLU each on and off, through NaN, infinities,
-// negative zeros and subnormals.
+// linearDot is the scalar per-sample dot the FC layers served below
+// batch 16 before one kernel took every batch, kept as the oracle: w is
+// the row-major Out×In weight matrix, and each output one chain over
+// ascending k from zero, then the bias add, then the clamp.
+func linearDot(dst, w, x, bias []float32, relu bool) {
+	for r := range dst {
+		var acc float32
+		for kk, v := range x {
+			acc += w[r*len(x)+kk] * v
+		}
+		if bias != nil {
+			acc += bias[r]
+		}
+		if relu && !(acc > 0) {
+			acc = 0
+		}
+		dst[r] = acc
+	}
+}
+
+// A Linear runs every batch through one FC kernel entry. Every output
+// must carry the bits the per-sample scalar dot gives it — on fc0's
+// shape, on layers whose output count leaves a partial 16-row group, at
+// every batch around the kernel's tiles and their tails, with bias and
+// ReLU each on and off, through NaN, infinities, negative zeros and
+// subnormals.
 func TestLinearBatchGEMMMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for _, shape := range []struct{ in, out int }{{480, 256}, {37, 18}, {9, 5}} {
 		l := NewLinear(rng, shape.in, shape.out)
 		l.Bias.Value.RandNormal(rng, 0, 1)
 		l.prepareInference()
-		a := tensor.NewArena()
 		for n := 1; n <= 40; n++ {
 			x := make([]float32, n*shape.in)
 			linearSpecials(rng, x, n, shape.in)
 			for _, bias := range [][]float32{nil, l.Bias.Value.Data()} {
 				for _, relu := range []bool{false, true} {
-					a.Reset()
 					got := make([]float32, n*shape.out)
-					l.inferInto(got, x, n, a, bias, relu)
+					l.inferInto(got, x, n, bias, relu)
 					want := make([]float32, shape.out)
 					for i := 0; i < n; i++ {
-						l.packed.DotPanelsInto(want, x[i*shape.in:(i+1)*shape.in], 0, l.packed.Panels(), bias, relu)
+						linearDot(want, l.Weight.Value.Data(), x[i*shape.in:(i+1)*shape.in], bias, relu)
 						for o, w := range want {
 							if g := got[i*shape.out+o]; math.Float32bits(g) != math.Float32bits(w) {
 								t.Fatalf("%dx%d batch %d bias=%v relu=%v: sample %d output %d = %v (%#08x), dot route %v (%#08x)",
@@ -82,10 +100,11 @@ func TestLinearBatchGEMMMatchesDot(t *testing.T) {
 }
 
 // BenchmarkLinearBatch times fc0 of the benchmark harness's model (SPP's
-// 480 features to 256, ReLU fused) at batch 1, on the dot route, and at
-// batch 16, on the GEMM route.
+// 480 features to 256, ReLU fused) at batches 1, 8, 16 and 17: the
+// one-sample tile, it repeated, the multi-sample tile, and that tile
+// plus one sample.
 func BenchmarkLinearBatch(b *testing.B) {
-	for _, n := range []int{1, 16} {
+	for _, n := range []int{1, 8, 16, 17} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			l := NewLinear(rng, 480, 256)

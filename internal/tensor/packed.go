@@ -13,16 +13,9 @@ const PanelRows = panelRows
 
 // The micro-kernels (panel_amd64.s) tile panelRows rows by kernelCols
 // columns of a GEMM — the YMM kernel's block, and the narrowest band
-// the ZMM kernel takes — and dotPanels panels of a dot product.
-const (
-	kernelCols = 16
-	dotPanels  = 4
-)
-
-// KernelCols is the column width of the fp32 GEMM micro-kernel: a
-// MulPanelsColsInto band at least this wide runs it, a narrower one the
-// scalar loops.
-const KernelCols = kernelCols
+// the ZMM kernel takes: a MulPanelsColsInto band at least this wide
+// runs them, a narrower one the scalar loops.
+const kernelCols = 16
 
 // useAVX2 routes full panels through the assembly micro-kernels, and
 // useAVX512 those kernels that have a ZMM form to it. Both are set once,
@@ -138,9 +131,9 @@ func (p *Packed) MulPanelsInto(dst, b []float32, n int, bias []float32, relu boo
 // produced it.
 //
 // This is the fp32 GEMM entry of the lowered serving routes: the
-// stride ≠ 1 convs, the masked dynamic path's row bands, the 16
-// Winograd position GEMMs and the fully-connected layers from
-// KernelCols samples up land here; the stride-1 convs reach the same
+// stride ≠ 1 convs, the masked dynamic path's row bands and the 16
+// Winograd position GEMMs land here (the fully-connected layers have
+// their own layout, PackedFC); the stride-1 convs reach the same
 // panel loop through MulPanelFlat. The micro-kernel takes full panels at
 // least kernelCols columns wide; narrower bands and the partial last
 // panel stay on the scalar loops.
@@ -305,64 +298,5 @@ func epilogue(c []float32, bias []float32, r0, n, rem int, relu bool, c0, c1 int
 				row[j] += bv
 			}
 		}
-	}
-}
-
-// DotPanelsInto computes outputs [4*p0, min(4*p1, rows)) of
-// y = P·x (+bias, ReLU) for one input vector: dst has length rows, x
-// length cols. This is the transposed-weight orientation used by
-// fully-connected layers below KernelCols samples, where each sample's
-// output is a set of dot products against static weight rows. Every
-// output is one chain over
-// ascending k from zero, matching the reference MatMulTransB kernel
-// bit-for-bit; while four full panels remain the AVX2 dot kernel runs
-// sixteen such chains at once (one XMM register per panel, one lane per
-// row), otherwise DotPanelInto takes the panels one by one.
-func (p *Packed) DotPanelsInto(dst, x []float32, p0, p1 int, bias []float32, relu bool) {
-	pi := p0
-	if useAVX2 {
-		for ; pi+dotPanels <= p1 && (pi+dotPanels)*panelRows <= p.rows; pi += dotPanels {
-			r0 := pi * panelRows
-			var pbias []float32
-			if bias != nil {
-				pbias = bias[r0 : r0+dotPanels*panelRows]
-			}
-			dotPanels4Asm(dst[r0:r0+dotPanels*panelRows],
-				p.panels[r0*p.cols:(r0+dotPanels*panelRows)*p.cols], x, pbias, p.cols, relu)
-		}
-	}
-	for ; pi < p1; pi++ {
-		p.DotPanelInto(dst, x, pi, bias, relu)
-	}
-}
-
-// DotPanelInto is the one-panel scalar form of DotPanelsInto: outputs
-// [4*pi, min(4*pi+4, rows)).
-func (p *Packed) DotPanelInto(dst, x []float32, pi int, bias []float32, relu bool) {
-	k := p.cols
-	pan := p.panels[pi*panelRows*k : (pi+1)*panelRows*k]
-	var a0, a1, a2, a3 float32
-	for kk, v := range x[:k] {
-		q := pan[kk*panelRows : kk*panelRows+4]
-		a0 += q[0] * v
-		a1 += q[1] * v
-		a2 += q[2] * v
-		a3 += q[3] * v
-	}
-	r0 := pi * panelRows
-	rem := p.rows - r0
-	if rem > panelRows {
-		rem = panelRows
-	}
-	acc := [panelRows]float32{a0, a1, a2, a3}
-	for r := 0; r < rem; r++ {
-		v := acc[r]
-		if bias != nil {
-			v += bias[r0+r]
-		}
-		if relu && !(v > 0) {
-			v = 0
-		}
-		dst[r0+r] = v
 	}
 }

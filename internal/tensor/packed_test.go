@@ -70,35 +70,49 @@ func TestPackedMulFusedBiasReLUMatchesUnfused(t *testing.T) {
 	}
 }
 
+// The FC entry must give MatMulTransB's bits, then the bias add and
+// the clamp, on every path: for every batch 1..40 and every layer of
+// 1..41 outputs.
 func TestDotPanelIntoMatchesMatMulTransB(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, m := range []int{1, 3, 4, 10} {
-		const k = 29
-		w := randMat(rng, m, k) // weight rows
-		x := randMat(rng, 1, k) // one sample
-		bias := make([]float32, m)
-		for i := range bias {
-			bias[i] = float32(rng.NormFloat64())
-		}
-		ref := MatMulTransB(x, w) // 1×m
-		for j := 0; j < m; j++ {
-			v := ref.data[j] + bias[j]
-			if !(v > 0) {
-				v = 0
+	kernelModes(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		for m := 1; m <= 41; m++ {
+			for n := 1; n <= 40; n++ {
+				const k = 29
+				w := randMat(rng, m, k) // weight rows
+				x := randMat(rng, n, k) // n samples
+				bias := make([]float32, m)
+				for i := range bias {
+					bias[i] = float32(rng.NormFloat64())
+				}
+				ref := MatMulTransB(x, w) // n×m
+				for j := range ref.data {
+					v := ref.data[j] + bias[j%m]
+					if !(v > 0) {
+						v = 0
+					}
+					ref.data[j] = v
+				}
+				p := PackFC(w)
+				got := make([]float32, n*m)
+				p.MulTransInto(got, x.data, n, bias, true, 0, p.Groups())
+				for j := range ref.data {
+					if got[j] != ref.data[j] {
+						t.Fatalf("m=%d n=%d: sample %d output %d = %v, want %v", m, n, j/m, j%m, got[j], ref.data[j])
+					}
+				}
 			}
-			ref.data[j] = v
 		}
-		p := PackMatrix(w)
-		got := make([]float32, m)
-		for pi := 0; pi < p.Panels(); pi++ {
-			p.DotPanelInto(got, x.data, pi, bias, true)
+	})
+}
+
+func TestPackFCRequiresRank2(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("rank-3 tensor packed without panic")
 		}
-		for j := 0; j < m; j++ {
-			if got[j] != ref.data[j] {
-				t.Fatalf("m=%d: output %d = %v, want %v", m, j, got[j], ref.data[j])
-			}
-		}
-	}
+	}()
+	PackFC(New(2, 2, 2))
 }
 
 func TestPackMatrixRequiresRank2(t *testing.T) {

@@ -25,8 +25,16 @@ func maxPool2x2Asm(dst, src []float32, oh, ow, stride int) {
 	panic("tensor: no AVX2 max-pool kernel in this build")
 }
 
-func dotPanels4Asm(dst, pan, x, bias []float32, k int, relu bool) {
-	panic("tensor: no assembly dot kernel in this build")
+func (p *PackedFC) mulAsm(y, x []float32, n int, bias []float32, relu bool, g0, g1 int) {
+	panic("tensor: no assembly FC kernel in this build")
+}
+
+func fcRowsAsm(y, pan, x, bias []float32, k, groups int, relu bool) {
+	panic("tensor: no assembly FC kernel in this build")
+}
+
+func fcTileAsm(y, pan, x, bias []float32, k, ystride, tile int, relu bool) {
+	panic("tensor: no assembly FC kernel in this build")
 }
 
 func (p *PackedInt8) mulPanelAsm(c []float32, b []int8, n, pi int, zp int32, outScale, bias []float32, relu bool) {
