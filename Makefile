@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all check build vet test test-purego check-asm test-race test-benchmark smoke-sweep smoke-cluster \
-        bench-cluster check-allocs fuzz-smoke \
+        bench-cluster check-allocs check-deps fuzz-smoke \
         bench bench-kernels bench-serve bench-telemetry test-short \
         bench-fast experiments experiments-train examples renders clean
 
@@ -18,8 +18,9 @@ all: build vet test
 # (its own go.mod, so `./...` never compiles it), the sweep
 # kill-and-resume smoke, the cluster kill-under-load smoke, the
 # allocation regression guards on the serving forwards, the request
-# decoder and the pool's Submit, and ten seconds of each native fuzz target.
-check: build vet test test-purego check-asm test-race test-benchmark smoke-sweep smoke-cluster check-allocs fuzz-smoke
+# decoder and the pool's Submit, the import guard that keeps the IOS study
+# out of serving, and ten seconds of each native fuzz target.
+check: build vet test test-purego check-asm test-race test-benchmark smoke-sweep smoke-cluster check-allocs check-deps fuzz-smoke
 
 # Kill-and-resume smoke: drain a mid-flight sweep (fake backend and the
 # real batcher pool), resume it, and require bit-identical results.
@@ -81,6 +82,13 @@ guards = out=$$($(GO) test -run '^($(subst $(space),|,$(strip $(2))))$$' -v $(1)
 	[ $$status -eq 0 ] || exit $$status; \
 	for t in $(2); do echo "$$out" | grep -q "^--- PASS: $$t " || { echo "$(1): guard $$t did not run"; exit 1; }; done
 
+# Serving, sweeps, compile, NAS and telemetry must not link the paper's
+# IOS study (the simulated-GPU scheduler), its profiler or the
+# experiments: the CPU serving path schedules nothing, and the autotuner
+# times its convs itself (model.TimeTrimmed, model.CostCache).
+check-deps:
+	! $(GO) list -deps ./internal/serve/... ./internal/sweep/ ./internal/model/ ./internal/nas/ ./internal/telemetry/ | grep -E '^drainnet/internal/(ios|profiler|experiments)$$'
+
 # Ten seconds of every native fuzz target (go test takes one -fuzz target
 # and one package per run). The /v1/detect[/batch] decoders are checked
 # against encoding/json on both decode paths, their number scanner and
@@ -96,7 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFloat32$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzPixelRun$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/train/
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadCostCache$$' -fuzztime 10s ./internal/ios/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCostCache$$' -fuzztime 10s ./internal/model/
 
 build:
 	$(GO) build ./...

@@ -6,6 +6,7 @@ import (
 
 	"drainnet/internal/baseline"
 	"drainnet/internal/cluster"
+	"drainnet/internal/experiments"
 	"drainnet/internal/export"
 	"drainnet/internal/gpu"
 	"drainnet/internal/graph"
@@ -253,7 +254,7 @@ func DefaultEvolution() nas.EvolutionConfig { return nas.DefaultEvolution() }
 // ResourceAwareSelect performs the §5.4 accuracy-constrained efficiency
 // optimization: maximize e(n) subject to a(n) > threshold.
 func ResourceAwareSelect(trials []Trial, threshold float64, batch int) (*nas.Selection, error) {
-	return nas.ResourceAware(trials, nas.IOSMeasurer{Dev: RTXA5500()}, threshold, batch)
+	return nas.ResourceAware(trials, experiments.IOSMeasurer{Dev: RTXA5500()}, threshold, batch)
 }
 
 // ---- Hardware-in-the-loop NAS ----
@@ -344,10 +345,10 @@ func OptimizeSchedule(g *Graph, dev Device, batch int) (*Schedule, error) {
 
 // CostCache memoizes wall-clock kernel and NAS candidate measurements
 // across processes.
-type CostCache = ios.CostCache
+type CostCache = model.CostCache
 
 // LoadCostCache reads a saved measurement cost cache (empty when missing).
-func LoadCostCache(path string) (*CostCache, error) { return ios.LoadCostCache(path) }
+func LoadCostCache(path string) (*CostCache, error) { return model.LoadCostCache(path) }
 
 // LatencyResult summarizes one measured inference.
 type LatencyResult = ios.RunResult

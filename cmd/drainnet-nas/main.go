@@ -32,7 +32,7 @@ import (
 	"os"
 
 	"drainnet/internal/experiments"
-	"drainnet/internal/ios"
+	"drainnet/internal/model"
 	"drainnet/internal/nas"
 )
 
@@ -93,10 +93,10 @@ type measuredOptions struct {
 }
 
 func runMeasured(dc experiments.DataConfig, mo measuredOptions) {
-	cache := ios.NewCostCache()
+	cache := model.NewCostCache()
 	if mo.costCache != "" {
 		var err error
-		if cache, err = ios.LoadCostCache(mo.costCache); err != nil {
+		if cache, err = model.LoadCostCache(mo.costCache); err != nil {
 			fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func runMeasured(dc experiments.DataConfig, mo measuredOptions) {
 func runSimProxy(trials int, threshold float64, seed int64) {
 	space := nas.DefaultSpace()
 	ts := nas.RandomSearch(space, experiments.NASProxy(), trials, seed)
-	sel, err := nas.ResourceAware(ts, nas.IOSMeasurer{Dev: experiments.Device()}, threshold, 1)
+	sel, err := nas.ResourceAware(ts, experiments.IOSMeasurer{Dev: experiments.Device()}, threshold, 1)
 	fmt.Printf("proxy NAS: %d trials, constraint a(n) > %.2f\n", len(ts), threshold)
 	for _, t := range ts {
 		fmt.Printf("  %-28s proxy-acc %.2f%%\n", t.Config.Name, t.Accuracy*100)

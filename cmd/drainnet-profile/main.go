@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"drainnet/internal/experiments"
+	"drainnet/internal/gpu"
 	"drainnet/internal/ios"
 	"drainnet/internal/model"
 	"drainnet/internal/profiler"
@@ -74,7 +75,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := profiler.WriteChromeTrace(f, p.Events); err != nil {
+		if err := gpu.WriteChromeTrace(f, p.Events); err != nil {
 			f.Close()
 			fatal(err)
 		}

@@ -84,7 +84,6 @@ import (
 	"time"
 
 	"drainnet/internal/experiments"
-	"drainnet/internal/ios"
 	"drainnet/internal/model"
 	"drainnet/internal/nas"
 	"drainnet/internal/serve"
@@ -165,13 +164,7 @@ func main() {
 			log.Fatal(err)
 		}
 		calibDS = testDS
-		opt := train.PaperOptions()
-		opt.Epochs = dc.Epochs
-		opt.BatchSize = dc.BatchSize
-		opt.BoxWeight = 5
-		opt.LRStepEpoch = dc.Epochs * 2 / 3
-		opt.LRStepGamma = 0.1
-		if _, err := train.Fit(net, trainDS, opt); err != nil {
+		if _, err := train.Fit(net, trainDS, dc.TrainOptions()); err != nil {
 			log.Fatal(err)
 		}
 		ev := train.Evaluate(net, testDS, dc.IoUThreshold)
@@ -180,9 +173,9 @@ func main() {
 
 	// One compile step assembles what serves. The held-out split is built
 	// only if a gate asks for it; the training path reuses its test split.
-	cache := ios.NewCostCache()
+	cache := model.NewCostCache()
 	if *costCache != "" {
-		if cache, err = ios.LoadCostCache(*costCache); err != nil {
+		if cache, err = model.LoadCostCache(*costCache); err != nil {
 			log.Fatal(err)
 		}
 	}

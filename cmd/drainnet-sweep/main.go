@@ -83,13 +83,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opt := train.PaperOptions()
-		opt.Epochs = dc.Epochs
-		opt.BatchSize = dc.BatchSize
-		opt.BoxWeight = 5
-		opt.LRStepEpoch = dc.Epochs * 2 / 3
-		opt.LRStepGamma = 0.1
-		if _, err := train.Fit(net, trainDS, opt); err != nil {
+		if _, err := train.Fit(net, trainDS, dc.TrainOptions()); err != nil {
 			log.Fatal(err)
 		}
 		ev := train.Evaluate(net, testDS, dc.IoUThreshold)

@@ -80,12 +80,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opt := train.PaperOptions()
-	opt.Epochs = dc.Epochs
-	opt.BatchSize = dc.BatchSize
-	opt.BoxWeight = 5
-	opt.LRStepEpoch = dc.Epochs * 2 / 3
-	opt.LRStepGamma = 0.1
+	opt := dc.TrainOptions()
 	opt.Verbose = *verbose
 	if _, err := train.Fit(net, trainDS, opt); err != nil {
 		fatal(err)

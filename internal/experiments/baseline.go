@@ -38,13 +38,7 @@ func Baseline(dc DataConfig) (*BaselineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := train.PaperOptions()
-	opt.Epochs = dc.Epochs
-	opt.BatchSize = dc.BatchSize
-	opt.BoxWeight = 5
-	opt.LRStepEpoch = dc.Epochs * 2 / 3
-	opt.LRStepGamma = 0.1
-	if _, err := train.Fit(net, trainDS, opt); err != nil {
+	if _, err := train.Fit(net, trainDS, dc.TrainOptions()); err != nil {
 		return nil, err
 	}
 	ev := train.Evaluate(net, testDS, dc.IoUThreshold)

@@ -104,6 +104,19 @@ func BuildData(dc DataConfig) (trainDS, testDS *terrain.Dataset, err error) {
 	return trainDS, testDS, nil
 }
 
+// TrainOptions is the shared training protocol at dc's budget: the
+// paper's optimizer with dc's epochs and batch size, box-loss weight 5,
+// and the learning rate cut tenfold two thirds of the way through.
+func (dc DataConfig) TrainOptions() train.Options {
+	opt := train.PaperOptions()
+	opt.Epochs = dc.Epochs
+	opt.BatchSize = dc.BatchSize
+	opt.BoxWeight = 5
+	opt.LRStepEpoch = dc.Epochs * 2 / 3
+	opt.LRStepGamma = 0.1
+	return opt
+}
+
 // TrainAndScore trains one architecture under the shared protocol and
 // returns its test AP.
 func TrainAndScore(cfg model.Config, dc DataConfig, trainDS, testDS *terrain.Dataset) (float64, error) {
@@ -120,13 +133,7 @@ func TrainNet(scaled model.Config, dc DataConfig, trainDS, testDS *terrain.Datas
 	if err != nil {
 		return nil, 0, err
 	}
-	opt := train.PaperOptions()
-	opt.Epochs = dc.Epochs
-	opt.BatchSize = dc.BatchSize
-	opt.BoxWeight = 5
-	opt.LRStepEpoch = dc.Epochs * 2 / 3
-	opt.LRStepGamma = 0.1
-	if _, err := train.Fit(net, trainDS, opt); err != nil {
+	if _, err := train.Fit(net, trainDS, dc.TrainOptions()); err != nil {
 		return nil, 0, err
 	}
 	return net, train.Evaluate(net, testDS, dc.IoUThreshold).AP, nil

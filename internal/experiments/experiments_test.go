@@ -3,6 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"drainnet/internal/gpu"
+	"drainnet/internal/model"
+	"drainnet/internal/nas"
 )
 
 func TestTable2ShapeHolds(t *testing.T) {
@@ -315,5 +319,59 @@ func TestSpaceCensus(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "fastest") {
 		t.Fatal("render missing sections")
+	}
+}
+
+func TestIOSMeasurerOnTable1Candidates(t *testing.T) {
+	meas := IOSMeasurer{Dev: gpu.RTXA5500()}
+	for _, cfg := range model.Candidates() {
+		seq, opt, err := meas.Latency(cfg, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		if !(opt > 0 && opt < seq) {
+			t.Fatalf("%s: opt %v must be positive and below seq %v", cfg.Name, opt, seq)
+		}
+	}
+}
+
+func TestResourceAwarePipelineEndToEnd(t *testing.T) {
+	// Fig 5: NAS (grid over a reduced space) → threshold → IOS → pick.
+	s := nas.DefaultSpace()
+	s.Conv1Kernel.Choices = []int{3}
+	s.SPPFirstLevel.Choices = []int{4, 5}
+	s.FCWidth.Choices = []int{1024, 2048, 4096}
+	// Synthetic accuracy model: bigger FC and SPP are more accurate,
+	// echoing Table 1's trend.
+	eval := nas.FunctionalEvaluator(func(cfg model.Config) (float64, error) {
+		acc := 0.90
+		if cfg.SPPLevels[0] == 5 {
+			acc += 0.03
+		}
+		if cfg.FCWidth >= 2048 {
+			acc += 0.02
+		}
+		return acc, nil
+	})
+	trials := nas.GridSearch(s, eval)
+	if len(trials) != 6 {
+		t.Fatalf("trials = %d", len(trials))
+	}
+	sel, err := nas.ResourceAware(trials, IOSMeasurer{Dev: gpu.RTXA5500()}, 0.94, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := sel.Best()
+	if best.Config.SPPLevels[0] != 5 || best.Config.FCWidth < 2048 {
+		t.Fatalf("unexpected winner %q", best.Config.Name)
+	}
+	// Winner must be the fastest among qualified candidates.
+	for _, c := range sel.Candidates {
+		if c.OptLatencyNs < best.OptLatencyNs {
+			t.Fatal("selection did not pick the most efficient candidate")
+		}
+	}
+	if !strings.Contains(best.Config.Name, "spp5") {
+		t.Fatalf("winner name %q", best.Config.Name)
 	}
 }

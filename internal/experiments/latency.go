@@ -4,9 +4,33 @@ import (
 	"fmt"
 	"strings"
 
+	"drainnet/internal/gpu"
 	"drainnet/internal/ios"
 	"drainnet/internal/model"
 )
+
+// IOSMeasurer prices an architecture on the simulated GPU through the IOS
+// pipeline, as in Table 2; it is the nas.EfficiencyMeasurer of the
+// paper's Fig 5 selection.
+type IOSMeasurer struct {
+	Dev gpu.DeviceConfig
+}
+
+// Latency implements nas.EfficiencyMeasurer.
+func (m IOSMeasurer) Latency(cfg model.Config, batch int) (float64, float64, error) {
+	g, err := cfg.BuildGraph()
+	if err != nil {
+		return 0, 0, err
+	}
+	rt := ios.NewRuntime(m.Dev)
+	seq := rt.Measure(g, ios.SequentialSchedule(g), batch)
+	sched, err := ios.Optimize(g, ios.NewSimOracle(m.Dev), batch)
+	if err != nil {
+		return 0, 0, err
+	}
+	opt := rt.Measure(g, sched, batch)
+	return seq.LatencyNs, opt.LatencyNs, nil
+}
 
 // Table2Row is one model's latency pair at batch 1.
 type Table2Row struct {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"math/rand"
 
-	"drainnet/internal/ios"
 	"drainnet/internal/model"
 	"drainnet/internal/nas"
 	"drainnet/internal/nn"
@@ -74,7 +73,7 @@ type NASEvaluatorOptions struct {
 	Threshold float64
 	MaxAPDrop float64
 	MaxBatch  int
-	Cache     *ios.CostCache
+	Cache     *model.CostCache
 	// Proxy switches the trainer to the analytic proxy (no real
 	// training); Prefilter enables the proxy accuracy prefilter in front
 	// of real training.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"drainnet/internal/ios"
 	"drainnet/internal/model"
 	"drainnet/internal/nas"
 	"drainnet/internal/tensor"
@@ -81,7 +80,7 @@ func TestNewNASEvaluatorProxyPipeline(t *testing.T) {
 // count nor the host's timing noise can move the ranking.
 func TestNASWarmParallelSearchKeepsColdWinner(t *testing.T) {
 	dc := TinyData()
-	cache := ios.NewCostCache()
+	cache := model.NewCostCache()
 	search := func(parallel int) *nas.SearchResult {
 		t.Helper()
 		ev, err := NewNASEvaluator(dc, NASEvaluatorOptions{Threshold: 0.3, MaxAPDrop: 0.02, MaxBatch: 4, Cache: cache, Proxy: true})

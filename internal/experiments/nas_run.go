@@ -32,7 +32,7 @@ func NASSearch(dc DataConfig, trials int, threshold float64, seed int64) (*NASRe
 		return TrainAndScore(cfg, dc, trainDS, testDS)
 	})
 	ts := nas.RandomSearch(space, eval, trials, seed)
-	sel, err := nas.ResourceAware(ts, nas.IOSMeasurer{Dev: Device()}, threshold, 1)
+	sel, err := nas.ResourceAware(ts, IOSMeasurer{Dev: Device()}, threshold, 1)
 	if err != nil {
 		// Keep the trials even when nothing qualified.
 		return &NASResult{Trials: ts, Selection: sel}, err

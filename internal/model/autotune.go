@@ -2,10 +2,9 @@ package model
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
-	"drainnet/internal/graph"
-	"drainnet/internal/ios"
 	"drainnet/internal/nn"
 	"drainnet/internal/tensor"
 	"drainnet/internal/terrain"
@@ -22,10 +21,19 @@ import (
 // held-out AP drop within epsilon, with a demotion ladder down to the
 // always-safe pure-fp32 im2col mix.
 //
-// Measurements run through ios.MeasuredOracle — warmup, trimmed mean,
-// MinSampleNs stretching and the shared cost cache — with each variant
-// keyed by a kernel tag (convProbe.OpTag), so a saved kernel cache makes
-// retuning on the same host instant.
+// Each (layer, kernel, batch) is timed by convProbe.cost — warmup runs,
+// then the trimmed mean of samples stretched above clock granularity
+// (TimeTrimmed) — and memoized in the CostCache under a key naming the
+// conv geometry, the kernel, the batch and GOMAXPROCS, so a saved cache
+// makes retuning on the same host instant.
+
+// The protocol of one kernel measurement: probeWarmup discarded runs, then
+// probeSamples timed runs, each repeated to at least probeMinSampleNs.
+const (
+	probeWarmup      = 2
+	probeSamples     = 10
+	probeMinSampleNs = 2e5
+)
 
 // KernelInt8 is the pseudo-variant name for a conv layer served by its
 // int8 wrapper instead of an fp32 kernel.
@@ -40,10 +48,10 @@ type KernelOptions struct {
 	// MaxAPDrop is the gate epsilon for non-exact mixes (default 0 — any
 	// drop demotes; set to the serving tolerance, e.g. 0.01).
 	MaxAPDrop float64
-	// Cache is an optional warm measurement cache (ios.LoadCostCache);
+	// Cache is an optional warm measurement cache (LoadCostCache);
 	// a fresh one is created when nil. Retrieve it from the returned
 	// plan's Cache field to save after tuning.
-	Cache *ios.CostCache
+	Cache *CostCache
 }
 
 // LayerKernel is one conv layer's tuned serving choice.
@@ -87,8 +95,8 @@ type KernelPlan struct {
 	Demotions int `json:"demotions"`
 	// Cache is the measurement cache after tuning (save for warm restarts);
 	// Measured counts the entries this tuning run added to it.
-	Cache    *ios.CostCache `json:"-"`
-	Measured int            `json:"-"`
+	Cache    *CostCache `json:"-"`
+	Measured int        `json:"-"`
 }
 
 // Mix summarizes the plan as "name:b1/bN" fragments for log lines.
@@ -106,40 +114,44 @@ type tunable struct {
 	conv  *nn.Conv2D
 	qconv *nn.QuantConv2D // int8 competitor; nil when unavailable
 	relu  bool
-	node  *graph.Node
+	in    []int // per-sample input shape (C,H,W)
 	name  string
 }
 
-// convProbe adapts a single conv layer to ios.OpRunner/OpTagger so the
-// measured oracle can price one (layer, kernel, batch) combination.
+// fusedConv is what the tuner times: one conv layer's fused conv+ReLU
+// forward, fp32 (*nn.Conv2D) or int8 (*nn.QuantConv2D).
+type fusedConv interface {
+	InferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tensor.Tensor
+}
+
+// convProbe prices (layer, kernel, batch) combinations, memoizing every
+// measurement in cache.
 type convProbe struct {
-	conv    *nn.Conv2D
-	qconv   *nn.QuantConv2D
-	relu    bool
-	tag     string
-	inputs  *tensor.Arena
-	scratch *tensor.Arena
-	x       *tensor.Tensor
+	cache           *CostCache
+	inputs, scratch *tensor.Arena
 }
 
-func (p *convProbe) OpTag(n *graph.Node) string { return p.tag }
-
-func (p *convProbe) BindOp(n *graph.Node, batch int) error {
-	p.inputs.Reset()
-	shape := append([]int{batch}, n.InShape...)
-	t := p.inputs.Get(shape...)
-	tensor.FillPseudo(t.Data(), tensor.PseudoSeed)
-	p.x = t
-	return nil
-}
-
-func (p *convProbe) RunOp() {
-	p.scratch.Reset()
-	if p.qconv != nil {
-		p.qconv.InferFused(p.x, p.scratch, p.relu)
-		return
+// cost returns the trimmed-mean nanoseconds of one forward of conv — layer
+// tc served by kernel kern — at the batch size, measuring on a cache miss.
+func (p *convProbe) cost(tc *tunable, conv fusedConv, kern string, batch int) float64 {
+	g := tc.conv.Geom
+	key := fmt.Sprintf("conv|p%d|b%d|in=%dx%dx%d|out=%d|k=%dx%d|s=%dx%d|pad=%dx%d|kern=%s",
+		runtime.GOMAXPROCS(0), batch, tc.in[0], tc.in[1], tc.in[2], tc.conv.OutC,
+		g.KH, g.KW, g.StrideH, g.StrideW, g.PadH, g.PadW, kern)
+	if c, ok := p.cache.Get(key); ok {
+		return c
 	}
-	p.conv.InferFused(p.x, p.scratch, p.relu)
+	p.inputs.Reset()
+	x := p.inputs.Get(batch, tc.in[0], tc.in[1], tc.in[2])
+	tensor.FillPseudo(x.Data(), tensor.PseudoSeed)
+	c := TimeTrimmed(func(reps int) {
+		for i := 0; i < reps; i++ {
+			p.scratch.Reset()
+			conv.InferFused(x, p.scratch, tc.relu)
+		}
+	}, probeWarmup, probeSamples, probeMinSampleNs)
+	p.cache.Put(key, c)
+	return c
 }
 
 // AutotuneKernels measures every eligible kernel variant of every conv
@@ -187,15 +199,18 @@ func autotuneKernels(fp32Net, qnet *nn.Sequential, input []int, g *gate, opts Ke
 		plan.FP32AP = g.baseline
 	}
 
-	// Measure every (layer, variant, bucket) through the oracle.
-	probe := &convProbe{inputs: tensor.NewArena(), scratch: tensor.NewArena()}
-	oracle := ios.NewMeasuredOracle(probe, opts.Cache)
-	plan.Cache = oracle.Cache()
+	// Measure every (layer, variant, bucket).
+	if opts.Cache == nil {
+		opts.Cache = NewCostCache()
+	}
+	probe := &convProbe{cache: opts.Cache, inputs: tensor.NewArena(), scratch: tensor.NewArena()}
+	plan.Cache = opts.Cache
 	cached := plan.Cache.Len()
 	type variantCost map[nn.ConvKernel]map[int]float64
 	fpCosts := make([]variantCost, len(tun))
 	i8Costs := make([]map[int]float64, len(tun))
-	for li, tc := range tun {
+	for li := range tun {
+		tc := &tun[li]
 		fpCosts[li] = make(variantCost)
 		for _, k := range nn.ConvKernels() {
 			if !tc.conv.KernelEligible(k) {
@@ -207,28 +222,17 @@ func autotuneKernels(fp32Net, qnet *nn.Sequential, input []int, g *gate, opts Ke
 			}
 			rc := replica.(*nn.Conv2D)
 			rc.SetKernels(k, k)
-			probe.conv, probe.qconv, probe.relu = rc, nil, tc.relu
-			if k == nn.KernelIm2Col {
-				probe.tag = "" // the default kernel keeps the untagged key
-			} else {
-				probe.tag = "kern=" + k.String() + ":" + k.String()
-			}
 			fpCosts[li][k] = make(map[int]float64)
 			for _, b := range opts.Batches {
-				fpCosts[li][k][b] = oracle.OpCost(tc.node, b)
+				fpCosts[li][k][b] = probe.cost(tc, rc, k.String(), b)
 			}
 		}
 		if tc.qconv != nil {
-			probe.conv, probe.qconv, probe.relu = nil, tc.qconv, tc.relu
-			probe.tag = "int8"
 			i8Costs[li] = make(map[int]float64)
 			for _, b := range opts.Batches {
-				i8Costs[li][b] = oracle.OpCost(tc.node, b)
+				i8Costs[li][b] = probe.cost(tc, tc.qconv, KernelInt8, b)
 			}
 		}
-	}
-	if err := oracle.Err(); err != nil {
-		return nil, fmt.Errorf("model: autotune: %w", err)
 	}
 	plan.Measured = plan.Cache.Len() - cached
 
@@ -373,7 +377,7 @@ func ratio(ref, v float64) float64 {
 }
 
 // collectTunables walks the fp32 net, tracking activation shapes, and
-// builds one tunable (with a synthetic cost-model node) per conv layer.
+// builds one tunable per conv layer.
 // qnet, when present, must be structurally parallel (QuantizeForInference
 // preserves module indices).
 func collectTunables(fp32Net, qnet *nn.Sequential, input []int) ([]tunable, error) {
@@ -390,24 +394,10 @@ func collectTunables(fp32Net, qnet *nn.Sequential, input []int) ([]tunable, erro
 	mods := fp32Net.Modules()
 	for i, m := range mods {
 		if conv, ok := nn.Unwrap(m).(*nn.Conv2D); ok && conv.Algo == nn.ConvIm2Col {
-			c, h, w := shape[1], shape[2], shape[3]
-			oh, ow := conv.Geom.OutSize(h, w)
-			in := &graph.Node{ID: 0, Kind: graph.OpInput, OutShape: []int{c, h, w}}
-			node := &graph.Node{
-				ID:               1,
-				Name:             fmt.Sprintf("conv%d", len(tun)),
-				Kind:             graph.OpConv,
-				InShape:          []int{c, h, w},
-				OutShape:         []int{conv.OutC, oh, ow},
-				Inputs:           []*graph.Node{in},
-				FLOPsPerSample:   2 * int64(conv.OutC) * int64(oh) * int64(ow) * int64(c) * int64(conv.Geom.KH) * int64(conv.Geom.KW),
-				WeightBytes:      int64(conv.OutC) * int64(c) * int64(conv.Geom.KH) * int64(conv.Geom.KW) * 4,
-				ThreadsPerSample: int64(conv.OutC) * int64(oh) * int64(ow),
-			}
 			tc := tunable{
 				idx:  i,
 				conv: conv,
-				node: node,
+				in:   []int{shape[1], shape[2], shape[3]},
 				name: fmt.Sprintf("conv%d_%dx%dx%d", len(tun), conv.OutC, conv.Geom.KH, conv.Geom.KW),
 			}
 			if i+1 < len(mods) {

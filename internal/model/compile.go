@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"drainnet/internal/ios"
 	"drainnet/internal/metrics"
 	"drainnet/internal/nn"
 	"drainnet/internal/tensor"
@@ -60,7 +59,7 @@ type CompileOptions struct {
 	MaxBatch int
 	// CostCache memoizes the autotuner's measurements (the caller loads
 	// and saves it across processes). Nil starts a fresh one.
-	CostCache *ios.CostCache
+	CostCache *CostCache
 }
 
 // QuantGateError is returned when int8 was requested outright and the
@@ -106,7 +105,7 @@ func Compile(cfg Config, net *nn.Sequential, calib CalibSource, opts CompileOpti
 		opts.MaxBatch = 8
 	}
 	if opts.CostCache == nil {
-		opts.CostCache = ios.NewCostCache()
+		opts.CostCache = NewCostCache()
 	}
 	if opts.Precision == "" {
 		opts.Precision = PrecisionFP32

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"drainnet/internal/ios"
 	"drainnet/internal/metrics"
 	"drainnet/internal/nn"
 	"drainnet/internal/tensor"
@@ -57,17 +56,17 @@ func TestCompileMatchesHandChain(t *testing.T) {
 		precision Precision // label the plan must carry
 		exact     bool      // also bit-identical to Detect
 		noCalib   bool      // must not evaluate the calibration source
-		hand      func(net *nn.Sequential, ds *terrain.Dataset, cache *ios.CostCache) (main, routed detectFunc)
+		hand      func(net *nn.Sequential, ds *terrain.Dataset, cache *CostCache) (main, routed detectFunc)
 	}{
 		{
 			name: "fp32", precision: PrecisionFP32, exact: true, noCalib: true,
-			hand: func(net *nn.Sequential, _ *terrain.Dataset, _ *ios.CostCache) (detectFunc, detectFunc) {
+			hand: func(net *nn.Sequential, _ *terrain.Dataset, _ *CostCache) (detectFunc, detectFunc) {
 				return sequential(net), nil
 			},
 		},
 		{
 			name: "int8 pass", opts: CompileOptions{Precision: PrecisionInt8, MaxAPDrop: 1}, precision: PrecisionInt8,
-			hand: func(net *nn.Sequential, ds *terrain.Dataset, _ *ios.CostCache) (detectFunc, detectFunc) {
+			hand: func(net *nn.Sequential, ds *terrain.Dataset, _ *CostCache) (detectFunc, detectFunc) {
 				dec, err := QuantizeGated(net, ds, QuantOptions{MaxAPDrop: 1})
 				must(err)
 				return sequential(dec.Net), nil
@@ -76,13 +75,13 @@ func TestCompileMatchesHandChain(t *testing.T) {
 		{
 			name: "auto with a failing gate", opts: CompileOptions{Precision: PrecisionAuto, MaxAPDrop: -1},
 			precision: PrecisionFP32, exact: true,
-			hand: func(net *nn.Sequential, _ *terrain.Dataset, _ *ios.CostCache) (detectFunc, detectFunc) {
+			hand: func(net *nn.Sequential, _ *terrain.Dataset, _ *CostCache) (detectFunc, detectFunc) {
 				return sequential(net), nil
 			},
 		},
 		{
 			name: "autotune", opts: CompileOptions{Autotune: true, MaxAPDrop: 0.05}, precision: PrecisionFP32,
-			hand: func(net *nn.Sequential, ds *terrain.Dataset, cache *ios.CostCache) (detectFunc, detectFunc) {
+			hand: func(net *nn.Sequential, ds *terrain.Dataset, cache *CostCache) (detectFunc, detectFunc) {
 				kplan, err := AutotuneKernels(net, nil, input, ds,
 					KernelOptions{Batches: []int{1, maxBatch}, MaxAPDrop: 0.05, Cache: cache})
 				must(err)
@@ -91,7 +90,7 @@ func TestCompileMatchesHandChain(t *testing.T) {
 		},
 		{
 			name: "dynamic", opts: CompileOptions{Dynamic: true, MaxAPDrop: 0.05}, precision: PrecisionFP32,
-			hand: func(net *nn.Sequential, ds *terrain.Dataset, _ *ios.CostCache) (detectFunc, detectFunc) {
+			hand: func(net *nn.Sequential, ds *terrain.Dataset, _ *CostCache) (detectFunc, detectFunc) {
 				dplan, err := PlanDynamic(net, ds, DynamicOptions{MaxAPDrop: 0.05})
 				must(err)
 				dplan.Apply(net)
@@ -101,7 +100,7 @@ func TestCompileMatchesHandChain(t *testing.T) {
 		{
 			name: "dynamic+router", opts: CompileOptions{Dynamic: true, Precision: PrecisionAuto, MaxAPDrop: 0.05},
 			precision: PrecisionFP32,
-			hand: func(net *nn.Sequential, ds *terrain.Dataset, _ *ios.CostCache) (detectFunc, detectFunc) {
+			hand: func(net *nn.Sequential, ds *terrain.Dataset, _ *CostCache) (detectFunc, detectFunc) {
 				dec, err := QuantizeGated(net, ds, QuantOptions{MaxAPDrop: 0.05})
 				must(err)
 				dplan, err := PlanDynamic(net, ds, DynamicOptions{MaxAPDrop: 0.05, Int8: dec})
@@ -117,7 +116,7 @@ func TestCompileMatchesHandChain(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := dynCalibData(rand.New(rand.NewSource(29)), 48)
-			cache := ios.NewCostCache()
+			cache := NewCostCache()
 			calibCalls := 0
 			opts := tc.opts
 			opts.MaxBatch, opts.CostCache = maxBatch, cache

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"drainnet/internal/ios"
 	"drainnet/internal/nn"
 	"drainnet/internal/tensor"
 	"drainnet/internal/terrain"
@@ -121,26 +120,26 @@ var gateGoldenEpsilons = []float64{-1, 0.05, 1}
 // fixed price per kernel (Winograd cheapest, then int8, NCHWc, direct,
 // im2col; int8 cheapest of all on the second conv), so the tuned mix —
 // and every gate number after it — does not depend on the host's timings.
-func fixedKernelCosts(t *testing.T, calib CalibSource) *ios.CostCache {
+func fixedKernelCosts(t *testing.T, calib CalibSource) *CostCache {
 	t.Helper()
-	cache := ios.NewCostCache()
+	cache := NewCostCache()
 	if _, err := Compile(compileTestConfig(), gateTestNet(t, 5), calib,
 		CompileOptions{Autotune: true, Precision: PrecisionAuto, MaxAPDrop: 1, MaxBatch: 8, CostCache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	price := map[string]float64{
-		"kern=winograd:winograd": 1, "int8": 2, "kern=nchwc:nchwc": 3, "kern=direct:direct": 4,
+		"winograd": 1, "int8": 2, "nchwc": 3, "direct": 4, "im2col": 5,
 	}
 	for key := range cache.Snapshot() {
-		v := 5.0
-		if i := strings.Index(key, "|prec="); i >= 0 {
-			p, ok := price[key[i+len("|prec="):]]
-			if !ok {
-				t.Fatalf("unpriced cost key %q", key)
-			}
-			v = p
+		i := strings.Index(key, "|kern=")
+		if i < 0 {
+			t.Fatalf("cost key %q names no kernel", key)
 		}
-		if strings.HasSuffix(key, "|prec=int8") && strings.Contains(key, "|out=[16 ") {
+		v, ok := price[key[i+len("|kern="):]]
+		if !ok {
+			t.Fatalf("unpriced cost key %q", key)
+		}
+		if strings.HasSuffix(key, "|kern=int8") && strings.Contains(key, "|out=16|") {
 			v = 0.5 // the second conv goes int8 whenever a quantized net competes
 		}
 		cache.Put(key, v*1000)
@@ -327,7 +326,7 @@ func TestServedExecutorsDifferential(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	cache := ios.NewCostCache()
+	cache := NewCostCache()
 	var exactN, gatedN int
 	for _, seed := range seeds {
 		ds := teacherCalibData(gateTestNet(t, seed), seed+1, 48)

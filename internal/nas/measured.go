@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"drainnet/internal/ios"
 	"drainnet/internal/metrics"
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
@@ -17,12 +16,12 @@ import (
 // This file closes the paper's optimization loop against the real
 // hardware: e(n) becomes the measured steady-state latency of each
 // candidate's compiled, autotuned, possibly-int8 executor on the machine
-// that will serve, instead of the simulated-GPU price the
-// IOSMeasurer charges. Each candidate goes through model.Compile — the
+// that will serve, instead of the simulated-GPU price of
+// experiments.IOSMeasurer. Each candidate goes through model.Compile — the
 // same call drainnet-serve makes at startup — and the executor the plan
-// hands out is what gets benched, all against one shared ios.CostCache,
+// hands out is what gets benched, all against one shared model.CostCache,
 // so repeated searches (and concurrent search workers) never re-measure
-// an operator twice.
+// a conv kernel twice.
 
 // Trainer produces a trained network and its held-out accuracy a(n) for
 // one already-scaled architecture. experiments.NASTrainer is the real
@@ -77,7 +76,7 @@ type MeasuredEvaluator struct {
 	// keys) and candidate-level end-to-end latencies all live in it, so
 	// a warm cache makes re-search deterministic and cheap. A fresh cache
 	// is created when nil.
-	Cache *ios.CostCache
+	Cache *model.CostCache
 	// Warmup and Samples control the executor bench (defaults 2 and 8):
 	// Warmup discarded runs, then Samples timed runs whose trimmed mean
 	// is e(n).
@@ -110,7 +109,7 @@ func (e *MeasuredEvaluator) init() {
 		e.nets = make(map[string]trainedNet)
 	}
 	if e.Cache == nil {
-		e.Cache = ios.NewCostCache()
+		e.Cache = model.NewCostCache()
 	}
 	if e.WidthScale < 1 {
 		e.WidthScale = 1
@@ -298,14 +297,15 @@ func (e *MeasuredEvaluator) measureCandidate(scaled model.Config, base *nn.Seque
 }
 
 // benchExecutor times one executor at a batch size on deterministic
-// synthetic input, with the oracle's sampling protocol. Caller holds
+// synthetic input: Warmup discarded runs, then the trimmed mean of
+// Samples runs stretched to MinSampleNs (model.TimeTrimmed). Caller holds
 // benchMu.
 func (e *MeasuredEvaluator) benchExecutor(exec model.Executor, batch int) float64 {
 	x := tensor.New(batch, e.InBands, e.InSize, e.InSize)
 	tensor.FillPseudo(x.Data(), tensor.PseudoSeed)
 	a := tensor.NewArena()
 	dets := make([]metrics.Detection, 0, batch)
-	return ios.TimeTrimmed(func(reps int) {
+	return model.TimeTrimmed(func(reps int) {
 		for i := 0; i < reps; i++ {
 			a.Reset()
 			dets = exec.InferDetect(x, a, dets)

@@ -13,8 +13,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"drainnet/internal/gpu"
-	"drainnet/internal/ios"
 	"drainnet/internal/model"
 )
 
@@ -291,28 +289,6 @@ type EfficiencyMeasurer interface {
 	// Latency returns sequential and IOS-optimized latency in ns at the
 	// given batch size.
 	Latency(cfg model.Config, batch int) (seqNs, optNs float64, err error)
-}
-
-// IOSMeasurer measures latency on the simulated GPU via the IOS pipeline,
-// as in Table 2.
-type IOSMeasurer struct {
-	Dev gpu.DeviceConfig
-}
-
-// Latency implements EfficiencyMeasurer.
-func (m IOSMeasurer) Latency(cfg model.Config, batch int) (float64, float64, error) {
-	g, err := cfg.BuildGraph()
-	if err != nil {
-		return 0, 0, err
-	}
-	rt := ios.NewRuntime(m.Dev)
-	seq := rt.Measure(g, ios.SequentialSchedule(g), batch)
-	sched, err := ios.Optimize(g, ios.NewSimOracle(m.Dev), batch)
-	if err != nil {
-		return 0, 0, err
-	}
-	opt := rt.Measure(g, sched, batch)
-	return seq.LatencyNs, opt.LatencyNs, nil
 }
 
 // Candidate is one accuracy-qualified architecture with its measured

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"drainnet/internal/ios"
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
 )
@@ -278,7 +277,7 @@ func tinySpace() Space {
 // the candidate-level cache, and a second evaluation is a pure cache hit
 // with bit-identical latencies.
 func TestMeasuredEvaluatorPipeline(t *testing.T) {
-	cache := ios.NewCostCache()
+	cache := model.NewCostCache()
 	s := tinySpace()
 	ev := &MeasuredEvaluator{
 		Trainer:   tinyTrainer(0.95),

@@ -16,7 +16,7 @@
 //     follows datadog-agent's GPU package: event stream → stream
 //     handler → aggregator → metrics.
 //  3. Trace sampling (trace.go): 1-in-N request spans are exported in
-//     Chrome trace-event JSON via profiler.WriteChromeTrace, so a
+//     Chrome trace-event JSON via gpu.WriteChromeTrace, so a
 //     production request opens in the same chrome://tracing view as an
 //     offline drainnet-profile capture.
 //

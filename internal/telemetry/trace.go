@@ -8,11 +8,10 @@ import (
 	"time"
 
 	"drainnet/internal/gpu"
-	"drainnet/internal/profiler"
 )
 
 // exportTrace renders a sampled span as Chrome trace-event JSON through
-// the same profiler.WriteChromeTrace that drainnet-profile uses, so
+// the same gpu.WriteChromeTrace that drainnet-profile uses, so
 // production requests and offline simulator captures open in the same
 // chrome://tracing / ui.perfetto.dev view.
 func (t *Telemetry) exportTrace(s *Span) {
@@ -21,7 +20,7 @@ func (t *Telemetry) exportTrace(s *Span) {
 		return
 	}
 	var buf bytes.Buffer
-	if err := profiler.WriteChromeTrace(&buf, events); err != nil {
+	if err := gpu.WriteChromeTrace(&buf, events); err != nil {
 		return
 	}
 	b := buf.Bytes()
