@@ -96,7 +96,9 @@ check-deps:
 # against a loop of the token path, the checkpoint loader against gob's own decode (a
 # load fails untouched or restores every value), the cost-cache loader
 # against encoding/json (a load fails, or returns the file's entries,
-# every one a positive time); the other loader fuzzers of ROADMAP item 3
+# every one a positive time), the NAS winner-plan loader (a load fails,
+# or returns a plan whose arch validates and whose precision and kernel
+# mode drainnet-serve knows); the other loader fuzzers of ROADMAP item 3
 # go here.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetect$$' -fuzztime 10s ./internal/serve/
@@ -105,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPixelRun$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/train/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCostCache$$' -fuzztime 10s ./internal/model/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadWinnerPlan$$' -fuzztime 10s ./internal/nas/
 
 build:
 	$(GO) build ./...

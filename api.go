@@ -227,38 +227,6 @@ type SearchSpace = nas.Space
 // {1,3,5,7,9}, first SPP level {1..5}, FC width {128..8192}.
 func DefaultSearchSpace() SearchSpace { return nas.DefaultSpace() }
 
-// Evaluator scores one architecture.
-type Evaluator = nas.Evaluator
-
-// FunctionalEvaluator adapts a plain function (Retiarii's
-// FunctionalEvaluator).
-type FunctionalEvaluator = nas.FunctionalEvaluator
-
-// Trial is one evaluated architecture.
-type Trial = nas.Trial
-
-// RandomSearch runs the multi-trial random exploration strategy.
-func RandomSearch(space SearchSpace, eval Evaluator, maxTrials int, seed int64) []Trial {
-	return nas.RandomSearch(space, eval, maxTrials, seed)
-}
-
-// EvolutionSearch runs regularized (aging) evolution over the space — an
-// alternative exploration strategy to the paper's random search.
-func EvolutionSearch(space SearchSpace, eval Evaluator, cfg nas.EvolutionConfig) []Trial {
-	return nas.EvolutionSearch(space, eval, cfg)
-}
-
-// DefaultEvolution returns a small, sensible evolution configuration.
-func DefaultEvolution() nas.EvolutionConfig { return nas.DefaultEvolution() }
-
-// ResourceAwareSelect performs the §5.4 accuracy-constrained efficiency
-// optimization: maximize e(n) subject to a(n) > threshold.
-func ResourceAwareSelect(trials []Trial, threshold float64, batch int) (*nas.Selection, error) {
-	return nas.ResourceAware(trials, experiments.IOSMeasurer{Dev: RTXA5500()}, threshold, batch)
-}
-
-// ---- Hardware-in-the-loop NAS ----
-
 // SearchCandidate is one point of the joint search space: architecture ×
 // serving precision × kernel mode.
 type SearchCandidate = nas.CandidateConfig
@@ -268,37 +236,45 @@ type SearchCandidate = nas.CandidateConfig
 // {im2col, tuned}.
 func DefaultJointSearchSpace() SearchSpace { return nas.DefaultJointSpace() }
 
+// SimEvaluator is the paper's Fig 5 oracle (§5.4): trained accuracy
+// a(n), the constraint a(n) > A, and e(n) the IOS-optimized latency of
+// the unscaled architecture on the simulated RTX A5500 at batch 1.
+type SimEvaluator = experiments.SimEvaluator
+
 // MeasuredEvaluator scores joint candidates with real trained accuracy
 // and the measured steady-state latency of each candidate's compiled
 // executor on this machine (after accuracy-gated quantization and
-// kernel autotuning). Safe for concurrent use by
-// MeasuredSearch workers.
+// kernel autotuning). Safe for concurrent use by Search workers.
 type MeasuredEvaluator = nas.MeasuredEvaluator
 
 // CandidateTrainer produces a trained network and its held-out accuracy
 // for one scaled architecture.
 type CandidateTrainer = nas.Trainer
 
-// SearchOptions configures a measured search (strategy, trial budget,
-// seed, parallel workers).
+// CandidateTrainerFunc adapts a plain function to a CandidateTrainer.
+type CandidateTrainerFunc = nas.TrainerFunc
+
+// SearchOptions configures a search (strategy, trial budget, seed,
+// parallel workers).
 type SearchOptions = nas.SearchOptions
 
 // TrialResult is one scored joint candidate.
 type TrialResult = nas.TrialResult
 
-// CandidateEvaluatorFunc adapts a plain function to a measured-search
-// candidate evaluator.
+// CandidateEvaluatorFunc adapts a plain function to a search candidate
+// evaluator.
 type CandidateEvaluatorFunc = nas.CandidateEvaluatorFunc
 
-// MeasuredSearchResult is a measured search's full history with
-// deterministic ranking (Ranked, Winner, Render).
-type MeasuredSearchResult = nas.SearchResult
+// SearchResult is a search's full history with deterministic ranking
+// (Ranked, Winner, Render).
+type SearchResult = nas.SearchResult
 
-// MeasuredSearch runs the hardware-in-the-loop NAS: candidates evaluate
-// across opts.Parallel workers sharing one evaluator (and cost cache);
-// revisited candidates are never evaluated twice, and a warm cache
-// reproduces the ranking bit-for-bit.
-func MeasuredSearch(space SearchSpace, eval nas.CandidateEvaluator, opts SearchOptions) (*MeasuredSearchResult, error) {
+// Search runs the NAS (random, grid or evolution strategy) with either
+// oracle — a SimEvaluator or a MeasuredEvaluator: candidates evaluate
+// across opts.Parallel workers sharing one evaluator; revisited
+// candidates are never evaluated twice, and a warm cost cache reproduces
+// a measured ranking bit-for-bit.
+func Search(space SearchSpace, eval nas.CandidateEvaluator, opts SearchOptions) (*SearchResult, error) {
 	return nas.Search(space, eval, opts)
 }
 

@@ -100,7 +100,7 @@ func TestPublicAPINotationRoundTrip(t *testing.T) {
 
 func TestPublicAPINASSelection(t *testing.T) {
 	space := DefaultSearchSpace()
-	eval := FunctionalEvaluator(func(cfg ModelConfig) (float64, error) {
+	trainer := CandidateTrainerFunc(func(cfg ModelConfig) (*Network, float64, error) {
 		// Proxy accuracy: favors the paper's trend (deeper SPP, wider FC).
 		acc := 0.93
 		if cfg.SPPLevels[0] >= 5 {
@@ -109,20 +109,21 @@ func TestPublicAPINASSelection(t *testing.T) {
 		if cfg.FCWidth >= 2048 {
 			acc += 0.01
 		}
-		return acc, nil
+		return nil, acc, nil
 	})
-	trials := RandomSearch(space, eval, 25, 3)
-	if len(trials) == 0 {
-		t.Fatal("no trials")
-	}
-	sel, err := ResourceAwareSelect(trials, 0.94, 1)
+	ev := &SimEvaluator{Trainer: trainer, Threshold: 0.94, WidthScale: 16, InSize: 40}
+	res, err := Search(space, ev, SearchOptions{Trials: 25, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.Best() == nil {
+	if len(res.Trials) != 25 {
+		t.Fatalf("%d trials, want 25", len(res.Trials))
+	}
+	best := res.Winner()
+	if best == nil {
 		t.Fatal("no selection")
 	}
-	if sel.Best().Accuracy <= 0.94 {
+	if best.Accuracy <= 0.94 {
 		t.Fatal("selection violated the accuracy constraint")
 	}
 }
@@ -132,14 +133,14 @@ func TestPublicAPIMeasuredNAS(t *testing.T) {
 	if space.JointSize() != space.Size()*4 {
 		t.Fatalf("joint size %d, want %d", space.JointSize(), space.Size()*4)
 	}
-	// A stub candidate evaluator exercises MeasuredSearch through the
-	// public surface; the real MeasuredEvaluator is covered in-package.
+	// A stub candidate evaluator exercises Search through the public
+	// surface; the real MeasuredEvaluator is covered in-package.
 	eval := func(c SearchCandidate) TrialResult {
 		r := TrialResult{Candidate: c, Key: c.Key(), Accuracy: 0.95, Qualified: true}
 		r.LatencyBNNs = float64(c.Arch.FCWidth)
 		return r
 	}
-	res, err := MeasuredSearch(space, CandidateEvaluatorFunc(eval), SearchOptions{Strategy: "random", Trials: 8, Seed: 4, Parallel: 2})
+	res, err := Search(space, CandidateEvaluatorFunc(eval), SearchOptions{Strategy: "random", Trials: 8, Seed: 4, Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +201,9 @@ func TestPublicAPIExtensions(t *testing.T) {
 	}
 
 	// Evolutionary NAS.
-	eval := FunctionalEvaluator(func(cfg ModelConfig) (float64, error) { return 0.9, nil })
-	if trials := EvolutionSearch(DefaultSearchSpace(), eval, DefaultEvolution()); len(trials) == 0 {
-		t.Fatal("no evolution trials")
+	eval := func(c SearchCandidate) TrialResult { return TrialResult{Candidate: c, Key: c.Key(), Accuracy: 0.9} }
+	if res, err := Search(DefaultSearchSpace(), CandidateEvaluatorFunc(eval), SearchOptions{Strategy: "evolution", Trials: 32, Seed: 1}); err != nil || len(res.Trials) == 0 {
+		t.Fatalf("no evolution trials: %v", err)
 	}
 
 	// Multi-GPU extension.

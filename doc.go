@@ -13,7 +13,7 @@
 //     OriginalSPPNet …SPPNet3, BuildModel, Fit, EvaluateDetector.
 //   - Neural architecture search with the paper's §4.2 search space and
 //     the accuracy-constrained selection of §5.4: DefaultSearchSpace,
-//     RandomSearch, ResourceAwareSelect.
+//     Search, SimEvaluator.
 //   - The IOS inter-operator scheduler and a discrete-event GPU simulator
 //     calibrated to the RTX A5500: BuildGraph, OptimizeSchedule,
 //     MeasureLatency.

@@ -34,12 +34,13 @@ func main() {
 	}
 	trainDS, testDS := ds.SplitByCrossing(0.8, 5)
 
-	// Functional evaluator: train the sampled architecture briefly and
-	// score test AP (the Retiarii FunctionalEvaluator role).
-	eval := drainnet.FunctionalEvaluator(func(cfg drainnet.ModelConfig) (float64, error) {
-		net, err := drainnet.BuildModel(cfg.Scaled(16).WithInput(4, cc.Size), rand.New(rand.NewSource(7)))
+	// Accuracy side: train the sampled architecture (already scaled to
+	// width/16 and 40-pixel clips by the evaluator) briefly and score
+	// test AP.
+	trainer := drainnet.CandidateTrainerFunc(func(cfg drainnet.ModelConfig) (*drainnet.Network, float64, error) {
+		net, err := drainnet.BuildModel(cfg, rand.New(rand.NewSource(7)))
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		opt := drainnet.PaperTrainOptions()
 		opt.Epochs = 8
@@ -48,29 +49,31 @@ func main() {
 		opt.LRStepEpoch = 6
 		opt.LRStepGamma = 0.1
 		if _, err := drainnet.Fit(net, trainDS, opt); err != nil {
-			return 0, err
+			return nil, 0, err
 		}
-		return drainnet.EvaluateDetector(net, testDS, 0.3).AP, nil
+		return net, drainnet.EvaluateDetector(net, testDS, 0.3).AP, nil
 	})
 
-	// Multi-trial random search (paper §4.2's strategy).
-	space := drainnet.DefaultSearchSpace()
-	trials := drainnet.RandomSearch(space, eval, 5, 42)
-	for _, t := range trials {
-		fmt.Printf("trial %-28s AP %.1f%%\n", t.Config.Name, t.Accuracy*100)
-	}
-
-	// Accuracy-constrained efficiency optimization (paper §5.4): keep
-	// a(n) > A, rank by IOS-optimized latency at batch 1.
+	// The paper's Fig 5 oracle (§5.4): keep a(n) > A, rank by the
+	// IOS-optimized latency on the simulated A5500 at batch 1.
 	const threshold = 0.60
-	sel, err := drainnet.ResourceAwareSelect(trials, threshold, 1)
+	eval := &drainnet.SimEvaluator{Trainer: trainer, Threshold: threshold, WidthScale: 16, InSize: cc.Size}
+
+	// Multi-trial random search (paper §4.2's strategy) over 5 distinct
+	// architectures.
+	res, err := drainnet.Search(drainnet.DefaultSearchSpace(), eval, drainnet.SearchOptions{Strategy: "random", Trials: 5, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
-	best := sel.Best()
-	fmt.Printf("\nselected: %s\n", best.Config.Name)
+	for _, t := range res.Trials {
+		fmt.Printf("trial %-28s AP %.1f%%\n", t.Candidate.Arch.Name, t.Accuracy*100)
+	}
+	best := res.Winner()
+	if best == nil {
+		log.Fatalf("no trial satisfied AP > %.0f%%", threshold*100)
+	}
+	fmt.Printf("\nselected: %s\n", best.Candidate.Arch.Name)
 	fmt.Printf("  accuracy   %.1f%% (constraint: > %.0f%%)\n", best.Accuracy*100, threshold*100)
-	fmt.Printf("  latency    %.3f ms optimized (%.3f ms sequential)\n",
-		best.OptLatencyNs/1e6, best.SeqLatencyNs/1e6)
-	fmt.Printf("  %d of %d trials qualified\n", len(sel.Candidates), len(trials))
+	fmt.Printf("  latency    %.3f ms IOS-optimized\n", best.LatencyB1Ns/1e6)
+	fmt.Printf("  %d of %d trials qualified\n", res.Qualified, len(res.Trials))
 }

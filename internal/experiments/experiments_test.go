@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
-	"drainnet/internal/gpu"
 	"drainnet/internal/model"
 	"drainnet/internal/nas"
+	"drainnet/internal/nn"
 )
 
 func TestTable2ShapeHolds(t *testing.T) {
@@ -322,15 +327,25 @@ func TestSpaceCensus(t *testing.T) {
 	}
 }
 
-func TestIOSMeasurerOnTable1Candidates(t *testing.T) {
-	meas := IOSMeasurer{Dev: gpu.RTXA5500()}
-	for _, cfg := range model.Candidates() {
-		seq, opt, err := meas.Latency(cfg, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
+// TestSimEvaluatorOnTable1Candidates: the sim oracle prices each
+// Table 1 candidate at exactly Table 2's IOS-optimized latency, below
+// its sequential one.
+func TestSimEvaluatorOnTable1Candidates(t *testing.T) {
+	t2, err := Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainer := nas.TrainerFunc(func(model.Config) (*nn.Sequential, float64, error) { return nil, 1, nil })
+	ev := &SimEvaluator{Trainer: trainer, Threshold: 0.5, WidthScale: 16, InSize: 40}
+	for i, cfg := range model.Candidates() {
+		r := ev.EvaluateCandidate(nas.CandidateConfig{Arch: cfg, Precision: model.PrecisionFP32, Kernels: nas.KernelModeBaseline})
+		if r.Err != "" || !r.Qualified {
+			t.Fatalf("%s: %+v", cfg.Name, r)
 		}
-		if !(opt > 0 && opt < seq) {
-			t.Fatalf("%s: opt %v must be positive and below seq %v", cfg.Name, opt, seq)
+		row := t2.Rows[i]
+		if r.LatencyB1Ns/1e6 != row.OptMs || r.LatencyBNNs != r.LatencyB1Ns || !(row.OptMs < row.SeqMs) {
+			t.Fatalf("%s: sim e(n) %v ns (bN %v), Table 2 optimized %v ms, sequential %v ms",
+				cfg.Name, r.LatencyB1Ns, r.LatencyBNNs, row.OptMs, row.SeqMs)
 		}
 	}
 }
@@ -343,7 +358,7 @@ func TestResourceAwarePipelineEndToEnd(t *testing.T) {
 	s.FCWidth.Choices = []int{1024, 2048, 4096}
 	// Synthetic accuracy model: bigger FC and SPP are more accurate,
 	// echoing Table 1's trend.
-	eval := nas.FunctionalEvaluator(func(cfg model.Config) (float64, error) {
+	trainer := nas.TrainerFunc(func(cfg model.Config) (*nn.Sequential, float64, error) {
 		acc := 0.90
 		if cfg.SPPLevels[0] == 5 {
 			acc += 0.03
@@ -351,27 +366,94 @@ func TestResourceAwarePipelineEndToEnd(t *testing.T) {
 		if cfg.FCWidth >= 2048 {
 			acc += 0.02
 		}
-		return acc, nil
+		return nil, acc, nil
 	})
-	trials := nas.GridSearch(s, eval)
-	if len(trials) != 6 {
-		t.Fatalf("trials = %d", len(trials))
-	}
-	sel, err := nas.ResourceAware(trials, IOSMeasurer{Dev: gpu.RTXA5500()}, 0.94, 1)
+	ev := &SimEvaluator{Trainer: trainer, Threshold: 0.94, WidthScale: 16, InSize: 40}
+	res, err := nas.Search(s, ev, nas.SearchOptions{Strategy: "grid"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := sel.Best()
-	if best.Config.SPPLevels[0] != 5 || best.Config.FCWidth < 2048 {
-		t.Fatalf("unexpected winner %q", best.Config.Name)
+	if len(res.Trials) != 6 {
+		t.Fatalf("trials = %d", len(res.Trials))
+	}
+	best := res.Winner()
+	if best == nil || best.Candidate.Arch.SPPLevels[0] != 5 || best.Candidate.Arch.FCWidth < 2048 {
+		t.Fatalf("unexpected winner %+v", best)
 	}
 	// Winner must be the fastest among qualified candidates.
-	for _, c := range sel.Candidates {
-		if c.OptLatencyNs < best.OptLatencyNs {
+	for _, c := range res.Ranked() {
+		if c.LatencyB1Ns < best.LatencyB1Ns {
 			t.Fatal("selection did not pick the most efficient candidate")
 		}
 	}
-	if !strings.Contains(best.Config.Name, "spp5") {
-		t.Fatalf("winner name %q", best.Config.Name)
+	if !strings.Contains(best.Candidate.Arch.Name, "spp5") {
+		t.Fatalf("winner name %q", best.Candidate.Arch.Name)
+	}
+}
+
+// TestSimSearchMatchesArchOnlyGolden: the sim oracle through nas.Search
+// reproduces the architecture-only pipeline it replaced — RandomSearch
+// over 30 draws with the analytic proxy, then ResourceAware at batch 1 —
+// recorded in testdata/sim_nas_golden.json for seeds 1–5 at A = 0.90 and
+// 0.93: the same k distinct architectures in order, the same qualified
+// set and ranking, the same winner, and e(n) bit for bit.
+func TestSimSearchMatchesArchOnlyGolden(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "sim_nas_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []struct {
+		Seed      int64    `json:"seed"`
+		Threshold float64  `json:"threshold"`
+		Archs     []string `json:"archs"`
+		Qualified []struct {
+			Name         string `json:"name"`
+			OptLatencyNs string `json:"opt_latency_ns"`
+		} `json:"qualified"`
+		Winner string `json:"winner"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) != 10 {
+		t.Fatalf("golden holds %d runs, want 10", len(golden))
+	}
+	dc := TinyData()
+	for _, g := range golden {
+		ev, err := NewSimEvaluator(dc, NASEvaluatorOptions{Threshold: g.Threshold, Proxy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := nas.Search(nas.DefaultSpace(), ev, nas.SearchOptions{Strategy: "random", Trials: len(g.Archs), Seed: g.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := fmt.Sprintf("seed %d, A %.2f", g.Seed, g.Threshold)
+		if len(res.Trials) != len(g.Archs) {
+			t.Fatalf("%s: %d trials, golden %d", run, len(res.Trials), len(g.Archs))
+		}
+		for i, tr := range res.Trials {
+			if tr.Err != "" || tr.Key != g.Archs[i]+"|prec=fp32|kern=im2col" {
+				t.Fatalf("%s: trial %d is %s (%s), golden %s", run, i, tr.Key, tr.Err, g.Archs[i])
+			}
+		}
+		ranked := res.Ranked()
+		if len(ranked) != len(g.Qualified) || res.Qualified != len(g.Qualified) {
+			t.Fatalf("%s: %d qualified, golden %d", run, len(ranked), len(g.Qualified))
+		}
+		for i, q := range g.Qualified {
+			want, err := strconv.ParseFloat(q.OptLatencyNs, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := ranked[i]
+			if r.Candidate.Arch.Name != q.Name || r.LatencyB1Ns != want || r.LatencyBNNs != want {
+				t.Fatalf("%s: rank %d is %s at %v/%v ns, golden %s at %v ns",
+					run, i, r.Candidate.Arch.Name, r.LatencyB1Ns, r.LatencyBNNs, q.Name, want)
+			}
+		}
+		if w := res.Winner(); w.Candidate.Arch.Name != g.Winner {
+			t.Fatalf("%s: winner %s, golden %s", run, w.Candidate.Arch.Name, g.Winner)
+		}
 	}
 }

@@ -9,27 +9,19 @@ import (
 	"drainnet/internal/model"
 )
 
-// IOSMeasurer prices an architecture on the simulated GPU through the IOS
-// pipeline, as in Table 2; it is the nas.EfficiencyMeasurer of the
-// paper's Fig 5 selection.
-type IOSMeasurer struct {
-	Dev gpu.DeviceConfig
-}
-
-// Latency implements nas.EfficiencyMeasurer.
-func (m IOSMeasurer) Latency(cfg model.Config, batch int) (float64, float64, error) {
+// iosLatency is e(n) of the paper's Fig 5 selection: the architecture's
+// IOS-optimized latency on the simulated GPU at one batch size, as
+// Table 2 prices it.
+func iosLatency(cfg model.Config, dev gpu.DeviceConfig, batch int) (float64, error) {
 	g, err := cfg.BuildGraph()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	rt := ios.NewRuntime(m.Dev)
-	seq := rt.Measure(g, ios.SequentialSchedule(g), batch)
-	sched, err := ios.Optimize(g, ios.NewSimOracle(m.Dev), batch)
+	sched, err := ios.Optimize(g, ios.NewSimOracle(dev), batch)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	opt := rt.Measure(g, sched, batch)
-	return seq.LatencyNs, opt.LatencyNs, nil
+	return ios.NewRuntime(dev).Measure(g, sched, batch).LatencyNs, nil
 }
 
 // Table2Row is one model's latency pair at batch 1.

@@ -42,11 +42,7 @@ func TestNASTrainerDoesNotMutateDataset(t *testing.T) {
 // TestNASProxyEvaluator: the analytic proxy follows the paper's trends
 // (receptive field and capacity help, oversize kernels hurt).
 func TestNASProxyEvaluator(t *testing.T) {
-	p := NASProxy()
-	small, err := p.Evaluate(model.OriginalSPPNet())
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := NASProxy(model.OriginalSPPNet())
 	if small <= 0.85 || small >= 1 {
 		t.Fatalf("proxy out of range: %v", small)
 	}

@@ -201,6 +201,9 @@ func (c Config) Validate() error {
 		if cv.Kernel < 1 || cv.Stride < 1 || cv.Filters < 1 {
 			return fmt.Errorf("model %s: bad conv block %d", c.Name, i)
 		}
+		if cv.PoolSize < 0 || (cv.PoolSize > 0 && cv.PoolStride < 1) {
+			return fmt.Errorf("model %s: bad pool P%d,%d at block %d", c.Name, cv.PoolSize, cv.PoolStride, i)
+		}
 		size = (size+2*(cv.Kernel/2)-cv.Kernel)/cv.Stride + 1
 		if cv.PoolSize > 0 {
 			size = (size-cv.PoolSize)/cv.PoolStride + 1

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -54,6 +55,35 @@ func TestValidateCatchesVanishingFeatureMap(t *testing.T) {
 	cfg := OriginalSPPNet().WithInput(4, 8) // 8→4→2→1: SPP level 4 impossible
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// TestValidateRejectsBadPool: a pool with a size but no stride, or a
+// negative size, is an error, not a division by zero — whether it comes
+// from the notation or from a config decoded out of a NAS plan.json.
+func TestValidateRejectsBadPool(t *testing.T) {
+	cfg, err := ParseNotation("x", "C64,3,1-P2,0-C128,3,1-P2,2-C256,3,1-P2,2-SPP4,2,1-F1024")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.WithInput(4, 40).Validate(); err == nil {
+		t.Fatal("P2,0 validated")
+	}
+	var plan Config
+	if err := json.Unmarshal([]byte(`{"Name":"plan","InBands":4,"InSize":40,"HeadOut":5,"FCWidth":64,"WidthScale":16,
+		"SPPLevels":[2,1],"Convs":[{"Filters":64,"Kernel":3,"Stride":1,"PoolSize":2,"PoolStride":0}]}`), &plan); err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Validate(); err == nil {
+		t.Fatal("plan config with PoolStride 0 validated")
+	}
+	plan.Convs[0].PoolSize, plan.Convs[0].PoolStride = -2, 2
+	if err := plan.Validate(); err == nil {
+		t.Fatal("plan config with PoolSize -2 validated")
+	}
+	plan.Convs[0].PoolSize = 2
+	if err := plan.Validate(); err != nil {
+		t.Fatalf("P2,2 rejected: %v", err)
 	}
 }
 

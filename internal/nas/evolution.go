@@ -6,25 +6,9 @@ import (
 	"drainnet/internal/model"
 )
 
-// EvolutionConfig controls the regularized-evolution strategy (Real et
-// al., aging evolution) — an alternative exploration strategy to the
-// paper's random search, provided for the strategy ablation.
-type EvolutionConfig struct {
-	// Population is the number of live individuals.
-	Population int
-	// Cycles is the number of evolution steps after the initial
-	// population (each step evaluates one child).
-	Cycles int
-	// SampleSize is the tournament size for parent selection.
-	SampleSize int
-	// Seed drives sampling and mutation.
-	Seed int64
-}
-
-// DefaultEvolution returns a small, sensible configuration.
-func DefaultEvolution() EvolutionConfig {
-	return EvolutionConfig{Population: 8, Cycles: 24, SampleSize: 3, Seed: 1}
-}
+// tournamentSize is the evolution strategy's parent-selection
+// tournament: the fittest of three random members of the population.
+const tournamentSize = 3
 
 // choiceIndex returns the index of v in choices (0 if absent).
 func choiceIndex(choices []int, v int) int {
@@ -34,11 +18,6 @@ func choiceIndex(choices []int, v int) int {
 		}
 	}
 	return 0
-}
-
-// mutate perturbs exactly one searchable dimension of cfg by one step.
-func (s Space) mutate(rng *rand.Rand, cfg model.Config) model.Config {
-	return s.mutateArchDim(rng, cfg, rng.Intn(3))
 }
 
 // mutateArchDim perturbs one named architecture dimension by one step.
@@ -109,51 +88,86 @@ func pickOther[T comparable](rng *rand.Rand, choices []T, cur T) T {
 	return others[rng.Intn(len(others))]
 }
 
-// EvolutionSearch runs regularized (aging) evolution: the oldest
-// individual dies each cycle, and a mutation of a tournament winner
-// replaces it. Every evaluation is returned as a Trial, so the total
-// evaluation budget is Population + Cycles (duplicates are re-used from
-// a cache, not re-evaluated, but still consume a cycle).
-func EvolutionSearch(space Space, eval Evaluator, cfg EvolutionConfig) []Trial {
-	if cfg.Population < 2 {
-		cfg.Population = 2
-	}
-	if cfg.SampleSize < 1 {
-		cfg.SampleSize = 1
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	cache := map[string]Trial{}
-	var history []Trial
+// evolution is regularized (aging) evolution (Real et al.) over the
+// joint space with batched-parallel evaluation: a third of the Trials
+// budget seeds the population, the rest evolves. Each generation
+// proposes up to Parallel children sequentially from the deterministic
+// rng (so the trajectory is reproducible for a fixed Seed and Parallel),
+// evaluates the unseen ones concurrently, and ages out as many elders as
+// children were admitted. Revisited candidates reuse their recorded
+// trial — a candidate is never evaluated twice.
+func evolution(space Space, eval CandidateEvaluator, opts SearchOptions) []TrialResult {
+	population, cycles := max(opts.Trials/3, 2), opts.Trials-opts.Trials/3
+	rng := rand.New(rand.NewSource(opts.Seed))
+	seen := make(map[string]TrialResult)
+	var history []TrialResult
 
-	score := func(c model.Config) Trial {
-		if t, ok := cache[c.Name]; ok {
-			return t
+	// evalBatch scores a proposal batch: unseen candidates fan out over
+	// the workers (each unique candidate once), results land in history
+	// in proposal order, and every proposal resolves to its trial.
+	evalBatch := func(batch []CandidateConfig) []TrialResult {
+		var fresh []CandidateConfig
+		inBatch := make(map[string]bool)
+		for _, c := range batch {
+			if _, ok := seen[c.Key()]; !ok && !inBatch[c.Key()] {
+				inBatch[c.Key()] = true
+				fresh = append(fresh, c)
+			}
 		}
-		acc, err := eval.Evaluate(c)
-		t := Trial{Config: c, Accuracy: acc, Err: err}
-		cache[c.Name] = t
-		history = append(history, t)
-		return t
+		for _, t := range evalOrdered(fresh, eval, opts.Parallel) {
+			t.Order = len(history)
+			seen[t.Key] = t
+			history = append(history, t)
+		}
+		out := make([]TrialResult, len(batch))
+		for i, c := range batch {
+			out[i] = seen[c.Key()]
+		}
+		return out
+	}
+
+	fitness := func(t TrialResult) float64 {
+		// Qualified candidates compete on speed (lower latency =
+		// fitter); unqualified ones compete on accuracy below everything
+		// qualified, steering the population toward the constraint.
+		if t.Qualified && t.Err == "" {
+			return 1e12 / (1 + t.LatencyBNNs)
+		}
+		return t.Accuracy
 	}
 
 	// Seed population.
-	var population []Trial
-	for len(population) < cfg.Population {
-		population = append(population, score(space.Sample(rng)))
-	}
-	// Aging evolution.
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		// Tournament: best of SampleSize random individuals.
-		best := population[rng.Intn(len(population))]
-		for i := 1; i < cfg.SampleSize; i++ {
-			cand := population[rng.Intn(len(population))]
-			if cand.Err == nil && (best.Err != nil || cand.Accuracy > best.Accuracy) {
-				best = cand
-			}
+	var pop []TrialResult
+	for len(pop) < population {
+		n := opts.Parallel
+		if rem := population - len(pop); n > rem {
+			n = rem
 		}
-		child := score(space.mutate(rng, best.Config))
-		// Age out the oldest, append the child.
-		population = append(population[1:], child)
+		batch := make([]CandidateConfig, n)
+		for i := range batch {
+			batch[i] = space.SampleCandidate(rng)
+		}
+		pop = append(pop, evalBatch(batch)...)
+	}
+	// Aging evolution in batches of Parallel.
+	for done := 0; done < cycles; {
+		n := opts.Parallel
+		if rem := cycles - done; n > rem {
+			n = rem
+		}
+		batch := make([]CandidateConfig, n)
+		for i := range batch {
+			best := pop[rng.Intn(len(pop))]
+			for s := 1; s < tournamentSize; s++ {
+				cand := pop[rng.Intn(len(pop))]
+				if fitness(cand) > fitness(best) {
+					best = cand
+				}
+			}
+			batch[i] = space.MutateCandidate(rng, best.Candidate)
+		}
+		pop = append(pop[n:], evalBatch(batch)...)
+		done += n
 	}
 	return history
 }

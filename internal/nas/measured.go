@@ -17,7 +17,7 @@ import (
 // hardware: e(n) becomes the measured steady-state latency of each
 // candidate's compiled, autotuned, possibly-int8 executor on the machine
 // that will serve, instead of the simulated-GPU price of
-// experiments.IOSMeasurer. Each candidate goes through model.Compile — the
+// experiments.SimEvaluator. Each candidate goes through model.Compile — the
 // same call drainnet-serve makes at startup — and the executor the plan
 // hands out is what gets benched, all against one shared model.CostCache,
 // so repeated searches (and concurrent search workers) never re-measure
@@ -47,15 +47,12 @@ type MeasuredEvaluator struct {
 	// (memoized across candidates sharing one architecture). Required.
 	Trainer Trainer
 	// Proxy optionally prefilters candidates: architectures whose proxy
-	// accuracy falls PrefilterMargin or more below Threshold are rejected
+	// accuracy falls prefilterMargin or more below Threshold are rejected
 	// before paying for real training or measurement.
-	Proxy Evaluator
+	Proxy func(arch model.Config) float64
 	// Threshold is the accuracy constraint A: only candidates with
 	// a(n) > Threshold qualify (and pay for latency measurement).
 	Threshold float64
-	// PrefilterMargin is the proxy slack (default 0.02): a candidate is
-	// prefiltered only when proxyAcc ≤ Threshold − PrefilterMargin.
-	PrefilterMargin float64
 	// WidthScale, InBands and InSize fix the training protocol's scaling
 	// and input geometry; candidates are scaled before training and
 	// graph building (WidthScale 0 → 1).
@@ -77,13 +74,6 @@ type MeasuredEvaluator struct {
 	// a warm cache makes re-search deterministic and cheap. A fresh cache
 	// is created when nil.
 	Cache *model.CostCache
-	// Warmup and Samples control the executor bench (defaults 2 and 8):
-	// Warmup discarded runs, then Samples timed runs whose trimmed mean
-	// is e(n).
-	Warmup, Samples int
-	// MinSampleNs stretches each timed sample above clock granularity by
-	// repetition (default 2e5).
-	MinSampleNs float64
 
 	// benchMu serializes every section that takes wall-clock timings
 	// (model.Compile's autotune step, the executor bench), so N parallel
@@ -95,6 +85,17 @@ type MeasuredEvaluator struct {
 	netMu sync.Mutex
 	nets  map[string]trainedNet
 }
+
+// The executor bench: benchWarmup discarded runs, then benchSamples
+// timed runs, each stretched above clock granularity to benchMinSampleNs
+// by repetition, whose trimmed mean is e(n). A candidate is prefiltered
+// only when its proxy accuracy is ≤ Threshold − prefilterMargin.
+const (
+	benchWarmup      = 2
+	benchSamples     = 8
+	benchMinSampleNs = 2e5
+	prefilterMargin  = 0.02
+)
 
 type trainedNet struct {
 	net *nn.Sequential
@@ -116,18 +117,6 @@ func (e *MeasuredEvaluator) init() {
 	}
 	if e.MaxBatch <= 0 {
 		e.MaxBatch = 16
-	}
-	if e.PrefilterMargin == 0 {
-		e.PrefilterMargin = 0.02
-	}
-	if e.Warmup <= 0 {
-		e.Warmup = 2
-	}
-	if e.Samples <= 0 {
-		e.Samples = 8
-	}
-	if e.MinSampleNs == 0 {
-		e.MinSampleNs = 2e5
 	}
 	e.netMu.Unlock()
 }
@@ -199,13 +188,10 @@ func (e *MeasuredEvaluator) EvaluateCandidate(c CandidateConfig) TrialResult {
 	// 1. Proxy prefilter: clearly-below-threshold candidates never pay
 	// for training or measurement.
 	if e.Proxy != nil {
-		pa, err := e.Proxy.Evaluate(c.Arch)
-		if err == nil {
-			r.ProxyAcc = pa
-			if pa <= e.Threshold-e.PrefilterMargin {
-				r.Prefiltered = true
-				return r
-			}
+		r.ProxyAcc = e.Proxy(c.Arch)
+		if r.ProxyAcc <= e.Threshold-prefilterMargin {
+			r.Prefiltered = true
+			return r
 		}
 	}
 
@@ -297,9 +283,9 @@ func (e *MeasuredEvaluator) measureCandidate(scaled model.Config, base *nn.Seque
 }
 
 // benchExecutor times one executor at a batch size on deterministic
-// synthetic input: Warmup discarded runs, then the trimmed mean of
-// Samples runs stretched to MinSampleNs (model.TimeTrimmed). Caller holds
-// benchMu.
+// synthetic input: benchWarmup discarded runs, then the trimmed mean of
+// benchSamples runs stretched to benchMinSampleNs (model.TimeTrimmed).
+// Caller holds benchMu.
 func (e *MeasuredEvaluator) benchExecutor(exec model.Executor, batch int) float64 {
 	x := tensor.New(batch, e.InBands, e.InSize, e.InSize)
 	tensor.FillPseudo(x.Data(), tensor.PseudoSeed)
@@ -310,5 +296,5 @@ func (e *MeasuredEvaluator) benchExecutor(exec model.Executor, batch int) float6
 			a.Reset()
 			dets = exec.InferDetect(x, a, dets)
 		}
-	}, e.Warmup, e.Samples, e.MinSampleNs)
+	}, benchWarmup, benchSamples, benchMinSampleNs)
 }

@@ -1,11 +1,16 @@
 // Package nas implements the neural-architecture-search workflow of the
 // paper's §4 and §5: a Retiarii-style model space over the SPP-Net family,
-// a multi-trial executor with a random exploration strategy and a
-// functional evaluator, and the accuracy-constrained efficiency
-// optimization of Fig 5 — candidates above the accuracy threshold are
-// benchmarked with the IOS scheduler and the most efficient one wins:
+// one multi-trial executor (Search: random, grid or evolution, over
+// parallel workers) and the accuracy-constrained efficiency optimization
+// of Fig 5 — candidates above the accuracy threshold are priced by the
+// evaluator's e(n) oracle and the most efficient one wins:
 //
 //	maximize e(n), n ∈ N, subject to a(n) > A.
+//
+// The evaluator is the only thing that differs between oracles: the
+// paper's simulated-GPU IOS latency (experiments.SimEvaluator) or the
+// measured latency of the compiled executor on this machine
+// (MeasuredEvaluator).
 package nas
 
 import (
@@ -147,13 +152,21 @@ func (s Space) Contains(c CandidateConfig) bool {
 	return okPrec && okKern
 }
 
-// SampleCandidate draws one joint candidate uniformly at random.
+// SampleCandidate draws one joint candidate uniformly at random. A
+// dimension with a single choice consumes no draw, so on an
+// architecture-only space the stream is exactly Sample's.
 func (s Space) SampleCandidate(rng *rand.Rand) CandidateConfig {
+	pick := func(n int) int {
+		if n < 2 {
+			return 0
+		}
+		return rng.Intn(n)
+	}
 	precs, kerns := s.precisions(), s.kernels()
 	return CandidateConfig{
 		Arch:      s.Sample(rng),
-		Precision: precs[rng.Intn(len(precs))],
-		Kernels:   kerns[rng.Intn(len(kerns))],
+		Precision: precs[pick(len(precs))],
+		Kernels:   kerns[pick(len(kerns))],
 	}
 }
 
@@ -218,127 +231,4 @@ func (s Space) All() []model.Config {
 		}
 	}
 	return out
-}
-
-// Evaluator scores one architecture (the Retiarii model evaluator role).
-type Evaluator interface {
-	Evaluate(cfg model.Config) (accuracy float64, err error)
-}
-
-// FunctionalEvaluator adapts a plain function, mirroring Retiarii's
-// FunctionalEvaluator — the paper's choice of model evaluator.
-type FunctionalEvaluator func(cfg model.Config) (float64, error)
-
-// Evaluate implements Evaluator.
-func (f FunctionalEvaluator) Evaluate(cfg model.Config) (float64, error) { return f(cfg) }
-
-// Trial is one evaluated architecture.
-type Trial struct {
-	Config   model.Config
-	Accuracy float64
-	Err      error
-}
-
-// RandomSearch runs the multi-trial strategy: up to maxTrials
-// random samples (duplicates skipped, counting against the budget), each
-// scored by the evaluator.
-func RandomSearch(space Space, eval Evaluator, maxTrials int, seed int64) []Trial {
-	rng := rand.New(rand.NewSource(seed))
-	seen := map[string]bool{}
-	var trials []Trial
-	for t := 0; t < maxTrials; t++ {
-		cfg := space.Sample(rng)
-		if seen[cfg.Name] {
-			continue
-		}
-		seen[cfg.Name] = true
-		acc, err := eval.Evaluate(cfg)
-		trials = append(trials, Trial{Config: cfg, Accuracy: acc, Err: err})
-	}
-	return trials
-}
-
-// GridSearch evaluates every architecture in the space.
-func GridSearch(space Space, eval Evaluator) []Trial {
-	var trials []Trial
-	for _, cfg := range space.All() {
-		acc, err := eval.Evaluate(cfg)
-		trials = append(trials, Trial{Config: cfg, Accuracy: acc, Err: err})
-	}
-	return trials
-}
-
-// BestByAccuracy returns the trial with the highest accuracy (nil if none
-// succeeded).
-func BestByAccuracy(trials []Trial) *Trial {
-	var best *Trial
-	for i := range trials {
-		t := &trials[i]
-		if t.Err != nil {
-			continue
-		}
-		if best == nil || t.Accuracy > best.Accuracy {
-			best = t
-		}
-	}
-	return best
-}
-
-// EfficiencyMeasurer prices one architecture's inference latency.
-type EfficiencyMeasurer interface {
-	// Latency returns sequential and IOS-optimized latency in ns at the
-	// given batch size.
-	Latency(cfg model.Config, batch int) (seqNs, optNs float64, err error)
-}
-
-// Candidate is one accuracy-qualified architecture with its measured
-// latencies.
-type Candidate struct {
-	Trial
-	SeqLatencyNs float64
-	OptLatencyNs float64
-}
-
-// Selection is the outcome of the accuracy-constrained efficiency
-// optimization (Fig 5).
-type Selection struct {
-	Threshold  float64
-	Batch      int
-	Candidates []Candidate // all trials above the threshold, best first
-	Rejected   []Trial     // trials below the threshold or failed
-}
-
-// Best returns the winning candidate (nil when none qualified).
-func (s *Selection) Best() *Candidate {
-	if len(s.Candidates) == 0 {
-		return nil
-	}
-	return &s.Candidates[0]
-}
-
-// ResourceAware performs the §5.4 optimization: keep trials with
-// a(n) > threshold, measure e(n) via IOS at the given batch size, and rank
-// by optimized latency (lower is better).
-func ResourceAware(trials []Trial, meas EfficiencyMeasurer, threshold float64, batch int) (*Selection, error) {
-	sel := &Selection{Threshold: threshold, Batch: batch}
-	for _, t := range trials {
-		if t.Err != nil || t.Accuracy <= threshold {
-			sel.Rejected = append(sel.Rejected, t)
-			continue
-		}
-		seq, opt, err := meas.Latency(t.Config, batch)
-		if err != nil {
-			t.Err = err
-			sel.Rejected = append(sel.Rejected, t)
-			continue
-		}
-		sel.Candidates = append(sel.Candidates, Candidate{Trial: t, SeqLatencyNs: seq, OptLatencyNs: opt})
-	}
-	sort.SliceStable(sel.Candidates, func(i, j int) bool {
-		return sel.Candidates[i].OptLatencyNs < sel.Candidates[j].OptLatencyNs
-	})
-	if len(sel.Candidates) == 0 {
-		return sel, fmt.Errorf("nas: no candidate satisfied accuracy > %v", threshold)
-	}
-	return sel, nil
 }

@@ -1,7 +1,6 @@
 package nas
 
 import (
-	"errors"
 	"testing"
 
 	"drainnet/internal/model"
@@ -47,10 +46,27 @@ func TestSampleStaysInSpace(t *testing.T) {
 	for _, cfg := range s.All() {
 		valid[cfg.Name] = true
 	}
-	rngTrials := RandomSearch(s, FunctionalEvaluator(func(model.Config) (float64, error) { return 0.5, nil }), 60, 3)
-	for _, tr := range rngTrials {
-		if !valid[tr.Config.Name] {
-			t.Fatalf("sampled config %q outside the space", tr.Config.Name)
+	rng := newRng(3)
+	for i := 0; i < 60; i++ {
+		if cfg := s.Sample(rng); !valid[cfg.Name] {
+			t.Fatalf("sampled config %q outside the space", cfg.Name)
+		}
+	}
+}
+
+// TestSampleCandidateMatchesSampleOnArchSpace: a dimension with one
+// choice consumes no draw, so the architecture-only space yields the
+// same stream through SampleCandidate as through Sample.
+func TestSampleCandidateMatchesSampleOnArchSpace(t *testing.T) {
+	s := DefaultSpace()
+	a, b := newRng(5), newRng(5)
+	for i := 0; i < 50; i++ {
+		c := s.SampleCandidate(a)
+		if want := s.Sample(b); c.Arch.Name != want.Name {
+			t.Fatalf("draw %d: SampleCandidate %s, Sample %s", i, c.Arch.Name, want.Name)
+		}
+		if c.Precision != model.PrecisionFP32 || c.Kernels != KernelModeBaseline {
+			t.Fatalf("draw %d: candidate %s outside the fp32/im2col space", i, c.Key())
 		}
 	}
 }
@@ -72,75 +88,88 @@ func TestSPPLevelDegenerateChoices(t *testing.T) {
 	}
 }
 
+// archEvaluator scores every candidate with accuracy acc(arch) and,
+// when that clears threshold, latency lat(arch) at both batch sizes.
+func archEvaluator(threshold float64, acc, lat func(model.Config) float64) CandidateEvaluator {
+	return CandidateEvaluatorFunc(func(c CandidateConfig) TrialResult {
+		r := TrialResult{Candidate: c, Key: c.Key(), Accuracy: acc(c.Arch)}
+		if r.Accuracy > threshold {
+			r.Qualified = true
+			r.LatencyB1Ns = lat(c.Arch)
+			r.LatencyBNNs = r.LatencyB1Ns
+		}
+		return r
+	})
+}
+
 func TestRandomSearchDeterministicAndDeduped(t *testing.T) {
 	s := DefaultSpace()
-	eval := FunctionalEvaluator(func(cfg model.Config) (float64, error) {
-		return float64(cfg.FCWidth%97) / 97, nil
-	})
-	a := RandomSearch(s, eval, 40, 7)
-	b := RandomSearch(s, eval, 40, 7)
-	if len(a) != len(b) {
-		t.Fatalf("nondeterministic trial count: %d vs %d", len(a), len(b))
-	}
-	seen := map[string]bool{}
-	for i := range a {
-		if a[i].Config.Name != b[i].Config.Name {
-			t.Fatal("nondeterministic sampling")
-		}
-		if seen[a[i].Config.Name] {
-			t.Fatal("duplicate trial not skipped")
-		}
-		seen[a[i].Config.Name] = true
-	}
-}
-
-func TestBestByAccuracy(t *testing.T) {
-	trials := []Trial{
-		{Config: model.Config{Name: "a"}, Accuracy: 0.5},
-		{Config: model.Config{Name: "b"}, Accuracy: 0.9, Err: errors.New("failed")},
-		{Config: model.Config{Name: "c"}, Accuracy: 0.7},
-	}
-	best := BestByAccuracy(trials)
-	if best == nil || best.Config.Name != "c" {
-		t.Fatalf("best = %+v, want c (errors excluded)", best)
-	}
-	if BestByAccuracy(nil) != nil {
-		t.Fatal("empty trials must give nil")
-	}
-}
-
-// fakeMeasurer prices latency by FC width (bigger = slower) for tests.
-type fakeMeasurer struct{}
-
-func (fakeMeasurer) Latency(cfg model.Config, batch int) (float64, float64, error) {
-	l := float64(cfg.FCWidth)
-	return 2 * l, l, nil
-}
-
-func TestResourceAwareSelection(t *testing.T) {
-	trials := []Trial{
-		{Config: model.Config{Name: "small-inaccurate", FCWidth: 128}, Accuracy: 0.80},
-		{Config: model.Config{Name: "mid", FCWidth: 2048}, Accuracy: 0.97},
-		{Config: model.Config{Name: "big", FCWidth: 4096}, Accuracy: 0.98},
-		{Config: model.Config{Name: "broken", FCWidth: 64}, Err: errors.New("x")},
-	}
-	sel, err := ResourceAware(trials, fakeMeasurer{}, 0.965, 1)
+	eval := archEvaluator(2, func(cfg model.Config) float64 { return float64(cfg.FCWidth%97) / 97 }, nil)
+	opts := SearchOptions{Strategy: "random", Trials: 40, Seed: 7}
+	a, err := Search(s, eval, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both mid and big pass the constraint; mid is faster and must win —
-	// even though big is more accurate. That is the §5.4 semantics.
-	if sel.Best().Config.Name != "mid" {
-		t.Fatalf("best = %q, want mid", sel.Best().Config.Name)
+	b, err := Search(s, eval, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(sel.Rejected) != 2 {
-		t.Fatalf("rejected = %d, want 2", len(sel.Rejected))
+	if len(a.Trials) != 40 || len(b.Trials) != 40 {
+		t.Fatalf("trial counts %d and %d, want 40 distinct", len(a.Trials), len(b.Trials))
+	}
+	seen := map[string]bool{}
+	for i := range a.Trials {
+		if a.Trials[i].Key != b.Trials[i].Key {
+			t.Fatal("nondeterministic sampling")
+		}
+		if seen[a.Trials[i].Key] {
+			t.Fatal("duplicate trial not skipped")
+		}
+		seen[a.Trials[i].Key] = true
+	}
+}
+
+// TestResourceAwareSelection: the §5.4 semantics — among candidates
+// with a(n) > A the fastest wins, even over a more accurate one, and
+// failed or inaccurate candidates never rank.
+func TestResourceAwareSelection(t *testing.T) {
+	s := DefaultSpace()
+	s.Conv1Kernel.Choices = []int{3}
+	s.SPPFirstLevel.Choices = []int{4}
+	s.FCWidth.Choices = []int{128, 2048, 4096, 8192}
+	acc := map[int]float64{128: 0.80, 2048: 0.97, 4096: 0.98}
+	eval := CandidateEvaluatorFunc(func(c CandidateConfig) TrialResult {
+		r := TrialResult{Candidate: c, Key: c.Key(), Accuracy: acc[c.Arch.FCWidth]}
+		switch {
+		case c.Arch.FCWidth == 8192:
+			r.Err = "broken"
+		case r.Accuracy > 0.965:
+			r.Qualified = true
+			r.LatencyB1Ns = float64(c.Arch.FCWidth)
+			r.LatencyBNNs = r.LatencyB1Ns
+		}
+		return r
+	})
+	res, err := Search(s, eval, SearchOptions{Strategy: "grid"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := res.Winner(); w == nil || w.Candidate.Arch.FCWidth != 2048 {
+		t.Fatalf("winner = %+v, want fc2048", w)
+	}
+	if len(res.Ranked()) != 2 || len(res.Trials)-res.Qualified != 2 {
+		t.Fatalf("%d ranked, %d rejected; want 2 and 2", len(res.Ranked()), len(res.Trials)-res.Qualified)
 	}
 }
 
 func TestResourceAwareNoQualifier(t *testing.T) {
-	trials := []Trial{{Config: model.Config{Name: "x", FCWidth: 128}, Accuracy: 0.5}}
-	if _, err := ResourceAware(trials, fakeMeasurer{}, 0.9, 1); err == nil {
-		t.Fatal("expected error when nothing qualifies")
+	s := DefaultSpace()
+	eval := archEvaluator(0.9, func(model.Config) float64 { return 0.5 }, nil)
+	res, err := Search(s, eval, SearchOptions{Strategy: "random", Trials: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Winner() != nil || res.Qualified != 0 {
+		t.Fatal("a winner when nothing qualifies")
 	}
 }

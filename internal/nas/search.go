@@ -9,8 +9,9 @@ import (
 	"time"
 )
 
-// CandidateEvaluator scores one joint candidate end to end. The
-// MeasuredEvaluator is the hardware-in-the-loop implementation; tests
+// CandidateEvaluator scores one joint candidate end to end: a(n), the
+// constraint, and e(n). MeasuredEvaluator prices candidates on this
+// machine, experiments.SimEvaluator on the paper's simulated GPU; tests
 // substitute cheap stubs.
 type CandidateEvaluator interface {
 	EvaluateCandidate(c CandidateConfig) TrialResult
@@ -22,8 +23,8 @@ type CandidateEvaluatorFunc func(c CandidateConfig) TrialResult
 // EvaluateCandidate implements CandidateEvaluator.
 func (f CandidateEvaluatorFunc) EvaluateCandidate(c CandidateConfig) TrialResult { return f(c) }
 
-// TrialResult is one scored candidate of the measured search — the row
-// the ranked trial table renders and the winner's plan.json records.
+// TrialResult is one scored candidate of the search — the row the
+// ranked trial table renders and the winner's plan.json records.
 type TrialResult struct {
 	Candidate CandidateConfig `json:"candidate"`
 	// Key identifies the candidate (arch|prec|kern); trials are deduped
@@ -45,8 +46,9 @@ type TrialResult struct {
 	GateFallback bool `json:"gate_fallback,omitempty"`
 	// Demotions counts autotuner gate-ladder demotions (tuned mode only).
 	Demotions int `json:"demotions,omitempty"`
-	// LatencyB1Ns and LatencyBNNs are the measured executor latencies at
-	// batch 1 and the evaluator's MaxBatch.
+	// LatencyB1Ns and LatencyBNNs are e(n) at batch 1 and at the
+	// evaluator's large batch (the sim oracle prices batch 1 only and
+	// reports it in both).
 	LatencyB1Ns float64 `json:"latency_b1_ns,omitempty"`
 	LatencyBNNs float64 `json:"latency_bn_ns,omitempty"`
 	// CacheHit marks candidates answered from the candidate-level cache
@@ -58,14 +60,14 @@ type TrialResult struct {
 	Err string `json:"err,omitempty"`
 }
 
-// SearchOptions configures a measured search run.
+// SearchOptions configures a search run.
 type SearchOptions struct {
 	// Strategy is "random" (paper §4.2, default), "grid" (exhaustive
 	// joint space), or "evolution" (batched aging evolution).
 	Strategy string `json:"strategy"`
 	// Trials is the number of distinct candidates for random search; grid
-	// ignores it; evolution derives Population+Cycles from it when the
-	// Evolution config is zero.
+	// ignores it; evolution seeds its population with a third of it and
+	// evolves the rest.
 	Trials int `json:"trials"`
 	// Seed drives sampling and mutation; a fixed seed plus a warm cache
 	// reproduces the exact ranking.
@@ -76,12 +78,9 @@ type SearchOptions struct {
 	// deterministic for a fixed (Seed, Parallel) pair because proposals
 	// are batched by Parallel.
 	Parallel int `json:"parallel"`
-	// Evolution configures the evolution strategy (its Seed is ignored in
-	// favor of SearchOptions.Seed).
-	Evolution EvolutionConfig `json:"evolution,omitzero"`
 }
 
-// SearchResult is the outcome of one measured search.
+// SearchResult is the outcome of one search.
 type SearchResult struct {
 	Options SearchOptions `json:"options"`
 	// Trials is the evaluation history in deterministic order.
@@ -94,10 +93,11 @@ type SearchResult struct {
 	Qualified   int `json:"qualified"`
 }
 
-// Ranked returns the qualified trials ordered by measured large-batch
-// latency (then batch-1 latency, then key — a total, reproducible
-// order). The winner is the head of this ranking: the fastest measured
-// candidate satisfying a(n) > A, the paper's arg max e(n).
+// Ranked returns the qualified trials ordered by large-batch latency,
+// then batch-1 latency, then evaluation order (a tie goes to the trial
+// evaluated first), then key — a total, reproducible order. The winner
+// is the head of this ranking: the fastest candidate satisfying
+// a(n) > A, the paper's arg max e(n).
 func (r *SearchResult) Ranked() []TrialResult {
 	var q []TrialResult
 	for _, t := range r.Trials {
@@ -111,6 +111,9 @@ func (r *SearchResult) Ranked() []TrialResult {
 		}
 		if q[i].LatencyB1Ns != q[j].LatencyB1Ns {
 			return q[i].LatencyB1Ns < q[j].LatencyB1Ns
+		}
+		if q[i].Order != q[j].Order {
+			return q[i].Order < q[j].Order
 		}
 		return q[i].Key < q[j].Key
 	})
@@ -130,7 +133,7 @@ func (r *SearchResult) Winner() *TrialResult {
 // Render formats the ranked trial table.
 func (r *SearchResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "measured NAS: %d trials (%d qualified, %d prefiltered, %d cache hits), %.0f ms wall, parallel=%d\n",
+	fmt.Fprintf(&b, "NAS: %d trials (%d qualified, %d prefiltered, %d cache hits), %.0f ms wall, parallel=%d\n",
 		len(r.Trials), r.Qualified, r.Prefiltered, r.CacheHits, r.WallMs, r.Options.Parallel)
 	fmt.Fprintf(&b, "%-4s %-36s %-9s %-9s %-12s %-12s %s\n",
 		"rank", "candidate", "acc", "proxy", "b1 ms", "bN ms", "notes")
@@ -160,10 +163,10 @@ func (r *SearchResult) Render() string {
 	return b.String()
 }
 
-// Search runs the measured NAS: it proposes joint candidates with the
-// chosen strategy, fans evaluations out over Parallel workers sharing
-// one evaluator (and therefore one cost cache), dedupes revisited
-// candidates so nothing is scored twice, and returns the full history.
+// Search runs the NAS: it proposes joint candidates with the chosen
+// strategy, fans evaluations out over Parallel workers sharing one
+// evaluator (and therefore one cost cache), dedupes revisited candidates
+// so nothing is scored twice, and returns the full history.
 func Search(space Space, eval CandidateEvaluator, opts SearchOptions) (*SearchResult, error) {
 	if opts.Parallel < 1 {
 		opts.Parallel = 1
@@ -183,7 +186,7 @@ func Search(space Space, eval CandidateEvaluator, opts SearchOptions) (*SearchRe
 	case "grid":
 		trials = evalOrdered(space.AllCandidates(), eval, opts.Parallel)
 	case "evolution":
-		trials = evolutionMeasured(space, eval, opts)
+		trials = evolution(space, eval, opts)
 	default:
 		err = fmt.Errorf("nas: unknown strategy %q (want random, grid or evolution)", opts.Strategy)
 	}
@@ -257,99 +260,4 @@ func evalOrdered(cands []CandidateConfig, eval CandidateEvaluator, workers int) 
 		results[i].Order = i
 	}
 	return results
-}
-
-// evolutionMeasured is regularized (aging) evolution generalized to the
-// joint space and to batched-parallel evaluation: each generation
-// proposes up to Parallel children sequentially from the deterministic
-// rng (so the trajectory is reproducible for a fixed Seed and Parallel),
-// evaluates the unseen ones concurrently, and ages out as many elders as
-// children were admitted. Revisited candidates reuse their recorded
-// trial — a candidate is never evaluated twice.
-func evolutionMeasured(space Space, eval CandidateEvaluator, opts SearchOptions) []TrialResult {
-	ecfg := opts.Evolution
-	if ecfg.Population == 0 && ecfg.Cycles == 0 {
-		// Derive a budget split from Trials: a third seeds the
-		// population, the rest evolves.
-		ecfg.Population = opts.Trials / 3
-		ecfg.Cycles = opts.Trials - ecfg.Population
-	}
-	if ecfg.Population < 2 {
-		ecfg.Population = 2
-	}
-	if ecfg.SampleSize < 1 {
-		ecfg.SampleSize = 3
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	seen := make(map[string]TrialResult)
-	var history []TrialResult
-
-	// evalBatch scores a proposal batch: unseen candidates fan out over
-	// the workers (each unique candidate once), results land in history
-	// in proposal order, and every proposal resolves to its trial.
-	evalBatch := func(batch []CandidateConfig) []TrialResult {
-		var fresh []CandidateConfig
-		inBatch := make(map[string]bool)
-		for _, c := range batch {
-			if _, ok := seen[c.Key()]; !ok && !inBatch[c.Key()] {
-				inBatch[c.Key()] = true
-				fresh = append(fresh, c)
-			}
-		}
-		for _, t := range evalOrdered(fresh, eval, opts.Parallel) {
-			t.Order = len(history)
-			seen[t.Key] = t
-			history = append(history, t)
-		}
-		out := make([]TrialResult, len(batch))
-		for i, c := range batch {
-			out[i] = seen[c.Key()]
-		}
-		return out
-	}
-
-	fitness := func(t TrialResult) float64 {
-		// Qualified candidates compete on measured speed (lower latency =
-		// fitter); unqualified ones compete on accuracy below everything
-		// qualified, steering the population toward the constraint.
-		if t.Qualified && t.Err == "" {
-			return 1e12 / (1 + t.LatencyBNNs)
-		}
-		return t.Accuracy
-	}
-
-	// Seed population.
-	var population []TrialResult
-	for len(population) < ecfg.Population {
-		n := opts.Parallel
-		if rem := ecfg.Population - len(population); n > rem {
-			n = rem
-		}
-		batch := make([]CandidateConfig, n)
-		for i := range batch {
-			batch[i] = space.SampleCandidate(rng)
-		}
-		population = append(population, evalBatch(batch)...)
-	}
-	// Aging evolution in batches of Parallel.
-	for done := 0; done < ecfg.Cycles; {
-		n := opts.Parallel
-		if rem := ecfg.Cycles - done; n > rem {
-			n = rem
-		}
-		batch := make([]CandidateConfig, n)
-		for i := range batch {
-			best := population[rng.Intn(len(population))]
-			for s := 1; s < ecfg.SampleSize; s++ {
-				cand := population[rng.Intn(len(population))]
-				if fitness(cand) > fitness(best) {
-					best = cand
-				}
-			}
-			batch[i] = space.MutateCandidate(rng, best.Candidate)
-		}
-		population = append(population[n:], evalBatch(batch)...)
-		done += n
-	}
-	return history
 }

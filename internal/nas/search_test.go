@@ -1,8 +1,15 @@
 package nas
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,6 +155,42 @@ func TestSearchDeterministicSameSeed(t *testing.T) {
 	}
 }
 
+// TestSearchJointStreamGolden: on the joint space every strategy, at
+// Parallel 1 and 3, evaluates the candidate key sequence recorded from
+// the search before its architecture-only twin was folded into it
+// (testdata/joint_search_golden.json: count and sha256 of the keys,
+// newline-joined).
+func TestSearchJointStreamGolden(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "joint_search_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]struct {
+		Trials int    `json:"trials"`
+		SHA256 string `json:"sha256"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range []string{"random", "grid", "evolution"} {
+		for _, par := range []int{1, 3} {
+			name := fmt.Sprintf("%s/p%d", strategy, par)
+			r, err := Search(DefaultJointSpace(), newStubEvaluator(0.9), SearchOptions{Strategy: strategy, Trials: 20, Seed: 42, Parallel: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(strings.Join(trialKeys(r.Trials), "\n")))
+			want, ok := golden[name]
+			if !ok {
+				t.Fatalf("%s: no golden", name)
+			}
+			if len(r.Trials) != want.Trials || hex.EncodeToString(sum[:]) != want.SHA256 {
+				t.Fatalf("%s: %d trials, keys sha256 %x; golden %d, %s", name, len(r.Trials), sum, want.Trials, want.SHA256)
+			}
+		}
+	}
+}
+
 // TestSearchDedupNoDoubleEval: a small space forces revisits; no
 // candidate may be evaluated twice, in any strategy or parallelism.
 func TestSearchDedupNoDoubleEval(t *testing.T) {
@@ -284,7 +327,6 @@ func TestMeasuredEvaluatorPipeline(t *testing.T) {
 		Threshold: 0.9,
 		InBands:   4, InSize: 40, WidthScale: 16,
 		MaxBatch: 4, Cache: cache,
-		Warmup: 1, Samples: 4, MinSampleNs: 1e4,
 	}
 	c := CandidateConfig{Arch: s.instantiate(3, 2, 128), Precision: model.PrecisionFP32, Kernels: KernelModeBaseline}
 	r1 := ev.EvaluateCandidate(c)
@@ -347,7 +389,7 @@ func TestMeasuredEvaluatorConstraint(t *testing.T) {
 			trained++
 			return nil, 0, nil
 		}),
-		Proxy:     FunctionalEvaluator(func(model.Config) (float64, error) { return 0.2, nil }),
+		Proxy:     func(model.Config) float64 { return 0.2 },
 		Threshold: 0.9,
 		InBands:   4, InSize: 40, WidthScale: 16,
 	}
@@ -370,7 +412,7 @@ func TestMeasuredEvaluatorSharedTraining(t *testing.T) {
 		}),
 		Threshold: 0.9,
 		InBands:   4, InSize: 40, WidthScale: 16,
-		MaxBatch: 2, Warmup: 1, Samples: 4, MinSampleNs: 1e4,
+		MaxBatch: 2,
 	}
 	arch := s.instantiate(3, 2, 128)
 	ev.EvaluateCandidate(CandidateConfig{Arch: arch, Precision: model.PrecisionFP32, Kernels: KernelModeBaseline})

@@ -100,6 +100,14 @@ func LoadWinnerPlan(path string) (*WinnerPlan, error) {
 	if err := p.Arch.Validate(); err != nil {
 		return nil, fmt.Errorf("nas: winner plan %s: %w", path, err)
 	}
+	// drainnet-serve applies the candidate's precision and kernel mode as
+	// recorded; a value it would not recognise must not load as a default.
+	if _, err := model.ParsePrecision(string(p.Candidate.Precision)); err != nil {
+		return nil, fmt.Errorf("nas: winner plan %s: %w", path, err)
+	}
+	if k := p.Candidate.Kernels; k != KernelModeBaseline && k != KernelModeTuned {
+		return nil, fmt.Errorf("nas: winner plan %s: unknown kernel mode %q (want %s or %s)", path, k, KernelModeBaseline, KernelModeTuned)
+	}
 	return &p, nil
 }
 
